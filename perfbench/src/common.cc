@@ -1,6 +1,7 @@
 #include "common.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "common/string_util.h"
@@ -242,7 +243,8 @@ void Timings::Add(double value, int times) {
   const double reference = ReferenceMs(times);
   raw.push_back(value);
   reference_ms.push_back(reference);
-  normalized.push_back(value * kNominalReferenceMs / reference);
+  normalized.push_back(
+      value * std::pow(kNominalReferenceMs / reference, kHostSpeedExponent));
 }
 
 void Latencies::Add(px::Technique technique, double ms) {

@@ -147,6 +147,14 @@ double ResidentMb(const px::LogSnapshot& snapshot);
 /// and set-up, and scales CPU-bound times to a host on which the kernel
 /// takes kNominalReferenceMs. Raw times are reported too.
 inline constexpr double kNominalReferenceMs = 4.0;
+/// The Explain path slows more than the kernel when the host does: across
+/// consecutive segments of one process, log request latency rose 1.4-1.8
+/// times as fast as log kernel time. So a time measured beside kernel
+/// time k is scaled by (kNominalReferenceMs / k) ^ kHostSpeedExponent.
+/// Over 60 runs of the three workloads, 1.5 left the smallest largest
+/// spread of a p50 between seeds (0.16, against 0.25 with an exponent
+/// of 1; see perfbench/README.md).
+inline constexpr double kHostSpeedExponent = 1.5;
 /// Kernel runs after each set-up (set-ups are few, requests many).
 inline constexpr int kSetupReferenceSamples = 5;
 
@@ -154,7 +162,8 @@ inline constexpr int kSetupReferenceSamples = 5;
 double ReferenceMs(int times = 1);
 
 /// Timings of one kind: raw values, the reference kernel's duration
-/// measured right after each, and the values scaled by it.
+/// measured right after each, and the values scaled by it
+/// (raw * (kNominalReferenceMs / reference) ^ kHostSpeedExponent).
 struct Timings {
   std::vector<double> raw;
   std::vector<double> reference_ms;

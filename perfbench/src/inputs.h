@@ -19,12 +19,20 @@ struct Question {
   /// The despite clause carries a base nominal atom, so selection pruning
   /// shrinks the pair scan.
   bool selective = false;
+  /// Explain workloads: Canonical() of the explanation a cold engine over
+  /// the same rows gave with `technique`, at kColdThreads enumeration
+  /// threads.
+  std::string answer;
 };
 
-/// Inputs of a read-only explain workload: the rows handed to the engine
-/// and the fixed list of distinct questions the client cycles.
+/// Inputs of a read-only explain workload: the rows handed to the engine,
+/// its pair-code budget, and the fixed list of distinct questions the
+/// client cycles. Every question was answered once with its technique, on
+/// a cold engine over the same rows and budget at kColdThreads, before it
+/// was kept; Question::answer holds that answer.
 struct ExplainInputs {
   perfxplain::ExecutionLog log;
+  std::size_t pair_code_budget_bytes = 0;
   std::vector<Question> questions;
 };
 
@@ -36,10 +44,11 @@ struct ExplainInputs {
 ExplainInputs MakeResidentInputs(std::uint64_t seed, std::size_t count);
 
 /// explain-spill: the job-level log of the Table-2 grid swept five times
-/// (2,700 jobs, ids offset through MakeTable2Grid(start_id)), and `count`
-/// distinct "slower despite the same instances" questions (§6.2),
-/// alternating PerfXplain and SimButDiff; one question in four replaces
-/// pigscript_isSame = T by the base nominal atom pigscript = <script>.
+/// (2,700 jobs, ids offset through MakeTable2Grid(start_id)), a pair-code
+/// budget of 1/8 of the plane, and `count` distinct "slower despite the
+/// same instances" questions (§6.2), alternating PerfXplain and
+/// SimButDiff; one question in four replaces pigscript_isSame = T by the
+/// base nominal atom pigscript = <script>.
 ExplainInputs MakeSpillInputs(std::uint64_t seed, std::size_t count);
 
 /// One simulated job as the cluster would leave it: Hadoop history text
@@ -56,7 +65,13 @@ struct RenderedJob {
 /// and the last job leaves records staged: appended one job per batch
 /// under a rotation every `rotate_rows` staged records, the stream ends
 /// with an unrotated tail. Questions are "why was the last task faster"
-/// pairs among the seed rows.
+/// pairs among the seed rows. The query client may ask any of them with
+/// any technique, so each was answered by PerfXplain, SimButDiff and
+/// RuleOfThumb on the seed rows, and by RuleOfThumb on the rows of every
+/// later generation (its ranking is per snapshot). SimButDiff is checked
+/// on the seed rows only: rows are only added, and whether a pair is a
+/// training pair similar to the pair of interest depends on its two rows
+/// alone, so later generations have every training pair the seed rows had.
 struct IngestInputs {
   perfxplain::ExecutionLog seed_log;
   std::vector<RenderedJob> jobs;

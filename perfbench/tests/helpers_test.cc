@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -68,8 +69,9 @@ TEST(HostSpeed, TimingsScaleToTheNominalReference) {
   for (std::size_t i = 0; i < 2; ++i) {
     ASSERT_GT(timings.reference_ms[i], 0.0);
     EXPECT_DOUBLE_EQ(timings.normalized[i],
-                     timings.raw[i] * kNominalReferenceMs /
-                         timings.reference_ms[i]);
+                     timings.raw[i] *
+                         std::pow(kNominalReferenceMs / timings.reference_ms[i],
+                                  kHostSpeedExponent));
   }
 }
 
@@ -153,6 +155,43 @@ TEST(Inputs, IngestRecordBytesRepeatPerSeed) {
   EXPECT_GT(staged, 0u);
   EXPECT_NE(a.seed_log.ToCsvText(), c.seed_log.ToCsvText());
   EXPECT_NE(a.jobs[0].history, c.jobs[0].history);
+}
+
+// Questions are kept only when they can be answered: a question that
+// satisfies Definition 1 may still have no SimButDiff training pair
+// similar to its pair of interest, or no RuleOfThumb explanation.
+TEST(Inputs, ExplainQuestionsCarryTheAnswerOfAColdEngine) {
+  const ExplainInputs inputs = MakeResidentInputs(5, 8);
+  ASSERT_EQ(inputs.questions.size(), 8u);
+  const perfxplain::Engine engine(
+      inputs.log, EngineOptionsFor(kThreads, inputs.pair_code_budget_bytes));
+  for (const Question& question : inputs.questions) {
+    auto prepared = engine.PrepareText(question.pxql);
+    ASSERT_TRUE(prepared.ok()) << question.pxql;
+    auto response =
+        engine.Explain(*prepared, MakeRequest(question.technique, kThreads));
+    ASSERT_TRUE(response.ok()) << question.pxql;
+    EXPECT_EQ(Canonical(response->explanation), question.answer);
+  }
+}
+
+TEST(Inputs, IngestQuestionsAreAnsweredByEveryTechnique) {
+  const IngestInputs inputs = MakeIngestInputs(5, 100, 0.5, 40, 8);
+  ASSERT_FALSE(inputs.questions.empty());
+  const perfxplain::Engine engine(inputs.seed_log,
+                                  EngineOptionsFor(kThreads, 0));
+  for (const Question& question : inputs.questions) {
+    auto prepared = engine.PrepareText(question.pxql);
+    ASSERT_TRUE(prepared.ok()) << question.pxql;
+    for (perfxplain::Technique technique :
+         {perfxplain::Technique::kPerfXplain,
+          perfxplain::Technique::kSimButDiff,
+          perfxplain::Technique::kRuleOfThumb}) {
+      EXPECT_TRUE(
+          engine.Explain(*prepared, MakeRequest(technique, kThreads)).ok())
+          << perfxplain::TechniqueToString(technique) << ": " << question.pxql;
+    }
+  }
 }
 
 // Every workload checks, while it runs, that it still exercises its layer
