@@ -472,6 +472,42 @@ void BM_SelectiveQueryPruning(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectiveQueryPruning)->Args({1, 1})->Args({0, 1});
 
+/// The task-level log of §6.2 (tasks of the multi-wave jobs, ~1.9k rows at
+/// the default job limit). Built once.
+const px::ExecutionLog& TaskLevelLog() {
+  static const px::ExecutionLog& log = *new px::ExecutionLog(
+      px::bench::Fixture::TaskLevel(px::bench::HarnessOptions())
+          .full_log());
+  return log;
+}
+
+/// Equi-join pruning on the "why was the last task faster" question: its
+/// despite clause pins jobID_isSame = T and hostname_isSame = T, so
+/// DeriveSelection buckets the rows by (jobID, hostname) and each row
+/// pairs only with its own bucket instead of all n rows. Arg 0 toggles
+/// pruning (0 = full n² scan), arg 1 is the worker-thread count; counts
+/// are bitwise identical either way.
+void BM_EquiJoinPruning(benchmark::State& state) {
+  const px::ExecutionLog& log = TaskLevelLog();
+  px::PairSchema schema(log.schema());
+  px::Query bound = px::bench::WhyLastTaskFasterQuery();
+  PX_CHECK(bound.Bind(schema).ok());
+  const px::ColumnarLog columns(log);
+  const px::CompiledQuery compiled =
+      px::CompiledQuery::Compile(bound, schema, columns);
+  px::EnumerationOptions enumeration;
+  enumeration.prune = state.range(0) != 0;
+  enumeration.threads = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        px::CountRelatedPairs(columns, compiled, 0.10, enumeration));
+  }
+  state.SetLabel(std::string("prune=") + (enumeration.prune ? "on" : "off") +
+                 " rows=" + std::to_string(log.size()) +
+                 " threads=" + std::to_string(state.range(1)));
+}
+BENCHMARK(BM_EquiJoinPruning)->Args({1, 1})->Args({0, 1});
+
 /// The buffer-pool budget sweep: a selective SimButDiff query (despite
 /// 'numinstances = 16' derives a base-atom selection of roughly n/5 hot
 /// rows — only their tiles are ever fetched) served repeatedly at

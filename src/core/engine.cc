@@ -199,7 +199,8 @@ Result<Explanation> Engine::Generate(const PreparedQuery& prepared,
       return sim_but_diff_->ExplainPrepared(
           prepared.bound(), prepared.compiled(), prepared.poi_first(),
           prepared.poi_second(), width,
-          request.threads.value_or(options_.sim_but_diff.threads));
+          EnumerationOptions{
+              request.threads.value_or(options_.sim_but_diff.threads)});
   }
   return Status::InvalidArgument("unknown technique");
 }
@@ -649,7 +650,13 @@ Result<Predicate> Engine::GenerateDespite(const PreparedQuery& prepared,
 Result<ExplanationMetrics> Engine::Evaluate(
     const PreparedQuery& prepared, const Explanation& explanation) const {
   PX_RETURN_IF_ERROR(CheckPrepared(prepared));
-  return EvaluateOn(snapshot_->log(), prepared.bound(), explanation);
+  Explanation bound_explanation = explanation;
+  PX_RETURN_IF_ERROR(BindExplanation(bound_explanation));
+  // The snapshot's own replica, scanned with the configured threads.
+  return EvaluateExplanation(snapshot_->columns(), snapshot_->pair_schema(),
+                             prepared.bound(), bound_explanation,
+                             options_.explainer.pair,
+                             EnumerationOptions{options_.explainer.threads});
 }
 
 Result<ExplanationMetrics> Engine::EvaluateOn(
@@ -661,12 +668,15 @@ Result<ExplanationMetrics> Engine::EvaluateOn(
   Query bound = query;
   PX_RETURN_IF_ERROR(bound.Bind(snapshot_->pair_schema()));
   Explanation bound_explanation = explanation;
-  PX_RETURN_IF_ERROR(
-      bound_explanation.despite.Bind(snapshot_->pair_schema()));
-  PX_RETURN_IF_ERROR(
-      bound_explanation.because.Bind(snapshot_->pair_schema()));
+  PX_RETURN_IF_ERROR(BindExplanation(bound_explanation));
   return EvaluateExplanation(test_log, snapshot_->pair_schema(), bound,
-                             bound_explanation, options_.explainer.pair);
+                             bound_explanation, options_.explainer.pair,
+                             EnumerationOptions{options_.explainer.threads});
+}
+
+Status Engine::BindExplanation(Explanation& explanation) const {
+  PX_RETURN_IF_ERROR(explanation.despite.Bind(snapshot_->pair_schema()));
+  return explanation.because.Bind(snapshot_->pair_schema());
 }
 
 }  // namespace perfxplain

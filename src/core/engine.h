@@ -369,7 +369,8 @@ class Engine {
   Result<Predicate> GenerateDespite(const PreparedQuery& prepared,
                                     std::size_t width = 0) const;
 
-  /// Measures an explanation's metrics over this engine's log.
+  /// Measures an explanation's metrics over this engine's log, scanning the
+  /// snapshot's columnar replica with the configured explainer threads.
   Result<ExplanationMetrics> Evaluate(const PreparedQuery& prepared,
                                       const Explanation& explanation) const;
 
@@ -389,6 +390,10 @@ class Engine {
   /// snapshot (its compiled programs would point into another log's
   /// columns) — including default-constructed ones.
   Status CheckPrepared(const PreparedQuery& prepared) const;
+
+  /// Binds an explanation's despite/because clauses to the snapshot's
+  /// pair schema (the metrics scans compile them against its columns).
+  Status BindExplanation(Explanation& explanation) const;
 
   /// Definition 1 under THIS engine's similarity fraction (see
   /// PreparedQuery::definition1).

@@ -10,12 +10,24 @@ ExplanationMetrics EvaluateExplanation(const ExecutionLog& log,
                                        const PairSchema& schema,
                                        const Query& bound_query,
                                        const Explanation& explanation,
-                                       const PairFeatureOptions& options) {
+                                       const PairFeatureOptions& options,
+                                       const EnumerationOptions&
+                                           enumeration) {
+  return EvaluateExplanation(ColumnarLog(log), schema, bound_query,
+                             explanation, options, enumeration);
+}
+
+ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
+                                       const PairSchema& schema,
+                                       const Query& bound_query,
+                                       const Explanation& explanation,
+                                       const PairFeatureOptions& options,
+                                       const EnumerationOptions&
+                                           enumeration) {
   // Per §4.2 of the paper, all three probabilities are measured over the
   // pairs *related* to the query — those satisfying des AND (obs OR exp)
   // (Definition 7). Pairs exhibiting some third behavior (neither observed
   // nor expected) are not part of the population.
-  const ColumnarLog columns(log);
   const CompiledQuery query =
       CompiledQuery::Compile(bound_query, schema, columns);
   const CompiledPredicate despite =
@@ -33,7 +45,7 @@ ExplanationMetrics EvaluateExplanation(const ExecutionLog& log,
   std::vector<Counts> partials;
   // Selection-pruned: pairs failing the query's despite program are
   // unrelated and touch no counter, so the metrics are identical.
-  ScanDespitePairs(query.despite, columns.rows(), EnumerationOptions{},
+  ScanDespitePairs(query.despite, columns.rows(), enumeration,
                    partials,
                    [&](Counts& local, std::size_t i, std::size_t j) {
                      const PairLabel label =
@@ -76,8 +88,18 @@ double EvaluateDespiteRelevance(const ExecutionLog& log,
                                 const PairSchema& schema,
                                 const Query& bound_query,
                                 const Predicate& despite_ext,
-                                const PairFeatureOptions& options) {
-  const ColumnarLog columns(log);
+                                const PairFeatureOptions& options,
+                                const EnumerationOptions& enumeration) {
+  return EvaluateDespiteRelevance(ColumnarLog(log), schema, bound_query,
+                                  despite_ext, options, enumeration);
+}
+
+double EvaluateDespiteRelevance(const ColumnarLog& columns,
+                                const PairSchema& schema,
+                                const Query& bound_query,
+                                const Predicate& despite_ext,
+                                const PairFeatureOptions& options,
+                                const EnumerationOptions& enumeration) {
   const CompiledQuery query =
       CompiledQuery::Compile(bound_query, schema, columns);
   const CompiledPredicate despite =
@@ -89,7 +111,7 @@ double EvaluateDespiteRelevance(const ExecutionLog& log,
     std::size_t expected = 0;
   };
   std::vector<Counts> partials;
-  ScanDespitePairs(query.despite, columns.rows(), EnumerationOptions{},
+  ScanDespitePairs(query.despite, columns.rows(), enumeration,
                    partials,
                    [&](Counts& local, std::size_t i, std::size_t j) {
                      const PairLabel label =

@@ -4,6 +4,7 @@
 #include "core/explanation.h"
 #include "core/pair_enumeration.h"
 #include "features/pair_features.h"
+#include "log/columnar.h"
 #include "log/execution_log.h"
 #include "pxql/query.h"
 
@@ -31,21 +32,39 @@ struct ExplanationMetrics {
 };
 
 /// Measures relevance, precision and generality of `explanation` for
-/// `query` over every ordered pair in `log`. Predicates must already be
+/// `query` over every ordered pair of `columns` (the scan is row-striped
+/// over `enumeration.threads` workers and pruned to the query's despite
+/// candidates; neither changes the metrics). Predicates must already be
 /// bound to `schema`. Probabilities conditioned on an empty set are 0.
-ExplanationMetrics EvaluateExplanation(const ExecutionLog& log,
-                                       const PairSchema& schema,
-                                       const Query& bound_query,
-                                       const Explanation& explanation,
-                                       const PairFeatureOptions& options);
+ExplanationMetrics EvaluateExplanation(
+    const ColumnarLog& columns, const PairSchema& schema,
+    const Query& bound_query, const Explanation& explanation,
+    const PairFeatureOptions& options, const EnumerationOptions& enumeration);
+
+/// EvaluateExplanation over a log with no columnar replica yet (e.g. a
+/// held-out test log): builds one for the call.
+ExplanationMetrics EvaluateExplanation(
+    const ExecutionLog& log, const PairSchema& schema,
+    const Query& bound_query, const Explanation& explanation,
+    const PairFeatureOptions& options,
+    const EnumerationOptions& enumeration = {});
 
 /// Relevance of a despite clause alone: P(exp | despite_ext AND des).
 /// Used by the §6.4 experiment (Table 3 / Figure 4a).
+double EvaluateDespiteRelevance(const ColumnarLog& columns,
+                                const PairSchema& schema,
+                                const Query& bound_query,
+                                const Predicate& despite_ext,
+                                const PairFeatureOptions& options,
+                                const EnumerationOptions& enumeration);
+
+/// EvaluateDespiteRelevance over a log, building its columnar replica.
 double EvaluateDespiteRelevance(const ExecutionLog& log,
                                 const PairSchema& schema,
                                 const Query& bound_query,
                                 const Predicate& despite_ext,
-                                const PairFeatureOptions& options);
+                                const PairFeatureOptions& options,
+                                const EnumerationOptions& enumeration = {});
 
 /// True when the explanation is applicable to the pair (Definition 3):
 /// both clauses hold for (first, second). The records may be ad-hoc (from

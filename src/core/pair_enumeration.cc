@@ -285,33 +285,19 @@ Result<std::vector<PairRef>> SampleRelatedPairs(
   std::vector<PairRef> sampled;
   sampled.reserve(sampler_options.sample_size + 1);
   sampled.push_back({poi_first, poi_second, true});
-  const PairSelection selection = enumeration.prune
-                                      ? query.despite.DeriveSelection(n)
-                                      : PairSelection{};
-  const auto draw_pair = [&](std::size_t i, std::size_t j) {
-    if (i == j) return;
-    if (i == poi_first && j == poi_second) return;
-    const PairLabel label = ClassifyPairCompiled(query, i, j, sim_fraction);
-    if (label == PairLabel::kUnrelated) return;
-    const bool observed = label == PairLabel::kObserved;
-    if (!rng.Bernoulli(observed ? p.observed : p.expected)) return;
-    sampled.push_back({i, j, observed});
-  };
-  if (selection.constrained) {
-    for (std::uint32_t i : selection.first_rows) {
-      ThrowIfInterrupted();
-      for (std::uint32_t j : selection.second_rows) {
-        draw_pair(i, j);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      ThrowIfInterrupted();
-      for (std::size_t j = 0; j < n; ++j) {
-        draw_pair(i, j);
-      }
-    }
-  }
+  ForEachCandidatePair(
+      SelectCandidatePairs(query.despite, n, enumeration),
+      [&](std::size_t i, std::size_t j) {
+        if (i == poi_first && j == poi_second) return true;
+        const PairLabel label =
+            ClassifyPairCompiled(query, i, j, sim_fraction);
+        if (label == PairLabel::kUnrelated) return true;
+        const bool observed = label == PairLabel::kObserved;
+        if (rng.Bernoulli(observed ? p.observed : p.expected)) {
+          sampled.push_back({i, j, observed});
+        }
+        return true;
+      });
   return sampled;
 }
 
@@ -355,43 +341,29 @@ Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
 
 Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
     const ColumnarLog& columns, const CompiledQuery& query,
-    double sim_fraction, std::size_t skip) {
-  const std::size_t n = columns.rows();
+    double sim_fraction, std::size_t skip,
+    const EnumerationOptions& enumeration) {
   std::size_t remaining = skip;
+  std::optional<std::pair<std::size_t, std::size_t>> found;
   if (!query.despite.always_false()) {
-    // Selection pruning preserves the row-major order of matching pairs
-    // (pruned pairs fail des), so `skip` counts the same sequence.
-    const PairSelection selection = query.despite.DeriveSelection(n);
-    std::optional<std::pair<std::size_t, std::size_t>> found;
-    const auto visit = [&](std::size_t i, std::size_t j) {
-      if (i == j) return false;
-      if (ClassifyPairCompiled(query, i, j, sim_fraction) !=
-          PairLabel::kObserved) {
-        return false;
-      }
-      if (remaining > 0) {
-        --remaining;
-        return false;
-      }
-      found = std::make_pair(i, j);
-      return true;
-    };
-    if (selection.constrained) {
-      for (std::uint32_t i : selection.first_rows) {
-        ThrowIfInterrupted();
-        for (std::uint32_t j : selection.second_rows) {
-          if (visit(i, j)) return *found;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        ThrowIfInterrupted();
-        for (std::size_t j = 0; j < n; ++j) {
-          if (visit(i, j)) return *found;
-        }
-      }
-    }
+    // Pruning preserves the row-major order of matching pairs (pruned
+    // pairs fail des), so `skip` counts the same sequence.
+    ForEachCandidatePair(
+        SelectCandidatePairs(query.despite, columns.rows(), enumeration),
+        [&](std::size_t i, std::size_t j) {
+          if (ClassifyPairCompiled(query, i, j, sim_fraction) !=
+              PairLabel::kObserved) {
+            return true;
+          }
+          if (remaining > 0) {
+            --remaining;
+            return true;
+          }
+          found = std::make_pair(i, j);
+          return false;
+        });
   }
+  if (found.has_value()) return *found;
   return Status::NotFound(
       "no pair in the log satisfies DESPITE and OBSERVED");
 }

@@ -83,12 +83,13 @@ struct EnumerationOptions {
   /// Both paths produce identical results. 0 forces the streaming path.
   std::size_t sample_buffer_cap = std::size_t{1} << 21;
 
-  /// Selection-vector pruning: derive per-row selection vectors from the
-  /// query's despite program (CompiledPredicate::DeriveSelection) and
-  /// enumerate only |sel_first| × |sel_second| candidate pairs instead of
-  /// n². Pruned pairs all fail des (they are unrelated and touch no
-  /// tally), so results are bitwise identical either way; the flag exists
-  /// for the equivalence tests and the BM_SelectiveQueryPruning baseline.
+  /// Candidate-pair pruning: derive the query's despite selection
+  /// (CompiledPredicate::DeriveSelection — row filters plus equi-join
+  /// partner lists) and enumerate only its candidate pairs instead of n².
+  /// Pruned pairs all fail des (they are unrelated and touch no tally),
+  /// so results are bitwise identical either way; the flag exists for the
+  /// equivalence tests and the BM_SelectiveQueryPruning /
+  /// BM_EquiJoinPruning baselines.
   bool prune = true;
 };
 
@@ -164,80 +165,116 @@ void ForEachRowStripe(std::size_t rows, int threads, Body&& body) {
   }
 }
 
-/// Row-blocked scan over all ordered pairs (i, j), i != j: resizes
-/// `partials` to the stripe count and invokes per_pair(partials[stripe],
-/// i, j) for every pair of the stripe. The caller merges the partials in
-/// index (= row) order. Shared by the counting scans here and in
-/// metrics.cc.
-template <typename Partial, typename PerPair>
-void ScanOrderedPairs(std::size_t rows, const EnumerationOptions& enumeration,
-                      std::vector<Partial>& partials, PerPair&& per_pair) {
+/// The candidate pairs a despite-first scan visits: the despite
+/// program's selection (CompiledPredicate::DeriveSelection) when pruning
+/// is on, every ordered pair otherwise. Pruned pairs fail des, so scans
+/// over either selection produce bitwise-identical results.
+inline PairSelection SelectCandidatePairs(
+    const CompiledPredicate& despite, std::size_t rows,
+    const EnumerationOptions& enumeration) {
+  return enumeration.prune ? despite.DeriveSelection(rows)
+                           : PairSelection::AllPairs(rows);
+}
+
+/// The one candidate walker every pair scan runs on: for the first-row
+/// slots [begin, end) of `selection`, in ascending order, checks for
+/// interruption and calls row_fn(i, partners) with the slot's first row
+/// and its ascending partner list. row_fn returning false stops the walk;
+/// the walker then returns false.
+template <typename RowFn>
+bool ForEachCandidateRow(const PairSelection& selection, std::size_t begin,
+                         std::size_t end, RowFn&& row_fn) {
+  for (std::size_t s = begin; s < end; ++s) {
+    ThrowIfInterrupted();
+    if (!row_fn(selection.first_row(s), selection.Partners(s))) return false;
+  }
+  return true;
+}
+
+/// Calls pair_fn(i, j) for every partner j != i, ascending; pair_fn
+/// returning false stops the walk (and this returns false). The identity
+/// list of an unconstrained scan runs as a plain counted loop.
+template <typename PairFn>
+bool ForEachPartner(std::size_t i, const CandidateRows& partners,
+                    PairFn&& pair_fn) {
+  if (partners.all_rows()) {
+    for (std::size_t j = 0; j < partners.size(); ++j) {
+      if (j != i && !pair_fn(i, j)) return false;
+    }
+    return true;
+  }
+  for (std::size_t k = 0; k < partners.size(); ++k) {
+    const std::size_t j = partners[k];
+    if (j != i && !pair_fn(i, j)) return false;
+  }
+  return true;
+}
+
+/// Serial walk over every candidate pair of `selection` in row-major
+/// order; pair_fn returning false stops it early.
+template <typename PairFn>
+bool ForEachCandidatePair(const PairSelection& selection, PairFn&& pair_fn) {
+  return ForEachCandidateRow(
+      selection, 0, selection.first_count(),
+      [&](std::size_t i, const CandidateRows& partners) {
+        return ForEachPartner(i, partners, pair_fn);
+      });
+}
+
+/// Row-blocked parallel walk: resizes `partials` to the stripe count,
+/// stripes the candidate first rows into contiguous ascending chunks and
+/// calls row_body(partials[stripe], i, partners) per first row. The
+/// caller merges the partials in index order, which reproduces the
+/// row-major result for any thread count.
+template <typename Partial, typename RowBody>
+void ScanCandidateRows(const PairSelection& selection,
+                       const EnumerationOptions& enumeration,
+                       std::vector<Partial>& partials, RowBody&& row_body) {
   const int threads = ResolveEnumerationThreads(enumeration);
-  partials.assign(RowStripeCount(rows, threads), Partial{});
-  ForEachRowStripe(rows, threads,
+  const std::size_t first = selection.first_count();
+  partials.assign(RowStripeCount(first, threads), Partial{});
+  ForEachRowStripe(first, threads,
                    [&](std::size_t block, std::size_t begin,
                        std::size_t end) {
                      // Accumulate into a stripe-local partial so counters
                      // stay in registers; store once at stripe end.
                      Partial local{};
-                     for (std::size_t i = begin; i < end; ++i) {
-                       ThrowIfInterrupted();
-                       for (std::size_t j = 0; j < rows; ++j) {
-                         if (i != j) per_pair(local, i, j);
-                       }
-                     }
+                     ForEachCandidateRow(
+                         selection, begin, end,
+                         [&](std::size_t i, const CandidateRows& partners) {
+                           row_body(local, i, partners);
+                           return true;
+                         });
                      partials[block] = std::move(local);
                    });
 }
 
-/// Row-blocked scan over the candidate pairs of a PairSelection (which
-/// must be constrained): stripes cover contiguous chunks of
-/// `selection.first_rows` (ascending, so partials merged in stripe order
-/// reproduce the row-major result), the inner loop walks
-/// `selection.second_rows`, and the diagonal is skipped. Same contract as
-/// ScanOrderedPairs over the selected subset.
+/// ScanCandidateRows at pair granularity: per_pair(partials[stripe], i, j)
+/// for every candidate pair, diagonal skipped.
 template <typename Partial, typename PerPair>
-void ScanSelectedPairs(const PairSelection& selection,
-                       const EnumerationOptions& enumeration,
-                       std::vector<Partial>& partials, PerPair&& per_pair) {
-  const int threads = ResolveEnumerationThreads(enumeration);
-  const std::vector<std::uint32_t>& first = selection.first_rows;
-  const std::vector<std::uint32_t>& second = selection.second_rows;
-  partials.assign(RowStripeCount(first.size(), threads), Partial{});
-  ForEachRowStripe(first.size(), threads,
-                   [&](std::size_t block, std::size_t begin,
-                       std::size_t end) {
-                     Partial local{};
-                     for (std::size_t s = begin; s < end; ++s) {
-                       ThrowIfInterrupted();
-                       const std::size_t i = first[s];
-                       for (std::uint32_t j : second) {
-                         if (i != j) per_pair(local, i, j);
-                       }
-                     }
-                     partials[block] = std::move(local);
-                   });
+void ScanCandidatePairs(const PairSelection& selection,
+                        const EnumerationOptions& enumeration,
+                        std::vector<Partial>& partials, PerPair&& per_pair) {
+  ScanCandidateRows(selection, enumeration, partials,
+                    [&](Partial& local, std::size_t i,
+                        const CandidateRows& partners) {
+                      ForEachPartner(i, partners,
+                                     [&](std::size_t, std::size_t j) {
+                                       per_pair(local, i, j);
+                                       return true;
+                                     });
+                    });
 }
 
-/// ScanOrderedPairs with selection-vector pruning: when pruning is on and
-/// the despite program's first deterministic atom yields a selection
-/// (CompiledPredicate::DeriveSelection), only the candidate pairs are
-/// enumerated; otherwise all ordered pairs are. Bitwise-identical partial
-/// tallies either way — pruned pairs fail des and contribute nothing.
+/// ScanCandidatePairs over SelectCandidatePairs(despite, ...): the
+/// despite-first scans enumerate only the pairs that can satisfy des.
 template <typename Partial, typename PerPair>
 void ScanDespitePairs(const CompiledPredicate& despite, std::size_t rows,
                       const EnumerationOptions& enumeration,
                       std::vector<Partial>& partials, PerPair&& per_pair) {
-  if (enumeration.prune) {
-    const PairSelection selection = despite.DeriveSelection(rows);
-    if (selection.constrained) {
-      ScanSelectedPairs(selection, enumeration, partials,
-                        std::forward<PerPair>(per_pair));
-      return;
-    }
-  }
-  ScanOrderedPairs(rows, enumeration, partials,
-                   std::forward<PerPair>(per_pair));
+  ScanCandidatePairs(SelectCandidatePairs(despite, rows, enumeration),
+                     enumeration, partials,
+                     std::forward<PerPair>(per_pair));
 }
 
 /// Counts of related pairs by label.
@@ -340,10 +377,13 @@ Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
     std::size_t skip = 0);
 
 /// Columnar fast path of FindPairOfInterest. The scan is serial (the
-/// expected exit is early) but each pair test runs the compiled program.
+/// expected exit is early) but each pair test runs the compiled program,
+/// and only the despite clause's candidate pairs are visited (unless
+/// `enumeration.prune` is off; its thread count is unused).
 Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
     const ColumnarLog& columns, const CompiledQuery& query,
-    double sim_fraction, std::size_t skip = 0);
+    double sim_fraction, std::size_t skip = 0,
+    const EnumerationOptions& enumeration = {});
 
 }  // namespace perfxplain
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/cancel.h"
 #include "core/pair_enumeration.h"
 #include "features/pair_feature_kernel.h"
 #include "pxql/compiled_predicate.h"
@@ -116,7 +115,7 @@ Result<Explanation> SimButDiff::Explain(const Query& query,
   const CompiledQuery compiled =
       CompiledQuery::Compile(bound, schema_, *columns_);
   return ExplainPrepared(bound, compiled, poi->first, poi->second, width,
-                         options_.threads);
+                         EnumerationOptions{options_.threads});
 }
 
 Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
@@ -124,7 +123,8 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
                                                 std::size_t poi_first,
                                                 std::size_t poi_second,
                                                 std::size_t width,
-                                                int threads) const {
+                                                const EnumerationOptions&
+                                                    enumeration) const {
   const ColumnarLog& columns = *columns_;
   const double sim = options_.pair.sim_fraction;
   const std::size_t k = schema_.raw_size();
@@ -158,6 +158,7 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
     std::size_t similar_pairs = 0;
     std::vector<std::uint64_t> diff_masks;   // per-pair scratch (words)
     std::vector<std::size_t> diff_features;  // per-pair scratch
+    std::vector<std::uint32_t> candidates;   // per-row scratch (tile path)
   };
   std::vector<Tally> partial;
   if (satisfiable && !compiled.despite.always_false()) {
@@ -167,6 +168,7 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
         local.disagree_expected.assign(k, 0);
         local.diff_masks.assign(poi_codes.word_count(), 0);
         local.diff_features.reserve(k);
+        local.candidates.resize(columns.rows());
       }
     };
     const auto tally_pair = [&](Tally& local, PairLabel label) {
@@ -183,16 +185,16 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
     };
     // The snapshot-resident fast path: with the PairCodeStore warm (built
     // once per snapshot, inside the budget), a sequential query packs
-    // nothing. Each worker walks its rows' contiguous store tiles with a
-    // branchless similarity pre-filter — pure XOR + mask + popcount over
-    // resident words, one candidate-append per pair — and only the
-    // candidates similar to the pair of interest pay a classification.
-    // Reordering the similarity test before the classification never
-    // changes the tallied set: a pair is tallied iff it is related AND
-    // similar, whichever test runs first; and integer tallies merged in
-    // stripe order keep every thread count bitwise identical.
-    const int resolved =
-        ResolveEnumerationThreads(EnumerationOptions{threads});
+    // nothing. Each first row's contiguous store tile gets a branchless
+    // similarity pre-filter over its candidate partners — pure XOR + mask
+    // + popcount over resident words, one candidate-append per pair — and
+    // only the candidates similar to the pair of interest pay a
+    // classification. Reordering the similarity test before the
+    // classification never changes the tallied set: a pair is tallied iff
+    // it is related AND similar, whichever test runs first; and integer
+    // tallies merged in stripe order keep every thread count bitwise
+    // identical.
+    const int resolved = ResolveEnumerationThreads(enumeration);
     const PairCodeStore::Resident* resident =
         store_ != nullptr
             ? store_->Acquire(sim, options_.pair_code_budget_bytes,
@@ -201,141 +203,98 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
     // Fractional budgets (one tile to just under a plane) take the
     // buffer-pool middle path: hot row tiles pinned from the store's
     // TilePool, misses built into a victim frame, and a row whose frame
-    // cannot be claimed packed into private scratch — every source yields
-    // the same words, so budget and eviction order are unobservable.
+    // cannot be claimed streamed like a row with no store at all — every
+    // source yields the same words, so budget and eviction order are
+    // unobservable.
     TilePool* pool =
         resident == nullptr && store_ != nullptr
             ? store_->AcquireTilePool(sim, options_.pair_code_budget_bytes)
             : nullptr;
-    if (resident != nullptr || pool != nullptr) {
-      const std::size_t n = columns.rows();
-      const std::size_t words = poi_codes.word_count();
-      const PairSelection selection = compiled.despite.DeriveSelection(n);
-      const std::vector<std::uint32_t>* first_rows =
-          selection.constrained ? &selection.first_rows : nullptr;
-      const std::vector<std::uint32_t>* second_rows =
-          selection.constrained ? &selection.second_rows : nullptr;
-      const std::size_t stripe_domain = first_rows ? first_rows->size() : n;
-      partial.assign(RowStripeCount(stripe_domain, resolved), Tally{});
-      ForEachRowStripe(
-          stripe_domain, resolved,
-          [&](std::size_t block, std::size_t begin, std::size_t end) {
-            Tally local;
-            ensure_scratch(local);
-            std::vector<std::uint32_t> candidates(n);
-            // Hoisted poi words: the filter loop reads only registers,
-            // the tile, and (with pruning) the selection vector.
-            const std::uint64_t poi_word0 =
-                words > 0 ? poi_codes.word(0) : 0;
-            for (std::size_t s = begin; s < end; ++s) {
-              ThrowIfInterrupted();
-              const std::size_t i = first_rows ? (*first_rows)[s] : s;
-              TilePool::TileRef ref;  // pin held through the row's scan
-              const std::uint64_t* tile = nullptr;
-              if (resident != nullptr) {
-                tile = resident->pair_words(i, 0);
-              } else {
-                // First touches admit into free frames only: once the
-                // pool is full the hottest rows stay pinned behind the
-                // scan-resistant replacer and a sweep wider than the
-                // budget cannot churn them out.
-                ref = pool->Fetch(i, TilePool::Admission::kFreeOnly);
-                if (ref.valid()) tile = ref.words();
-              }
-              if (tile == nullptr) {
-                // Cold row: stream it through the budget-zero fused
-                // classify-first pack-and-compare — cheaper than a full
-                // tile build (early exit, unrelated pairs never packed)
-                // and bitwise identical in what it tallies.
-                const std::size_t inner =
-                    second_rows ? second_rows->size() : n;
-                for (std::size_t s2 = 0; s2 < inner; ++s2) {
-                  const std::size_t j =
-                      second_rows ? (*second_rows)[s2] : s2;
-                  if (j == i) continue;
-                  if (i == poi_first && j == poi_second) continue;
-                  const PairLabel label =
-                      ClassifyPairCompiled(compiled, i, j, sim);
-                  if (label == PairLabel::kUnrelated) continue;
-                  const std::size_t disagreed = kernel::ScanPairAgainstPoi(
-                      table, i, j, sim, poi_codes, max_disagree,
-                      local.diff_masks.data());
-                  if (disagreed == kernel::kPackedRejected) continue;
-                  tally_pair(local, label);
-                }
-                continue;
-              }
-              std::size_t count = 0;
-              if (words == 1 && second_rows == nullptr) {
-                // The common k <= 32 shape: one word per pair, the whole
-                // row tile scanned linearly with a branchless append.
-                for (std::size_t j = 0; j < n; ++j) {
-                  const std::uint64_t mask =
-                      kernel::PackedDisagreeMask(tile[j], poi_word0);
-                  candidates[count] = static_cast<std::uint32_t>(j);
-                  count += static_cast<std::size_t>(
-                      static_cast<std::size_t>(kernel::PopCount(mask)) <=
-                      max_disagree);
-                }
-              } else {
-                const std::size_t inner =
-                    second_rows ? second_rows->size() : n;
-                for (std::size_t s2 = 0; s2 < inner; ++s2) {
-                  const std::size_t j =
-                      second_rows ? (*second_rows)[s2] : s2;
-                  const std::uint64_t* pair = tile + j * words;
-                  std::size_t disagree = 0;
-                  for (std::size_t w = 0; w < words; ++w) {
-                    disagree += static_cast<std::size_t>(
-                        kernel::PopCount(kernel::PackedDisagreeMask(
-                            pair[w], poi_codes.word(w))));
-                  }
-                  candidates[count] = static_cast<std::uint32_t>(j);
-                  count += static_cast<std::size_t>(disagree <=
-                                                    max_disagree);
-                }
-              }
-              for (std::size_t c = 0; c < count; ++c) {
-                const std::size_t j = candidates[c];
-                if (j == i) continue;
-                if (i == poi_first && j == poi_second) continue;
-                const PairLabel label =
-                    ClassifyPairCompiled(compiled, i, j, sim);
-                if (label == PairLabel::kUnrelated) continue;
-                const std::uint64_t* pair = tile + j * words;
-                for (std::size_t w = 0; w < words; ++w) {
-                  local.diff_masks[w] = kernel::PackedDisagreeMask(
-                      pair[w], poi_codes.word(w));
-                }
+    const std::size_t n = columns.rows();
+    const std::size_t words = poi_codes.word_count();
+    // Hoisted poi word: the k <= 32 filter loop reads only registers and
+    // the tile.
+    const std::uint64_t poi_word0 = words > 0 ? poi_codes.word(0) : 0;
+    ScanCandidateRows(
+        SelectCandidatePairs(compiled.despite, n, enumeration), enumeration,
+        partial,
+        [&](Tally& local, std::size_t i, const CandidateRows& partners) {
+          ensure_scratch(local);
+          TilePool::TileRef ref;  // pin held through the row's scan
+          const std::uint64_t* tile = nullptr;
+          if (resident != nullptr) {
+            tile = resident->pair_words(i, 0);
+          } else if (pool != nullptr) {
+            // First touches admit into free frames only: once the pool
+            // is full the hottest rows stay pinned behind the
+            // scan-resistant replacer and a sweep wider than the budget
+            // cannot churn them out.
+            ref = pool->Fetch(i, TilePool::Admission::kFreeOnly);
+            if (ref.valid()) tile = ref.words();
+          }
+          if (tile == nullptr) {
+            // Streaming (no store, a budget under one row tile, or a cold
+            // row): the fused pack-and-compare, classification first so
+            // unrelated pairs never pack, and pairs that cannot reach the
+            // similarity threshold abandoned mid-scan — cheaper than a
+            // tile build and bitwise identical in what it tallies.
+            ForEachPartner(i, partners, [&](std::size_t, std::size_t j) {
+              if (i == poi_first && j == poi_second) return true;
+              const PairLabel label =
+                  ClassifyPairCompiled(compiled, i, j, sim);
+              if (label == PairLabel::kUnrelated) return true;
+              const std::size_t disagreed = kernel::ScanPairAgainstPoi(
+                  table, i, j, sim, poi_codes, max_disagree,
+                  local.diff_masks.data());
+              if (disagreed != kernel::kPackedRejected) {
                 tally_pair(local, label);
               }
+              return true;
+            });
+            return;
+          }
+          std::uint32_t* candidates = local.candidates.data();
+          std::size_t count = 0;
+          if (words == 1 && partners.all_rows()) {
+            // The common k <= 32 shape: one word per pair, the whole row
+            // tile scanned linearly with a branchless append.
+            for (std::size_t j = 0; j < n; ++j) {
+              const std::uint64_t mask =
+                  kernel::PackedDisagreeMask(tile[j], poi_word0);
+              candidates[count] = static_cast<std::uint32_t>(j);
+              count += static_cast<std::size_t>(
+                  static_cast<std::size_t>(kernel::PopCount(mask)) <=
+                  max_disagree);
             }
-            partial[block] = std::move(local);
-          });
-    } else {
-      // Streaming fallback (no store, or a budget under one row tile —
-      // the zero-budget degenerate case): the fused pack-and-compare of
-      // PR 3, classification first so unrelated pairs never pack.
-      ScanDespitePairs(
-          compiled.despite, columns.rows(), EnumerationOptions{threads},
-          partial, [&](Tally& local, std::size_t i, std::size_t j) {
-            ensure_scratch(local);
-            if (i == poi_first && j == poi_second) return;
+          } else {
+            for (std::size_t p = 0; p < partners.size(); ++p) {
+              const std::size_t j = partners[p];
+              const std::uint64_t* pair = tile + j * words;
+              std::size_t disagree = 0;
+              for (std::size_t w = 0; w < words; ++w) {
+                disagree += static_cast<std::size_t>(
+                    kernel::PopCount(kernel::PackedDisagreeMask(
+                        pair[w], poi_codes.word(w))));
+              }
+              candidates[count] = static_cast<std::uint32_t>(j);
+              count += static_cast<std::size_t>(disagree <= max_disagree);
+            }
+          }
+          for (std::size_t c = 0; c < count; ++c) {
+            const std::size_t j = candidates[c];
+            if (j == i) continue;
+            if (i == poi_first && j == poi_second) continue;
             const PairLabel label =
                 ClassifyPairCompiled(compiled, i, j, sim);
-            if (label == PairLabel::kUnrelated) return;
-            // Pack the pair's isSame codes a word at a time and
-            // XOR-popcount against the poi; pairs that cannot reach the
-            // similarity threshold are abandoned mid-scan. Accept/reject
-            // and the resulting tallies are identical to the
-            // feature-at-a-time scan.
-            const std::size_t disagreed = kernel::ScanPairAgainstPoi(
-                table, i, j, sim, poi_codes, max_disagree,
-                local.diff_masks.data());
-            if (disagreed == kernel::kPackedRejected) return;
+            if (label == PairLabel::kUnrelated) continue;
+            const std::uint64_t* pair = tile + j * words;
+            for (std::size_t w = 0; w < words; ++w) {
+              local.diff_masks[w] = kernel::PackedDisagreeMask(
+                  pair[w], poi_codes.word(w));
+            }
             tally_pair(local, label);
-          });
-    }
+          }
+        });
   }
   std::vector<std::size_t> disagree(k, 0);
   std::vector<std::size_t> disagree_expected(k, 0);
@@ -464,8 +423,9 @@ std::vector<Result<Explanation>> SimButDiff::ExplainBatch(
         resident == nullptr && store_ != nullptr
             ? store_->AcquireTilePool(sim, options_.pair_code_budget_bytes)
             : nullptr;
-    ScanOrderedPairs(
-        columns.rows(), EnumerationOptions{threads}, partial,
+    ScanCandidatePairs(
+        PairSelection::AllPairs(columns.rows()), EnumerationOptions{threads},
+        partial,
         [&](Tally& local, std::size_t i, std::size_t j) {
           if (local.per_request.empty()) {
             local.per_request.resize(n);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/pair_enumeration.h"
 #include "core/explanation.h"
 #include "features/pair_code_store.h"
 #include "features/pair_schema.h"
@@ -79,13 +80,14 @@ class SimButDiff {
   /// Explain starting from a query already bound, validated and resolved
   /// (Engine::Prepare): `compiled` must be the query's programs compiled
   /// against this baseline's columns. Skips the per-call parse/bind/find
-  /// work; otherwise identical to Explain. `threads` overrides the
-  /// constructor's worker-thread count (0 = process default).
-  Result<Explanation> ExplainPrepared(const Query& bound,
-                                      const CompiledQuery& compiled,
-                                      std::size_t poi_first,
-                                      std::size_t poi_second,
-                                      std::size_t width, int threads) const;
+  /// work; otherwise identical to Explain. `enumeration` supplies the
+  /// worker-thread count (overriding the constructor's; 0 = process
+  /// default) and the candidate-pair pruning switch — neither changes the
+  /// result.
+  Result<Explanation> ExplainPrepared(
+      const Query& bound, const CompiledQuery& compiled,
+      std::size_t poi_first, std::size_t poi_second, std::size_t width,
+      const EnumerationOptions& enumeration) const;
 
   /// One query of an ExplainBatch call, prepared by the caller.
   struct PreparedBatchQuery {

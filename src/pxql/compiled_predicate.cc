@@ -1,5 +1,6 @@
 #include "pxql/compiled_predicate.h"
 
+#include <algorithm>
 #include <string_view>
 
 #include "features/pair_feature_kernel.h"
@@ -98,59 +99,206 @@ void ScanColumnNumCmp(const NumericColumn& column, std::size_t rows,
   });
 }
 
-PairSelection CompiledPredicate::DeriveSelection(std::size_t rows) const {
-  PairSelection selection;
-  if (always_false_) return selection;
-  for (const PredInstr& instr : instrs_) {
-    switch (instr.op) {
-      case PredOp::kBaseNomEq:
-        // base nominal == c holds only when both rows carry code c.
-        ScanColumnEqCode(instr.nom_col->codes, instr.nom_target,
-                         selection.first_rows);
-        selection.second_rows = selection.first_rows;
-        selection.constrained = true;
-        return selection;
-      case PredOp::kBaseNomNe:
-        // base nominal != c needs a shared present code other than c, so
-        // each row must hold a present code != c (kNoCode target — a
-        // constant the dictionary never saw — degenerates to presence).
-        ScanColumnPresentNeCode(instr.nom_col->codes, instr.nom_target,
-                                selection.first_rows);
-        selection.second_rows = selection.first_rows;
-        selection.constrained = true;
-        return selection;
-      case PredOp::kBaseNumCmp:
-        // base numeric <cmp> c requires both rows present with the same
-        // value v and cmp(v, c); each row must itself be present with
-        // cmp(value, c). NaN passes no CompareDoubles, matching the pair
-        // test (NaN != NaN makes the base feature missing).
-        ScanColumnNumCmp(*instr.num_col, rows, instr.cmp, instr.num_const,
-                         selection.first_rows);
-        selection.second_rows = selection.first_rows;
-        selection.constrained = true;
-        return selection;
-      case PredOp::kDiffEq: {
-        // diff == "(l,r)" pins the first row to a target left code and the
-        // second row to a target right code.
-        std::vector<std::int32_t> lefts;
-        std::vector<std::int32_t> rights;
-        lefts.reserve(instr.diff_targets.size());
-        rights.reserve(instr.diff_targets.size());
-        for (const auto& [left, right] : instr.diff_targets) {
-          lefts.push_back(left);
-          rights.push_back(right);
-        }
-        ScanColumnCodeIn(instr.nom_col->codes, lefts, selection.first_rows);
-        ScanColumnCodeIn(instr.nom_col->codes, rights,
-                         selection.second_rows);
-        selection.constrained = true;
-        return selection;
+CandidateRows PairSelection::Partners(std::size_t s) const {
+  if (!constrained) return CandidateRows::AllRows(rows);
+  if (!partitioned()) return {second_rows.data(), second_rows.size()};
+  const std::uint32_t bucket = first_bucket[s];
+  return {partners.data() + bucket_begin[bucket],
+          bucket_begin[bucket + 1] - bucket_begin[bucket]};
+}
+
+namespace {
+
+/// Applies `instr` as a per-row filter when it implies a single-column
+/// necessary condition on each side (see DeriveSelection); returns false
+/// for atoms that relate the two rows and admit no such test.
+bool DeriveRowFilter(const PredInstr& instr, std::size_t rows,
+                     PairSelection& selection) {
+  switch (instr.op) {
+    case PredOp::kBaseNomEq:
+      // base nominal == c holds only when both rows carry code c.
+      ScanColumnEqCode(instr.nom_col->codes, instr.nom_target,
+                       selection.first_rows);
+      selection.second_rows = selection.first_rows;
+      return true;
+    case PredOp::kBaseNomNe:
+      // base nominal != c needs a shared present code other than c, so
+      // each row must hold a present code != c (kNoCode target — a
+      // constant the dictionary never saw — degenerates to presence).
+      ScanColumnPresentNeCode(instr.nom_col->codes, instr.nom_target,
+                              selection.first_rows);
+      selection.second_rows = selection.first_rows;
+      return true;
+    case PredOp::kBaseNumCmp:
+      // base numeric <cmp> c requires both rows present with the same
+      // value v and cmp(v, c); each row must itself be present with
+      // cmp(value, c). NaN passes no CompareDoubles, matching the pair
+      // test (NaN != NaN makes the base feature missing).
+      ScanColumnNumCmp(*instr.num_col, rows, instr.cmp, instr.num_const,
+                       selection.first_rows);
+      selection.second_rows = selection.first_rows;
+      return true;
+    case PredOp::kDiffEq: {
+      // diff == "(l,r)" pins the first row to a target left code and the
+      // second row to a target right code.
+      std::vector<std::int32_t> lefts;
+      std::vector<std::int32_t> rights;
+      lefts.reserve(instr.diff_targets.size());
+      rights.reserve(instr.diff_targets.size());
+      for (const auto& [left, right] : instr.diff_targets) {
+        lefts.push_back(left);
+        rights.push_back(right);
       }
-      default:
-        // isSame/compare/diff-inequality atoms relate the two rows; their
-        // only per-row consequence is presence, too weak to pay for.
-        continue;
+      ScanColumnCodeIn(instr.nom_col->codes, lefts, selection.first_rows);
+      ScanColumnCodeIn(instr.nom_col->codes, rights, selection.second_rows);
+      return true;
     }
+    default:
+      // isSame/compare/diff-inequality atoms relate the two rows; their
+      // only per-row consequence is presence, too weak to pay for.
+      return false;
+  }
+}
+
+/// True for an atom that holds only when both rows carry the same present
+/// code of a nominal column: isSame = T, or isSame != F (the nominal
+/// isSame domain is {T, F}, so "present and not F" is T).
+bool IsEquiJoin(const PredInstr& instr) {
+  if (instr.numeric_raw) return false;
+  return (instr.op == PredOp::kIsSameEq &&
+          instr.code_target == kernel::kTrueCode) ||
+         (instr.op == PredOp::kIsSameNe &&
+          instr.code_target == kernel::kFalseCode);
+}
+
+/// Buckets the rows of `selection` (all rows when `filtered` is false) by
+/// the tuple of their codes in `columns` and rewrites the selection into
+/// per-bucket partner lists. Each column refines the previous buckets:
+/// rows are kept grouped by bucket (ascending within one), and a group's
+/// rows get a fresh sub-bucket per distinct code via a per-code stamp —
+/// O(rows + dictionary) per column, no hashing, no ordered map.
+void PartitionByCodes(const std::vector<const NominalColumn*>& columns,
+                      std::size_t dictionary, bool filtered,
+                      PairSelection& selection) {
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  constexpr std::uint8_t kFirst = 1;
+  constexpr std::uint8_t kSecond = 2;
+  const std::size_t rows = selection.rows;
+  std::vector<std::uint8_t> side(rows, filtered ? 0 : kFirst | kSecond);
+  if (filtered) {
+    for (std::uint32_t r : selection.first_rows) side[r] |= kFirst;
+    for (std::uint32_t r : selection.second_rows) side[r] |= kSecond;
+  }
+  // `order` lists the bucketed rows grouped by bucket, group g spanning
+  // [bounds[g], bounds[g + 1]); `bucket` maps a row to its group.
+  std::vector<std::uint32_t> order;
+  order.reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (side[r] != 0) order.push_back(static_cast<std::uint32_t>(r));
+  }
+  std::vector<std::uint32_t> bounds = {
+      0, static_cast<std::uint32_t>(order.size())};
+  std::vector<std::uint32_t> bucket(rows, kNone);
+  std::vector<std::uint32_t> stamp(dictionary);
+  std::vector<std::uint32_t> code_bucket(dictionary);
+  std::vector<std::uint32_t> sizes;
+  std::vector<std::uint32_t> next;
+  for (const NominalColumn* column : columns) {
+    std::fill(stamp.begin(), stamp.end(), kNone);
+    sizes.clear();
+    const std::int32_t* codes = column->codes.data();
+    for (std::uint32_t g = 0; g + 1 < bounds.size(); ++g) {
+      for (std::uint32_t k = bounds[g]; k < bounds[g + 1]; ++k) {
+        const std::uint32_t r = order[k];
+        const std::int32_t code = codes[r];
+        if (code < 0) {  // missing: isSame is missing, never T
+          bucket[r] = kNone;
+          continue;
+        }
+        if (stamp[code] != g) {
+          stamp[code] = g;
+          code_bucket[code] = static_cast<std::uint32_t>(sizes.size());
+          sizes.push_back(0);
+        }
+        bucket[r] = code_bucket[code];
+        ++sizes[bucket[r]];
+      }
+    }
+    // Stable counting sort of the surviving rows by their new bucket:
+    // `order` ascends within each old group, so it ascends within each
+    // new bucket too.
+    bounds.assign(sizes.size() + 1, 0);
+    for (std::size_t b = 0; b < sizes.size(); ++b) {
+      bounds[b + 1] = bounds[b] + sizes[b];
+    }
+    next.resize(bounds.back());
+    std::vector<std::uint32_t> cursor(bounds.begin(), bounds.end() - 1);
+    for (std::uint32_t r : order) {
+      if (bucket[r] != kNone) next[cursor[bucket[r]]++] = r;
+    }
+    order.swap(next);
+  }
+
+  // Per-bucket side counts decide who has a partner other than itself.
+  const std::size_t buckets = bounds.size() - 1;
+  std::vector<std::uint32_t> first_count(buckets, 0);
+  std::vector<std::uint32_t> second_count(buckets, 0);
+  for (std::uint32_t r : order) {
+    first_count[bucket[r]] += (side[r] & kFirst) != 0;
+    second_count[bucket[r]] += (side[r] & kSecond) != 0;
+  }
+  selection.constrained = true;
+  selection.first_rows.clear();
+  selection.second_rows.clear();
+  selection.first_bucket.clear();
+  selection.bucket_begin.assign(1, 0);
+  selection.partners.clear();
+  selection.first_rows.reserve(order.size());
+  selection.second_rows.reserve(order.size());
+  selection.first_bucket.reserve(order.size());
+  selection.bucket_begin.reserve(buckets + 1);
+  selection.partners.reserve(order.size());
+  for (std::size_t b = 0; b < buckets; ++b) {
+    for (std::uint32_t k = bounds[b]; k < bounds[b + 1]; ++k) {
+      if (side[order[k]] & kSecond) selection.partners.push_back(order[k]);
+    }
+    selection.bucket_begin.push_back(
+        static_cast<std::uint32_t>(selection.partners.size()));
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint32_t b = bucket[r];
+    if (b == kNone) continue;
+    const bool first = (side[r] & kFirst) != 0;
+    const bool second = (side[r] & kSecond) != 0;
+    if (first && second_count[b] > (second ? 1u : 0u)) {
+      selection.first_rows.push_back(static_cast<std::uint32_t>(r));
+      selection.first_bucket.push_back(b);
+    }
+    if (second && first_count[b] > (first ? 1u : 0u)) {
+      selection.second_rows.push_back(static_cast<std::uint32_t>(r));
+    }
+  }
+}
+
+}  // namespace
+
+PairSelection CompiledPredicate::DeriveSelection(std::size_t rows) const {
+  PairSelection selection = PairSelection::AllPairs(rows);
+  if (always_false_) return selection;
+  std::vector<const NominalColumn*> join_columns;
+  for (const PredInstr& instr : instrs_) {
+    if (!selection.constrained) {
+      selection.constrained = DeriveRowFilter(instr, rows, selection);
+    }
+    if (IsEquiJoin(instr) &&
+        std::find(join_columns.begin(), join_columns.end(),
+                  instr.nom_col) == join_columns.end()) {
+      join_columns.push_back(instr.nom_col);
+    }
+  }
+  if (!join_columns.empty()) {
+    PartitionByCodes(join_columns, source_->interner().size(),
+                     selection.constrained, selection);
   }
   return selection;
 }

@@ -1,6 +1,7 @@
 #ifndef PERFXPLAIN_PXQL_COMPILED_PREDICATE_H_
 #define PERFXPLAIN_PXQL_COMPILED_PREDICATE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -45,18 +46,75 @@ struct PredInstr {
   std::vector<std::pair<std::int32_t, std::int32_t>> diff_targets;
 };
 
-/// Column-level selection vectors derived from one compiled predicate: a
-/// sound per-row pre-filter for the ordered-pair scans. When `constrained`
-/// is true, every ordered pair (i, j) that can satisfy the predicate has
-/// i in `first_rows` and j in `second_rows` (both ascending), so a scan
-/// may enumerate |first| × |second| candidate pairs instead of n² —
-/// pruned pairs are all unrelated and contribute to no tally, keeping
-/// results bitwise identical to the full scan. When false, no atom
-/// admitted a single-column test and callers scan all pairs.
+/// An ascending list of candidate rows: a view into a PairSelection's
+/// storage, or — for an unconstrained selection — every row [0, size).
+class CandidateRows {
+ public:
+  CandidateRows(const std::uint32_t* rows, std::size_t size)
+      : rows_(rows), size_(size) {}
+  static CandidateRows AllRows(std::size_t rows) { return {nullptr, rows}; }
+
+  bool all_rows() const { return rows_ == nullptr; }
+  std::size_t size() const { return size_; }
+  std::size_t operator[](std::size_t k) const {
+    return rows_ != nullptr ? rows_[k] : k;
+  }
+
+ private:
+  const std::uint32_t* rows_;  ///< null: the identity list
+  std::size_t size_;
+};
+
+/// The candidate pairs of an ordered-pair scan, derived from one compiled
+/// predicate: a sound pre-filter, so every ordered pair (i, j) that can
+/// satisfy the predicate has i = first_rows[s] for some s and j in
+/// Partners(s). Pruned pairs are all unrelated and contribute to no
+/// tally, keeping results bitwise identical to the full scan.
+///
+/// Three shapes, one walk (core/pair_enumeration.h's ForEachCandidateRow):
+///  - unconstrained: every row is a first row and every row its partner;
+///  - a cross product: every first row's partners are `second_rows`;
+///  - partitioned (equi-join): rows are bucketed by the codes the
+///    predicate's nominal isSame = T atoms require equal, and a first
+///    row's partners are the second rows of its own bucket.
+/// Partner lists ascend, so walking first rows in order and each one's
+/// partners in order visits the survivors in row-major order.
 struct PairSelection {
+  /// Row count of the scanned log.
+  std::size_t rows = 0;
+  /// False: every ordered pair is a candidate (the vectors are empty).
   bool constrained = false;
+  /// Ascending rows that may appear first in an accepted pair.
   std::vector<std::uint32_t> first_rows;
+  /// Ascending rows that may appear second in an accepted pair (the union
+  /// of the partner lists).
   std::vector<std::uint32_t> second_rows;
+  /// Equi-join partner buckets, empty unless partitioned(): first_rows[s]
+  /// pairs with partners[bucket_begin[b] .. bucket_begin[b + 1]) for
+  /// b = first_bucket[s]; each bucket's rows ascend.
+  std::vector<std::uint32_t> first_bucket;
+  std::vector<std::uint32_t> bucket_begin;
+  std::vector<std::uint32_t> partners;
+
+  /// The selection of a full scan over `rows` rows.
+  static PairSelection AllPairs(std::size_t rows) {
+    PairSelection selection;
+    selection.rows = rows;
+    return selection;
+  }
+
+  bool partitioned() const { return !bucket_begin.empty(); }
+  /// Number of candidate first rows.
+  std::size_t first_count() const {
+    return constrained ? first_rows.size() : rows;
+  }
+  /// The s-th candidate first row (ascending in s).
+  std::size_t first_row(std::size_t s) const {
+    return constrained ? first_rows[s] : s;
+  }
+  /// Candidate second rows of the s-th first row; may include the first
+  /// row itself (walkers skip the diagonal).
+  CandidateRows Partners(std::size_t s) const;
 };
 
 /// Single-column selection scans over dictionary codes / numeric columns —
@@ -113,19 +171,25 @@ class CompiledPredicate {
   /// lazy PairFeatureView, without materializing any Value.
   bool Eval(std::size_t i, std::size_t j, double sim_fraction) const;
 
-  /// Compiles the program's first deterministic atom — the first
-  /// instruction whose pair test implies a per-row, single-column
-  /// necessary condition — into selection vectors via the ScanColumn fast
-  /// path, in O(rows):
-  ///  - base atoms (kBaseNomEq/kBaseNomNe/kBaseNumCmp) require both rows
-  ///    to carry the same qualifying value, so one column scan constrains
-  ///    both sides;
-  ///  - diff-equality atoms (kDiffEq) constrain the first row to the
-  ///    target pairs' left codes and the second row to their right codes.
-  /// isSame/compare/diff-inequality atoms relate the two rows and admit no
-  /// useful single-row test; a program made only of those (or an
-  /// always-false one) returns an unconstrained selection. `rows` must be
-  /// the compiled-against log's row count.
+  /// Derives the candidate pairs of the program in O(rows + dictionary):
+  ///  - the first deterministic atom — the first instruction whose pair
+  ///    test implies a per-row, single-column necessary condition — is
+  ///    compiled into row filters via the ScanColumn fast path: base atoms
+  ///    (kBaseNomEq/kBaseNomNe/kBaseNumCmp) require both rows to carry the
+  ///    same qualifying value, so one column scan constrains both sides;
+  ///    diff-equality atoms (kDiffEq) constrain the first row to the
+  ///    target pairs' left codes and the second row to their right codes;
+  ///  - every nominal isSame = T atom (and isSame != F, the same test on
+  ///    a nominal column) is an equi-join: it holds only when both rows
+  ///    carry the same present dictionary code. The filtered rows are
+  ///    bucketed by the tuple of those codes (a counting sort on the dense
+  ///    interner codes, refined once per further atom), and each first
+  ///    row's partners shrink to its own bucket. Rows with a missing code
+  ///    or alone in their bucket get no partners.
+  /// Numeric isSame (tolerance-based, not transitive), compare and
+  /// diff-inequality atoms admit no sound equi-join or row test; a program
+  /// made only of those (or an always-false one) returns an unconstrained
+  /// selection. `rows` must be the compiled-against log's row count.
   PairSelection DeriveSelection(std::size_t rows) const;
 
  private:

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/metrics.h"
 #include "core/pair_enumeration.h"
 #include "testing/test_util.h"
 
@@ -551,6 +552,48 @@ TEST_F(EngineTest, ConcurrentExplainMatchesSerial) {
       EXPECT_TRUE(SameOutcome(response, serial[index]))
           << "thread " << t << " case " << index;
     }
+  }
+}
+
+TEST_F(EngineTest, EvaluateIsThreadInvariantOnSnapshotColumns) {
+  // Engine::Evaluate scans the snapshot's own columnar replica with the
+  // configured explainer threads; neither the thread count nor the
+  // despite clause's pruning may change a single count.
+  EngineOptions threaded_options = SerialOptions();
+  threaded_options.explainer.threads = 3;
+  const Engine threaded(engine_.snapshot(), threaded_options);
+  const PairSchema schema(log_.schema());
+  for (const char* despite : {"", "decoy_c_isSame = T"}) {
+    const Query query = MakeQuery(0, despite);
+    auto serial_prepared = engine_.Prepare(query);
+    auto threaded_prepared = threaded.Prepare(query);
+    ASSERT_TRUE(serial_prepared.ok());
+    ASSERT_TRUE(threaded_prepared.ok());
+    auto response = engine_.Explain(*serial_prepared);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    auto serial = engine_.Evaluate(*serial_prepared, response->explanation);
+    auto parallel =
+        threaded.Evaluate(*threaded_prepared, response->explanation);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_GT(serial->pairs_despite, 0u) << despite;
+    EXPECT_EQ(serial->pairs_despite, parallel->pairs_despite) << despite;
+    EXPECT_EQ(serial->pairs_despite_exp, parallel->pairs_despite_exp);
+    EXPECT_EQ(serial->pairs_because, parallel->pairs_because) << despite;
+    EXPECT_EQ(serial->pairs_because_obs, parallel->pairs_because_obs);
+    EXPECT_EQ(serial->relevance, parallel->relevance) << despite;
+    EXPECT_EQ(serial->precision, parallel->precision) << despite;
+    EXPECT_EQ(serial->generality, parallel->generality) << despite;
+    // The building path over the same rows agrees bit for bit.
+    Explanation bound_explanation = response->explanation;
+    ASSERT_TRUE(bound_explanation.despite.Bind(schema).ok());
+    ASSERT_TRUE(bound_explanation.because.Bind(schema).ok());
+    const ExplanationMetrics reference = EvaluateExplanation(
+        log_, schema, serial_prepared->bound(), bound_explanation,
+        PairFeatureOptions(), EnumerationOptions{1});
+    EXPECT_EQ(serial->pairs_despite, reference.pairs_despite) << despite;
+    EXPECT_EQ(serial->pairs_because_obs, reference.pairs_because_obs);
+    EXPECT_EQ(serial->precision, reference.precision) << despite;
   }
 }
 

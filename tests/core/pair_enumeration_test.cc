@@ -151,6 +151,17 @@ class PruningEquivalenceTest : public ::testing::Test {
     PX_CHECK(log_.Add(TinyRecord("d", 9, "blue", 198)).ok());
     PX_CHECK(log_.Add(TinyRecord("e", 1, "red", 150)).ok());
     PX_CHECK(log_.Add(TinyRecord("f", 9, "red", 95)).ok());
+    // Missing nominal cells and a singleton code: no equi-join partners.
+    PX_CHECK(log_.Add(ExecutionRecord("g", {Value::Number(1),
+                                            Value::Missing(),
+                                            Value::Number(101)}))
+                 .ok());
+    PX_CHECK(log_.Add(TinyRecord("h", 9, "green", 190)).ok());
+    PX_CHECK(log_.Add(ExecutionRecord("i", {Value::Number(9),
+                                            Value::Missing(),
+                                            Value::Number(205)}))
+                 .ok());
+    PX_CHECK(log_.Add(TinyRecord("j", 9, "blue", 96)).ok());
   }
 
   /// Bound query with `despite_text`, or nullopt if it cannot bind.
@@ -169,7 +180,10 @@ TEST_F(PruningEquivalenceTest, CountCollectSampleAndFindMatchUnpruned) {
   for (const char* despite :
        {"color = red", "x = 1", "x >= 5", "color != red",
         "color_diff = (red,blue)", "x_isSame = T",
-        "x_isSame = T AND color = red"}) {
+        "x_isSame = T AND color = red", "color_isSame = T",
+        "color_isSame != F", "color_isSame = T AND x_isSame = T",
+        "color_isSame = T AND color = red",
+        "color_isSame = T AND color_diff = (red,blue)"}) {
     const Query query = BoundQuery(despite);
     const CompiledQuery compiled =
         CompiledQuery::Compile(query, schema_, columns);
@@ -229,6 +243,12 @@ TEST_F(PruningEquivalenceTest, CountCollectSampleAndFindMatchUnpruned) {
       // FindPairOfInterest walks the same row-major matching sequence.
       for (std::size_t skip : {std::size_t{0}, std::size_t{1}}) {
         auto found = FindPairOfInterest(columns, compiled, 0.10, skip);
+        auto full_scan =
+            FindPairOfInterest(columns, compiled, 0.10, skip, unpruned);
+        ASSERT_EQ(found.ok(), full_scan.ok()) << despite;
+        if (found.ok()) {
+          EXPECT_EQ(*found, *full_scan) << despite;
+        }
         Query legacy_query = query;
         auto reference =
             FindPairOfInterest(log_, schema_, legacy_query,

@@ -10,6 +10,7 @@
 
 #include <thread>
 
+#include "common/random.h"
 #include "common/string_util.h"
 #include "core/engine.h"
 #include "core/pair_enumeration.h"
@@ -118,6 +119,99 @@ TEST(PairCodeStoreEquivalenceTest, ResidentMatchesStreamingAndLegacy) {
           reference, context + " vs legacy");
     }
   }
+}
+
+/// A log with two nominal join keys (missing cells, a singleton host) and
+/// enough further features that SimButDiff at a loose similarity
+/// threshold tallies many pairs into several scored atoms.
+ExecutionLog EquiJoinLog(std::uint64_t seed, std::size_t n) {
+  Schema schema;
+  PX_CHECK(schema.Add("group", ValueKind::kNominal).ok());
+  PX_CHECK(schema.Add("host", ValueKind::kNominal).ok());
+  for (const char* name : {"a", "b", "c", "e"}) {
+    PX_CHECK(schema.Add(name, ValueKind::kNumeric).ok());
+  }
+  PX_CHECK(schema.Add("d", ValueKind::kNominal).ok());
+  PX_CHECK(schema.Add("duration", ValueKind::kNumeric).ok());
+  ExecutionLog log(schema);
+  Rng rng(seed);
+  const char* groups[] = {"g0", "g1", "g2", "g3"};
+  const char* hosts[] = {"h0", "h1", "h2"};
+  for (std::size_t r = 0; r < n; ++r) {
+    std::vector<Value> values;
+    values.push_back(rng.UniformInt(0, 9) == 0
+                         ? Value::Missing()
+                         : Value::Nominal(groups[rng.UniformInt(0, 3)]));
+    values.push_back(r == 7 ? Value::Nominal("solo")
+                     : rng.UniformInt(0, 11) == 0
+                         ? Value::Missing()
+                         : Value::Nominal(hosts[rng.UniformInt(0, 2)]));
+    for (int c = 0; c < 4; ++c) {
+      values.push_back(Value::Number(rng.UniformInt(0, 2)));
+    }
+    values.push_back(Value::Nominal(rng.UniformInt(0, 1) ? "p" : "q"));
+    values.push_back(Value::Number(100 + rng.UniformInt(0, 100)));
+    PX_CHECK(log.Add(ExecutionRecord(StrFormat("e%03zu", r),
+                                     std::move(values)))
+                 .ok());
+  }
+  return log;
+}
+
+TEST(PairCodeStoreEquivalenceTest, EquiJoinPruningIsBitwiseAtEveryBudget) {
+  // A nominal isSame = T despite shrinks every first row's partners to its
+  // own code bucket. SimButDiff must tally exactly the pairs of the full
+  // scan on every tile source: streaming (budget 0), the TilePool (1/8 of
+  // a plane, so most rows miss) and the resident plane.
+  std::size_t answered = 0;
+  for (std::uint64_t seed : {1u, 2u}) {
+    const ExecutionLog log = EquiJoinLog(seed, 64);
+    const PairSchema schema(log.schema());
+    const std::size_t plane =
+        PairCodeStore::BytesNeeded(log.size(), log.schema().size());
+    for (const char* despite :
+         {"group_isSame = T", "group_isSame != F",
+          "group_isSame = T AND host_isSame = T",
+          "host_isSame = T AND group = g1"}) {
+      Query query = GtVsSimQuery(despite);
+      if (!PickPair(log, query)) continue;
+      Query bound = query;
+      ASSERT_TRUE(bound.Bind(schema).ok());
+      const std::size_t first = log.Find(query.first_id).value();
+      const std::size_t second = log.Find(query.second_id).value();
+      for (std::size_t budget : {std::size_t{0}, plane / 8, plane}) {
+        for (int threads : {1, 3}) {
+          std::vector<Result<Explanation>> answers;
+          for (bool prune : {false, true}) {
+            const ColumnarLog columns(log);
+            const PairCodeStore store(&columns);
+            SimButDiffOptions options;
+            options.similarity_threshold = 0.5;
+            options.pair_code_budget_bytes = budget;
+            const SimButDiff baseline(&log, options, &columns, &store);
+            const CompiledQuery compiled =
+                CompiledQuery::Compile(bound, schema, columns);
+            ASSERT_TRUE(
+                compiled.despite.DeriveSelection(log.size()).partitioned());
+            EnumerationOptions enumeration;
+            enumeration.threads = threads;
+            enumeration.prune = prune;
+            answers.push_back(baseline.ExplainPrepared(
+                bound, compiled, first, second, 3, enumeration));
+          }
+          const std::string context = StrFormat(
+              "seed %llu despite '%s' budget %zu threads %d",
+              static_cast<unsigned long long>(seed), despite, budget,
+              threads);
+          ExpectSameExplanation(answers[1], answers[0], context);
+          if (answers[0].ok() && answers[0]->because.width() == 3) {
+            ++answered;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(answered, 0u) << "no query produced a full-width explanation";
 }
 
 TEST(PairCodeStoreEquivalenceTest, MemoryCapFallbackIsBitwise) {

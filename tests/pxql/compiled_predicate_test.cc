@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -211,9 +212,25 @@ TEST(CompiledPredicateRandomTest, RandomAtomsAgreeOnRandomLogs) {
   }
 }
 
+/// The partner list of `row`; empty when it is no candidate first row.
+std::vector<std::size_t> PartnersOf(const PairSelection& selection,
+                                    std::size_t row) {
+  std::vector<std::size_t> partners;
+  for (std::size_t s = 0; s < selection.first_count(); ++s) {
+    if (selection.first_row(s) != row) continue;
+    const CandidateRows list = selection.Partners(s);
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      partners.push_back(list[k]);
+    }
+  }
+  return partners;
+}
+
 /// Compiles `predicate` against `log` and asserts DeriveSelection is
 /// sound: every ordered pair the program accepts has its first row in
-/// first_rows and its second row in second_rows.
+/// first_rows, its second row in second_rows, and its second row in the
+/// first row's partner list — and the walk order is row-major (first rows
+/// and every partner list ascend).
 void ExpectSelectionSound(const ExecutionLog& log,
                           const Predicate& predicate) {
   const PairSchema schema(log.schema());
@@ -224,6 +241,17 @@ void ExpectSelectionSound(const ExecutionLog& log,
       CompiledPredicate::Compile(bound, schema, columns);
   const PairSelection selection = compiled.DeriveSelection(log.size());
   if (!selection.constrained) return;
+  EXPECT_TRUE(std::is_sorted(selection.first_rows.begin(),
+                             selection.first_rows.end()))
+      << bound.ToString();
+  for (std::size_t s = 0; s < selection.first_count(); ++s) {
+    const CandidateRows partners = selection.Partners(s);
+    for (std::size_t k = 1; k < partners.size(); ++k) {
+      EXPECT_LT(partners[k - 1], partners[k])
+          << bound.ToString() << ": partner list of row "
+          << selection.first_row(s) << " is not ascending";
+    }
+  }
   const std::set<std::uint32_t> first(selection.first_rows.begin(),
                                       selection.first_rows.end());
   const std::set<std::uint32_t> second(selection.second_rows.begin(),
@@ -238,6 +266,11 @@ void ExpectSelectionSound(const ExecutionLog& log,
       EXPECT_TRUE(second.count(static_cast<std::uint32_t>(j)) > 0)
           << bound.ToString() << ": accepted pair (" << i << "," << j
           << ") pruned on the second side";
+      const std::vector<std::size_t> partners = PartnersOf(selection, i);
+      EXPECT_TRUE(std::find(partners.begin(), partners.end(), j) !=
+                  partners.end())
+          << bound.ToString() << ": accepted pair (" << i << "," << j
+          << ") missing from row " << i << "'s partner list";
     }
   }
 }
@@ -321,23 +354,69 @@ TEST_F(CompiledPredicateTest, NoSelectionFromPairRelatingAtoms) {
   ExpectSelectionSound(log_, MustPredicate("num_isSame = T AND color = a"));
 }
 
+TEST_F(CompiledPredicateTest, SelectionPartitionsOnNominalIsSame) {
+  const PairSchema schema(log_.schema());
+  const ColumnarLog columns(log_);
+  // Only rows 0 and 5 share a code ("a"); the missing rows 6-7 and the
+  // singleton codes get no partners.
+  for (const char* text : {"color_isSame = T", "color_isSame != F"}) {
+    Predicate bound = MustPredicate(text);
+    ASSERT_TRUE(bound.Bind(schema).ok());
+    const CompiledPredicate compiled =
+        CompiledPredicate::Compile(bound, schema, columns);
+    const PairSelection selection = compiled.DeriveSelection(log_.size());
+    ASSERT_TRUE(selection.constrained) << text;
+    ASSERT_TRUE(selection.partitioned()) << text;
+    EXPECT_EQ(selection.first_rows, (std::vector<std::uint32_t>{0, 5}));
+    EXPECT_EQ(selection.second_rows, (std::vector<std::uint32_t>{0, 5}));
+    for (std::size_t row : {0, 5}) {
+      EXPECT_EQ(PartnersOf(selection, row),
+                (std::vector<std::size_t>{0, 5}))
+          << text;
+    }
+    EXPECT_TRUE(PartnersOf(selection, 1).empty());
+    EXPECT_TRUE(PartnersOf(selection, 6).empty());
+    ExpectSelectionSound(log_, MustPredicate(text));
+  }
+  // A base row filter composes with the partition: "color != a" leaves
+  // no shared code, so nothing survives.
+  Predicate bound = MustPredicate("color_isSame = T AND color != a");
+  ASSERT_TRUE(bound.Bind(schema).ok());
+  const CompiledPredicate compiled =
+      CompiledPredicate::Compile(bound, schema, columns);
+  const PairSelection selection = compiled.DeriveSelection(log_.size());
+  EXPECT_TRUE(selection.constrained);
+  EXPECT_EQ(selection.first_count(), 0u);
+  // isSame = F and numeric isSame are no equi-joins.
+  for (const char* text : {"color_isSame = F", "color_isSame != T"}) {
+    Predicate other = MustPredicate(text);
+    ASSERT_TRUE(other.Bind(schema).ok());
+    EXPECT_FALSE(CompiledPredicate::Compile(other, schema, columns)
+                     .DeriveSelection(log_.size())
+                     .constrained)
+        << text;
+    ExpectSelectionSound(log_, MustPredicate(text));
+  }
+}
+
 TEST_F(CompiledPredicateTest, SelectionSoundOnRandomizedConjunctions) {
   Rng rng(271);
-  for (int round = 0; round < 40; ++round) {
+  for (int round = 0; round < 80; ++round) {
     Schema schema;
     PX_CHECK(schema.Add("n0", ValueKind::kNumeric).ok());
     PX_CHECK(schema.Add("s0", ValueKind::kNominal).ok());
     PX_CHECK(schema.Add("n1", ValueKind::kNumeric).ok());
+    PX_CHECK(schema.Add("s1", ValueKind::kNominal).ok());
     ExecutionLog log(schema);
     const char* nominal_pool[] = {"a", "b", "a,b", "c", ""};
     const int rows = static_cast<int>(rng.UniformInt(2, 10));
     for (int r = 0; r < rows; ++r) {
       std::vector<Value> values;
-      for (int c = 0; c < 3; ++c) {
+      for (int c = 0; c < 4; ++c) {
         const int kind = static_cast<int>(rng.UniformInt(0, 5));
         if (kind == 0) {
           values.push_back(Value::Missing());
-        } else if (c == 1) {
+        } else if (c == 1 || c == 3) {
           values.push_back(
               Value::Nominal(nominal_pool[rng.UniformInt(0, 4)]));
         } else if (kind == 1) {
@@ -354,12 +433,13 @@ TEST_F(CompiledPredicateTest, SelectionSoundOnRandomizedConjunctions) {
         "n0_isSame = T",    "s0_isSame = F",     "n1_compare = GT",
         "s0_diff = (a,b)",  "s0_diff != (a,b)",  "n0 = 1",
         "n0 != 0",          "n1 <= 0",           "n1 >= 1",
-        "s0 = a",           "s0 != b"};
+        "s0 = a",           "s0 != b",           "s0_isSame = T",
+        "s0_isSame != F",   "s1_isSame = T"};
     const int width = static_cast<int>(rng.UniformInt(1, 3));
     std::string text;
     for (int a = 0; a < width; ++a) {
       if (a > 0) text += " AND ";
-      text += atoms[rng.UniformInt(0, 10)];
+      text += atoms[rng.UniformInt(0, 13)];
     }
     ExpectSelectionSound(log, MustPredicate(text));
   }

@@ -88,12 +88,13 @@ BOUNDARY_BANNED = [
 # missing from the linted tree is skipped here — check_docs_drift.py
 # separately fails when a registry path no longer exists in the repo, so
 # a rename cannot silently retire a checkpoint obligation.
+#
+# Every ordered-pair scan (the counting/collecting/sampling scans, the
+# streaming draw pass, the poi search, the metrics scans and SimButDiff on
+# every tile source) walks its first rows through ForEachCandidateRow, so
+# that one walker carries the per-first-row checkpoint for all of them.
 CHECKPOINT_REGISTRY = [
-    ("src/core/pair_enumeration.h", "ScanOrderedPairs"),
-    ("src/core/pair_enumeration.h", "ScanSelectedPairs"),
-    ("src/core/pair_enumeration.cc", "SampleRelatedPairs"),
-    ("src/core/pair_enumeration.cc", "FindPairOfInterest"),
-    ("src/core/sim_but_diff.cc", "SimButDiff::ExplainPrepared"),
+    ("src/core/pair_enumeration.h", "ForEachCandidateRow"),
     ("src/features/pair_code_store.cc", "PairCodeStore::Build"),
     ("src/features/pair_code_store.cc", "PairCodeStore::BuildSeeded"),
     ("src/features/tile_pool.cc", "TilePool::BuildTile"),
