@@ -515,9 +515,9 @@ BENCHMARK(BM_EquiJoinPruning)->Args({1, 1})->Args({0, 1});
 /// Arg = budget denominator (0 = streaming baseline, 1 = resident plane).
 /// Each engine is warmed once so the loop times steady-state serving:
 /// once the budget covers the hot set the tiles stay resident and calls
-/// run at resident-plane speed; below that the scan-resistant LRU keeps a
-/// stable prefix pinned and rebuilds the rest, so latency degrades
-/// monotonically toward streaming with no cliff in between.
+/// run at plane speed; below that the first hot rows keep their frames
+/// and the rest stream, so latency degrades monotonically toward
+/// streaming with no cliff in between.
 void BM_BudgetSweep(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();
   auto parsed = px::ParseQuery(
@@ -838,8 +838,8 @@ BENCHMARK(BM_RecoveryTime)->Arg(8)->Arg(64)->Iterations(16)
 /// Incremental promotion vs cold rebuild at several delta fractions:
 /// args are {delta_percent, incremental}. One iteration builds the grown
 /// snapshot (columns + resident pair plane) either by extending the warm
-/// base generation (LogSnapshot extension ctor + AcquireSeeded) or from
-/// scratch (cold ctor + Acquire). The acceptance bound is >= 2x at a
+/// base generation (LogSnapshot extension ctor + Acquire seeded with the
+/// base plane) or from scratch (cold ctor + Acquire). The acceptance bound is >= 2x at a
 /// <= 25% delta; both paths are bitwise identical (the
 /// PromotionEquivalence suites pin that).
 void BM_SnapshotPromotion(benchmark::State& state) {
@@ -858,7 +858,7 @@ void BM_SnapshotPromotion(benchmark::State& state) {
   const std::size_t budget =
       px::PairCodeStore::BytesNeeded(full.size(), full.schema().size());
   const px::LogSnapshot base(std::move(base_log));
-  const px::PairCodeStore::Resident* base_plane =
+  const px::TilePool* base_plane =
       base.pair_codes().Acquire(
           sim,
           px::PairCodeStore::BytesNeeded(base.log().size(),
@@ -870,7 +870,7 @@ void BM_SnapshotPromotion(benchmark::State& state) {
     if (incremental) {
       const px::LogSnapshot grown(full, base);
       benchmark::DoNotOptimize(
-          grown.pair_codes().AcquireSeeded(sim, *base_plane, budget, 1));
+          grown.pair_codes().Acquire(sim, budget, 1, base_plane));
     } else {
       const px::LogSnapshot cold(full);
       benchmark::DoNotOptimize(cold.pair_codes().Acquire(sim, budget, 1));

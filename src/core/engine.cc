@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "pxql/parser.h"
@@ -46,6 +47,40 @@ std::string OptionsFingerprint(const EngineOptions& options) {
   fp += std::to_string(sbd.pair.sim_fraction);
   return fp;
 }
+
+/// True when SimButDiff under `options` reads the store's filled plane.
+bool PlaneResident(const PairCodeStore& store,
+                   const SimButDiffOptions& options) {
+  return store.bytes_per_plane() <= options.pair_code_budget_bytes &&
+         store.warm(options.pair.sim_fraction);
+}
+
+/// The pair-code store's counters before a SimButDiff scan; Stamp fills a
+/// response's store fields with what the scan did — the one definition
+/// the per-call and the batched paths share.
+class StoreTraffic {
+ public:
+  StoreTraffic(const PairCodeStore& store, const SimButDiffOptions& options)
+      : store_(store),
+        options_(options),
+        builds_(store.build_count()),
+        hits_(store.tile_hits()),
+        misses_(store.tile_misses()) {}
+
+  void Stamp(ExplainResponse* response) const {
+    response->pair_store_built = store_.build_count() > builds_;
+    response->pair_store_hit = PlaneResident(store_, options_);
+    response->tile_hits = store_.tile_hits() - hits_;
+    response->tile_misses = store_.tile_misses() - misses_;
+  }
+
+ private:
+  const PairCodeStore& store_;
+  const SimButDiffOptions& options_;
+  std::uint64_t builds_;
+  std::uint64_t hits_;
+  std::uint64_t misses_;
+};
 
 }  // namespace
 
@@ -315,16 +350,10 @@ Result<ExplainResponse> Engine::Explain(const PreparedQuery& prepared,
   const ExecContext exec_context = MakeExecContext(request);
   ScopedExecContext scoped(exec_context.empty() ? nullptr : &exec_context);
   try {
-    const PairCodeStore& store = snapshot_->pair_codes();
-    const bool sim_but_diff = request.technique == Technique::kSimButDiff;
-    const std::uint64_t builds_before =
-        sim_but_diff ? store.build_count() : 0;
-    const std::uint64_t tile_hits_before =
-        sim_but_diff ? store.tile_hits() : 0;
-    const std::uint64_t tile_misses_before =
-        sim_but_diff ? store.tile_misses() : 0;
-    const std::uint64_t tile_evictions_before =
-        sim_but_diff ? store.tile_evictions() : 0;
+    std::optional<StoreTraffic> traffic;
+    if (request.technique == Technique::kSimButDiff) {
+      traffic.emplace(snapshot_->pair_codes(), options_.sim_but_diff);
+    }
     const Clock::time_point start = Clock::now();
     auto explanation = Generate(prepared, request);
     if (!explanation.ok()) return explanation.status();
@@ -333,16 +362,7 @@ Result<ExplainResponse> Engine::Explain(const PreparedQuery& prepared,
     response.snapshot_id = snapshot_->id();
     response.explanation = std::move(explanation).value();
     response.explain_ms = MsSince(start);
-    if (sim_but_diff) {
-      response.pair_store_built = store.build_count() > builds_before;
-      response.pair_store_hit =
-          store.bytes_per_plane() <=
-              options_.sim_but_diff.pair_code_budget_bytes &&
-          store.warm(options_.sim_but_diff.pair.sim_fraction);
-      response.tile_hits = store.tile_hits() - tile_hits_before;
-      response.tile_misses = store.tile_misses() - tile_misses_before;
-      response.tile_evictions = store.tile_evictions() - tile_evictions_before;
-    }
+    if (traffic.has_value()) traffic->Stamp(&response);
     PX_RETURN_IF_ERROR(AttachEvaluation(prepared, request, &response));
     // Only a fully successful response reaches this Put: every failure —
     // including a cancel or deadline firing mid-scan — returned above,
@@ -354,9 +374,9 @@ Result<ExplainResponse> Engine::Explain(const PreparedQuery& prepared,
     }
     return response;
   } catch (const InterruptedError& interrupted) {
-    // A checkpoint fired mid-scan (or mid-build): every worker has joined
-    // and any partially built store plane was rolled back, so the shared
-    // snapshot keeps serving untouched.
+    // A checkpoint fired mid-scan (or mid-fill): every worker has joined
+    // and any tile caught mid-build was freed, so the shared snapshot
+    // keeps serving untouched.
     return interrupted.status();
   }
 }
@@ -437,46 +457,34 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
   }
 
   // Below this many SimButDiff requests, a batch whose snapshot store is
-  // already warm (resident plane built, within this engine's budget) runs
-  // its items per-call instead of through the shared scan: with packing
+  // already warm (plane filled, within this engine's budget) runs its
+  // items per-call instead of through the shared scan: with packing
   // already amortized by the store, the batch machinery's per-group
   // bookkeeping outweighs the one scan it saves (0.89x at 4 queries —
   // the ROADMAP regression this routing closes). Outputs are unchanged
   // either way — the batch-vs-per-call suites pin the two paths bitwise —
   // only `batched`/`explain_ms` reflect the actual route. Cold stores
   // keep the shared scan at any size: its single pass also covers the
-  // plane's one-time build.
+  // plane's one-time fill.
   constexpr std::size_t kSmallWarmBatchCutoff = 6;
-  const bool warm_resident_store =
-      snapshot_->pair_codes().bytes_per_plane() <=
-          options_.sim_but_diff.pair_code_budget_bytes &&
-      snapshot_->pair_codes().warm(options_.sim_but_diff.pair.sim_fraction);
   const bool route_small_warm_batch_per_call =
-      warm_resident_store && batched.size() < kSmallWarmBatchCutoff;
+      PlaneResident(snapshot_->pair_codes(), options_.sim_but_diff) &&
+      batched.size() < kSmallWarmBatchCutoff;
 
   if (batched.size() > 1 && !route_small_warm_batch_per_call) {
-    const PairCodeStore& store = snapshot_->pair_codes();
-    const std::uint64_t builds_before = store.build_count();
-    const std::uint64_t tile_hits_before = store.tile_hits();
-    const std::uint64_t tile_misses_before = store.tile_misses();
-    const std::uint64_t tile_evictions_before = store.tile_evictions();
+    const StoreTraffic traffic(snapshot_->pair_codes(),
+                               options_.sim_but_diff);
     const Clock::time_point start = Clock::now();
     std::vector<Result<Explanation>> results =
         sim_but_diff_->ExplainBatch(queries, options_.sim_but_diff.threads);
-    const double amortized_ms =
-        MsSince(start) / static_cast<double>(batched.size());
-    const bool store_built = store.build_count() > builds_before;
-    const bool store_hit =
-        store.bytes_per_plane() <=
-            options_.sim_but_diff.pair_code_budget_bytes &&
-        store.warm(options_.sim_but_diff.pair.sim_fraction);
-    // The scan's tile traffic is shared, not attributable per item: every
-    // batched response reports the whole batch's deltas.
-    const std::uint64_t tile_hits = store.tile_hits() - tile_hits_before;
-    const std::uint64_t tile_misses =
-        store.tile_misses() - tile_misses_before;
-    const std::uint64_t tile_evictions =
-        store.tile_evictions() - tile_evictions_before;
+    // Every batched response starts from this one: the scan's time and
+    // tile traffic are shared, not attributable per item.
+    ExplainResponse shared;
+    shared.technique = Technique::kSimButDiff;
+    shared.snapshot_id = snapshot_->id();
+    shared.explain_ms = MsSince(start) / static_cast<double>(batched.size());
+    shared.batched = true;
+    traffic.Stamp(&shared);
     for (std::size_t b = 0; b < batched.size(); ++b) {
       const std::size_t i = batched[b];
       handled[i] = true;
@@ -484,17 +492,8 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
         responses[i] = results[b].status();
         continue;
       }
-      ExplainResponse response;
-      response.technique = Technique::kSimButDiff;
-      response.snapshot_id = snapshot_->id();
+      ExplainResponse response = shared;
       response.explanation = std::move(results[b]).value();
-      response.explain_ms = amortized_ms;
-      response.batched = true;
-      response.pair_store_built = store_built;
-      response.pair_store_hit = store_hit;
-      response.tile_hits = tile_hits;
-      response.tile_misses = tile_misses;
-      response.tile_evictions = tile_evictions;
       if (Status evaluated = AttachEvaluation(*items[i].prepared,
                                               items[i].request, &response);
           !evaluated.ok()) {

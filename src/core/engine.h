@@ -36,9 +36,10 @@ const char* TechniqueToString(Technique technique);
 
 /// The immutable data a query runs against: one log of past executions,
 /// its pair schema, the dictionary-encoded columnar replica every scan
-/// reads, and the lazily built PairCodeStore of packed per-pair isSame
+/// reads, and the lazily filled PairCodeStore of packed per-pair isSame
 /// codes. A snapshot is built once and never mutated afterwards (the
-/// store's lazy build is call_once-guarded and invisible to readers), so
+/// store's tiles are built on demand, each published once and never
+/// changed, so its fills are invisible to readers), so
 /// any number of Engines, PreparedQueries and worker threads may share one
 /// through a shared_ptr<const LogSnapshot> — the serving-engine split
 /// between shared immutable data and cheap per-request state.
@@ -59,9 +60,9 @@ class LogSnapshot {
   /// interning keeps every dictionary code identical, so the result is
   /// bitwise indistinguishable from LogSnapshot(log) built cold at the
   /// cost of the delta only. The pair-code store starts cold either way
-  /// (planes build lazily); the promoter re-warms it from base's built
-  /// plane via PairCodeStore::AcquireSeeded, which copies old-row tiles
-  /// and packs only pairs touching new rows.
+  /// (planes fill lazily); the promoter re-warms it by passing base's
+  /// filled plane as the seed of PairCodeStore::Acquire, which copies
+  /// old-row tiles and packs only pairs touching new rows.
   LogSnapshot(ExecutionLog log, const LogSnapshot& base)
       : id_(NextId()),
         log_(std::move(log)),
@@ -263,9 +264,9 @@ struct ExplainResponse {
   /// True when the response came from an ExplainBatch shared scan.
   bool batched = false;
   /// SimButDiff technique only: whether the request ran on the snapshot's
-  /// resident PairCodeStore (within the engine's memory budget) ...
+  /// filled pair-code plane (within the engine's memory budget) ...
   bool pair_store_hit = false;
-  /// ... and whether this very call paid the store's one-time build.
+  /// ... and whether this very call completed the plane's one-time fill.
   /// bench::RunOnce surfaces both so trajectory timings are not silently
   /// polluted by build cost. Approximate under concurrency: a build
   /// finishing on another thread mid-call can also flip it.
@@ -274,10 +275,11 @@ struct ExplainResponse {
   /// no scan ran and explain_ms is the lookup cost. Always false when the
   /// engine has no cache (EngineOptions::result_cache_bytes = 0).
   bool result_cache_hit = false;
-  /// Tile-pool traffic this request drove (SimButDiff on the buffer-pool
-  /// middle path only; all zero on the resident-plane and streaming
-  /// paths). Deltas of the store's counters bracketing the call, so
-  /// approximate under concurrency like pair_store_built.
+  /// Tile-pool traffic this request drove (SimButDiff under a fractional
+  /// pair-code budget only; all zero on the plane and streaming paths).
+  /// Deltas of the store's counters bracketing the call, so approximate
+  /// under concurrency like pair_store_built. A tile's frame is never
+  /// reused, so tile_evictions is always 0 (kept for report formats).
   std::uint64_t tile_hits = 0;
   std::uint64_t tile_misses = 0;
   std::uint64_t tile_evictions = 0;

@@ -3,15 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
-#include <thread>
 
 namespace perfxplain {
-
-namespace {
-
-std::atomic<int> g_default_threads{0};
-
-}  // namespace
 
 void ForEachOrderedPair(
     const ExecutionLog& log, const PairSchema& schema,
@@ -42,19 +35,6 @@ PairLabel ClassifyPairCompiled(const CompiledQuery& query, std::size_t i,
     return PairLabel::kExpected;
   }
   return PairLabel::kUnrelated;
-}
-
-void SetDefaultEnumerationThreads(int threads) {
-  g_default_threads.store(threads < 0 ? 0 : threads);
-}
-
-int ResolveEnumerationThreads(const EnumerationOptions& options) {
-  int threads = options.threads;
-  if (threads <= 0) threads = g_default_threads.load();
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  return threads <= 0 ? 1 : threads;
 }
 
 RelatedCounts CountRelatedPairs(const ExecutionLog& log,

@@ -96,6 +96,14 @@ SimButDiff::SimButDiff(const ExecutionLog* log, SimButDiffOptions options,
   }
 }
 
+TilePool* SimButDiff::AcquireTiles(int threads) const {
+  if (store_ == nullptr) return nullptr;
+  const double sim = options_.pair.sim_fraction;
+  const std::size_t budget = options_.pair_code_budget_bytes;
+  TilePool* plane = store_->Acquire(sim, budget, threads);
+  return plane != nullptr ? plane : store_->AcquireTilePool(sim, budget);
+}
+
 Result<std::pair<std::size_t, std::size_t>> SimButDiff::ResolvePair(
     Query& bound) const {
   PX_RETURN_IF_ERROR(bound.Bind(schema_));
@@ -183,33 +191,17 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
         if (expected) ++local.disagree_expected[f];
       }
     };
-    // The snapshot-resident fast path: with the PairCodeStore warm (built
-    // once per snapshot, inside the budget), a sequential query packs
-    // nothing. Each first row's contiguous store tile gets a branchless
-    // similarity pre-filter over its candidate partners — pure XOR + mask
-    // + popcount over resident words, one candidate-append per pair — and
-    // only the candidates similar to the pair of interest pay a
-    // classification. Reordering the similarity test before the
-    // classification never changes the tallied set: a pair is tallied iff
-    // it is related AND similar, whichever test runs first; and integer
-    // tallies merged in stripe order keep every thread count bitwise
-    // identical.
-    const int resolved = ResolveEnumerationThreads(enumeration);
-    const PairCodeStore::Resident* resident =
-        store_ != nullptr
-            ? store_->Acquire(sim, options_.pair_code_budget_bytes,
-                              resolved)
-            : nullptr;
-    // Fractional budgets (one tile to just under a plane) take the
-    // buffer-pool middle path: hot row tiles pinned from the store's
-    // TilePool, misses built into a victim frame, and a row whose frame
-    // cannot be claimed streamed like a row with no store at all — every
-    // source yields the same words, so budget and eviction order are
-    // unobservable.
-    TilePool* pool =
-        resident == nullptr && store_ != nullptr
-            ? store_->AcquireTilePool(sim, options_.pair_code_budget_bytes)
-            : nullptr;
+    // The snapshot-resident fast path: each first row's contiguous tile
+    // from the store's pool (the filled plane, or a fractional budget's
+    // frames) gets a branchless similarity pre-filter over its candidate
+    // partners — pure XOR + mask + popcount over resident words, one
+    // candidate-append per pair — and only the candidates similar to the
+    // pair of interest pay a classification. Reordering the similarity
+    // test before the classification never changes the tallied set: a
+    // pair is tallied iff it is related AND similar, whichever test runs
+    // first; and integer tallies merged in stripe order keep every thread
+    // count bitwise identical.
+    TilePool* pool = AcquireTiles(ResolveThreads(enumeration.threads));
     const std::size_t n = columns.rows();
     const std::size_t words = poi_codes.word_count();
     // Hoisted poi word: the k <= 32 filter loop reads only registers and
@@ -220,24 +212,15 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
         partial,
         [&](Tally& local, std::size_t i, const CandidateRows& partners) {
           ensure_scratch(local);
-          TilePool::TileRef ref;  // pin held through the row's scan
-          const std::uint64_t* tile = nullptr;
-          if (resident != nullptr) {
-            tile = resident->pair_words(i, 0);
-          } else if (pool != nullptr) {
-            // First touches admit into free frames only: once the pool
-            // is full the hottest rows stay pinned behind the
-            // scan-resistant replacer and a sweep wider than the budget
-            // cannot churn them out.
-            ref = pool->Fetch(i, TilePool::Admission::kFreeOnly);
-            if (ref.valid()) tile = ref.words();
-          }
+          const std::uint64_t* tile =
+              pool != nullptr ? pool->Fetch(i) : nullptr;
           if (tile == nullptr) {
-            // Streaming (no store, a budget under one row tile, or a cold
-            // row): the fused pack-and-compare, classification first so
-            // unrelated pairs never pack, and pairs that cannot reach the
-            // similarity threshold abandoned mid-scan — cheaper than a
-            // tile build and bitwise identical in what it tallies.
+            // Streaming (no store, a budget under one row tile, or a row
+            // past the pool's frames): the fused pack-and-compare,
+            // classification first so unrelated pairs never pack, and
+            // pairs that cannot reach the similarity threshold abandoned
+            // mid-scan — cheaper than a tile build and bitwise identical
+            // in what it tallies.
             ForEachPartner(i, partners, [&](std::size_t, std::size_t j) {
               if (i == poi_first && j == poi_second) return true;
               const PairLabel label =
@@ -396,33 +379,18 @@ std::vector<Result<Explanation>> SimButDiff::ExplainBatch(
     std::vector<PairLabel> labels;           // per-group scratch
     std::vector<std::uint64_t> diff_masks;   // per-request scratch (words)
     std::vector<std::size_t> diff_features;  // per-request scratch
-    /// Fractional-budget path: the stripe's current pinned row tile
-    /// (shared_ptr only because the enumeration's partial vector requires
-    /// copyable tallies; each live Tally still owns one pin).
-    std::shared_ptr<TilePool::TileRef> tile_ref;
+    /// The stripe's current row and its pool tile (nullptr: stream).
+    const std::uint64_t* tile = nullptr;
     std::size_t tile_row = 0;
     bool has_tile_row = false;
   };
   std::vector<Tally> partial;
   if (any_active) {
-    // The batch path reuses the resident store too: when warm, no pair
-    // is ever packed — the shared scan reads each pair's words straight
-    // from the snapshot. Acquired only when the scan will actually run,
-    // so a batch of unsatisfiable queries never pays the build.
-    const PairCodeStore::Resident* resident =
-        store_ != nullptr
-            ? store_->Acquire(
-                  sim, options_.pair_code_budget_bytes,
-                  ResolveEnumerationThreads(EnumerationOptions{threads}))
-            : nullptr;
-    // Fractional budgets pin row tiles from the store's TilePool instead:
-    // each stripe holds one pinned tile (the row it is scanning) and
-    // falls back to the per-pair lazy pack when a frame cannot be
-    // claimed — identical words from every source.
-    TilePool* pool =
-        resident == nullptr && store_ != nullptr
-            ? store_->AcquireTilePool(sim, options_.pair_code_budget_bytes)
-            : nullptr;
+    // The batch path reads the store's tiles too: with the plane
+    // resident no pair is ever packed. Acquired only when the scan will
+    // actually run, so a batch of unsatisfiable queries never pays the
+    // fill.
+    TilePool* pool = AcquireTiles(ResolveThreads(threads));
     ScanCandidatePairs(
         PairSelection::AllPairs(columns.rows()), EnumerationOptions{threads},
         partial,
@@ -446,8 +414,7 @@ std::vector<Result<Explanation>> SimButDiff::ExplainBatch(
                           sim)
                     : PairLabel::kUnrelated;
           }
-          const std::uint64_t* pair_words =
-              resident != nullptr ? resident->pair_words(i, j) : nullptr;
+          const std::uint64_t* pair_words = nullptr;
           for (std::size_t r = 0; r < n; ++r) {
             const Request& request = requests[r];
             if (!request.active) continue;
@@ -455,19 +422,14 @@ std::vector<Result<Explanation>> SimButDiff::ExplainBatch(
             if (label == PairLabel::kUnrelated) continue;
             if (i == request.poi_first && j == request.poi_second) continue;
             if (pair_words == nullptr && pool != nullptr) {
+              // One fetch per stripe row; a row past the pool's frames
+              // falls back to the per-pair lazy pack below.
               if (!local.has_tile_row || local.tile_row != i) {
-                // Unpins the old row's tile, then pins (or builds) this
-                // row's. Free frames only: a batch sweep wider than the
-                // budget leaves the resident tiles pinned and falls back
-                // to the cheaper per-pair lazy pack below.
-                local.tile_ref = std::make_shared<TilePool::TileRef>(
-                    pool->Fetch(i, TilePool::Admission::kFreeOnly));
+                local.tile = pool->Fetch(i);
                 local.tile_row = i;
                 local.has_tile_row = true;
               }
-              if (local.tile_ref->valid()) {
-                pair_words = local.tile_ref->words() + j * words;
-              }
+              if (local.tile != nullptr) pair_words = local.tile + j * words;
             }
             if (pair_words == nullptr) {
               kernel::PackIsSameCodesInto(table, i, j, sim,

@@ -32,14 +32,13 @@ struct SimButDiffOptions {
   /// Memory budget of the snapshot-resident PairCodeStore (set through
   /// EngineOptions::sim_but_diff). A full plane costs
   /// PairCodeStore::BytesNeeded(n, k) = n² · ceil(k/32) · 8 ≈ n² · k/4
-  /// bytes and is built whole when it fits. A budget between one row
-  /// tile (TilePool::TileBytes = n · ceil(k/32) · 8) and a plane runs
-  /// the buffer-pool middle path instead: the budget's worth of row-tile
-  /// frames under an LRU replacer, hot rows resident and cold rows
-  /// streamed. Only a budget under one tile (or a baseline built without
-  /// a store) leaves every pair on the streaming fused pack-and-compare.
-  /// All three paths are bitwise identical — the budget only moves work,
-  /// never results. 0 disables residency outright.
+  /// bytes and is filled whole when it fits. A budget between one row
+  /// tile (TilePool::TileBytes = n · ceil(k/32) · 8) and a plane buys
+  /// that many row-tile frames instead: the first rows a scan touches
+  /// keep their tiles, later rows stream. Only a budget under one tile
+  /// (or a baseline built without a store) leaves every pair on the
+  /// streaming fused pack-and-compare. Every budget is bitwise identical
+  /// — it only moves work, never results. 0 disables residency outright.
   std::size_t pair_code_budget_bytes = std::size_t{256} << 20;
 };
 
@@ -63,11 +62,12 @@ class SimButDiff {
   /// baseline then shares it instead of building its own — PerfXplain
   /// passes the Explainer's so all three techniques scan one replica.
   /// When `store` is non-null it must be the PairCodeStore of `columns`
-  /// (the Engine passes its snapshot's): Explain then runs on the
-  /// snapshot-resident packed codes — first acquisition builds them once,
-  /// every later sequential query skips packing entirely — subject to
+  /// (the Engine passes its snapshot's): Explain then reads the
+  /// snapshot-resident tiles of the store's TilePool — the first
+  /// acquisition of a plane fills it once, every later sequential query
+  /// skips packing entirely — subject to
   /// SimButDiffOptions::pair_code_budget_bytes. A null store keeps the
-  /// streaming fused pack-and-compare of PR 3.
+  /// streaming fused pack-and-compare.
   SimButDiff(const ExecutionLog* log, SimButDiffOptions options,
              const ColumnarLog* columns = nullptr,
              const PairCodeStore* store = nullptr);
@@ -121,6 +121,11 @@ class SimButDiff {
  private:
   /// Binds and validates the query and resolves the pair of interest.
   Result<std::pair<std::size_t, std::size_t>> ResolvePair(Query& bound) const;
+
+  /// The one tile source of every scan: the store's plane (filled on
+  /// `threads` stripes) when the budget fits one, else its fractional
+  /// pool, else nullptr — every row streams.
+  TilePool* AcquireTiles(int threads) const;
 
   const ExecutionLog* log_;
   SimButDiffOptions options_;

@@ -1,69 +1,10 @@
 #include "features/pair_code_store.h"
 
 #include <algorithm>
-#include <exception>
-#include <thread>
 
-#include "common/cancel.h"
 #include "common/logging.h"
 
 namespace perfxplain {
-
-namespace {
-
-/// Runs body(row_begin, row_end) over contiguous row stripes on
-/// `threads` workers (0 = hardware concurrency). Local to the store so
-/// the features layer does not depend on core/pair_enumeration; every
-/// (i, j) slot is written by exactly one stripe with a pure function of
-/// the immutable columns, so the built data is identical for every
-/// stripe count. The calling thread's ExecContext is re-installed in each
-/// worker, and an exception from any stripe (a cancellation checkpoint
-/// firing mid-build) is rethrown on the calling thread after all workers
-/// join. Like core/pair_enumeration's ForEachRowStripe, the workers share
-/// no mutable state (disjoint tile ranges, join-ordered publication), so
-/// the thread-safety analysis has nothing to check here; TSan covers the
-/// handoff.
-template <typename Body>
-void ForEachRowStripeLocal(std::size_t rows, int threads, Body&& body) {
-  std::size_t stripes = threads > 0
-                            ? static_cast<std::size_t>(threads)
-                            : std::thread::hardware_concurrency();
-  if (stripes == 0) stripes = 1;
-  stripes = std::min(stripes, std::max<std::size_t>(rows, 1));
-  if (stripes <= 1) {
-    body(std::size_t{0}, rows);
-    return;
-  }
-  const ExecContext* exec_context = CurrentExecContext();
-  const std::size_t chunk = (rows + stripes - 1) / stripes;
-  std::vector<std::thread> workers;
-  workers.reserve(stripes - 1);
-  std::vector<std::exception_ptr> errors(stripes);
-  for (std::size_t b = 1; b < stripes; ++b) {
-    const std::size_t begin = b * chunk;
-    const std::size_t end = std::min(rows, begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([&body, &errors, exec_context, b, begin, end] {
-      ScopedExecContext scoped(exec_context);
-      try {
-        body(begin, end);
-      } catch (...) {
-        errors[b] = std::current_exception();
-      }
-    });
-  }
-  try {
-    body(std::size_t{0}, std::min(rows, chunk));
-  } catch (...) {
-    errors[0] = std::current_exception();
-  }
-  for (std::thread& worker : workers) worker.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-}
-
-}  // namespace
 
 PairCodeStore::PairCodeStore(const ColumnarLog* columns)
     : columns_(columns) {
@@ -72,10 +13,7 @@ PairCodeStore::PairCodeStore(const ColumnarLog* columns)
 
 std::size_t PairCodeStore::BytesNeeded(std::size_t rows,
                                        std::size_t features) {
-  const std::size_t words =
-      (features + kernel::kPackedFeaturesPerWord - 1) /
-      kernel::kPackedFeaturesPerWord;
-  return rows * rows * words * sizeof(std::uint64_t);
+  return rows * TilePool::TileBytes(rows, features);
 }
 
 std::size_t PairCodeStore::bytes_per_plane() const {
@@ -88,199 +26,75 @@ std::size_t PairCodeStore::ResidentBytesFor(std::size_t max_bytes) const {
   // plane > max_bytes >= 0 implies rows > 0 and a non-zero tile.
   const std::size_t tile =
       TilePool::TileBytes(columns_->rows(), columns_->schema().size());
-  const std::size_t frames =
-      std::min(columns_->rows(), max_bytes / tile);
-  return frames * tile;
+  return std::min(columns_->rows(), max_bytes / tile) * tile;
+}
+
+TilePool* PairCodeStore::FindPool(double sim_fraction,
+                                  std::size_t frames) const {
+  MutexLock lock(mutex_);
+  for (const auto& pool : pools_) {
+    if (pool->sim_fraction() == sim_fraction &&
+        pool->frame_count() == frames) {
+      return pool.get();
+    }
+  }
+  pools_.push_back(std::make_unique<TilePool>(columns_, sim_fraction, frames));
+  return pools_.back().get();
+}
+
+TilePool* PairCodeStore::Acquire(double sim_fraction, std::size_t max_bytes,
+                                 int build_threads,
+                                 const TilePool* seed) const {
+  if (bytes_per_plane() > max_bytes) return nullptr;
+  TilePool* plane = FindPool(sim_fraction, columns_->rows());
+  if (!plane->full()) plane->Fill(build_threads, seed);
+  return plane;
 }
 
 TilePool* PairCodeStore::AcquireTilePool(double sim_fraction,
                                          std::size_t max_bytes) const {
-  if (bytes_per_plane() <= max_bytes) return nullptr;  // resident plane path
+  const std::size_t bytes = ResidentBytesFor(max_bytes);
+  if (bytes == 0 || bytes == bytes_per_plane()) return nullptr;
   const std::size_t tile =
       TilePool::TileBytes(columns_->rows(), columns_->schema().size());
-  const std::size_t frames = std::min(columns_->rows(), max_bytes / tile);
-  if (frames == 0) return nullptr;  // streaming path
+  return FindPool(sim_fraction, bytes / tile);
+}
+
+const TilePool* PairCodeStore::Peek(double sim_fraction) const {
   MutexLock lock(mutex_);
-  for (const PoolEntry& entry : pools_) {
-    if (entry.sim_fraction == sim_fraction && entry.frames == frames) {
-      return entry.pool.get();
-    }
-  }
-  PoolEntry entry;
-  entry.sim_fraction = sim_fraction;
-  entry.frames = frames;
-  entry.pool = std::make_unique<TilePool>(columns_, sim_fraction, frames);
-  pools_.push_back(std::move(entry));
-  return pools_.back().pool.get();
-}
-
-PairCodeStore::Plane* PairCodeStore::FindPlane(double sim_fraction) const {
-  MutexLock lock(mutex_);
-  for (const auto& plane : planes_) {
-    if (plane->sim_fraction == sim_fraction) return plane.get();
-  }
-  planes_.push_back(std::make_unique<Plane>());
-  planes_.back()->sim_fraction = sim_fraction;
-  return planes_.back().get();
-}
-
-void PairCodeStore::Build(Plane* plane, int threads) const {
-  const std::size_t n = columns_->rows();
-  const std::size_t k = columns_->schema().size();
-  const std::size_t words = (k + kernel::kPackedFeaturesPerWord - 1) /
-                            kernel::kPackedFeaturesPerWord;
-  Resident& resident = plane->resident;
-  resident.rows_ = n;
-  resident.features_ = k;
-  resident.words_ = words;
-  resident.sim_fraction_ = plane->sim_fraction;
-  resident.data_.assign(n * n * words, 0);
-
-  const kernel::RawColumnTable table(*columns_);
-  const double sim = plane->sim_fraction;
-  std::uint64_t* data = resident.data_.data();
-  // Tile i (row i's n pair vectors) is filled by exactly one stripe; the
-  // diagonal is packed too so addressing stays branch-free.
-  try {
-    ForEachRowStripeLocal(n, threads, [&](std::size_t begin,
-                                          std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        ThrowIfInterrupted();
-        std::uint64_t* tile = data + i * n * words;
-        for (std::size_t j = 0; j < n; ++j) {
-          kernel::PackIsSameCodesRaw(table, i, j, sim, tile + j * words);
-        }
-      }
-    });
-  } catch (...) {
-    // A cancelled build must leave the plane exactly as if never
-    // attempted: drop the partial data (plane->built stays false, the
-    // once_flag is unconsumed because call_once propagates the exception),
-    // so the next Acquire rebuilds from scratch.
-    resident = Resident{};
-    throw;
-  }
-
-  builds_.fetch_add(1, std::memory_order_acq_rel);
-  plane->built.store(true, std::memory_order_release);
-}
-
-void PairCodeStore::BuildSeeded(Plane* plane, const Resident& base,
-                                int threads) const {
-  const std::size_t n = columns_->rows();
-  const std::size_t k = columns_->schema().size();
-  const std::size_t words = (k + kernel::kPackedFeaturesPerWord - 1) /
-                            kernel::kPackedFeaturesPerWord;
-  const std::size_t base_rows = base.rows();
-  PX_CHECK_LE(base_rows, n) << "seed plane has more rows than the log";
-  PX_CHECK_EQ(base.features(), k) << "seed plane schema mismatch";
-  PX_CHECK_EQ(base.sim_fraction(), plane->sim_fraction)
-      << "seed plane similarity fraction mismatch";
-
-  Resident& resident = plane->resident;
-  resident.rows_ = n;
-  resident.features_ = k;
-  resident.words_ = words;
-  resident.sim_fraction_ = plane->sim_fraction;
-  resident.data_.assign(n * n * words, 0);
-
-  const kernel::RawColumnTable table(*columns_);
-  const double sim = plane->sim_fraction;
-  std::uint64_t* data = resident.data_.data();
-  try {
-    ForEachRowStripeLocal(n, threads, [&](std::size_t begin,
-                                          std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        ThrowIfInterrupted();
-        std::uint64_t* tile = data + i * n * words;
-        if (i < base_rows) {
-          // Old row: its old-pair prefix (i, 0..base_rows-1) is contiguous
-          // in the seed tile — copy it, then pack only the new columns.
-          std::copy_n(base.pair_words(i, 0), base_rows * words, tile);
-          for (std::size_t j = base_rows; j < n; ++j) {
-            kernel::PackIsSameCodesRaw(table, i, j, sim, tile + j * words);
-          }
-        } else {
-          for (std::size_t j = 0; j < n; ++j) {
-            kernel::PackIsSameCodesRaw(table, i, j, sim, tile + j * words);
-          }
-        }
-      }
-    });
-  } catch (...) {
-    // Same rollback contract as Build: a cancelled seeded build leaves the
-    // plane as if never attempted.
-    resident = Resident{};
-    throw;
-  }
-
-  builds_.fetch_add(1, std::memory_order_acq_rel);
-  plane->built.store(true, std::memory_order_release);
-}
-
-const PairCodeStore::Resident* PairCodeStore::AcquireSeeded(
-    double sim_fraction, const Resident& base, std::size_t max_bytes,
-    int build_threads) const {
-  if (bytes_per_plane() > max_bytes) return nullptr;
-  Plane* plane = FindPlane(sim_fraction);
-  std::call_once(plane->once, [this, plane, &base, build_threads] {
-    BuildSeeded(plane, base, build_threads);
-  });
-  return &plane->resident;
-}
-
-const PairCodeStore::Resident* PairCodeStore::Acquire(
-    double sim_fraction, std::size_t max_bytes, int build_threads) const {
-  if (bytes_per_plane() > max_bytes) return nullptr;
-  Plane* plane = FindPlane(sim_fraction);
-  std::call_once(plane->once, [this, plane, build_threads] {
-    Build(plane, build_threads);
-  });
-  return &plane->resident;
-}
-
-const PairCodeStore::Resident* PairCodeStore::Peek(
-    double sim_fraction) const {
-  MutexLock lock(mutex_);
-  for (const auto& plane : planes_) {
-    if (plane->sim_fraction == sim_fraction &&
-        plane->built.load(std::memory_order_acquire)) {
-      return &plane->resident;
+  for (const auto& pool : pools_) {
+    if (pool->sim_fraction() == sim_fraction && pool->full()) {
+      return pool.get();
     }
   }
   return nullptr;
 }
 
+std::uint64_t PairCodeStore::build_count() const {
+  MutexLock lock(mutex_);
+  std::uint64_t total = 0;
+  for (const auto& pool : pools_) total += pool->full();
+  return total;
+}
+
 std::size_t PairCodeStore::resident_bytes() const {
   MutexLock lock(mutex_);
   std::size_t total = 0;
-  for (const auto& plane : planes_) {
-    if (plane->built.load(std::memory_order_acquire)) {
-      total += plane->resident.bytes();
-    }
-  }
-  for (const PoolEntry& entry : pools_) total += entry.pool->bytes();
+  for (const auto& pool : pools_) total += pool->bytes();
   return total;
 }
 
 std::uint64_t PairCodeStore::tile_hits() const {
   MutexLock lock(mutex_);
   std::uint64_t total = 0;
-  for (const PoolEntry& entry : pools_) total += entry.pool->hits();
+  for (const auto& pool : pools_) total += pool->hits();
   return total;
 }
 
 std::uint64_t PairCodeStore::tile_misses() const {
   MutexLock lock(mutex_);
   std::uint64_t total = 0;
-  for (const PoolEntry& entry : pools_) total += entry.pool->misses();
-  return total;
-}
-
-std::uint64_t PairCodeStore::tile_evictions() const {
-  MutexLock lock(mutex_);
-  std::uint64_t total = 0;
-  for (const PoolEntry& entry : pools_) total += entry.pool->evictions();
+  for (const auto& pool : pools_) total += pool->misses();
   return total;
 }
 

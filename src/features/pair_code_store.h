@@ -1,85 +1,49 @@
 #ifndef PERFXPLAIN_FEATURES_PAIR_CODE_STORE_H_
 #define PERFXPLAIN_FEATURES_PAIR_CODE_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "features/pair_feature_kernel.h"
 #include "features/tile_pool.h"
 #include "log/columnar.h"
 
 namespace perfxplain {
 
-/// A snapshot-resident cache of every ordered pair's packed 2-bit isSame
-/// codes, so sequential SimButDiff queries skip the per-pair packing the
-/// batch path amortizes and run pure XOR + mask + popcount over resident
-/// words. One store belongs to one immutable ColumnarLog (the LogSnapshot
-/// owns it next to the columns); it is built lazily behind std::call_once
-/// on first acquisition and shared read-only by every PreparedQuery and
-/// worker thread afterwards.
+/// A snapshot-resident cache of the ordered pairs' packed 2-bit isSame
+/// codes, so sequential SimButDiff queries skip the per-pair packing and
+/// run pure XOR + mask + popcount over resident words. One store belongs
+/// to one immutable ColumnarLog (the LogSnapshot owns it next to the
+/// columns) and hands out TilePools — row-tile frame arenas — shared
+/// read-only by every PreparedQuery and worker thread.
 ///
-/// Layout (one "plane" per similarity fraction): the n² pair vectors are
-/// row-tiled — tile i holds the n packed vectors of row i's ordered pairs
-/// (i, 0..n-1), each vector ceil(k/32) contiguous uint64 words — so the
-/// row-major pair scans the engine runs touch the store strictly
-/// sequentially and a row's tile stays cache-resident across its inner
-/// loop. The pair (i, j) lives at word offset (i*n + j) * word_count().
-///
-/// Memory: a plane costs n² * ceil(k/32) * 8 bytes ≈ n² * k/4 bytes (2
-/// bits per feature per ordered pair; the diagonal is stored too, keeping
-/// addressing branch-free). Acquire refuses to build — and refuses to
-/// return an already-built plane — when that exceeds the caller's budget.
-/// Budgets between one row tile and a whole plane are no longer a cliff:
-/// AcquireTilePool hands out a buffer pool of pinnable row-tile frames
-/// (TilePool) so the hottest rows stay resident at any fractional budget,
-/// and only a budget under one tile leaves callers on the streaming
-/// fallback (SimButDiffOptions::pair_code_budget_bytes; 0 keeps streaming
-/// as the degenerate case).
+/// A budget buys frames of one row tile each (TilePool::TileBytes = n ·
+/// ceil(k/32) · 8 bytes):
+///  - a whole plane (n² · ceil(k/32) · 8 ≈ n² · k/4 bytes; the diagonal is
+///    stored too, keeping addressing branch-free) buys a pool with a frame
+///    per row, filled eagerly on acquisition (Acquire);
+///  - between one tile and a plane, a pool of the frames the budget buys,
+///    filled on first touch while frames last, cold rows streamed
+///    (AcquireTilePool);
+///  - under one tile, nothing: every row streams
+///    (SimButDiffOptions::pair_code_budget_bytes; 0 is the degenerate
+///    case).
+/// The budget test depends only on (rows, features, max_bytes), so a given
+/// caller always takes the same path.
 ///
 /// isSame codes depend on the similarity fraction (numeric features), so
-/// planes are keyed by the exact double; engines sharing a snapshot under
-/// different fractions each get their own plane. In practice every engine
-/// over one snapshot runs the same fraction and the registry holds one.
+/// pools are keyed by the exact double and the frame count; engines
+/// sharing a snapshot under different fractions or budgets each get their
+/// own. In practice every engine over one snapshot runs one fraction and
+/// budget, and the registry holds one pool.
 ///
-/// Thread safety: Acquire/Peek are const and safe from any number of
-/// threads; the first concurrent acquirers of a plane rendezvous on its
-/// std::call_once and all observe the fully built data. The plane
-/// registry is the store's one mutex-guarded member and is annotated for
-/// Clang Thread Safety Analysis (common/thread_annotations.h): touching
-/// `planes_` without `mutex_` is a compile error under
-/// -Wthread-safety.
+/// Thread safety: every member is const and safe from any number of
+/// threads. The pool registry is the store's one mutex-guarded member and
+/// is annotated for Clang Thread Safety Analysis
+/// (common/thread_annotations.h); the pools synchronize themselves.
 class PairCodeStore {
  public:
-  /// The built, immutable packed-code plane of one similarity fraction.
-  class Resident {
-   public:
-    std::size_t rows() const { return rows_; }
-    std::size_t features() const { return features_; }
-    /// Words per pair vector: ceil(features / kPackedFeaturesPerWord).
-    std::size_t word_count() const { return words_; }
-    double sim_fraction() const { return sim_fraction_; }
-    std::size_t bytes() const { return data_.size() * sizeof(std::uint64_t); }
-
-    /// The packed isSame codes of ordered pair (i, j): word_count() words,
-    /// field-for-field equal to kernel::PackIsSameCodes(table, i, j,
-    /// sim_fraction()).
-    const std::uint64_t* pair_words(std::size_t i, std::size_t j) const {
-      return data_.data() + (i * rows_ + j) * words_;
-    }
-
-   private:
-    friend class PairCodeStore;
-    std::size_t rows_ = 0;
-    std::size_t features_ = 0;
-    std::size_t words_ = 0;
-    double sim_fraction_ = 0.0;
-    std::vector<std::uint64_t> data_;
-  };
-
   /// `columns` must outlive the store (the LogSnapshot owns both).
   explicit PairCodeStore(const ColumnarLog* columns);
 
@@ -97,113 +61,65 @@ class PairCodeStore {
   /// whole plane when it fits, otherwise the tile-pool frames the budget
   /// buys — min(rows, floor(max_bytes / TilePool::TileBytes)) frames of
   /// one row tile each, 0 when the budget buys no frame (pure
-  /// streaming). This per-frame formula replaces the whole-plane one for
-  /// admission control: the charge is what a request can cause to be
-  /// allocated, never the plane a fractional budget will not build.
+  /// streaming). Admission control charges this: what a request can
+  /// cause to be allocated, never the plane a fractional budget will not
+  /// build.
   std::size_t ResidentBytesFor(std::size_t max_bytes) const;
 
-  /// Returns the resident plane for `sim_fraction`, building it on first
-  /// acquisition (parallel pack over row stripes, call_once-guarded;
-  /// `build_threads` workers, 0 = hardware concurrency — striping never
-  /// changes the built words). Returns nullptr — the streaming-pack
-  /// fallback — when a plane would exceed `max_bytes`, without building
-  /// anything. The budget test depends only on (rows, features,
-  /// max_bytes), so a given caller either always runs resident or always
-  /// streams.
-  const Resident* Acquire(double sim_fraction, std::size_t max_bytes,
-                          int build_threads = 0) const PX_EXCLUDES(mutex_);
+  /// The plane for `sim_fraction` — the pool with a frame per row — fully
+  /// filled on return (`build_threads` row stripes, 0 = the process
+  /// default; striping never changes the built words). With `seed`, the
+  /// filled plane of the previous snapshot generation (same fraction, a
+  /// row-prefix of this log), old-row tile prefixes are copied instead of
+  /// packed (TilePool::Fill). Returns nullptr — and allocates nothing —
+  /// when a plane exceeds `max_bytes`. An interrupted fill keeps the tiles
+  /// it finished; the next Acquire completes them.
+  TilePool* Acquire(double sim_fraction, std::size_t max_bytes,
+                    int build_threads = 0,
+                    const TilePool* seed = nullptr) const PX_EXCLUDES(mutex_);
 
-  /// Like Acquire, but seeds the first build from `base` — the built plane
-  /// of the same similarity fraction over a row-prefix of this store's log
-  /// (the previous snapshot generation; append-only promotion never mutates
-  /// old rows). Pair vectors whose rows are both old are copied from `base`
-  /// verbatim; only vectors touching a row >= base.rows() are packed. The
-  /// result is bitwise identical to a cold Build because PackIsSameCodes is
-  /// a pure function of the two rows' immutable columns — the copy just
-  /// skips recomputing words whose inputs did not change. Budget and
-  /// call_once semantics match Acquire exactly (a plane already built cold
-  /// is returned as-is; a cancelled seeded build rolls back whole).
-  const Resident* AcquireSeeded(double sim_fraction, const Resident& base,
-                                std::size_t max_bytes,
-                                int build_threads = 0) const
-      PX_EXCLUDES(mutex_);
-
-  /// The tile pool serving `sim_fraction` under `max_bytes` — the
-  /// page-granular middle path between a resident plane and streaming.
-  /// Created (empty) on first acquisition and shared by every caller with
-  /// the same (fraction, frame count); the pool's frames fill and recycle
-  /// on demand as queries fetch row tiles. Returns nullptr when the whole
-  /// plane fits in `max_bytes` (callers take Acquire's resident plane
-  /// instead) or when the budget buys no frame (callers stream) — so
-  /// exactly one of the three paths applies to a given budget.
+  /// The pool serving `sim_fraction` under a budget between one tile and
+  /// a plane: the frames `max_bytes` buys, empty on first acquisition and
+  /// filled as queries fetch row tiles. Returns nullptr when the whole
+  /// plane fits (callers take Acquire's plane instead) or when the budget
+  /// buys no frame (callers stream) — so exactly one of the three paths
+  /// applies to a given budget.
   TilePool* AcquireTilePool(double sim_fraction, std::size_t max_bytes) const
       PX_EXCLUDES(mutex_);
 
-  /// The plane for `sim_fraction` if some earlier Acquire built it,
-  /// nullptr otherwise. Never builds.
-  const Resident* Peek(double sim_fraction) const PX_EXCLUDES(mutex_);
+  /// The filled plane for `sim_fraction` if some earlier Acquire
+  /// completed it, nullptr otherwise. Never builds.
+  const TilePool* Peek(double sim_fraction) const PX_EXCLUDES(mutex_);
 
   /// True when Peek(sim_fraction) would return a plane.
   bool warm(double sim_fraction) const {
     return Peek(sim_fraction) != nullptr;
   }
 
-  /// Number of planes built so far. Callers bracketing a query with this
-  /// counter learn whether the query paid a one-time build
-  /// (ExplainResponse::pair_store_built; bench::RunOnce reports it so
-  /// trajectory numbers are not polluted by build cost).
-  std::uint64_t build_count() const {
-    return builds_.load(std::memory_order_acquire);
-  }
+  /// Number of planes filled so far. Callers bracketing a query with this
+  /// counter learn whether the query completed a plane
+  /// (ExplainResponse::pair_store_built).
+  std::uint64_t build_count() const PX_EXCLUDES(mutex_);
 
-  /// Total bytes of all built planes.
+  /// Bytes of every pool's frame arena.
   std::size_t resident_bytes() const PX_EXCLUDES(mutex_);
 
-  /// Tile-pool counters summed over every pool of this store (see
-  /// TilePool::hits/misses/evictions). ExplainResponse brackets these so
-  /// a request reports the tile traffic it drove.
+  /// Tile-pool counters summed over every pool (planes count nothing;
+  /// see TilePool::hits/misses). ExplainResponse brackets these so a
+  /// request reports the tile traffic it drove.
   std::uint64_t tile_hits() const PX_EXCLUDES(mutex_);
   std::uint64_t tile_misses() const PX_EXCLUDES(mutex_);
-  std::uint64_t tile_evictions() const PX_EXCLUDES(mutex_);
 
  private:
-  /// One similarity fraction's plane entry. The registry mutex guards only
-  /// the `planes_` vector; a Plane's own fields are published by
-  /// std::call_once (`once` consumed exactly once, `built` flipped with
-  /// release order after the data is complete), which the thread-safety
-  /// analysis cannot model — the TSan CI job and the concurrent
-  /// first-touch tests cover that handoff instead.
-  struct Plane {
-    double sim_fraction = 0.0;
-    std::once_flag once;
-    std::atomic<bool> built{false};
-    Resident resident;
-  };
-
-  /// Finds or creates the (unbuilt) plane entry for `sim_fraction`. The
-  /// returned Plane outlives the lock (entries are never erased; the
-  /// vector holds stable unique_ptrs), so callers may rendezvous on its
-  /// once_flag without the registry mutex.
-  Plane* FindPlane(double sim_fraction) const PX_EXCLUDES(mutex_);
-
-  void Build(Plane* plane, int threads) const;
-  void BuildSeeded(Plane* plane, const Resident& base, int threads) const;
-
-  /// One tile pool per (fraction, frame count) an engine's budget maps
-  /// to. Entries are never erased (stable unique_ptrs, like planes_), so
-  /// the returned pool outlives the registry lock; the pool is internally
-  /// synchronized.
-  struct PoolEntry {
-    double sim_fraction = 0.0;
-    std::size_t frames = 0;
-    std::unique_ptr<TilePool> pool;
-  };
+  /// Finds or creates the pool of (sim_fraction, frames). Entries are
+  /// never erased (stable unique_ptrs), so the returned pool outlives the
+  /// registry lock.
+  TilePool* FindPool(double sim_fraction, std::size_t frames) const
+      PX_EXCLUDES(mutex_);
 
   const ColumnarLog* columns_;
-  mutable Mutex mutex_;  ///< guards the registries `planes_` and `pools_`
-  mutable std::vector<std::unique_ptr<Plane>> planes_ PX_GUARDED_BY(mutex_);
-  mutable std::vector<PoolEntry> pools_ PX_GUARDED_BY(mutex_);
-  mutable std::atomic<std::uint64_t> builds_{0};
+  mutable Mutex mutex_;  ///< guards the pool registry
+  mutable std::vector<std::unique_ptr<TilePool>> pools_ PX_GUARDED_BY(mutex_);
 };
 
 }  // namespace perfxplain

@@ -360,9 +360,9 @@ inline std::size_t ScanPairAgainstPoi(const RawColumnTable& table,
 /// Word-level agreement test of an already-packed pair against the
 /// prepacked codes of the pair of interest: XOR + mask + popcount per
 /// word, abandoning the pair once the running disagreement count exceeds
-/// `max_disagree`. This is the whole per-pair inner loop of the
-/// PairCodeStore resident path (`pair_words` points into the store) and of
-/// the batch scan (it points at a freshly repacked scratch vector). Word
+/// `max_disagree`. This is the batch scan's whole per-pair inner loop,
+/// whether `pair_words` points into a pool tile of the store or at a
+/// freshly repacked scratch vector. Word
 /// granularity accepts/rejects exactly as the per-call 8-feature-chunk
 /// scan does — only the wasted work differs.
 ///

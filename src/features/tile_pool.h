@@ -7,63 +7,54 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "features/lru_replacer.h"
 #include "features/pair_feature_kernel.h"
 #include "log/columnar.h"
 
 namespace perfxplain {
 
-/// A buffer pool of pair-code row tiles: the page-granular middle ground
-/// between the PairCodeStore's fully resident plane and its streaming
-/// fallback. One pool serves one (ColumnarLog, similarity fraction) at a
-/// fixed frame count; each frame holds one row's complete tile — the n
-/// packed isSame vectors of that row's ordered pairs (i, 0..n-1),
-/// word-for-word what Resident::pair_words(i, ·) would hold — so any
-/// budget between one tile and the whole plane keeps the hottest rows
-/// resident while cold rows stream through the bitwise-identical packing
-/// kernels.
+/// The one home of the packed isSame pair codes: a fixed arena of
+/// pair-code row-tile frames. One pool serves one (ColumnarLog,
+/// similarity fraction) at a fixed frame count; each frame holds one
+/// row's complete tile — the n packed isSame vectors of that row's
+/// ordered pairs (i, 0..n-1), each ceil(k/32) contiguous words — so the
+/// row-major pair scans read a row's tile strictly sequentially.
 ///
-/// Frame lifecycle (the classic buffer_pool_manager discipline): Fetch on
-/// a resident row pins its frame and returns a TileRef; a miss claims a
-/// free frame or evicts the LruReplacer's victim (only unpinned frames
-/// are evictable), builds the tile into the frame outside the pool lock,
-/// and publishes it to concurrent fetchers of the same row, who wait on
-/// the pool's condition variable rather than building twice. When every
-/// frame is pinned or mid-build, Fetch returns an invalid TileRef and the
-/// caller packs that row into private scratch — never blocking on
-/// capacity, never changing any result. TileRef unpins on destruction;
-/// a pin count reaching zero re-enters the replacer (warm if the tile was
-/// ever re-referenced after its build, cold otherwise — see LruReplacer
-/// on scan resistance).
+/// Frame lifecycle: a row's tile is built into a free frame on its first
+/// Fetch and that frame is never reused, so a ready tile's address never
+/// changes and looking it up takes no lock. Once every frame is taken,
+/// Fetch returns nullptr for an unbuilt row and the caller streams that
+/// row through the bitwise-identical fused kernels instead. A pool with a
+/// frame per row (frame_count() == rows()) is the resident "plane":
+/// PairCodeStore::Acquire fills it eagerly (Fill), optionally seeded from
+/// the previous snapshot generation's plane.
 ///
 /// A tile's content is a pure function of the immutable columns, the
-/// similarity fraction and the row, so rebuilding an evicted tile
-/// reproduces it bit for bit: eviction order, budget and thread count are
-/// never observable in explanations — the property the randomized
-/// eviction-equivalence suites pin.
+/// similarity fraction and the row, so which rows hold frames, the frame
+/// count and the thread count are never observable in explanations — the
+/// property the budget-equivalence suites pin.
 ///
 /// Memory: frame_count() frames of TileBytes(rows, features) = n ·
 /// ceil(k/32) · 8 bytes each, allocated once at construction (plus O(n)
-/// page-table and O(frames) metadata); per-frame charging replaces the
-/// whole-plane formula when a budget is smaller than a plane.
+/// page-table and O(frames) free-list entries); a plane is rows() of them.
 ///
-/// Thread safety: Fetch and TileRef release are safe from any number of
-/// threads. The page table, frame metadata, free list and replacer are
-/// guarded by one pool mutex; tile words are written only by the frame's
-/// building thread (the frame is pinned and unmapped-for-eviction while
-/// kBuilding) and read only after a kReady transition under the mutex —
-/// the condition-variable interop sites carry
-/// PX_NO_THREAD_SAFETY_ANALYSIS per common/thread_annotations.h, and the
-/// TSan CI job covers the build/publish handoff the analysis cannot see.
+/// Thread safety: Fetch and Fill are safe from any number of threads. The
+/// page table is atomic: a row's entry holds its frame index once the tile
+/// is published (release store after the last word is written), so a
+/// ready lookup is one acquire load. Claiming a frame, the kBuilding
+/// marker and the free list are guarded by the pool mutex; concurrent
+/// fetchers of a row being built wait on the pool's condition variable
+/// rather than building twice. The condition-variable interop site
+/// carries PX_NO_THREAD_SAFETY_ANALYSIS per common/thread_annotations.h,
+/// and the TSan CI job covers the build/publish handoff.
 ///
 /// A cancelled or deadline-expired build (ThrowIfInterrupted firing
-/// mid-pack) rolls the frame back to free and wakes waiters before the
-/// exception propagates, so the pool keeps serving and the next fetch of
-/// that row rebuilds from scratch.
+/// mid-pack) returns its frame to the free list and wakes waiters before
+/// the exception propagates; tiles already published stay, so an
+/// interrupted Fill resumes where it stopped.
 class TilePool {
  public:
   /// `columns` must outlive the pool (the PairCodeStore registry owns the
-  /// pool next to its planes). `frames` must be at least 1.
+  /// pool next to its columns). `frames` must not exceed the row count.
   TilePool(const ColumnarLog* columns, double sim_fraction,
            std::size_t frames);
 
@@ -74,110 +65,75 @@ class TilePool {
   /// per-frame unit of the budget formula (a plane is rows of these).
   static std::size_t TileBytes(std::size_t rows, std::size_t features);
 
-  /// A pinned row tile. While a valid TileRef lives, words() points at
-  /// the row's n packed pair vectors (pair (row, j) at words() + j *
-  /// word_count()) and the frame cannot be evicted. Unpins on destruction
-  /// or Release(); movable, not copyable.
-  class TileRef {
-   public:
-    TileRef() = default;
-    TileRef(TileRef&& other) noexcept { *this = std::move(other); }
-    TileRef& operator=(TileRef&& other) noexcept {
-      if (this != &other) {
-        Release();
-        pool_ = other.pool_;
-        frame_ = other.frame_;
-        words_ = other.words_;
-        other.pool_ = nullptr;
-        other.words_ = nullptr;
-      }
-      return *this;
-    }
-    TileRef(const TileRef&) = delete;
-    TileRef& operator=(const TileRef&) = delete;
-    ~TileRef() { Release(); }
-
-    bool valid() const { return pool_ != nullptr; }
-    const std::uint64_t* words() const { return words_; }
-
-    /// Unpins now (idempotent).
-    void Release() {
-      if (pool_ != nullptr) pool_->Unpin(frame_);
-      pool_ = nullptr;
-      words_ = nullptr;
-    }
-
-   private:
-    friend class TilePool;
-    TileRef(TilePool* pool, std::size_t frame, const std::uint64_t* words)
-        : pool_(pool), frame_(frame), words_(words) {}
-
-    TilePool* pool_ = nullptr;
-    std::size_t frame_ = 0;
-    const std::uint64_t* words_ = nullptr;
-  };
-
-  /// Frame-claiming policy on a miss. kEvict (the default) is the full
-  /// buffer-pool discipline: claim a free frame or evict the replacer's
-  /// victim. kFreeOnly claims only a free frame and never evicts — the
-  /// scan paths use it so that a sweep wider than the pool streams its
-  /// cold rows through the cheap fused kernels instead of churning
-  /// evict-and-rebuild cycles (a tile build packs every pair of the row
-  /// with no early exit, so rebuilding tiles that will be evicted before
-  /// reuse costs more than streaming the row ever would).
-  enum class Admission { kEvict, kFreeOnly };
-
-  /// Pins row `row`'s tile, building it into a frame claimed under
-  /// `admission` on a miss. Invalid TileRef when no frame can be claimed
-  /// (every frame pinned or mid-build, or kFreeOnly with no free frame) —
-  /// the caller streams that row. May throw InterruptedError from the
-  /// build's cancellation checkpoint; the claimed frame is rolled back
+  /// Row `row`'s tile — rows() pair vectors, pair (row, j) at tile + j *
+  /// word_count() — building it into a free frame on first touch; nullptr
+  /// when every frame is taken (the caller streams the row). The pointer
+  /// stays valid for the pool's lifetime. May throw InterruptedError from
+  /// the build's cancellation checkpoint; the claimed frame is freed
   /// first.
-  TileRef Fetch(std::size_t row, Admission admission = Admission::kEvict);
+  const std::uint64_t* Fetch(std::size_t row);
+
+  /// Builds every row's tile (requires frame_count() == rows()) on
+  /// `threads` row stripes (0 = the process default, see ResolveThreads).
+  /// With `seed` — the filled plane of the same similarity fraction over a
+  /// row-prefix of this pool's log (the previous snapshot generation;
+  /// append-only promotion never mutates old rows) — an old row's
+  /// old-pair prefix is copied from the seed and only pairs touching a new
+  /// row are packed: bitwise what a cold build packs, since
+  /// PackIsSameCodes is a pure function of the two rows' immutable
+  /// columns. Rows already built are skipped, so after an interrupted
+  /// Fill the next one completes the pool. Striping never changes a word.
+  void Fill(int threads, const TilePool* seed = nullptr);
+
+  /// True once every row's tile is published — only a plane can get
+  /// there, since each published tile holds its own frame.
+  bool full() const {
+    return ready_.load(std::memory_order_acquire) == rows_;
+  }
 
   std::size_t rows() const { return rows_; }
   /// Words per pair vector: ceil(features / kPackedFeaturesPerWord).
   std::size_t word_count() const { return words_; }
   std::size_t frame_count() const { return frame_count_; }
   double sim_fraction() const { return sim_fraction_; }
-  /// Bytes of the frame arena (frame_count() tiles, resident whether or
-  /// not currently mapped).
+  /// Bytes of the frame arena (frame_count() tiles, allocated whether or
+  /// not built yet).
   std::size_t bytes() const {
     return data_.size() * sizeof(std::uint64_t);
   }
 
-  /// Monotone counters: fetches served by a resident tile, fetches that
-  /// built one (misses), and tiles evicted to make room. A fetch that
-  /// found no claimable frame counts as a miss with no build.
+  /// Monotone counters: fetches served by a ready tile, and fetches that
+  /// found none (a build, or a stream once the frames ran out). A plane
+  /// is filled before anyone fetches from it and counts neither, so the
+  /// counters measure a fractional budget's tile traffic only.
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::uint64_t misses() const {
     return misses_.load(std::memory_order_relaxed);
   }
-  std::uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
 
  private:
-  enum class FrameState : std::uint8_t { kFree, kBuilding, kReady };
-  struct Frame {
-    std::size_t row = 0;
-    std::uint32_t pin_count = 0;
-    FrameState state = FrameState::kFree;
-    /// Re-referenced after its build — decides the replacer insertion end.
-    bool hot = false;
-  };
-
+  /// Page-table values besides a frame index.
   static constexpr std::int32_t kNoFrame = -1;
+  static constexpr std::int32_t kBuilding = -2;
 
-  std::uint64_t* frame_words(std::size_t frame) {
-    return data_.data() + frame * tile_words_;
+  /// The published tile of `row`, or nullptr — one acquire load.
+  const std::uint64_t* ReadyTile(std::size_t row) const {
+    const std::int32_t frame =
+        page_table_[row].load(std::memory_order_acquire);
+    return frame >= 0 ? data_.data() + static_cast<std::size_t>(frame) *
+                                           tile_words_
+                      : nullptr;
   }
 
-  /// Packs row `row`'s whole tile into `dst` — exactly the plane build's
-  /// per-row loop. Runs outside the pool lock.
-  void BuildTile(std::size_t row, std::uint64_t* dst) const;
+  /// Returns `row`'s tile, waiting for a concurrent build or building it
+  /// into a free frame; nullptr when no frame is free.
+  const std::uint64_t* Claim(std::size_t row, const TilePool* seed)
+      PX_EXCLUDES(mutex_);
 
-  void Unpin(std::size_t frame) PX_EXCLUDES(mutex_);
+  /// Packs row `row`'s whole tile into `dst`, copying the old-pair prefix
+  /// from `seed` when it covers the row. Runs outside the pool lock.
+  void BuildTile(std::size_t row, std::uint64_t* dst,
+                 const TilePool* seed) const;
 
   const kernel::RawColumnTable table_;  ///< view over the caller's columns
   const double sim_fraction_;
@@ -185,18 +141,19 @@ class TilePool {
   const std::size_t words_;       ///< per pair vector
   const std::size_t tile_words_;  ///< per frame: rows_ * words_
   const std::size_t frame_count_;
-  std::vector<std::uint64_t> data_;  ///< frame arena, fixed at construction
+  /// Frame arena, fixed at construction. Frame words are written only by
+  /// the thread that claimed the frame, before the row's release store.
+  std::vector<std::uint64_t> data_;
+  /// row -> frame index (ready), kBuilding or kNoFrame.
+  std::vector<std::atomic<std::int32_t>> page_table_;
+  std::atomic<std::size_t> ready_{0};
 
   mutable Mutex mutex_;
   std::condition_variable cv_;  ///< waits on mutex_.native(): kBuilding -> *
-  std::vector<std::int32_t> page_table_ PX_GUARDED_BY(mutex_);  ///< row->frame
-  std::vector<Frame> frames_ PX_GUARDED_BY(mutex_);
   std::vector<std::size_t> free_frames_ PX_GUARDED_BY(mutex_);
-  LruReplacer replacer_ PX_GUARDED_BY(mutex_);
 
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
 };
 
 }  // namespace perfxplain

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/cancel.h"
-#include "core/pair_enumeration.h"
+#include "common/row_stripe.h"
 #include "features/pair_feature_kernel.h"
 
 namespace perfxplain {
@@ -239,10 +239,8 @@ std::vector<double> RRelieffStripedImpl(const View& view,
   // neighbor lists instead of re-running identical searches.
   const std::size_t unique_probes = std::min(probes, m);
   std::vector<std::size_t> neighbors(unique_probes * kk);
-  EnumerationOptions enumeration;
-  enumeration.threads = options.threads;
   ForEachRowStripe(
-      unique_probes, ResolveEnumerationThreads(enumeration),
+      unique_probes, ResolveThreads(options.threads),
       [&](std::size_t, std::size_t begin, std::size_t end) {
         std::vector<std::pair<double, std::size_t>> distances;
         distances.reserve(n - 1);

@@ -241,18 +241,18 @@ Result<RotationStats> LiveEngine::Rotate(const RotateRequest& request) {
         std::move(next_log), *old_engine->snapshot());
 
     // Re-warm the pair-code plane incrementally when the old generation's
-    // was built and the grown plane still fits the engine's budget:
+    // was filled and the grown plane still fits the engine's budget:
     // old-row tiles are copied, only pairs touching a new row are packed
-    // (checkpointed per row inside BuildSeeded). A cold or over-budget
+    // (checkpointed per row inside TilePool::Fill). A cold or over-budget
     // plane just warms lazily on first use, as on any fresh snapshot.
     const double sim = options_.sim_but_diff.pair.sim_fraction;
-    const PairCodeStore::Resident* base_plane =
+    const TilePool* base_plane =
         old_engine->snapshot()->pair_codes().Peek(sim);
     if (base_plane != nullptr) {
       const std::size_t budget = options_.sim_but_diff.pair_code_budget_bytes;
       stats.pair_plane_seeded =
-          next_snapshot->pair_codes().AcquireSeeded(
-              sim, *base_plane, budget, policy_.promote_threads) != nullptr;
+          next_snapshot->pair_codes().Acquire(
+              sim, budget, policy_.promote_threads, base_plane) != nullptr;
     }
 
     auto next_engine =
@@ -306,9 +306,8 @@ Result<RotationStats> LiveEngine::Rotate(const RotateRequest& request) {
     return stats;
   } catch (const InterruptedError& interrupted) {
     // A checkpoint fired mid-promotion: the partially built snapshot (and
-    // any partially seeded plane, rolled back by BuildSeeded) is dropped
-    // whole, the deltas stay staged, and the serving generation was never
-    // touched.
+    // its partially filled plane) is dropped whole, the deltas stay
+    // staged, and the serving generation was never touched.
     delta_.AbortDrain();
     return interrupted.status();
   }

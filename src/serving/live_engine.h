@@ -71,9 +71,10 @@ struct RotationPolicy {
   /// against their snapshots keep draining; older generations are
   /// released (and their straggler cache entries invalidated).
   std::size_t drain_generations = 1;
-  /// Worker threads for the seeded pair-plane rebuild during promotion
-  /// (0 = hardware concurrency). Observation-free, like every thread
-  /// knob: promoted snapshots are bitwise identical at any value.
+  /// Worker threads for the seeded pair-plane fill during promotion
+  /// (0 = the process default, itself defaulting to the hardware
+  /// concurrency; see ResolveThreads). Observation-free, like every
+  /// thread knob: promoted snapshots are bitwise identical at any value.
   int promote_threads = 0;
   /// Nice value the background promoter thread lowers itself to (Linux;
   /// 0 = leave the scheduler alone). Promotion is maintenance work: at
@@ -98,11 +99,11 @@ struct RotationStats {
   std::uint64_t new_snapshot_id = 0;  ///< == old when nothing was pending
   std::size_t promoted_rows = 0;      ///< delta records folded in
   std::size_t total_rows = 0;         ///< rows of the new snapshot
-  /// Whether the new snapshot's pair-code plane was rebuilt incrementally
-  /// from the old generation's built plane (PairCodeStore::AcquireSeeded:
-  /// old-row tiles copied, only new-row pairs packed). False when the old
-  /// plane was cold or the plane exceeds the engine's budget — the new
-  /// store then warms lazily like any cold snapshot.
+  /// Whether the new snapshot's pair-code plane was filled incrementally
+  /// from the old generation's filled plane (PairCodeStore::Acquire with
+  /// it as the seed: old-row tiles copied, only new-row pairs packed).
+  /// False when the old plane was cold or the plane exceeds the engine's
+  /// budget — the new store then warms lazily like any cold snapshot.
   bool pair_plane_seeded = false;
   /// Entries of the retired generation dropped from the shared
   /// ResultCache (0 when caching is off).

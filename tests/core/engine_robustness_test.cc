@@ -1,7 +1,8 @@
 // Fail-soft behavior of the Engine: cooperative cancellation and
 // deadlines surface as kCancelled/kDeadlineExceeded without corrupting
-// the shared LogSnapshot (an interrupted PairCodeStore build is rolled
-// back and rebuilt by the next request), checkpoints never change any
+// the shared LogSnapshot (an interrupted pair-code plane fill keeps the
+// tiles it finished and the next request completes it), checkpoints
+// never change any
 // computed value when nothing fires, and admission control rejects
 // oversized requests with kResourceExhausted before any scan runs.
 
@@ -174,8 +175,10 @@ TEST_F(EngineRobustnessTest, CancelledStoreBuildRollsBackAndRebuilds) {
   const double sim_fraction =
       engine->options().sim_but_diff.pair.sim_fraction;
 
-  // The pre-cancelled token interrupts the plane build at its first
-  // checkpoint. The build must roll back: no plane, no build counted.
+  // The pre-cancelled token interrupts the plane fill at its first
+  // checkpoint. The tiles it finished stay (TilePoolTest.
+  // InterruptedFillKeepsFinishedTiles pins that), but the plane is not
+  // warm and no fill is counted.
   auto token = std::make_shared<CancelToken>();
   token->Cancel();
   ExplainRequest request;
@@ -184,19 +187,18 @@ TEST_F(EngineRobustnessTest, CancelledStoreBuildRollsBackAndRebuilds) {
   auto cancelled = engine->Explain(*prepared, request);
   ASSERT_FALSE(cancelled.ok());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(store.Peek(sim_fraction), nullptr);
+  EXPECT_FALSE(store.warm(sim_fraction));
   EXPECT_EQ(store.build_count(), 0u);
 
-  // The next clean request rebuilds the plane (call_once left the flag
-  // unconsumed) and answers bitwise identically to a never-cancelled
-  // engine running the same resident path.
+  // The next clean request completes the fill and answers bitwise
+  // identically to a never-cancelled engine reading its plane.
   ExplainRequest clean;
   clean.technique = Technique::kSimButDiff;
   auto rebuilt = engine->Explain(*prepared, clean);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_TRUE(rebuilt->pair_store_built);
   EXPECT_TRUE(rebuilt->pair_store_hit);
-  EXPECT_NE(store.Peek(sim_fraction), nullptr);
+  EXPECT_TRUE(store.warm(sim_fraction));
   EXPECT_EQ(store.build_count(), 1u);
 
   auto baseline_engine = MakeEngine(options);

@@ -1,5 +1,5 @@
 // Equivalence and concurrency tests of the snapshot-resident PairCodeStore
-// path: SimButDiff over resident packed codes must be bitwise identical to
+// path: SimButDiff over the plane's packed codes must be bitwise identical to
 // the streaming fused pack-and-compare (and to the seed lazy-Value
 // implementation) on awkward logs — missing values, NaN, comma-bearing
 // nominals — at every thread count, under the memory-cap fallback, and
@@ -15,6 +15,7 @@
 #include "core/engine.h"
 #include "core/pair_enumeration.h"
 #include "core/sim_but_diff.h"
+#include "serving/live_engine.h"
 #include "testing/test_util.h"
 
 namespace perfxplain {
@@ -250,6 +251,71 @@ TEST(PairCodeStoreEquivalenceTest, MemoryCapFallbackIsBitwise) {
   ExpectSameExplanation(warm->explanation, from_exact->explanation, "warm");
 }
 
+// The store contract the end-to-end benchmark's guards rely on, at the
+// budgets its workloads run: a whole plane, an eighth of one, and a
+// rotation from a warm generation.
+TEST(PairCodeStoreEquivalenceTest, PlaneEighthAndRotationContract) {
+  const ExecutionLog log = AwkwardRandomLog(17, 40);
+  Query query = GtVsSimQuery("color_isSame = T");
+  ASSERT_TRUE(PickPair(log, query));
+  const double sim = SimButDiffOptions{}.pair.sim_fraction;
+  const std::size_t plane =
+      PairCodeStore::BytesNeeded(log.size(), log.schema().size());
+  ExplainRequest request;
+  request.technique = Technique::kSimButDiff;
+  request.width = 3;
+
+  {
+    // Plane budget: filled on acquisition, read without tile traffic.
+    const Engine engine(log, WithBudget(plane, 1));
+    const PairCodeStore& store = engine.snapshot()->pair_codes();
+    ASSERT_NE(store.Acquire(sim, plane, 1), nullptr);
+    EXPECT_TRUE(store.warm(sim));
+    auto prepared = engine.Prepare(query);
+    ASSERT_TRUE(prepared.ok());
+    auto response = engine.Explain(*prepared, request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response->pair_store_hit);
+    EXPECT_EQ(response->tile_hits + response->tile_misses +
+                  response->tile_evictions,
+              0u);
+  }
+  {
+    // An eighth of a plane: a pool of frames; rows past them stream.
+    const Engine engine(log, WithBudget(plane / 8, 1));
+    const PairCodeStore& store = engine.snapshot()->pair_codes();
+    ASSERT_NE(store.AcquireTilePool(sim, plane / 8), nullptr);
+    auto prepared = engine.Prepare(query);
+    ASSERT_TRUE(prepared.ok());
+    auto response = engine.Explain(*prepared, request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->pair_store_hit);
+    EXPECT_GT(response->tile_misses, 0u);
+    EXPECT_EQ(response->tile_evictions, 0u);
+  }
+  {
+    // A rotation from a warm generation seeds the new plane.
+    const std::size_t base_rows = 30;
+    ExecutionLog base(log.schema());
+    std::vector<ExecutionRecord> delta;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (i < base_rows) {
+        ASSERT_TRUE(base.Add(log.at(i)).ok());
+      } else {
+        delta.push_back(log.at(i));
+      }
+    }
+    LiveEngine live(std::move(base), WithBudget(plane, 1));
+    ASSERT_NE(live.engine()->snapshot()->pair_codes().Acquire(sim, plane, 1),
+              nullptr);
+    ASSERT_TRUE(live.AppendBatch(std::move(delta)).ok());
+    auto stats = live.Rotate();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_TRUE(stats->pair_plane_seeded);
+    EXPECT_TRUE(live.engine()->snapshot()->pair_codes().warm(sim));
+  }
+}
+
 TEST(PairCodeStoreEquivalenceTest, ConcurrentFirstTouchUnderEightThreads) {
   const ExecutionLog log = AwkwardRandomLog(13, 36);
   Query query = GtVsSimQuery("color_isSame = T");
@@ -266,7 +332,7 @@ TEST(PairCodeStoreEquivalenceTest, ConcurrentFirstTouchUnderEightThreads) {
   ASSERT_TRUE(reference.ok());
 
   // Eight threads race the cold store's first touch on a fresh engine:
-  // std::call_once must hand every one of them the same fully built plane.
+  // the plane fill must hand every one of them the same fully built plane.
   const Engine engine(log, WithBudget(std::size_t{256} << 20, 1));
   auto prepared = engine.Prepare(query);
   ASSERT_TRUE(prepared.ok());

@@ -1,6 +1,6 @@
-// PairCodeStore unit tests: the resident packed codes must be word-for-
+// PairCodeStore unit tests: the plane's packed codes must be word-for-
 // word what the streaming kernels pack per pair — including missing
-// values and NaN — the memory budget must gate building deterministically,
+// values and NaN — the memory budget must gate filling deterministically,
 // and planes must be keyed by similarity fraction.
 
 #include "features/pair_code_store.h"
@@ -51,18 +51,19 @@ TEST(PairCodeStoreTest, ResidentWordsMatchStreamingPack) {
   const kernel::RawColumnTable table(columns);
   const PairCodeStore store(&columns);
   for (double sim : {0.10, 0.50}) {
-    const PairCodeStore::Resident* resident =
-        store.Acquire(sim, store.bytes_per_plane());
+    TilePool* resident = store.Acquire(sim, store.bytes_per_plane());
     ASSERT_NE(resident, nullptr);
     EXPECT_EQ(resident->rows(), columns.rows());
-    EXPECT_EQ(resident->features(), columns.schema().size());
+    EXPECT_EQ(resident->frame_count(), columns.rows());
     EXPECT_EQ(resident->sim_fraction(), sim);
+    EXPECT_TRUE(resident->full());
     for (std::size_t i = 0; i < columns.rows(); ++i) {
       for (std::size_t j = 0; j < columns.rows(); ++j) {
         const kernel::PackedIsSameCodes packed =
             kernel::PackIsSameCodes(table, i, j, sim);
         ASSERT_EQ(packed.word_count(), resident->word_count());
-        const std::uint64_t* words = resident->pair_words(i, j);
+        const std::uint64_t* words =
+            resident->Fetch(i) + j * resident->word_count();
         for (std::size_t w = 0; w < packed.word_count(); ++w) {
           ASSERT_EQ(words[w], packed.word(w))
               << "pair (" << i << "," << j << ") word " << w << " sim "
@@ -98,7 +99,7 @@ TEST(PairCodeStoreTest, BudgetGatesBuildingDeterministically) {
   EXPECT_EQ(store.resident_bytes(), 0u);
 
   // At budget: built once, then cached.
-  const PairCodeStore::Resident* resident = store.Acquire(0.10, needed);
+  const TilePool* resident = store.Acquire(0.10, needed);
   ASSERT_NE(resident, nullptr);
   EXPECT_EQ(resident->bytes(), needed);
   EXPECT_TRUE(store.warm(0.10));

@@ -1,25 +1,25 @@
-// Randomized eviction-equivalence suite of the TilePool buffer-pool path:
-// at every budget fraction — streaming (0), fractional tile pools (1/8,
-// 1/4, 1/2), exactly one plane (1) and unbounded — over random query
-// interleavings, thread counts and the shared adversarial log shapes,
-// SimButDiff must be bitwise identical to the unbounded resident store.
-// Eviction order, frame recycling and thread count are never observable:
-// a tile is a pure function of the immutable columns, so a rebuilt victim
-// frame holds exactly the words the evicted one did. The concurrency
-// cases (TilePoolEquivalenceTest.*) run under ThreadSanitizer in CI next
-// to the core concurrency suites (see .github/workflows/ci.yml).
+// Randomized budget-equivalence suite of the TilePool: at every budget
+// fraction — streaming (0), fractional tile pools (1/8, 1/4, 1/2),
+// exactly one plane (1) and unbounded — over random query interleavings,
+// thread counts and the shared adversarial log shapes, SimButDiff must be
+// bitwise identical to the unbounded plane. Which rows hold frames, which
+// rows stream and the thread count are never observable: a tile is a
+// pure function of the immutable columns. The concurrency cases
+// (TilePoolEquivalenceTest.*) run under ThreadSanitizer in CI next to the
+// core concurrency suites (see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/engine.h"
 #include "core/pair_enumeration.h"
-#include "features/lru_replacer.h"
 #include "features/pair_feature_kernel.h"
 #include "features/tile_pool.h"
 #include "log/columnar.h"
@@ -31,68 +31,6 @@ namespace {
 using testing::AdversarialLogSpec;
 using testing::AdversarialLogSpecs;
 using testing::GtVsSimQuery;
-
-// ------------------------------------------------------------ LruReplacer
-
-TEST(LruReplacerTest, VictimizesInUnpinOrder) {
-  LruReplacer replacer(4);
-  replacer.Unpin(2, /*hot=*/true);
-  replacer.Unpin(0, /*hot=*/true);
-  replacer.Unpin(3, /*hot=*/true);
-  EXPECT_EQ(replacer.size(), 3u);
-  std::size_t frame = 99;
-  ASSERT_TRUE(replacer.Victim(&frame));
-  EXPECT_EQ(frame, 2u);
-  ASSERT_TRUE(replacer.Victim(&frame));
-  EXPECT_EQ(frame, 0u);
-  ASSERT_TRUE(replacer.Victim(&frame));
-  EXPECT_EQ(frame, 3u);
-  EXPECT_FALSE(replacer.Victim(&frame));
-  EXPECT_EQ(replacer.size(), 0u);
-}
-
-TEST(LruReplacerTest, PinRemovesFromVictimList) {
-  LruReplacer replacer(3);
-  replacer.Unpin(0, /*hot=*/true);
-  replacer.Unpin(1, /*hot=*/true);
-  replacer.Pin(0);
-  std::size_t frame = 99;
-  ASSERT_TRUE(replacer.Victim(&frame));
-  EXPECT_EQ(frame, 1u);
-  EXPECT_FALSE(replacer.Victim(&frame));
-  // Pinning an untracked frame is a no-op, not an error.
-  replacer.Pin(2);
-  EXPECT_EQ(replacer.size(), 0u);
-}
-
-TEST(LruReplacerTest, ColdUnpinIsNextVictim) {
-  // Scan resistance: a cold (never re-referenced) unpin goes to the
-  // victim END of the list, so a sweep of first-touch builds recycles one
-  // frame instead of flushing the hot set.
-  LruReplacer replacer(4);
-  replacer.Unpin(0, /*hot=*/true);
-  replacer.Unpin(1, /*hot=*/true);
-  replacer.Unpin(2, /*hot=*/false);  // cold: victimized before 0 and 1
-  std::size_t frame = 99;
-  ASSERT_TRUE(replacer.Victim(&frame));
-  EXPECT_EQ(frame, 2u);
-  ASSERT_TRUE(replacer.Victim(&frame));
-  EXPECT_EQ(frame, 0u);
-}
-
-TEST(LruReplacerTest, ReUnpinMovesToWarmEnd) {
-  LruReplacer replacer(3);
-  replacer.Unpin(0, /*hot=*/true);
-  replacer.Unpin(1, /*hot=*/true);
-  // Re-reference frame 0: pin + hot unpin moves it behind 1.
-  replacer.Pin(0);
-  replacer.Unpin(0, /*hot=*/true);
-  std::size_t frame = 99;
-  ASSERT_TRUE(replacer.Victim(&frame));
-  EXPECT_EQ(frame, 1u);
-  ASSERT_TRUE(replacer.Victim(&frame));
-  EXPECT_EQ(frame, 0u);
-}
 
 // --------------------------------------------------------------- TilePool
 
@@ -116,63 +54,92 @@ TEST(TilePoolTest, FetchedTilesMatchStreamingKernelBitwise) {
   const ColumnarLog columns(log);
   const double sim = 0.1;
   const kernel::RawColumnTable table(columns);
-  TilePool pool(&columns, sim, /*frames=*/3);
-  std::vector<std::uint64_t> expected(pool.word_count(), 0);
-  // Sweep all rows several times through 3 frames: every fetch — first
-  // touch, hit or rebuilt-into-victim-frame — must be bitwise identical
-  // to the streaming kernel.
-  for (int sweep = 0; sweep < 3; ++sweep) {
-    for (std::size_t i = 0; i < pool.rows(); ++i) {
-      TilePool::TileRef ref = pool.Fetch(i);
-      ASSERT_TRUE(ref.valid());
-      for (std::size_t j = 0; j < pool.rows(); ++j) {
-        kernel::PackIsSameCodesRaw(table, i, j, sim, expected.data());
-        for (std::size_t w = 0; w < pool.word_count(); ++w) {
-          ASSERT_EQ(ref.words()[j * pool.word_count() + w], expected[w])
-              << "sweep " << sweep << " pair (" << i << ", " << j << ")";
+  // Fewer frames than rows (rows past the third stream) and a frame per
+  // row (the plane).
+  for (const std::size_t frames : {std::size_t{3}, log.size()}) {
+    TilePool pool(&columns, sim, frames);
+    std::vector<std::uint64_t> expected(pool.word_count(), 0);
+    // Sweep all rows several times: every fetched tile — first touch or
+    // hit — must be bitwise identical to the streaming kernel, and only
+    // the first `frames` rows touched get one.
+    for (int sweep = 0; sweep < 3; ++sweep) {
+      for (std::size_t i = 0; i < pool.rows(); ++i) {
+        const std::uint64_t* tile = pool.Fetch(i);
+        ASSERT_EQ(tile != nullptr, i < frames)
+            << "frames " << frames << " row " << i;
+        if (tile == nullptr) continue;
+        for (std::size_t j = 0; j < pool.rows(); ++j) {
+          kernel::PackIsSameCodesRaw(table, i, j, sim, expected.data());
+          for (std::size_t w = 0; w < pool.word_count(); ++w) {
+            ASSERT_EQ(tile[j * pool.word_count() + w], expected[w])
+                << "frames " << frames << " sweep " << sweep << " pair ("
+                << i << ", " << j << ")";
+          }
         }
       }
     }
+    EXPECT_EQ(pool.full(), frames == pool.rows());
+    EXPECT_EQ(pool.bytes(), frames * TilePool::TileBytes(
+                                         log.size(), log.schema().size()));
+    if (frames < pool.rows()) {
+      EXPECT_GT(pool.hits() + pool.misses(), 0u);
+    } else {
+      // A plane counts no tile traffic.
+      EXPECT_EQ(pool.hits() + pool.misses(), 0u);
+    }
   }
-  EXPECT_GT(pool.evictions(), 0u);
-  EXPECT_GT(pool.hits() + pool.misses(), 0u);
-  EXPECT_EQ(pool.bytes(), 3 * TilePool::TileBytes(log.size(),
-                                                  log.schema().size()));
 }
 
-TEST(TilePoolTest, AllFramesPinnedFetchFallsBackInvalid) {
+TEST(TilePoolTest, InterruptedFillKeepsFinishedTiles) {
   const ExecutionLog log = SmallLog();
   const ColumnarLog columns(log);
-  TilePool pool(&columns, 0.1, /*frames=*/2);
-  TilePool::TileRef a = pool.Fetch(0);
-  TilePool::TileRef b = pool.Fetch(1);
-  ASSERT_TRUE(a.valid());
-  ASSERT_TRUE(b.valid());
-  // Both frames pinned: a third distinct row cannot be admitted and the
-  // caller streams it (invalid ref), rather than blocking.
-  TilePool::TileRef c = pool.Fetch(2);
-  EXPECT_FALSE(c.valid());
-  // Releasing a pin frees a victim frame for the next fetch.
-  a.Release();
-  TilePool::TileRef d = pool.Fetch(2);
-  EXPECT_TRUE(d.valid());
-  EXPECT_EQ(pool.evictions(), 1u);
+  TilePool plane(&columns, 0.1, log.size());
+  // Some tiles built on first touch before a fill starts.
+  std::vector<const std::uint64_t*> built;
+  for (std::size_t i = 0; i < 4; ++i) built.push_back(plane.Fetch(i));
+
+  // A fill under a cancelled request stops at its first checkpoint: the
+  // pool is not full, and the finished tiles keep their frames.
+  auto token = std::make_shared<CancelToken>();
+  token->Cancel();
+  ExecContext context;
+  context.cancel = token;
+  {
+    ScopedExecContext scoped(&context);
+    EXPECT_THROW(plane.Fill(2), InterruptedError);
+  }
+  EXPECT_FALSE(plane.full());
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    EXPECT_EQ(plane.Fetch(i), built[i]) << "row " << i;
+  }
+
+  // The next fill completes the pool around them.
+  plane.Fill(2);
+  EXPECT_TRUE(plane.full());
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    EXPECT_EQ(plane.Fetch(i), built[i]) << "row " << i;
+  }
 }
 
-TEST(TilePoolTest, ScanResistantSweepKeepsResidentPrefix) {
+TEST(TilePoolTest, InterruptedBuildFreesItsFrame) {
   const ExecutionLog log = SmallLog();
   const ColumnarLog columns(log);
-  TilePool pool(&columns, 0.1, /*frames=*/4);
-  // Repeated full sweeps over 12 rows through 4 frames: first-touch
-  // builds land at the cold end, so rows 0..2 stay resident and later
-  // sweeps hit them — plain LRU would evict everything every sweep.
-  for (int sweep = 0; sweep < 4; ++sweep) {
-    for (std::size_t i = 0; i < pool.rows(); ++i) pool.Fetch(i);
+  TilePool pool(&columns, 0.1, /*frames=*/1);
+  auto token = std::make_shared<CancelToken>();
+  token->Cancel();
+  ExecContext context;
+  context.cancel = token;
+  {
+    ScopedExecContext scoped(&context);
+    EXPECT_THROW(pool.Fetch(0), InterruptedError);
   }
-  EXPECT_GE(pool.hits(), 3u * 3u);  // rows 0..2 hit on sweeps 2..4
+  // The interrupted build gave its frame back: the pool's only frame
+  // still takes the next first touch, and row 0 then streams.
+  EXPECT_NE(pool.Fetch(1), nullptr);
+  EXPECT_EQ(pool.Fetch(0), nullptr);
 }
 
-// -------------------------------------------- randomized eviction suites
+// ---------------------------------------------- randomized budget suites
 
 /// Fills the query's pair-of-interest ids with the `skip`-th admissible
 /// pair, or returns false.
@@ -261,7 +228,7 @@ TEST(TilePoolEquivalenceTest, RandomInterleavingsMatchUnboundedBitwise) {
           prepared.push_back(std::move(one).value());
         }
         // Random interleaving: several passes over the queries in
-        // shuffled order, so tile eviction state differs run to run.
+        // shuffled order, so which rows hold frames differs run to run.
         Rng rng(spec.seed * 1000 + budget % 997 + threads);
         std::vector<std::size_t> order;
         for (int pass = 0; pass < 3; ++pass) {
@@ -315,7 +282,7 @@ TEST(TilePoolEquivalenceTest, TileCountersReportedOnTiledPathOnly) {
   EXPECT_GT(cold->tile_misses, 0u);
   auto warm = tiled.Explain(*prepared, request);
   ASSERT_TRUE(warm.ok());
-  EXPECT_GT(warm->tile_hits, 0u);  // the scan-resistant prefix survives
+  EXPECT_GT(warm->tile_hits, 0u);  // the first rows keep their frames
 
   // Resident plane and streaming report no tile traffic.
   for (std::size_t budget : {plane, std::size_t{0}}) {
@@ -334,7 +301,8 @@ TEST(TilePoolEquivalenceTest, TileCountersReportedOnTiledPathOnly) {
 TEST(TilePoolEquivalenceTest, ConcurrentFirstTouchUnderEightThreads) {
   // Eight threads race a cold tile pool's first touches: the kBuilding
   // rendezvous (condition variable) must hand every waiter a fully built
-  // tile, and every response must be bitwise identical to a serial run.
+  // tile, the lock-free ready lookup must only ever see published tiles,
+  // and every response must be bitwise identical to a serial run.
   // Runs under TSan in CI.
   const ExecutionLog log = testing::AdversarialLog(AdversarialLogSpecs()[0]);
   Query query = GtVsSimQuery("color_isSame = T");

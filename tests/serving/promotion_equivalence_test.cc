@@ -105,30 +105,30 @@ TEST(PromotionEquivalenceTest, SeededPlaneMatchesColdAtEveryThreadCount) {
 
   // Cold reference plane over the full log.
   const LogSnapshot cold(full);
-  const PairCodeStore::Resident* cold_plane =
-      cold.pair_codes().Acquire(sim, budget, 1);
+  TilePool* cold_plane = cold.pair_codes().Acquire(sim, budget, 1);
   ASSERT_NE(cold_plane, nullptr);
 
-  for (const int threads : {1, 2, 8}) {
+  // 0 resolves to the process default (hardware concurrency).
+  for (const int threads : {0, 1, 2, 8}) {
     const LogSnapshot base(base_log);
-    const PairCodeStore::Resident* base_plane = base.pair_codes().Acquire(
+    const TilePool* base_plane = base.pair_codes().Acquire(
         sim, PairCodeStore::BytesNeeded(base_log.size(),
                                         base_log.schema().size()),
         1);
     ASSERT_NE(base_plane, nullptr);
     const LogSnapshot grown(full, base);
-    const PairCodeStore::Resident* seeded =
-        grown.pair_codes().AcquireSeeded(sim, *base_plane, budget, threads);
+    TilePool* seeded =
+        grown.pair_codes().Acquire(sim, budget, threads, base_plane);
     ASSERT_NE(seeded, nullptr) << "threads " << threads;
     ASSERT_EQ(seeded->rows(), cold_plane->rows());
     ASSERT_EQ(seeded->word_count(), cold_plane->word_count());
-    const std::size_t words =
-        seeded->rows() * seeded->rows() * seeded->word_count();
-    EXPECT_EQ(std::memcmp(seeded->pair_words(0, 0),
-                          cold_plane->pair_words(0, 0),
-                          words * sizeof(std::uint64_t)),
-              0)
-        << "threads " << threads;
+    const std::size_t words = seeded->rows() * seeded->word_count();
+    for (std::size_t i = 0; i < seeded->rows(); ++i) {
+      EXPECT_EQ(std::memcmp(seeded->Fetch(i), cold_plane->Fetch(i),
+                            words * sizeof(std::uint64_t)),
+                0)
+          << "threads " << threads << " row " << i;
+    }
   }
 }
 
@@ -136,10 +136,11 @@ TEST(PromotionEquivalenceTest, SeededPlaneMatchesColdAtEveryThreadCount) {
 /// generation answers bitwise like a cold engine over the full log.
 void ExpectPromotedMatchesCold(const ExecutionLog& full,
                                std::size_t base_rows, EngineOptions options,
-                               const std::string& context) {
+                               const std::string& context,
+                               RotationPolicy policy = RotationPolicy()) {
   // Warm the base plane so promotion takes the seeded path when budget
   // allows.
-  LiveEngine live(Prefix(full, base_rows), options);
+  LiveEngine live(Prefix(full, base_rows), options, policy);
   const double sim = options.sim_but_diff.pair.sim_fraction;
   live.engine()->snapshot()->pair_codes().Acquire(
       sim, options.sim_but_diff.pair_code_budget_bytes, 1);
@@ -204,6 +205,19 @@ TEST(PromotionEquivalenceTest, PromotedEngineMatchesColdAcrossThreadCounts) {
     ExpectPromotedMatchesCold(full, 24, options,
                               "threads " + std::to_string(threads));
   }
+}
+
+TEST(PromotionEquivalenceTest, PromoteThreadsZeroMeansHardwareConcurrency) {
+  // promote_threads = 0 resolves through the one thread resolver (the
+  // process default, itself the hardware concurrency) instead of
+  // collapsing to a single stripe; the seeded fill still matches cold.
+  const ExecutionLog full = CausalLog(36, 29);
+  EngineOptions options;
+  options.explainer.threads = 1;
+  options.sim_but_diff.threads = 1;
+  RotationPolicy policy;
+  policy.promote_threads = 0;
+  ExpectPromotedMatchesCold(full, 24, options, "promote_threads 0", policy);
 }
 
 TEST(PromotionEquivalenceTest, PromotedEngineMatchesColdAcrossTileBudgets) {

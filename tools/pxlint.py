@@ -95,8 +95,7 @@ BOUNDARY_BANNED = [
 # that one walker carries the per-first-row checkpoint for all of them.
 CHECKPOINT_REGISTRY = [
     ("src/core/pair_enumeration.h", "ForEachCandidateRow"),
-    ("src/features/pair_code_store.cc", "PairCodeStore::Build"),
-    ("src/features/pair_code_store.cc", "PairCodeStore::BuildSeeded"),
+    ("src/features/tile_pool.cc", "TilePool::Fill"),
     ("src/features/tile_pool.cc", "TilePool::BuildTile"),
     ("src/ml/relief.cc", "RRelieffStripedImpl"),
     ("src/ml/decision_tree.cc", "DecisionTree::BuildEncoded"),
