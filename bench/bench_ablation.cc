@@ -24,7 +24,7 @@ using px::bench::Series;
 namespace {
 
 void RunVariant(const Fixture& fixture, const HarnessOptions& options,
-                const char* label, const px::PerfXplain::Options& variant) {
+                const char* label, const px::EngineOptions& variant) {
   Series precision;
   Series generality;
   for (int run = 0; run < options.runs; ++run) {
@@ -53,20 +53,20 @@ int main(int argc, char** argv) {
 
   px::bench::PrintRow({"variant", "precision", "generality"}, 40);
 
-  px::PerfXplain::Options baseline;
+  px::EngineOptions baseline;
   RunVariant(fixture, options, "baseline (paper settings)", baseline);
 
-  px::PerfXplain::Options no_normalization;
+  px::EngineOptions no_normalization;
   no_normalization.explainer.normalize_scores = false;
   RunVariant(fixture, options, "no score normalization", no_normalization);
 
-  px::PerfXplain::Options uniform_sampling;
+  px::EngineOptions uniform_sampling;
   uniform_sampling.explainer.balanced_sampling = false;
   RunVariant(fixture, options, "uniform (unbalanced) sampling",
              uniform_sampling);
 
   for (double weight : {1.0, 0.5}) {
-    px::PerfXplain::Options blend;
+    px::EngineOptions blend;
     blend.explainer.precision_weight = weight;
     RunVariant(fixture, options,
                px::StrFormat("precision weight w = %.1f", weight).c_str(),
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   }
 
   for (std::size_t cap : {4u, 16u}) {
-    px::PerfXplain::Options diversity;
+    px::EngineOptions diversity;
     diversity.explainer.max_pairs_per_record = cap;
     RunVariant(
         fixture, options,

@@ -49,10 +49,15 @@ int main(int argc, char** argv) {
         }
       }
       if (width == 3 && run == 0) {
-        px::PerfXplain system(logs.train);
-        auto explanation = system.ExplainWith(px::Technique::kPerfXplain,
-                                              fixture.query(), width);
-        if (explanation.ok()) sample_explanation = explanation->ToString();
+        const px::Engine engine(logs.train);
+        auto prepared = engine.Prepare(fixture.query());
+        px::ExplainRequest request;
+        request.width = width;
+        auto response = prepared.ok() ? engine.Explain(*prepared, request)
+                                      : prepared.status();
+        if (response.ok()) {
+          sample_explanation = response->explanation.ToString();
+        }
       }
     }
     std::vector<std::string> row = {std::to_string(width)};

@@ -23,20 +23,21 @@ std::vector<Series> RelevanceByWidth(Fixture& fixture,
   std::vector<Series> series(widths.size());
   for (int run = 0; run < options.runs; ++run) {
     const Fixture::SplitLogs logs = fixture.Split(run);
-    px::PerfXplain system(logs.train);
+    const px::Engine engine(logs.train);
     px::Query bound = fixture.query();
-    if (!bound.Bind(system.pair_schema()).ok()) continue;
+    if (!bound.Bind(engine.pair_schema()).ok()) continue;
+    auto prepared = engine.Prepare(fixture.query());
     for (std::size_t w = 0; w < widths.size(); ++w) {
       px::Predicate generated;
       if (widths[w] > 0) {
-        auto despite =
-            system.explainer().GenerateDespite(fixture.query(), widths[w]);
+        if (!prepared.ok()) continue;
+        auto despite = engine.GenerateDespite(*prepared, widths[w]);
         if (!despite.ok()) continue;
         generated = std::move(despite).value();
-        if (!generated.Bind(system.pair_schema()).ok()) continue;
+        if (!generated.Bind(engine.pair_schema()).ok()) continue;
       }
       series[w].Add(px::EvaluateDespiteRelevance(
-          logs.test, system.pair_schema(), bound, generated,
+          logs.test, engine.pair_schema(), bound, generated,
           px::PairFeatureOptions()));
     }
   }

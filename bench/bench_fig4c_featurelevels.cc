@@ -34,11 +34,11 @@ int main(int argc, char** argv) {
     for (int run = 0; run < options.runs; ++run) {
       const Fixture::SplitLogs logs = fixture.Split(run);
       for (std::size_t l = 0; l < levels.size(); ++l) {
-        px::PerfXplain::Options system_options;
-        system_options.explainer.level = levels[l];
+        px::EngineOptions engine_options;
+        engine_options.explainer.level = levels[l];
         auto metrics =
             px::bench::RunOnce(fixture, logs, px::Technique::kPerfXplain,
-                               width, system_options);
+                               width, engine_options);
         if (metrics.has_value()) {
           series[l].Add(metrics->precision);
         }

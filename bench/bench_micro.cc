@@ -195,16 +195,25 @@ BENCHMARK(BM_ExplainWidth3)->Arg(500)->Arg(2000)->Arg(8000);
 /// The §5.2 SimButDiff baseline on the columnar path: compiled query,
 /// packed 2-bit isSame codes compared against the poi with XOR+popcount
 /// word kernels, row-blocked scan. Arg = thread count (1 = per-core
-/// speedup vs the legacy baseline below, 0 = hardware concurrency).
+/// speedup vs the legacy baseline below, 0 = hardware concurrency). A
+/// zero pair-code budget keeps every pair on the streaming
+/// pack-and-compare, and Prepare runs per call, so the timing stays
+/// comparable with the per-call figures in BENCH_micro.json.
 void BM_SimButDiffExplain(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();
-  px::SimButDiffOptions options;
-  options.threads = static_cast<int>(state.range(0));
-  const px::SimButDiff baseline(&fixture.log, options);
+  px::EngineOptions options;
+  options.sim_but_diff.threads = static_cast<int>(state.range(0));
+  options.sim_but_diff.pair_code_budget_bytes = 0;
+  const px::Engine engine(fixture.log, options);
+  px::ExplainRequest request;
+  request.technique = px::Technique::kSimButDiff;
+  request.width = 3;
   for (auto _ : state) {
-    auto explanation = baseline.Explain(fixture.query, 3);
-    PX_CHECK(explanation.ok()) << explanation.status().ToString();
-    benchmark::DoNotOptimize(explanation);
+    auto prepared = engine.Prepare(fixture.query);
+    PX_CHECK(prepared.ok());
+    auto response = engine.Explain(*prepared, request);
+    PX_CHECK(response.ok()) << response.status().ToString();
+    benchmark::DoNotOptimize(response);
   }
   state.SetLabel("threads=" + std::to_string(state.range(0)));
 }
@@ -215,9 +224,15 @@ BENCHMARK(BM_SimButDiffExplain)->Arg(1)->Arg(0);
 /// the same run.
 void BM_SimButDiffExplainLegacyValuePath(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();
-  const px::SimButDiff baseline(&fixture.log, px::SimButDiffOptions());
+  const px::Engine engine(fixture.log);
+  auto prepared = engine.Prepare(fixture.query);
+  PX_CHECK(prepared.ok());
+  const px::SimButDiff baseline(&engine.log(), px::SimButDiffOptions(),
+                                &engine.snapshot()->columns());
   for (auto _ : state) {
-    auto explanation = baseline.ExplainLegacy(fixture.query, 3);
+    auto explanation =
+        baseline.ExplainLegacy(prepared->bound(), prepared->poi_first(),
+                               prepared->poi_second(), 3);
     PX_CHECK(explanation.ok()) << explanation.status().ToString();
     benchmark::DoNotOptimize(explanation);
   }
@@ -226,7 +241,7 @@ BENCHMARK(BM_SimButDiffExplainLegacyValuePath);
 
 /// The §5.1 RuleOfThumb one-time RReliefF ranking pass (the baseline's
 /// construction cost; its per-query Explain is O(k)) on the columnar
-/// backend, with the columns prebuilt as PerfXplain shares them. Arg =
+/// backend, with the columns prebuilt as the Engine shares them. Arg =
 /// thread count for the striped probe loop (1 = per-core speedup vs the
 /// legacy baseline below, 0 = hardware concurrency); weights are bitwise
 /// identical either way.

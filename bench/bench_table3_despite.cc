@@ -29,18 +29,20 @@ void RunQuery(const char* name, Fixture& fixture,
   std::string sample;
   for (int run = 0; run < options.runs; ++run) {
     const Fixture::SplitLogs logs = fixture.Split(run);
-    px::PerfXplain system(logs.train);
-    auto despite = system.GenerateDespite(fixture.query());
+    const px::Engine engine(logs.train);
+    auto prepared = engine.Prepare(fixture.query());
+    if (!prepared.ok()) continue;
+    auto despite = engine.GenerateDespite(*prepared);
     if (!despite.ok()) continue;
 
     px::Query bound = fixture.query();
-    if (!bound.Bind(system.pair_schema()).ok()) continue;
+    if (!bound.Bind(engine.pair_schema()).ok()) continue;
     px::Predicate generated = despite.value();
-    if (!generated.Bind(system.pair_schema()).ok()) continue;
-    before.Add(px::EvaluateDespiteRelevance(logs.test, system.pair_schema(),
+    if (!generated.Bind(engine.pair_schema()).ok()) continue;
+    before.Add(px::EvaluateDespiteRelevance(logs.test, engine.pair_schema(),
                                             bound, px::Predicate::True(),
                                             px::PairFeatureOptions()));
-    after.Add(px::EvaluateDespiteRelevance(logs.test, system.pair_schema(),
+    after.Add(px::EvaluateDespiteRelevance(logs.test, engine.pair_schema(),
                                            bound, generated,
                                            px::PairFeatureOptions()));
     if (run == 0) sample = generated.ToString();

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/perfxplain.h"
 #include "log/execution_log.h"
 #include "pxql/query.h"
 #include "simulator/trace_generator.h"

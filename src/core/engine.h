@@ -285,12 +285,13 @@ struct ExplainResponse {
   std::uint64_t tile_evictions = 0;
 };
 
-/// The thread-safe service facade: one immutable LogSnapshot, one
+/// The one public front door: one immutable LogSnapshot, one
 /// Explainer/SimButDiff/RuleOfThumb bound to it, and stateless per-request
 /// execution. `Explain` is safe to call from any number of threads
 /// concurrently — all technique state is immutable after construction
 /// except the lazily built RuleOfThumb ranking, which is initialized
-/// behind std::call_once (the fix for the old facade's lazy-init race).
+/// behind std::call_once. Prepare is the only place a query is bound,
+/// validated and resolved to its pair of interest.
 ///
 /// Typical use:
 ///   Engine engine(std::move(job_log));
@@ -355,9 +356,9 @@ class Engine {
   ///    identical bound despite/observed/expected, no auto-despite) share
   ///    ONE related-pair classification scan (ScanRelatedPairs); each
   ///    request then replays only its own serial sampling draws and
-  ///    clause generation (Explainer::ExplainPreparedWithScan). When the
-  ///    scan overflows the sample buffer cap, the group falls back to
-  ///    per-call execution.
+  ///    clause generation (Explainer::BuildEncodedExamplesFromScan +
+  ///    ExplainPreparedWithExamples). When the scan overflows the sample
+  ///    buffer cap, the group falls back to per-call execution.
   /// All other requests run through Explain. Results are bitwise
   /// identical to issuing the requests one-by-one; responses line up with
   /// `items`. The shared scans use the engine's configured thread counts

@@ -36,8 +36,8 @@ double PercentileRank(double value, const std::vector<double>& all) {
 ///  - Filter(candidate): shrink the working set to satisfying examples,
 ///    returning (kept, kept_target).
 ///
-/// ValueClauseDataset scans materialized Value vectors (the compatibility
-/// path); EncodedClauseDataset scans the integer-coded training matrix and
+/// ValueClauseDataset scans materialized Value vectors (the reference
+/// oracle); EncodedClauseDataset scans the integer-coded training matrix and
 /// produces bit-identical candidates, gains and scores.
 class ValueClauseDataset {
  public:
@@ -161,7 +161,6 @@ std::vector<ExplanationAtom> GenerateClauseWith(
   std::set<std::size_t> used_features;
 
   SplitOptions split_options;
-  split_options.constrain_to_pair = true;
 
   for (std::size_t step = 0; step < width; ++step) {
     // Candidates isolating (almost) nothing but the pair of interest look
@@ -274,10 +273,6 @@ std::vector<ExplanationAtom> GenerateClauseWith(
   return trace;
 }
 
-}  // namespace
-
-namespace {
-
 const ExecutionLog& CheckedLog(const ExecutionLog* log) {
   PX_CHECK(log != nullptr);
   return *log;
@@ -305,36 +300,11 @@ Status CheckDefinition1(const CompiledQuery& compiled, std::size_t first,
 
 Explainer::Explainer(const ExecutionLog* log, ExplainerOptions options,
                      const ColumnarLog* columns)
-    : log_(&CheckedLog(log)), options_(options), schema_(log->schema()) {
-  if (columns == nullptr) {
-    owned_columnar_ = std::make_unique<ColumnarLog>(*log);
-    columnar_ = owned_columnar_.get();
-  } else {
-    columnar_ = columns;
-  }
-}
-
-Result<Query> Explainer::PrepareQuery(const Query& query) const {
-  Query bound = query;
-  PX_RETURN_IF_ERROR(bound.Bind(schema_));
-  PX_RETURN_IF_ERROR(bound.Validate());
-  if (bound.first_id.empty() || bound.second_id.empty()) {
-    return Status::InvalidArgument(
-        "query must identify the pair of interest (FOR ... WHERE)");
-  }
-  auto first = log_->Find(bound.first_id);
-  if (!first.ok()) return first.status();
-  auto second = log_->Find(bound.second_id);
-  if (!second.ok()) return second.status();
-  // Definition 1: des(J1,J2) and obs(J1,J2) must hold; exp(J1,J2) must not.
-  // Checked on the compiled programs so the whole Explain pipeline stays
-  // encoded-only (no Value is ever materialized for a pair feature).
-  const CompiledQuery compiled =
-      CompiledQuery::Compile(bound, schema_, *columnar_);
-  PX_RETURN_IF_ERROR(CheckDefinition1(compiled, first.value(),
-                                      second.value(),
-                                      options_.pair.sim_fraction));
-  return bound;
+    : log_(&CheckedLog(log)),
+      options_(options),
+      schema_(log->schema()),
+      columnar_(columns) {
+  PX_CHECK(columns != nullptr);
 }
 
 std::vector<std::size_t> Explainer::ExcludedRawFeatures(
@@ -358,13 +328,6 @@ Result<std::vector<TrainingExample>> Explainer::BuildExamples(
   return EnforceRecordDiversity(std::move(examples).value(),
                                 options_.max_pairs_per_record,
                                 /*keep_first=*/true);
-}
-
-Result<EncodedDataset> Explainer::BuildEncodedExamples(
-    const Query& bound_query, std::size_t poi_first,
-    std::size_t poi_second) const {
-  return BuildEncodedExamplesWith(bound_query, poi_first, poi_second,
-                                  options_);
 }
 
 Result<EncodedDataset> Explainer::BuildEncodedExamplesWith(
@@ -408,15 +371,6 @@ Result<EncodedDataset> Explainer::BuildEncodedExamplesFromScan(
                         options.pair.sim_fraction);
 }
 
-Result<Explanation> Explainer::ExplainPreparedWithScan(
-    const Query& bound, const RelatedPairScan& scan, std::size_t poi_first,
-    std::size_t poi_second, const ExplainerOptions& options) const {
-  auto examples = BuildEncodedExamplesFromScan(bound, scan, poi_first,
-                                               poi_second, options);
-  if (!examples.ok()) return examples.status();
-  return ExplainPreparedWithExamples(bound, examples.value(), options);
-}
-
 Result<Explanation> Explainer::ExplainPreparedWithExamples(
     const Query& bound, const EncodedDataset& examples,
     const ExplainerOptions& options) const {
@@ -441,15 +395,6 @@ std::vector<ExplanationAtom> Explainer::GenerateClause(
                             redundant_atoms);
 }
 
-std::vector<ExplanationAtom> Explainer::GenerateClause(
-    const EncodedDataset& examples, std::size_t width, bool target_expected,
-    const std::vector<std::size_t>& excluded_raw,
-    const std::vector<Atom>& redundant_atoms) const {
-  EncodedClauseDataset working(examples, target_expected);
-  return GenerateClauseWith(working, schema_, options_, width, excluded_raw,
-                            redundant_atoms);
-}
-
 Predicate Explainer::ClauseToPredicate(
     const std::vector<ExplanationAtom>& trace) {
   Predicate predicate;
@@ -459,40 +404,13 @@ Predicate Explainer::ClauseToPredicate(
   return predicate;
 }
 
-Result<Explanation> Explainer::Explain(const Query& query) const {
-  auto bound = PrepareQuery(query);
-  if (!bound.ok()) return bound.status();
-  return ExplainPrepared(*bound, log_->Find(bound->first_id).value(),
-                         log_->Find(bound->second_id).value(), options_);
-}
-
 Result<Explanation> Explainer::ExplainPrepared(
     const Query& bound, std::size_t poi_first, std::size_t poi_second,
     const ExplainerOptions& options) const {
   auto examples =
       BuildEncodedExamplesWith(bound, poi_first, poi_second, options);
   if (!examples.ok()) return examples.status();
-
-  Explanation explanation;
-  EncodedClauseDataset working(examples.value(), /*target_expected=*/false);
-  explanation.because_trace =
-      GenerateClauseWith(working, schema_, options, options.width,
-                         ExcludedRawFeatures(bound), bound.despite.atoms());
-  explanation.because = ClauseToPredicate(explanation.because_trace);
-  if (explanation.because.is_true()) {
-    return Status::Internal("no applicable because clause could be built");
-  }
-  return explanation;
-}
-
-Result<Predicate> Explainer::GenerateDespite(const Query& query,
-                                             std::size_t width) const {
-  auto bound = PrepareQuery(query);
-  if (!bound.ok()) return bound.status();
-  return GenerateDespitePrepared(*bound,
-                                 log_->Find(bound->first_id).value(),
-                                 log_->Find(bound->second_id).value(), width,
-                                 options_);
+  return ExplainPreparedWithExamples(bound, examples.value(), options);
 }
 
 Result<Predicate> Explainer::GenerateDespitePrepared(
@@ -506,15 +424,6 @@ Result<Predicate> Explainer::GenerateDespitePrepared(
       GenerateClauseWith(working, schema_, options, width,
                          ExcludedRawFeatures(bound), bound.despite.atoms());
   return ClauseToPredicate(trace);
-}
-
-Result<Explanation> Explainer::ExplainWithAutoDespite(
-    const Query& query) const {
-  auto bound = PrepareQuery(query);
-  if (!bound.ok()) return bound.status();
-  return ExplainWithAutoDespitePrepared(
-      *bound, log_->Find(bound->first_id).value(),
-      log_->Find(bound->second_id).value(), options_);
 }
 
 Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(

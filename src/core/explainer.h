@@ -2,7 +2,6 @@
 #define PERFXPLAIN_CORE_EXPLAINER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -40,7 +39,7 @@ struct ExplainerOptions {
   /// Width of machine-generated despite clauses (§6.4 uses 3).
   std::size_t despite_width = 3;
 
-  /// ExplainWithAutoDespite stops extending the despite clause once its
+  /// Auto-despite requests stop extending the despite clause once its
   /// relevance over the training sample reaches this threshold (§4.2:
   /// "an easy modification is to set a relevance threshold r").
   double despite_relevance_threshold = 0.95;
@@ -84,79 +83,51 @@ struct ExplainerOptions {
 /// explanations.
 class Explainer {
  public:
-  /// `log` must outlive the explainer. When `columns` is non-null it must
-  /// be the columnar copy of `log` (and outlive this object too); the
-  /// explainer then shares it instead of building its own — the Engine
-  /// passes its snapshot's so every technique scans one replica.
+  /// `log` and `columns` must outlive the explainer; `columns` must be the
+  /// columnar copy of `log` (the Engine passes its snapshot's, so every
+  /// technique scans one replica).
   Explainer(const ExecutionLog* log, ExplainerOptions options,
-            const ColumnarLog* columns = nullptr);
+            const ColumnarLog* columns);
 
   const PairSchema& pair_schema() const { return schema_; }
   const ExplainerOptions& options() const { return options_; }
 
-  /// Resolves the pair of interest from the query's ids, checks Definition 1
-  /// (des and obs hold for the pair, exp does not) and returns the bound
-  /// query. Exposed for callers that drive the pieces separately.
-  Result<Query> PrepareQuery(const Query& query) const;
-
-  /// Default mode: generates only the bec clause (§4.2: "by default,
-  /// PerfXplain generates only the bec clause").
-  Result<Explanation> Explain(const Query& query) const;
-
-  /// Generates a des' clause of width `width` for the query (the user asks
-  /// for a despite clause explicitly, §6.4).
-  Result<Predicate> GenerateDespite(const Query& query,
-                                    std::size_t width) const;
-
-  /// Generates a des' clause (stopping early at the relevance threshold),
-  /// folds it into the query, then generates the bec clause in its context.
-  Result<Explanation> ExplainWithAutoDespite(const Query& query) const;
-
-  /// The entry points behind Engine::Explain: the same three pipelines
-  /// starting from a query already prepared (bound, validated, Definition 1
-  /// checked — see PrepareQuery) with its pair of interest resolved, under
-  /// explicit per-request options. The parse/bind/resolve work is paid once
-  /// per PreparedQuery instead of once per call. `options` may differ from
-  /// the constructor options only in width / despite_width / seed /
-  /// threads: anything that changes pair semantics (sim_fraction, level,
-  /// sampling sizes) would desynchronize the check PrepareQuery already
-  /// performed. Thread-safe: these methods touch only immutable state and
-  /// call-local Rngs.
+  /// The entry points behind Engine::Explain and Engine::GenerateDespite:
+  /// the default because-only mode (§4.2: "by default, PerfXplain
+  /// generates only the bec clause"), an explicit des' clause (§6.4) and
+  /// des' + bec, each starting from a query Engine::Prepare bound,
+  /// validated and resolved to its pair of interest (and whose Definition
+  /// 1 check the Engine enforces), under explicit per-request options.
+  /// `options` may differ from the constructor options only in width /
+  /// despite_width / seed / threads: anything that changes pair semantics
+  /// (sim_fraction, level, sampling sizes) would desynchronize the
+  /// Definition 1 check the Engine already performed. Thread-safe: these
+  /// methods touch only immutable state and call-local Rngs.
   Result<Explanation> ExplainPrepared(const Query& bound,
                                       std::size_t poi_first,
                                       std::size_t poi_second,
                                       const ExplainerOptions& options) const;
 
-  /// ExplainPrepared with the related-pair counting scan already done —
-  /// the amortization seam of Engine::ExplainBatch for PerfXplain: the
-  /// O(n²) classification pass depends only on the query *shape* (its
-  /// three bound predicates), so a batch of structurally identical
-  /// queries shares one ScanRelatedPairs and each request replays only
-  /// its own serial sampling draws, encoding and clause generation.
-  /// `scan` must come from ScanRelatedPairs over this explainer's columns
-  /// with the query's compiled programs and this engine's sim_fraction,
-  /// and must not be overflowed. Bitwise identical to ExplainPrepared.
-  Result<Explanation> ExplainPreparedWithScan(
-      const Query& bound, const RelatedPairScan& scan, std::size_t poi_first,
-      std::size_t poi_second, const ExplainerOptions& options) const;
-
-  /// The per-request half of ExplainPreparedWithScan, split at the encoded
-  /// training matrix: serial sampling replay + diversity cap + encoding.
-  /// The matrix depends only on (scan, pair of interest, seed, sampling
-  /// options, sim_fraction) — NOT on the clause width — so ExplainBatch
-  /// builds it once per (shape, seed, poi) sub-group and feeds it to
-  /// ExplainPreparedWithExamples per request. `scan` has the same
-  /// provenance contract as ExplainPreparedWithScan.
+  /// ExplainPrepared split at the encoded training matrix — the
+  /// amortization seam of Engine::ExplainBatch for PerfXplain. The O(n²)
+  /// related-pair classification depends only on the query *shape* (its
+  /// three bound predicates), so a batch of structurally identical queries
+  /// shares one ScanRelatedPairs. This half replays the request's serial
+  /// sampling draws, applies the diversity cap and encodes. The matrix
+  /// depends only on (scan, pair of interest, seed, sampling options,
+  /// sim_fraction) — NOT on the clause width — so ExplainBatch builds it
+  /// once per (shape, seed, poi) sub-group. `scan` must come from
+  /// ScanRelatedPairs over this explainer's columns with the query's
+  /// compiled programs and this engine's sim_fraction, and must not be
+  /// overflowed.
   Result<EncodedDataset> BuildEncodedExamplesFromScan(
       const Query& bound_query, const RelatedPairScan& scan,
       std::size_t poi_first, std::size_t poi_second,
       const ExplainerOptions& options) const;
 
-  /// The clause-generation tail of ExplainPreparedWithScan over an
-  /// already-built encoded training matrix. `examples` must come from
-  /// BuildEncodedExamplesFromScan for the same bound query (any width).
-  /// ExplainPreparedWithScan == BuildEncodedExamplesFromScan +
-  /// ExplainPreparedWithExamples, bitwise.
+  /// The because-clause tail of ExplainPrepared over an already-built
+  /// encoded training matrix (any width). BuildEncodedExamplesFromScan +
+  /// ExplainPreparedWithExamples == ExplainPrepared, bitwise.
   Result<Explanation> ExplainPreparedWithExamples(
       const Query& bound, const EncodedDataset& examples,
       const ExplainerOptions& options) const;
@@ -167,12 +138,13 @@ class Explainer {
       const Query& bound, std::size_t poi_first, std::size_t poi_second,
       const ExplainerOptions& options) const;
 
-  /// Lower-level entry point used by the experiments: generates one clause
-  /// from already-materialized training examples. The first example must be
-  /// the pair of interest. `target_expected` selects des' mode (optimize
-  /// relevance) versus bec mode (optimize precision). Atoms appearing
-  /// verbatim in `redundant_atoms` (the query's despite clause, which every
-  /// related pair satisfies) are never proposed.
+  /// The Value-path oracle of the clause search: generates one clause from
+  /// already-materialized training examples (the equivalence suites pin
+  /// the encoded pipeline against it). The first example must be the pair
+  /// of interest. `target_expected` selects des' mode (optimize relevance)
+  /// versus bec mode (optimize precision). Atoms appearing verbatim in
+  /// `redundant_atoms` (the query's despite clause, which every related
+  /// pair satisfies) are never proposed.
   std::vector<ExplanationAtom> GenerateClause(
       std::vector<TrainingExample> examples, std::size_t width,
       bool target_expected, const std::vector<std::size_t>& excluded_raw,
@@ -183,38 +155,21 @@ class Explainer {
   std::vector<std::size_t> ExcludedRawFeatures(const Query& bound_query)
       const;
 
-  /// Builds (and balanced-samples) the training examples for `bound_query`
-  /// with the pair of interest first. Exposed for experiments.
+  /// The Value-path oracle of the sampler: builds (and balanced-samples)
+  /// the training examples for a query Engine::Prepare bound, with the
+  /// pair of interest first.
   Result<std::vector<TrainingExample>> BuildExamples(
       const Query& bound_query, std::size_t poi_first,
       std::size_t poi_second) const;
-
-  /// Columnar fast path of BuildExamples: the same sampled pairs (same Rng
-  /// draw sequence) encoded into an integer training matrix, never
-  /// materializing a Value. Explain/GenerateDespite/ExplainWithAutoDespite
-  /// run on this; the Value-based entry points above remain as a
-  /// compatibility layer.
-  Result<EncodedDataset> BuildEncodedExamples(const Query& bound_query,
-                                              std::size_t poi_first,
-                                              std::size_t poi_second) const;
-
-  /// GenerateClause over the encoded training matrix — the engine behind
-  /// Explain. Produces the same clause as the Value-based overload for the
-  /// same underlying examples.
-  std::vector<ExplanationAtom> GenerateClause(
-      const EncodedDataset& examples, std::size_t width, bool target_expected,
-      const std::vector<std::size_t>& excluded_raw,
-      const std::vector<Atom>& redundant_atoms = {}) const;
-
-  /// The dictionary-encoded copy of the log shared by all queries.
-  const ColumnarLog& columnar() const { return *columnar_; }
 
  private:
   static Predicate ClauseToPredicate(
       const std::vector<ExplanationAtom>& trace);
 
-  /// BuildEncodedExamples under explicit options (seed / threads / sampling
-  /// come from `options`, not the constructor's).
+  /// The encoded fast path of BuildExamples: the same sampled pairs (same
+  /// Rng draw sequence) encoded into an integer training matrix, never
+  /// materializing a Value, under explicit options (seed / threads /
+  /// sampling come from `options`, not the constructor's).
   Result<EncodedDataset> BuildEncodedExamplesWith(
       const Query& bound_query, std::size_t poi_first, std::size_t poi_second,
       const ExplainerOptions& options) const;
@@ -222,13 +177,12 @@ class Explainer {
   const ExecutionLog* log_;
   ExplainerOptions options_;
   PairSchema schema_;
-  std::unique_ptr<ColumnarLog> owned_columnar_;
   const ColumnarLog* columnar_;
 };
 
 /// Definition 1 check on the compiled programs: des and obs must hold for
-/// the pair of interest, exp must not. Shared by Explainer::PrepareQuery
-/// and Engine::Prepare so both report identical statuses.
+/// the pair of interest, exp must not. Engine::Prepare records it and
+/// Engine enforces it for the PerfXplain technique.
 Status CheckDefinition1(const CompiledQuery& compiled, std::size_t first,
                         std::size_t second, double sim_fraction);
 

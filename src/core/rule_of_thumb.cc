@@ -21,38 +21,15 @@ Result<Explanation> FinishExplanation(Explanation explanation) {
 
 RuleOfThumb::RuleOfThumb(const ExecutionLog* log, RuleOfThumbOptions options,
                          const ColumnarLog* columns)
-    : log_(log), options_(options), schema_(log->schema()) {
+    : log_(log), options_(options), schema_(log->schema()), columns_(columns) {
   PX_CHECK(log != nullptr);
-  if (columns == nullptr) {
-    owned_columns_ = std::make_unique<ColumnarLog>(*log);
-    columns_ = owned_columns_.get();
-  } else {
-    columns_ = columns;
-  }
+  PX_CHECK(columns != nullptr);
   const std::size_t target = log_->schema().IndexOf(feature_names::kDuration);
   PX_CHECK_NE(target, Schema::kNotFound)
       << "log schema lacks a duration feature";
   Rng rng(options_.seed);
   ranking_ =
       RankFeaturesByImportance(*columns_, target, options_.relief, rng);
-}
-
-Result<std::pair<std::size_t, std::size_t>> RuleOfThumb::ResolvePair(
-    Query& bound) const {
-  PX_RETURN_IF_ERROR(bound.Bind(schema_));
-  auto first = log_->Find(bound.first_id);
-  if (!first.ok()) return first.status();
-  auto second = log_->Find(bound.second_id);
-  if (!second.ok()) return second.status();
-  return std::make_pair(first.value(), second.value());
-}
-
-Result<Explanation> RuleOfThumb::Explain(const Query& query,
-                                         std::size_t width) const {
-  Query bound = query;
-  auto poi = ResolvePair(bound);
-  if (!poi.ok()) return poi.status();
-  return ExplainPrepared(bound, poi->first, poi->second, width);
 }
 
 Result<Explanation> RuleOfThumb::ExplainPrepared(const Query& bound,
@@ -81,13 +58,12 @@ Result<Explanation> RuleOfThumb::ExplainPrepared(const Query& bound,
   return FinishExplanation(std::move(explanation));
 }
 
-Result<Explanation> RuleOfThumb::ExplainLegacy(const Query& query,
+Result<Explanation> RuleOfThumb::ExplainLegacy(const Query& bound,
+                                               std::size_t poi_first,
+                                               std::size_t poi_second,
                                                std::size_t width) const {
-  Query bound = query;
-  auto poi = ResolvePair(bound);
-  if (!poi.ok()) return poi.status();
-  PairFeatureView view(&schema_, &log_->at(poi->first),
-                       &log_->at(poi->second), &options_.pair);
+  PairFeatureView view(&schema_, &log_->at(poi_first), &log_->at(poi_second),
+                       &options_.pair);
 
   const std::vector<bool> excluded = OutcomeRawFeatureMask(bound, schema_);
 

@@ -2,8 +2,6 @@
 #define PERFXPLAIN_CORE_RULE_OF_THUMB_H_
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -35,42 +33,35 @@ struct RuleOfThumbOptions {
 /// Values), bitwise identical to the legacy path.
 class RuleOfThumb {
  public:
-  /// Ranks features once over `log` (which must outlive this object). When
-  /// `columns` is non-null it must be the columnar copy of `log` (and
-  /// outlive this object too); the baseline then shares it instead of
-  /// building its own — PerfXplain passes the Explainer's so all three
-  /// techniques scan one replica.
+  /// Ranks features once over `columns`, the columnar copy of `log`; both
+  /// must outlive this object (the Engine passes its snapshot's replica,
+  /// so all three techniques scan one).
   RuleOfThumb(const ExecutionLog* log, RuleOfThumbOptions options,
-              const ColumnarLog* columns = nullptr);
+              const ColumnarLog* columns);
 
   /// Feature ranking (raw-schema indexes, most important first).
   const std::vector<std::size_t>& ranking() const { return ranking_; }
 
-  /// Builds the width-w explanation for the query's pair of interest.
-  Result<Explanation> Explain(const Query& query, std::size_t width) const;
-
-  /// Explain starting from a query already bound with its pair of interest
-  /// resolved (Engine::Prepare) — skips the per-call bind/find work. The
-  /// per-query part is O(k); thread-safe over the immutable ranking.
+  /// Builds the width-w explanation for a query Engine::Prepare bound and
+  /// resolved to its pair of interest. The per-query part is O(k);
+  /// thread-safe over the immutable ranking.
   Result<Explanation> ExplainPrepared(const Query& bound,
                                       std::size_t poi_first,
                                       std::size_t poi_second,
                                       std::size_t width) const;
 
-  /// The seed implementation (Value-path disagreement test), kept as a
-  /// compatibility layer for the equivalence tests and the in-binary
-  /// bench_micro baseline. Bitwise-identical explanations.
-  Result<Explanation> ExplainLegacy(const Query& query,
+  /// The seed implementation (Value-path disagreement test), kept as the
+  /// reference oracle for the equivalence tests and the in-binary
+  /// bench_micro baseline. Takes the same prepared inputs as
+  /// ExplainPrepared. Bitwise-identical explanations.
+  Result<Explanation> ExplainLegacy(const Query& bound, std::size_t poi_first,
+                                    std::size_t poi_second,
                                     std::size_t width) const;
 
  private:
-  /// Binds the query and resolves the pair of interest.
-  Result<std::pair<std::size_t, std::size_t>> ResolvePair(Query& bound) const;
-
   const ExecutionLog* log_;
   RuleOfThumbOptions options_;
   PairSchema schema_;
-  std::unique_ptr<ColumnarLog> owned_columns_;
   const ColumnarLog* columns_;
   std::vector<std::size_t> ranking_;
 };

@@ -85,15 +85,13 @@ Result<Explanation> ExplanationFromTallies(
 
 SimButDiff::SimButDiff(const ExecutionLog* log, SimButDiffOptions options,
                        const ColumnarLog* columns, const PairCodeStore* store)
-    : log_(log), options_(options), schema_(log->schema()), store_(store) {
+    : log_(log),
+      options_(options),
+      schema_(log->schema()),
+      columns_(columns),
+      store_(store) {
   PX_CHECK(log != nullptr);
-  if (columns == nullptr) {
-    owned_columns_ = std::make_unique<ColumnarLog>(*log);
-    columns_ = owned_columns_.get();
-    PX_CHECK(store == nullptr);  // a store always belongs to its columns
-  } else {
-    columns_ = columns;
-  }
+  PX_CHECK(columns != nullptr);
 }
 
 TilePool* SimButDiff::AcquireTiles(int threads) const {
@@ -102,28 +100,6 @@ TilePool* SimButDiff::AcquireTiles(int threads) const {
   const std::size_t budget = options_.pair_code_budget_bytes;
   TilePool* plane = store_->Acquire(sim, budget, threads);
   return plane != nullptr ? plane : store_->AcquireTilePool(sim, budget);
-}
-
-Result<std::pair<std::size_t, std::size_t>> SimButDiff::ResolvePair(
-    Query& bound) const {
-  PX_RETURN_IF_ERROR(bound.Bind(schema_));
-  PX_RETURN_IF_ERROR(bound.Validate());
-  auto first = log_->Find(bound.first_id);
-  if (!first.ok()) return first.status();
-  auto second = log_->Find(bound.second_id);
-  if (!second.ok()) return second.status();
-  return std::make_pair(first.value(), second.value());
-}
-
-Result<Explanation> SimButDiff::Explain(const Query& query,
-                                        std::size_t width) const {
-  Query bound = query;
-  auto poi = ResolvePair(bound);
-  if (!poi.ok()) return poi.status();
-  const CompiledQuery compiled =
-      CompiledQuery::Compile(bound, schema_, *columns_);
-  return ExplainPrepared(bound, compiled, poi->first, poi->second, width,
-                         EnumerationOptions{options_.threads});
 }
 
 Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
@@ -484,14 +460,10 @@ std::vector<Result<Explanation>> SimButDiff::ExplainBatch(
   return results;
 }
 
-Result<Explanation> SimButDiff::ExplainLegacy(const Query& query,
+Result<Explanation> SimButDiff::ExplainLegacy(const Query& bound,
+                                              std::size_t poi_first,
+                                              std::size_t poi_second,
                                               std::size_t width) const {
-  Query bound = query;
-  auto poi = ResolvePair(bound);
-  if (!poi.ok()) return poi.status();
-  const std::size_t poi_first = poi->first;
-  const std::size_t poi_second = poi->second;
-
   const std::size_t k = schema_.raw_size();
   PairFeatureView poi_view(&schema_, &log_->at(poi_first),
                            &log_->at(poi_second), &options_.pair);

@@ -2,8 +2,6 @@
 #define PERFXPLAIN_CORE_SIM_BUT_DIFF_H_
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -57,33 +55,27 @@ struct SimButDiffOptions {
 /// branches — so no Value is materialized while enumerating.
 class SimButDiff {
  public:
-  /// `log` must outlive this object. When `columns` is non-null it must be
-  /// the columnar copy of `log` (and outlive this object too); the
-  /// baseline then shares it instead of building its own — PerfXplain
-  /// passes the Explainer's so all three techniques scan one replica.
-  /// When `store` is non-null it must be the PairCodeStore of `columns`
-  /// (the Engine passes its snapshot's): Explain then reads the
-  /// snapshot-resident tiles of the store's TilePool — the first
-  /// acquisition of a plane fills it once, every later sequential query
-  /// skips packing entirely — subject to
+  /// `log` and `columns` must outlive this object; `columns` must be the
+  /// columnar copy of `log` (the Engine passes its snapshot's, so all
+  /// three techniques scan one replica). When `store` is non-null it must
+  /// be the PairCodeStore of `columns` (the Engine passes its snapshot's):
+  /// scans then read the snapshot-resident tiles of the store's TilePool
+  /// — the first acquisition of a plane fills it once, every later
+  /// sequential query skips packing entirely — subject to
   /// SimButDiffOptions::pair_code_budget_bytes. A null store keeps the
   /// streaming fused pack-and-compare.
   SimButDiff(const ExecutionLog* log, SimButDiffOptions options,
-             const ColumnarLog* columns = nullptr,
+             const ColumnarLog* columns,
              const PairCodeStore* store = nullptr);
 
   /// The columnar replica every scan of this baseline reads.
   const ColumnarLog& columns() const { return *columns_; }
 
-  Result<Explanation> Explain(const Query& query, std::size_t width) const;
-
-  /// Explain starting from a query already bound, validated and resolved
-  /// (Engine::Prepare): `compiled` must be the query's programs compiled
-  /// against this baseline's columns. Skips the per-call parse/bind/find
-  /// work; otherwise identical to Explain. `enumeration` supplies the
-  /// worker-thread count (overriding the constructor's; 0 = process
-  /// default) and the candidate-pair pruning switch — neither changes the
-  /// result.
+  /// Answers a query Engine::Prepare bound, validated and resolved to its
+  /// pair of interest: `compiled` must be the query's programs compiled
+  /// against this baseline's columns. `enumeration` supplies the
+  /// worker-thread count (0 = process default) and the candidate-pair
+  /// pruning switch — neither changes the result.
   Result<Explanation> ExplainPrepared(
       const Query& bound, const CompiledQuery& compiled,
       std::size_t poi_first, std::size_t poi_second, std::size_t width,
@@ -112,16 +104,16 @@ class SimButDiff {
       const std::vector<PreparedBatchQuery>& queries, int threads) const;
 
   /// The seed implementation (lazy Value views through
-  /// ForEachOrderedPair), kept as a compatibility layer: the randomized
+  /// ForEachOrderedPair), kept as the reference oracle: the randomized
   /// equivalence tests and the in-binary bench_micro baseline pin the
-  /// columnar path against it. Bitwise-identical explanations.
-  Result<Explanation> ExplainLegacy(const Query& query,
+  /// columnar path against it. Takes the bound query and pair of interest
+  /// of a PreparedQuery, like ExplainPrepared. Bitwise-identical
+  /// explanations.
+  Result<Explanation> ExplainLegacy(const Query& bound, std::size_t poi_first,
+                                    std::size_t poi_second,
                                     std::size_t width) const;
 
  private:
-  /// Binds and validates the query and resolves the pair of interest.
-  Result<std::pair<std::size_t, std::size_t>> ResolvePair(Query& bound) const;
-
   /// The one tile source of every scan: the store's plane (filled on
   /// `threads` stripes) when the budget fits one, else its fractional
   /// pool, else nullptr — every row streams.
@@ -130,7 +122,6 @@ class SimButDiff {
   const ExecutionLog* log_;
   SimButDiffOptions options_;
   PairSchema schema_;
-  std::unique_ptr<ColumnarLog> owned_columns_;
   const ColumnarLog* columns_;
   const PairCodeStore* store_;  ///< may be null: streaming pack only
 };

@@ -50,8 +50,8 @@ struct ThresholdPoint {
 void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
                            std::vector<ThresholdPoint>& points,
                            std::size_t missing_total,
-                           std::size_t missing_positive, bool have_poi,
-                           double poi, const SplitOptions& options,
+                           std::size_t missing_positive, double poi,
+                           const SplitOptions& options,
                            std::optional<SplitCandidate>& best) {
   using Point = ThresholdPoint;
   if (points.empty()) return;
@@ -75,7 +75,7 @@ void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
   }
   thresholds.push_back(points.front().value);
   thresholds.push_back(points.back().value);
-  if (have_poi) thresholds.push_back(poi);
+  thresholds.push_back(poi);
   std::sort(thresholds.begin(), thresholds.end());
   thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
                    thresholds.end());
@@ -92,7 +92,7 @@ void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
       ++cursor;
     }
     // f <= c; applicable iff poi <= c.
-    if (!options.constrain_to_pair || (have_poi && poi <= c)) {
+    if (poi <= c) {
       SplitCounts counts;
       counts.in_total = prefix_total;
       counts.in_positive = prefix_positive;
@@ -108,7 +108,7 @@ void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
     // the strict prefix of values < c; recompute via the complement of the
     // prefix of values <= c when c is not an observed value. To stay exact
     // we count the suffix directly from the prefix of values < c.
-    if (!options.constrain_to_pair || (have_poi && poi >= c)) {
+    if (poi >= c) {
       // Count of points with value < c: step an independent scan would cost
       // O(n) per threshold; instead note that points with value < c equals
       // prefix_total minus points exactly equal to c that were consumed.
@@ -137,7 +137,7 @@ void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
 /// Value-path point extraction for the shared threshold scan.
 void SearchNumericThresholds(const PairSchema& schema,
                              const std::vector<TrainingExample>& examples,
-                             std::size_t pair_index, const Value& poi_value,
+                             std::size_t pair_index, double poi,
                              const SplitOptions& options,
                              std::optional<SplitCandidate>& best) {
   std::vector<ThresholdPoint> points;
@@ -153,10 +153,8 @@ void SearchNumericThresholds(const PairSchema& schema,
       if (example.observed) ++missing_positive;
     }
   }
-  const bool have_poi = poi_value.is_numeric();
-  const double poi = have_poi ? poi_value.number() : 0.0;
   ScanNumericThresholds(schema, pair_index, points, missing_total,
-                        missing_positive, have_poi, poi, options, best);
+                        missing_positive, poi, options, best);
 }
 
 /// Encoded point extraction: same scan, inputs from code/double columns.
@@ -164,8 +162,8 @@ void SearchNumericThresholdsEncoded(const PairSchema& schema,
                                     const EncodedDataset& data,
                                     const std::vector<std::uint32_t>& rows,
                                     const std::vector<std::uint8_t>& labels,
-                                    std::size_t pair_index, bool have_poi,
-                                    double poi, const SplitOptions& options,
+                                    std::size_t pair_index, double poi,
+                                    const SplitOptions& options,
                                     std::optional<SplitCandidate>& best) {
   std::vector<ThresholdPoint> points;
   points.reserve(rows.size());
@@ -181,7 +179,7 @@ void SearchNumericThresholdsEncoded(const PairSchema& schema,
     }
   }
   ScanNumericThresholds(schema, pair_index, points, missing_total,
-                        missing_positive, have_poi, poi, options, best);
+                        missing_positive, poi, options, best);
 }
 
 }  // namespace
@@ -189,136 +187,48 @@ void SearchNumericThresholdsEncoded(const PairSchema& schema,
 std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
     const EncodedDataset& data, const std::vector<std::uint32_t>& rows,
     const std::vector<std::uint8_t>& labels, std::size_t pair_index,
-    std::optional<std::size_t> poi_row, const SplitOptions& options) {
+    std::size_t poi_row, const SplitOptions& options) {
   const PairSchema& schema = data.schema();
   if (rows.empty()) return std::nullopt;
   if (!schema.IsDefined(pair_index)) return std::nullopt;
 
-  const bool numeric = data.IsNumericFeature(pair_index);
-  bool poi_missing = true;
-  double poi_num = 0.0;
-  std::int64_t poi_code = -1;
-  if (poi_row.has_value()) {
-    if (numeric) {
-      if (data.NumericPresent(pair_index, *poi_row)) {
-        poi_missing = false;
-        poi_num = data.NumericValues(pair_index)[*poi_row];
-      }
-    } else {
-      poi_code = data.Codes(pair_index)[*poi_row];
-      poi_missing = poi_code < 0;
-    }
-  }
-  if (options.constrain_to_pair && poi_missing) return std::nullopt;
-
   std::optional<SplitCandidate> best;
 
-  if (!numeric) {
+  if (!data.IsNumericFeature(pair_index)) {
     const std::vector<std::int64_t>& codes = data.Codes(pair_index);
-    // Constrained searches have exactly one candidate: the pair of
-    // interest's own value. For isSame/compare/base-nominal features codes
-    // are bijective with values, so the poi's code is the whole candidate
-    // group — no decoding or grouping needed on this inner-loop path. Diff
-    // features fall through to the general grouping below because distinct
-    // packed codes can render to the same string.
-    if (options.constrain_to_pair &&
-        schema.KindOf(pair_index) != PairFeatureKind::kDiff) {
-      SplitCounts counts;
+    const std::int64_t poi_code = codes[poi_row];
+    if (poi_code < 0) return std::nullopt;
+    // The sole candidate is the pair of interest's own value. For
+    // isSame/compare/base-nominal features codes are bijective with
+    // values, so the poi's code is the whole candidate. Diff features
+    // need every code that decodes to the poi's value: two packed diff
+    // codes can render to the same "(a,b,c)" string when a nominal value
+    // contains a comma, and the Value path counts such a candidate across
+    // all of its encodings.
+    const Value poi_value = data.DecodeCode(pair_index, poi_code);
+    std::vector<std::int64_t> group = {poi_code};
+    if (schema.KindOf(pair_index) == PairFeatureKind::kDiff) {
+      std::vector<std::int64_t> distinct;
       for (std::uint32_t r : rows) {
-        if (codes[r] == poi_code) {
-          ++counts.in_total;
-          if (labels[r] != 0) ++counts.in_positive;
-        } else {
-          ++counts.out_total;
-          if (labels[r] != 0) ++counts.out_positive;
+        if (codes[r] >= 0 && codes[r] != poi_code) {
+          distinct.push_back(codes[r]);
         }
       }
-      if (counts.in_total < std::max<std::size_t>(1, options.min_support)) {
-        return std::nullopt;
+      std::sort(distinct.begin(), distinct.end());
+      distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                     distinct.end());
+      for (std::int64_t code : distinct) {
+        if (data.DecodeCode(pair_index, code) == poi_value) {
+          group.push_back(code);
+        }
       }
-      Consider(schema, pair_index, CompareOp::kEq,
-               data.DecodeCode(pair_index, poi_code),
-               InformationGain(counts), best);
-      return best;
     }
-    // Equality tests only. Distinct codes are grouped by their decoded
-    // Value: two packed diff codes can render to the same "(a,b,c)" string
-    // when a nominal value contains a comma, and the Value path counts such
-    // a candidate across all of its encodings.
-    struct Candidate {
-      Value value;
-      std::vector<std::int64_t> codes;
-    };
-    std::vector<std::int64_t> distinct;
-    for (std::uint32_t r : rows) {
-      if (codes[r] >= 0) distinct.push_back(codes[r]);
-    }
-    if (options.constrain_to_pair) distinct.push_back(poi_code);
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    std::vector<Candidate> groups;
-    for (std::int64_t code : distinct) {
-      Value value = data.DecodeCode(pair_index, code);
-      bool merged = false;
-      for (Candidate& group : groups) {
-        if (group.value == value) {
-          group.codes.push_back(code);
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) groups.push_back({std::move(value), {code}});
-    }
-    std::sort(groups.begin(), groups.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return a.value < b.value;
-              });
-
-    for (const Candidate& group : groups) {
-      if (options.constrain_to_pair) {
-        bool contains_poi = false;
-        for (std::int64_t code : group.codes) {
-          if (code == poi_code) {
-            contains_poi = true;
-            break;
-          }
-        }
-        if (!contains_poi) continue;  // sole candidate is the poi's value
-      }
-      SplitCounts counts;
-      for (std::uint32_t r : rows) {
-        bool in = false;
-        for (std::int64_t code : group.codes) {
-          if (codes[r] == code) {
-            in = true;
-            break;
-          }
-        }
-        if (in) {
-          ++counts.in_total;
-          if (labels[r] != 0) ++counts.in_positive;
-        } else {
-          ++counts.out_total;
-          if (labels[r] != 0) ++counts.out_positive;
-        }
-      }
-      if (counts.in_total < std::max<std::size_t>(1, options.min_support)) {
-        continue;
-      }
-      Consider(schema, pair_index, CompareOp::kEq, group.value,
-               InformationGain(counts), best);
-    }
-    return best;
-  }
-
-  // Numeric feature: equality on the pair's value plus threshold tests.
-  const bool have_poi = poi_row.has_value() && !poi_missing;
-  if (options.constrain_to_pair || have_poi) {
-    const std::vector<double>& values = data.NumericValues(pair_index);
+    const bool single = group.size() == 1;
     SplitCounts counts;
     for (std::uint32_t r : rows) {
-      if (data.NumericPresent(pair_index, r) && values[r] == poi_num) {
+      if (single ? codes[r] == poi_code
+                 : std::find(group.begin(), group.end(), codes[r]) !=
+                       group.end()) {
         ++counts.in_total;
         if (labels[r] != 0) ++counts.in_positive;
       } else {
@@ -326,21 +236,35 @@ std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
         if (labels[r] != 0) ++counts.out_positive;
       }
     }
-    if (counts.in_total >= std::max<std::size_t>(1, options.min_support)) {
-      Consider(schema, pair_index, CompareOp::kEq, Value::Number(poi_num),
-               InformationGain(counts), best);
+    if (counts.in_total < std::max<std::size_t>(1, options.min_support)) {
+      return std::nullopt;
+    }
+    Consider(schema, pair_index, CompareOp::kEq, poi_value,
+             InformationGain(counts), best);
+    return best;
+  }
+
+  // Numeric feature: equality on the pair's value plus threshold tests.
+  if (!data.NumericPresent(pair_index, poi_row)) return std::nullopt;
+  const std::vector<double>& values = data.NumericValues(pair_index);
+  const double poi = values[poi_row];
+  SplitCounts counts;
+  for (std::uint32_t r : rows) {
+    if (data.NumericPresent(pair_index, r) && values[r] == poi) {
+      ++counts.in_total;
+      if (labels[r] != 0) ++counts.in_positive;
+    } else {
+      ++counts.out_total;
+      if (labels[r] != 0) ++counts.out_positive;
     }
   }
+  if (counts.in_total >= std::max<std::size_t>(1, options.min_support)) {
+    Consider(schema, pair_index, CompareOp::kEq, Value::Number(poi),
+             InformationGain(counts), best);
+  }
   SearchNumericThresholdsEncoded(schema, data, rows, labels, pair_index,
-                                 have_poi, poi_num, options, best);
+                                 poi, options, best);
   return best;
-}
-
-std::vector<bool> Labels(const std::vector<TrainingExample>& examples) {
-  std::vector<bool> labels;
-  labels.reserve(examples.size());
-  for (const auto& example : examples) labels.push_back(example.observed);
-  return labels;
 }
 
 std::optional<SplitCandidate> BestPredicateForFeature(
@@ -349,55 +273,26 @@ std::optional<SplitCandidate> BestPredicateForFeature(
     const SplitOptions& options) {
   if (examples.empty()) return std::nullopt;
   if (!schema.IsDefined(pair_index)) return std::nullopt;
-  if (options.constrain_to_pair && poi_value.is_missing()) return std::nullopt;
+  if (poi_value.is_missing()) return std::nullopt;
 
   std::optional<SplitCandidate> best;
-  const ValueKind kind = schema.ValueKindOf(pair_index);
-
-  if (kind == ValueKind::kNominal) {
-    // Equality tests only. Constrained: the sole candidate constant is the
-    // pair of interest's own value. Unconstrained: every observed value.
-    std::vector<Value> candidates;
-    if (options.constrain_to_pair) {
-      candidates.push_back(poi_value);
-    } else {
-      for (const TrainingExample& example : examples) {
-        const Value& v = example.features[pair_index];
-        if (!v.is_missing()) candidates.push_back(v);
-      }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-    }
-    for (const Value& c : candidates) {
-      const SplitCounts counts =
-          CountSplit(examples, [&](const TrainingExample& e) {
-            return !e.features[pair_index].is_missing() &&
-                   e.features[pair_index] == c;
-          });
-      if (counts.in_total < std::max<std::size_t>(1, options.min_support)) {
-        continue;  // vacuous or unsupported predicate
-      }
-      Consider(schema, pair_index, CompareOp::kEq, c, InformationGain(counts),
-               best);
-    }
-    return best;
+  // Equality on the pair of interest's own value — the sole candidate of a
+  // nominal feature.
+  const SplitCounts counts =
+      CountSplit(examples, [&](const TrainingExample& e) {
+        return !e.features[pair_index].is_missing() &&
+               e.features[pair_index] == poi_value;
+      });
+  if (counts.in_total >= std::max<std::size_t>(1, options.min_support)) {
+    Consider(schema, pair_index, CompareOp::kEq, poi_value,
+             InformationGain(counts), best);
   }
-
-  // Numeric feature: equality on the pair's value plus threshold tests.
-  if (options.constrain_to_pair || poi_value.is_numeric()) {
-    const SplitCounts counts =
-        CountSplit(examples, [&](const TrainingExample& e) {
-          return !e.features[pair_index].is_missing() &&
-                 e.features[pair_index] == poi_value;
-        });
-    if (counts.in_total >= std::max<std::size_t>(1, options.min_support)) {
-      Consider(schema, pair_index, CompareOp::kEq, poi_value,
-               InformationGain(counts), best);
-    }
+  // Numeric features add the threshold tests.
+  if (schema.ValueKindOf(pair_index) != ValueKind::kNominal &&
+      poi_value.is_numeric()) {
+    SearchNumericThresholds(schema, examples, pair_index, poi_value.number(),
+                            options, best);
   }
-  SearchNumericThresholds(schema, examples, pair_index, poi_value, options,
-                          best);
   return best;
 }
 

@@ -21,12 +21,6 @@ struct SplitCandidate {
 
 /// Options controlling the per-feature predicate search.
 struct SplitOptions {
-  /// When true (PerfXplain's setting), every candidate atom must be
-  /// satisfied by the pair of interest, so the final explanation is
-  /// applicable (Definition 3). When false (plain decision-tree usage) the
-  /// search is unconstrained.
-  bool constrain_to_pair = true;
-
   /// A candidate predicate must be satisfied by at least this many
   /// examples. Guards against atoms that isolate (nearly) only the pair of
   /// interest, which look perfectly precise on the training sample but do
@@ -37,17 +31,18 @@ struct SplitOptions {
 /// Finds the predicate with maximum information gain for pair feature
 /// `pair_index` over `examples` (maxInfoGainPredicate in Algorithm 1).
 ///
-/// Nominal features admit only equality tests; under the pair-of-interest
-/// constraint the only candidate constant is the pair's own value. Numeric
-/// features admit equality plus <= / >= threshold tests at midpoints
-/// between adjacent distinct observed values (C4.5-style); under the
-/// constraint, <= thresholds must be at or above the pair's value and >=
-/// thresholds at or below it. Examples whose value is missing never satisfy
-/// a candidate.
+/// Every candidate atom is satisfied by the pair of interest, so the final
+/// explanation is applicable (Definition 3). Nominal features admit only
+/// equality tests, and the only candidate constant is the pair's own
+/// value. Numeric features admit equality on the pair's value plus <= / >=
+/// threshold tests at midpoints between adjacent distinct observed values
+/// (C4.5-style), where <= thresholds must be at or above the pair's value
+/// and >= thresholds at or below it. Examples whose value is missing never
+/// satisfy a candidate.
 ///
 /// `poi_value` is the pair of interest's value for this feature. Returns
 /// nullopt when the feature yields no usable candidate (e.g., the pair's
-/// value is missing while constrained, or all example values are missing).
+/// value is missing, or all example values are missing).
 std::optional<SplitCandidate> BestPredicateForFeature(
     const PairSchema& schema, const std::vector<TrainingExample>& examples,
     std::size_t pair_index, const Value& poi_value,
@@ -57,17 +52,13 @@ std::optional<SplitCandidate> BestPredicateForFeature(
 /// integer-coded training matrix, scanning codes and doubles instead of
 /// Values. `rows` is the current working set (dataset row indices, in
 /// order) and `labels` the per-dataset-row positive flags (already flipped
-/// when optimizing relevance). `poi_row`, when set, is the dataset row of
-/// the pair of interest (nullopt reproduces the unconstrained decision-tree
-/// search with a missing poi value). Produces bit-identical candidates and
-/// gains to the Value path.
+/// when optimizing relevance). `poi_row` is the dataset row of the pair
+/// of interest. Produces bit-identical candidates and gains to the Value
+/// path.
 std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
     const EncodedDataset& data, const std::vector<std::uint32_t>& rows,
     const std::vector<std::uint8_t>& labels, std::size_t pair_index,
-    std::optional<std::size_t> poi_row, const SplitOptions& options);
-
-/// Convenience: labels of `examples` as a bit vector (true = observed).
-std::vector<bool> Labels(const std::vector<TrainingExample>& examples);
+    std::size_t poi_row, const SplitOptions& options);
 
 }  // namespace perfxplain
 

@@ -3,7 +3,8 @@
 // RReliefF) must produce explanations bitwise identical to the seed
 // lazy-Value implementations — same atoms, same scores, same error codes —
 // on randomized logs including missing values, zeros and NaN, and
-// independently of the thread count. Mirrors
+// independently of the thread count. Both sides of every comparison
+// answer the same query as bound and resolved by Engine::Prepare. Mirrors
 // tests/core/columnar_equivalence_test.cc.
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include "common/string_util.h"
 #include "core/engine.h"
 #include "core/pair_enumeration.h"
-#include "core/perfxplain.h"
 #include "core/rule_of_thumb.h"
 #include "core/sim_but_diff.h"
 #include "ml/relief.h"
@@ -73,6 +73,42 @@ bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip = 0) {
   return true;
 }
 
+/// The columnar SimButDiff path and its lazy-Value oracle over one
+/// prepared query; a query Prepare rejected fails with Prepare's status on
+/// both.
+Result<Explanation> Columnar(const SimButDiff& baseline,
+                             const Result<PreparedQuery>& prepared,
+                             std::size_t width, int threads = 0) {
+  if (!prepared.ok()) return prepared.status();
+  return baseline.ExplainPrepared(prepared->bound(), prepared->compiled(),
+                                  prepared->poi_first(),
+                                  prepared->poi_second(), width,
+                                  EnumerationOptions{threads});
+}
+Result<Explanation> Legacy(const SimButDiff& baseline,
+                           const Result<PreparedQuery>& prepared,
+                           std::size_t width) {
+  if (!prepared.ok()) return prepared.status();
+  return baseline.ExplainLegacy(prepared->bound(), prepared->poi_first(),
+                                prepared->poi_second(), width);
+}
+
+/// The same pair of entry points for RuleOfThumb.
+Result<Explanation> Columnar(const RuleOfThumb& baseline,
+                             const Result<PreparedQuery>& prepared,
+                             std::size_t width) {
+  if (!prepared.ok()) return prepared.status();
+  return baseline.ExplainPrepared(prepared->bound(), prepared->poi_first(),
+                                  prepared->poi_second(), width);
+}
+Result<Explanation> Legacy(const RuleOfThumb& baseline,
+                           const Result<PreparedQuery>& prepared,
+                           std::size_t width) {
+  if (!prepared.ok()) return prepared.status();
+  return baseline.ExplainLegacy(prepared->bound(), prepared->poi_first(),
+                                prepared->poi_second(), width);
+}
+
 /// Asserts bitwise-identical outcomes: same ok-ness and status code, or
 /// same atoms (feature, op, constant) with exactly equal scores.
 void ExpectSameExplanation(const Result<Explanation>& actual,
@@ -111,15 +147,18 @@ TEST(BaselineEquivalenceTest, SimButDiffMatchesLegacyOnAwkwardLogs) {
     const ExecutionLog log = AwkwardRandomLog(seed, 40);
     Query query = GtVsSimQuery("color_isSame = T AND x_isSame = T");
     if (!PickPair(log, query)) continue;
+    const Engine engine(log);
+    const auto prepared = engine.Prepare(query);
     for (double threshold : {0.9, 0.5, 1.0}) {
       SimButDiffOptions options;
       options.similarity_threshold = threshold;
-      const SimButDiff baseline(&log, options);
+      const SimButDiff baseline(&engine.log(), options,
+                                &engine.snapshot()->columns());
       for (std::size_t width : {1u, 2u, 4u}) {
-        auto explanation = baseline.Explain(query, width);
+        auto explanation = Columnar(baseline, prepared, width);
         if (explanation.ok()) ++produced;
         ExpectSameExplanation(
-            explanation, baseline.ExplainLegacy(query, width),
+            explanation, Legacy(baseline, prepared, width),
             StrFormat("seed %llu threshold %.1f width %zu",
                       static_cast<unsigned long long>(seed), threshold,
                       width));
@@ -135,12 +174,15 @@ TEST(BaselineEquivalenceTest, SimButDiffThreadCountIsObservationFree) {
   const ExecutionLog log = AwkwardRandomLog(11, 50);
   Query query = GtVsSimQuery("color_isSame = T AND x_isSame = T");
   ASSERT_TRUE(PickPair(log, query));
+  const Engine engine(log);
+  const auto prepared = engine.Prepare(query);
   Result<Explanation> single = Status::Internal("unset");
   for (int threads : {1, 2, 3, 7}) {
     SimButDiffOptions options;
     options.threads = threads;
-    const SimButDiff baseline(&log, options);
-    auto explanation = baseline.Explain(query, 3);
+    const SimButDiff baseline(&engine.log(), options,
+                              &engine.snapshot()->columns());
+    auto explanation = Columnar(baseline, prepared, 3, threads);
     if (threads == 1) {
       single = std::move(explanation);
       continue;
@@ -152,31 +194,37 @@ TEST(BaselineEquivalenceTest, SimButDiffThreadCountIsObservationFree) {
 
 TEST(BaselineEquivalenceTest, SimButDiffEmptyResultQueries) {
   const ExecutionLog log = AwkwardRandomLog(21, 30);
-  const SimButDiff baseline(&log, SimButDiffOptions());
+  const Engine engine(log);
+  const SimButDiff baseline(&engine.log(), SimButDiffOptions(),
+                            &engine.snapshot()->columns());
 
   // A despite level no pair feature can produce compiles to always-false;
   // the legacy path scans and relates nothing. Same FailedPrecondition.
   Query impossible = GtVsSimQuery("color_isSame = X");
   impossible.first_id = log.at(0).id;
   impossible.second_id = log.at(1).id;
-  ExpectSameExplanation(baseline.Explain(impossible, 2),
-                        baseline.ExplainLegacy(impossible, 2),
+  const auto impossible_prepared = engine.Prepare(impossible);
+  ExpectSameExplanation(Columnar(baseline, impossible_prepared, 2),
+                        Legacy(baseline, impossible_prepared, 2),
                         "always-false despite");
 
   // A diff constant outside the dictionary behaves the same way.
   Query unseen = GtVsSimQuery("color_diff = (zz,qq)");
   unseen.first_id = log.at(0).id;
   unseen.second_id = log.at(1).id;
-  ExpectSameExplanation(baseline.Explain(unseen, 2),
-                        baseline.ExplainLegacy(unseen, 2),
+  const auto unseen_prepared = engine.Prepare(unseen);
+  ExpectSameExplanation(Columnar(baseline, unseen_prepared, 2),
+                        Legacy(baseline, unseen_prepared, 2),
                         "out-of-dictionary diff constant");
 
-  // Unknown record ids fail identically before any scan.
+  // Unknown record ids fail identically, in Prepare, before any scan.
   Query unknown = GtVsSimQuery();
   unknown.first_id = "missing";
   unknown.second_id = "gone";
-  ExpectSameExplanation(baseline.Explain(unknown, 2),
-                        baseline.ExplainLegacy(unknown, 2), "unknown ids");
+  const auto unknown_prepared = engine.Prepare(unknown);
+  ExpectSameExplanation(Columnar(baseline, unknown_prepared, 2),
+                        Legacy(baseline, unknown_prepared, 2),
+                        "unknown ids");
 }
 
 TEST(BaselineEquivalenceTest, ReliefRankingMatchesLegacy) {
@@ -214,7 +262,9 @@ TEST(BaselineEquivalenceTest, RuleOfThumbMatchesLegacyOnAwkwardLogs) {
   std::size_t produced = 0;
   for (std::uint64_t seed : {31u, 32u, 33u}) {
     const ExecutionLog log = AwkwardRandomLog(seed, 40);
-    const RuleOfThumb baseline(&log, RuleOfThumbOptions());
+    const Engine engine(log);
+    const RuleOfThumb baseline(&engine.log(), RuleOfThumbOptions(),
+                               &engine.snapshot()->columns());
 
     // The constructor's ranking already runs columnar; pin it against an
     // independently computed legacy ranking.
@@ -228,11 +278,12 @@ TEST(BaselineEquivalenceTest, RuleOfThumbMatchesLegacyOnAwkwardLogs) {
     Query query = GtVsSimQuery("color_isSame = T AND x_isSame = T");
     for (std::size_t skip : {0u, 3u, 9u}) {
       if (!PickPair(log, query, skip)) break;
+      const auto prepared = engine.Prepare(query);
       for (std::size_t width : {1u, 3u, 8u}) {
-        auto explanation = baseline.Explain(query, width);
+        auto explanation = Columnar(baseline, prepared, width);
         if (explanation.ok()) ++produced;
         ExpectSameExplanation(
-            explanation, baseline.ExplainLegacy(query, width),
+            explanation, Legacy(baseline, prepared, width),
             StrFormat("seed %llu skip %zu width %zu",
                       static_cast<unsigned long long>(seed), skip, width));
       }
@@ -242,111 +293,12 @@ TEST(BaselineEquivalenceTest, RuleOfThumbMatchesLegacyOnAwkwardLogs) {
     // the same status on both paths.
     Query agree = query;
     agree.second_id = agree.first_id;
-    ExpectSameExplanation(baseline.Explain(agree, 3),
-                          baseline.ExplainLegacy(agree, 3),
+    const auto agree_prepared = engine.Prepare(agree);
+    ExpectSameExplanation(Columnar(baseline, agree_prepared, 3),
+                          Legacy(baseline, agree_prepared, 3),
                           "self-pair agrees everywhere");
   }
   EXPECT_GT(produced, 0u);
-}
-
-TEST(BaselineEquivalenceTest, PerfXplainShimMatchesEngine) {
-  // The deprecated PerfXplain facade is a shim over Engine; every legacy
-  // entry point must reproduce the Engine's answer bitwise — explanations,
-  // despite clauses, metrics and error codes alike.
-  const ExecutionLog log = testing::CausalLog(90, 55);
-  const PerfXplain shim(log);
-  const Engine engine(log);
-
-  Query query = GtVsSimQuery();
-  ASSERT_TRUE(PickPair(log, query));
-  auto prepared = engine.Prepare(query);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-
-  for (Technique technique :
-       {Technique::kPerfXplain, Technique::kRuleOfThumb,
-        Technique::kSimButDiff}) {
-    for (std::size_t width : {1u, 3u}) {
-      ExplainRequest request;
-      request.technique = technique;
-      request.width = width;
-      auto engine_response = engine.Explain(*prepared, request);
-      Result<Explanation> engine_explanation =
-          engine_response.ok()
-              ? Result<Explanation>(engine_response->explanation)
-              : Result<Explanation>(engine_response.status());
-      ExpectSameExplanation(
-          shim.ExplainWith(technique, query, width), engine_explanation,
-          StrFormat("%s width %zu", TechniqueToString(technique), width));
-    }
-  }
-
-  // Default Explain, auto-despite and despite generation.
-  {
-    auto engine_response = engine.Explain(*prepared);
-    ASSERT_TRUE(engine_response.ok());
-    ExpectSameExplanation(shim.Explain(query),
-                          Result<Explanation>(engine_response->explanation),
-                          "default Explain");
-  }
-  {
-    ExplainRequest request;
-    request.auto_despite = true;
-    auto engine_response = engine.Explain(*prepared, request);
-    ASSERT_TRUE(engine_response.ok());
-    ExpectSameExplanation(shim.ExplainWithAutoDespite(query),
-                          Result<Explanation>(engine_response->explanation),
-                          "auto despite");
-  }
-  {
-    auto shim_despite = shim.GenerateDespite(query);
-    auto engine_despite = engine.GenerateDespite(*prepared);
-    ASSERT_TRUE(shim_despite.ok());
-    ASSERT_TRUE(engine_despite.ok());
-    EXPECT_EQ(*shim_despite, *engine_despite);
-  }
-
-  // Metrics agree exactly.
-  {
-    auto explanation = shim.Explain(query);
-    ASSERT_TRUE(explanation.ok());
-    auto shim_metrics = shim.Evaluate(query, *explanation);
-    auto engine_metrics = engine.Evaluate(*prepared, *explanation);
-    ASSERT_TRUE(shim_metrics.ok());
-    ASSERT_TRUE(engine_metrics.ok());
-    EXPECT_EQ(shim_metrics->precision, engine_metrics->precision);
-    EXPECT_EQ(shim_metrics->relevance, engine_metrics->relevance);
-    EXPECT_EQ(shim_metrics->generality, engine_metrics->generality);
-  }
-
-  // Error propagation: unknown ids fail with the same code on both APIs.
-  Query unknown = GtVsSimQuery();
-  unknown.first_id = "missing";
-  unknown.second_id = "gone";
-  auto shim_error = shim.Explain(unknown);
-  auto engine_error = engine.Prepare(unknown);
-  ASSERT_FALSE(shim_error.ok());
-  ASSERT_FALSE(engine_error.ok());
-  EXPECT_EQ(shim_error.status().code(), engine_error.status().code());
-}
-
-TEST(BaselineEquivalenceTest, SharedColumnarLogProducesSameExplanations) {
-  // Passing an externally owned ColumnarLog (as PerfXplain does with the
-  // Explainer's) must not change any result versus a privately built one.
-  const ExecutionLog log = AwkwardRandomLog(41, 40);
-  const ColumnarLog shared(log);
-  Query query = GtVsSimQuery("color_isSame = T AND x_isSame = T");
-  ASSERT_TRUE(PickPair(log, query));
-
-  const SimButDiff own_sbd(&log, SimButDiffOptions());
-  const SimButDiff shared_sbd(&log, SimButDiffOptions(), &shared);
-  ExpectSameExplanation(shared_sbd.Explain(query, 3),
-                        own_sbd.Explain(query, 3), "SimButDiff shared");
-
-  const RuleOfThumb own_rot(&log, RuleOfThumbOptions());
-  const RuleOfThumb shared_rot(&log, RuleOfThumbOptions(), &shared);
-  EXPECT_EQ(shared_rot.ranking(), own_rot.ranking());
-  ExpectSameExplanation(shared_rot.Explain(query, 3),
-                        own_rot.Explain(query, 3), "RuleOfThumb shared");
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/pair_enumeration.h"
 #include "core/rule_of_thumb.h"
-#include "core/sim_but_diff.h"
 #include "testing/test_util.h"
 
 namespace perfxplain {
@@ -10,6 +10,21 @@ namespace {
 
 using perfxplain::testing::CausalLog;
 using perfxplain::testing::GtVsSimQuery;
+
+/// One baseline request through Engine::Prepare and Engine::Explain.
+Result<Explanation> ExplainWith(const Engine& engine, Technique technique,
+                                const Query& query, std::size_t width) {
+  ExplainRequest request;
+  request.technique = technique;
+  request.width = width;
+  return testing::PrepareAndExplain(engine, query, request);
+}
+
+EngineOptions WithSimButDiff(const SimButDiffOptions& options) {
+  EngineOptions engine_options;
+  engine_options.sim_but_diff = options;
+  return engine_options;
+}
 
 class BaselinesTest : public ::testing::Test {
  protected:
@@ -31,7 +46,8 @@ class BaselinesTest : public ::testing::Test {
 };
 
 TEST_F(BaselinesTest, RuleOfThumbRanksCauseHighly) {
-  RuleOfThumb baseline(&log_, RuleOfThumbOptions());
+  const ColumnarLog columns(log_);
+  RuleOfThumb baseline(&log_, RuleOfThumbOptions(), &columns);
   const auto& ranking = baseline.ranking();
   ASSERT_EQ(ranking.size(), log_.schema().size() - 1);  // duration excluded
   // `cause` (index 0) must rank above both decoys.
@@ -39,8 +55,9 @@ TEST_F(BaselinesTest, RuleOfThumbRanksCauseHighly) {
 }
 
 TEST_F(BaselinesTest, RuleOfThumbExplainsWithIsSameDisagreements) {
-  RuleOfThumb baseline(&log_, RuleOfThumbOptions());
-  auto explanation = baseline.Explain(MakeQuery(), 2);
+  const Engine engine(log_);
+  auto explanation =
+      ExplainWith(engine, Technique::kRuleOfThumb, MakeQuery(), 2);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
   ASSERT_GE(explanation->because.width(), 1u);
   for (const Atom& atom : explanation->because.atoms()) {
@@ -52,8 +69,9 @@ TEST_F(BaselinesTest, RuleOfThumbExplainsWithIsSameDisagreements) {
 }
 
 TEST_F(BaselinesTest, RuleOfThumbSkipsOutcomeFeatures) {
-  RuleOfThumb baseline(&log_, RuleOfThumbOptions());
-  auto explanation = baseline.Explain(MakeQuery(), 5);
+  const Engine engine(log_);
+  auto explanation =
+      ExplainWith(engine, Technique::kRuleOfThumb, MakeQuery(), 5);
   ASSERT_TRUE(explanation.ok());
   for (const Atom& atom : explanation->because.atoms()) {
     EXPECT_EQ(atom.feature().find("duration"), std::string::npos);
@@ -63,17 +81,17 @@ TEST_F(BaselinesTest, RuleOfThumbSkipsOutcomeFeatures) {
 TEST_F(BaselinesTest, RuleOfThumbFailsWhenPairAgreesEverywhere) {
   // Construct a pair that agrees on every feature: impossible to explain by
   // pointing at disagreements.
-  RuleOfThumb baseline(&log_, RuleOfThumbOptions());
+  const Engine engine(log_);
   Query query = MakeQuery();
   query.second_id = query.first_id;  // same record twice: all isSame = T
-  auto explanation = baseline.Explain(query, 3);
+  auto explanation = ExplainWith(engine, Technique::kRuleOfThumb, query, 3);
   EXPECT_FALSE(explanation.ok());
 }
 
 TEST_F(BaselinesTest, SimButDiffProducesApplicableExplanation) {
-  SimButDiff baseline(&log_, SimButDiffOptions());
+  const Engine engine(log_);
   const Query query = MakeQuery();
-  auto explanation = baseline.Explain(query, 2);
+  auto explanation = ExplainWith(engine, Technique::kSimButDiff, query, 2);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
   EXPECT_EQ(explanation->because.width(), 2u);
   // Every atom asserts the pair's own isSame value (applicability).
@@ -89,9 +107,10 @@ TEST_F(BaselinesTest, SimButDiffProducesApplicableExplanation) {
 }
 
 TEST_F(BaselinesTest, SimButDiffRespectsWidth) {
-  SimButDiff baseline(&log_, SimButDiffOptions());
+  const Engine engine(log_);
   for (std::size_t width : {1u, 3u}) {
-    auto explanation = baseline.Explain(MakeQuery(), width);
+    auto explanation =
+        ExplainWith(engine, Technique::kSimButDiff, MakeQuery(), width);
     ASSERT_TRUE(explanation.ok());
     EXPECT_LE(explanation->because.width(), width);
   }
@@ -100,22 +119,23 @@ TEST_F(BaselinesTest, SimButDiffRespectsWidth) {
 TEST_F(BaselinesTest, SimButDiffThresholdOneRequiresExactAgreement) {
   SimButDiffOptions options;
   options.similarity_threshold = 1.0;
-  SimButDiff baseline(&log_, options);
+  const Engine engine(log_, WithSimButDiff(options));
   // With threshold 1.0 a training pair must agree on *every* isSame
   // feature; the explanation may fail for lack of similar pairs, but it
   // must not crash, and any produced explanation is still applicable.
-  auto explanation = baseline.Explain(MakeQuery(), 2);
+  auto explanation =
+      ExplainWith(engine, Technique::kSimButDiff, MakeQuery(), 2);
   if (!explanation.ok()) {
     EXPECT_EQ(explanation.status().code(), StatusCode::kFailedPrecondition);
   }
 }
 
 TEST_F(BaselinesTest, SimButDiffRejectsUnknownIds) {
-  SimButDiff baseline(&log_, SimButDiffOptions());
+  const Engine engine(log_);
   Query query = GtVsSimQuery();
   query.first_id = "missing";
   query.second_id = "gone";
-  EXPECT_FALSE(baseline.Explain(query, 2).ok());
+  EXPECT_FALSE(ExplainWith(engine, Technique::kSimButDiff, query, 2).ok());
 }
 
 }  // namespace

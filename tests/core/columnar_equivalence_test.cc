@@ -11,10 +11,10 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "core/engine.h"
 #include "core/explainer.h"
 #include "core/metrics.h"
 #include "core/pair_enumeration.h"
-#include "core/perfxplain.h"
 #include "testing/test_util.h"
 
 namespace perfxplain {
@@ -338,13 +338,15 @@ TEST(ColumnarEquivalenceTest, BuildTrainingExamplesMatchesReference) {
 }
 
 TEST(ColumnarEquivalenceTest, EncodedExplainMatchesValuePipeline) {
-  // Compose the explanation out of public Value-path pieces and compare
-  // with Explain(), which runs the encoded pipeline end to end.
+  // Compose the explanation out of the Value-path oracles and compare with
+  // Engine::Explain, which runs the encoded pipeline end to end.
   const ExecutionLog log = CausalLog(60, 5);
   Query query = GtVsSimQuery("decoy_c_isSame = T");
-  ExplainerOptions options;
+  EngineOptions engine_options;
+  ExplainerOptions& options = engine_options.explainer;
   options.sampler.sample_size = 200;
-  Explainer explainer(&log, options);
+  const Engine engine(log, engine_options);
+  const Explainer& explainer = engine.explainer();
   auto poi = FindPairOfInterest(log, explainer.pair_schema(), [&] {
     Query bound = query;
     PX_CHECK(bound.Bind(explainer.pair_schema()).ok());
@@ -354,16 +356,17 @@ TEST(ColumnarEquivalenceTest, EncodedExplainMatchesValuePipeline) {
   query.first_id = log.at(poi->first).id;
   query.second_id = log.at(poi->second).id;
 
-  auto bound = explainer.PrepareQuery(query);
-  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-  auto value_examples =
-      explainer.BuildExamples(*bound, poi->first, poi->second);
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const Query& bound = prepared->bound();
+  auto value_examples = explainer.BuildExamples(
+      bound, prepared->poi_first(), prepared->poi_second());
   ASSERT_TRUE(value_examples.ok());
   const std::vector<ExplanationAtom> value_trace = explainer.GenerateClause(
       value_examples.value(), options.width, /*target_expected=*/false,
-      explainer.ExcludedRawFeatures(*bound), bound->despite.atoms());
+      explainer.ExcludedRawFeatures(bound), bound.despite.atoms());
 
-  auto explanation = explainer.Explain(query);
+  auto explanation = testing::PrepareAndExplain(engine, query);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
   ASSERT_EQ(explanation->because_trace.size(), value_trace.size());
   for (std::size_t a = 0; a < value_trace.size(); ++a) {
@@ -377,11 +380,11 @@ TEST(ColumnarEquivalenceTest, EncodedExplainMatchesValuePipeline) {
   }
 
   // The despite generator must agree the same way.
-  auto despite = explainer.GenerateDespite(query, 2);
+  auto despite = engine.GenerateDespite(*prepared, 2);
   ASSERT_TRUE(despite.ok());
   const std::vector<ExplanationAtom> despite_trace = explainer.GenerateClause(
       value_examples.value(), 2, /*target_expected=*/true,
-      explainer.ExcludedRawFeatures(*bound), bound->despite.atoms());
+      explainer.ExcludedRawFeatures(bound), bound.despite.atoms());
   ASSERT_EQ(despite->atoms().size(), despite_trace.size());
   for (std::size_t a = 0; a < despite_trace.size(); ++a) {
     EXPECT_EQ(despite->atoms()[a], despite_trace[a].atom);
@@ -401,11 +404,12 @@ TEST(ColumnarEquivalenceTest, ExplanationsInvariantUnderThreadCount) {
 
   std::string single_threaded;
   for (int threads : {1, 3}) {
-    ExplainerOptions options;
+    EngineOptions engine_options;
+    ExplainerOptions& options = engine_options.explainer;
     options.threads = threads;
     options.sampler.sample_size = 150;
-    Explainer explainer(&log, options);
-    auto explanation = explainer.Explain(query);
+    const Engine engine(log, engine_options);
+    auto explanation = testing::PrepareAndExplain(engine, query);
     ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
     const std::string rendered = explanation->because.ToString();
     if (threads == 1) {

@@ -615,5 +615,11 @@ TEST_F(EngineTest, EvaluateOnHeldOutLog) {
           .ok());
 }
 
+TEST_F(EngineTest, TechniqueNames) {
+  EXPECT_STREQ(TechniqueToString(Technique::kPerfXplain), "PerfXplain");
+  EXPECT_STREQ(TechniqueToString(Technique::kRuleOfThumb), "RuleOfThumb");
+  EXPECT_STREQ(TechniqueToString(Technique::kSimButDiff), "SimButDiff");
+}
+
 }  // namespace
 }  // namespace perfxplain

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/metrics.h"
 #include "core/pair_enumeration.h"
 #include "testing/test_util.h"
@@ -11,6 +12,13 @@ namespace {
 
 using perfxplain::testing::CausalLog;
 using perfxplain::testing::GtVsSimQuery;
+using perfxplain::testing::PrepareAndExplain;
+
+EngineOptions WithExplainer(const ExplainerOptions& options) {
+  EngineOptions engine_options;
+  engine_options.explainer = options;
+  return engine_options;
+}
 
 /// Fixture: a log where duration = 100 * cause, so a GT-duration pair is
 /// explained exactly by cause_compare = GT.
@@ -37,8 +45,8 @@ class ExplainerTest : public ::testing::Test {
 TEST_F(ExplainerTest, FindsTheCausalFeature) {
   ExplainerOptions options;
   options.width = 1;
-  Explainer explainer(&log_, options);
-  auto explanation = explainer.Explain(MakeQuery());
+  const Engine engine(log_, WithExplainer(options));
+  auto explanation = PrepareAndExplain(engine, MakeQuery());
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
   ASSERT_EQ(explanation->because.width(), 1u);
   const Atom& atom = explanation->because.atoms()[0];
@@ -49,22 +57,22 @@ TEST_F(ExplainerTest, FindsTheCausalFeature) {
 }
 
 TEST_F(ExplainerTest, ExplanationIsApplicableToPairOfInterest) {
-  Explainer explainer(&log_, ExplainerOptions());
+  const Engine engine(log_);
   const Query query = MakeQuery();
-  auto explanation = explainer.Explain(query);
+  auto explanation = PrepareAndExplain(engine, query);
   ASSERT_TRUE(explanation.ok());
   const std::size_t first = log_.Find(query.first_id).value();
   const std::size_t second = log_.Find(query.second_id).value();
   PairFeatureOptions pair_options;
-  EXPECT_TRUE(IsApplicable(*explanation, explainer.pair_schema(),
+  EXPECT_TRUE(IsApplicable(*explanation, engine.pair_schema(),
                            log_.at(first), log_.at(second), pair_options));
 }
 
 TEST_F(ExplainerTest, NeverCitesTheOutcomeFeature) {
   ExplainerOptions options;
   options.width = 5;
-  Explainer explainer(&log_, options);
-  auto explanation = explainer.Explain(MakeQuery());
+  const Engine engine(log_, WithExplainer(options));
+  auto explanation = PrepareAndExplain(engine, MakeQuery());
   ASSERT_TRUE(explanation.ok());
   for (const Atom& atom : explanation->because.atoms()) {
     EXPECT_EQ(atom.feature().find("duration"), std::string::npos)
@@ -73,24 +81,24 @@ TEST_F(ExplainerTest, NeverCitesTheOutcomeFeature) {
 }
 
 TEST_F(ExplainerTest, DeterministicGivenSeed) {
-  Explainer explainer(&log_, ExplainerOptions());
+  const Engine engine(log_);
   const Query query = MakeQuery();
-  auto first = explainer.Explain(query);
-  auto second = explainer.Explain(query);
+  auto first = PrepareAndExplain(engine, query);
+  auto second = PrepareAndExplain(engine, query);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->because, second->because);
 }
 
 TEST_F(ExplainerTest, HighPrecisionOnTheLog) {
-  Explainer explainer(&log_, ExplainerOptions());
+  const Engine engine(log_);
   const Query query = MakeQuery();
-  auto explanation = explainer.Explain(query);
+  auto explanation = PrepareAndExplain(engine, query);
   ASSERT_TRUE(explanation.ok());
   Query bound = query;
-  ASSERT_TRUE(bound.Bind(explainer.pair_schema()).ok());
+  ASSERT_TRUE(bound.Bind(engine.pair_schema()).ok());
   const ExplanationMetrics metrics = EvaluateExplanation(
-      log_, explainer.pair_schema(), bound, *explanation,
+      log_, engine.pair_schema(), bound, *explanation,
       PairFeatureOptions());
   EXPECT_GT(metrics.precision, 0.9);
   EXPECT_GT(metrics.generality, 0.05);
@@ -100,8 +108,8 @@ TEST_F(ExplainerTest, WidthControlsAtomCount) {
   for (std::size_t width : {1u, 2u, 3u}) {
     ExplainerOptions options;
     options.width = width;
-    Explainer explainer(&log_, options);
-    auto explanation = explainer.Explain(MakeQuery());
+    const Engine engine(log_, WithExplainer(options));
+    auto explanation = PrepareAndExplain(engine, MakeQuery());
     ASSERT_TRUE(explanation.ok());
     EXPECT_LE(explanation->because.width(), width);
     EXPECT_GE(explanation->because.width(), 1u);
@@ -109,8 +117,8 @@ TEST_F(ExplainerTest, WidthControlsAtomCount) {
 }
 
 TEST_F(ExplainerTest, TraceRecordsSelectionDiagnostics) {
-  Explainer explainer(&log_, ExplainerOptions());
-  auto explanation = explainer.Explain(MakeQuery());
+  const Engine engine(log_);
+  auto explanation = PrepareAndExplain(engine, MakeQuery());
   ASSERT_TRUE(explanation.ok());
   ASSERT_EQ(explanation->because_trace.size(),
             explanation->because.width());
@@ -158,67 +166,72 @@ TEST_F(ExplainerTest, GenerateDespiteRaisesRelevance) {
     add("b" + std::to_string(i), "B", data_rng.Uniform(60, 600));
   }
 
-  Explainer explainer(&log, ExplainerOptions());
+  const Engine engine(log);
   Query query = GtVsSimQuery();
-  PX_CHECK(query.Bind(explainer.pair_schema()).ok());
+  PX_CHECK(query.Bind(engine.pair_schema()).ok());
   // Pair of interest: a GT pair within phase A.
   query.first_id = "ahigh0";
   query.second_id = "a0";
 
-  auto despite = explainer.GenerateDespite(query, 3);
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto despite = engine.GenerateDespite(*prepared, 3);
   ASSERT_TRUE(despite.ok()) << despite.status().ToString();
   Query bound = query;
-  ASSERT_TRUE(bound.Bind(explainer.pair_schema()).ok());
+  ASSERT_TRUE(bound.Bind(engine.pair_schema()).ok());
   Predicate generated = despite.value();
-  ASSERT_TRUE(generated.Bind(explainer.pair_schema()).ok());
+  ASSERT_TRUE(generated.Bind(engine.pair_schema()).ok());
   const double before = EvaluateDespiteRelevance(
-      log, explainer.pair_schema(), bound, Predicate::True(),
+      log, engine.pair_schema(), bound, Predicate::True(),
       PairFeatureOptions());
   const double after = EvaluateDespiteRelevance(
-      log, explainer.pair_schema(), bound, generated,
+      log, engine.pair_schema(), bound, generated,
       PairFeatureOptions());
   EXPECT_GT(after, before + 0.1);
 }
 
 TEST_F(ExplainerTest, AutoDespiteProducesBothClauses) {
-  Explainer explainer(&log_, ExplainerOptions());
-  auto explanation = explainer.ExplainWithAutoDespite(MakeQuery());
+  const Engine engine(log_);
+  ExplainRequest request;
+  request.auto_despite = true;
+  auto explanation = PrepareAndExplain(engine, MakeQuery(), request);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
   EXPECT_FALSE(explanation->because.is_true());
   EXPECT_FALSE(explanation->despite.is_true());
 }
 
 TEST_F(ExplainerTest, RejectsQueryWithoutIds) {
-  Explainer explainer(&log_, ExplainerOptions());
+  const Engine engine(log_);
   Query query = GtVsSimQuery();
-  const auto result = explainer.Explain(query);
+  const auto result = PrepareAndExplain(engine, query);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ExplainerTest, RejectsUnknownIds) {
-  Explainer explainer(&log_, ExplainerOptions());
+  const Engine engine(log_);
   Query query = GtVsSimQuery();
   query.first_id = "nope";
   query.second_id = "also_nope";
-  EXPECT_EQ(explainer.Explain(query).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(PrepareAndExplain(engine, query).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(ExplainerTest, RejectsPairViolatingObserved) {
-  Explainer explainer(&log_, ExplainerOptions());
+  const Engine engine(log_);
   Query query = MakeQuery();
   // Swap the pair: now J1 is the *faster* one, so OBSERVED GT fails.
   std::swap(query.first_id, query.second_id);
-  const auto result = explainer.Explain(query);
+  const auto result = PrepareAndExplain(engine, query);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ExplainerTest, RejectsNonDisjointQuery) {
-  Explainer explainer(&log_, ExplainerOptions());
+  const Engine engine(log_);
   Query query = MakeQuery();
   query.expected = perfxplain::testing::MustPredicate("decoy_c_isSame = T");
-  EXPECT_EQ(explainer.Explain(query).status().code(),
+  EXPECT_EQ(PrepareAndExplain(engine, query).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -226,8 +239,8 @@ TEST_F(ExplainerTest, Level1RestrictsToIsSameAtoms) {
   ExplainerOptions options;
   options.level = FeatureLevel::kLevel1;
   options.width = 3;
-  Explainer explainer(&log_, options);
-  auto explanation = explainer.Explain(MakeQuery());
+  const Engine engine(log_, WithExplainer(options));
+  auto explanation = PrepareAndExplain(engine, MakeQuery());
   ASSERT_TRUE(explanation.ok());
   for (const Atom& atom : explanation->because.atoms()) {
     EXPECT_NE(atom.feature().find("_isSame"), std::string::npos)
@@ -247,17 +260,17 @@ TEST_P(ExplainerSweepTest, InvariantsHold) {
   const ExecutionLog log = CausalLog(100, seed);
   ExplainerOptions options;
   options.width = width;
-  Explainer explainer(&log, options);
+  const Engine engine(log, WithExplainer(options));
 
   Query query = GtVsSimQuery();
-  ASSERT_TRUE(query.Bind(explainer.pair_schema()).ok());
-  auto poi = FindPairOfInterest(log, explainer.pair_schema(), query,
+  ASSERT_TRUE(query.Bind(engine.pair_schema()).ok());
+  auto poi = FindPairOfInterest(log, engine.pair_schema(), query,
                                 PairFeatureOptions());
   ASSERT_TRUE(poi.ok());
   query.first_id = log.at(poi->first).id;
   query.second_id = log.at(poi->second).id;
 
-  auto explanation = explainer.Explain(query);
+  auto explanation = PrepareAndExplain(engine, query);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
   EXPECT_LE(explanation->because.width(), width);
   EXPECT_GE(explanation->because.width(), 1u);
@@ -265,18 +278,18 @@ TEST_P(ExplainerSweepTest, InvariantsHold) {
     EXPECT_EQ(atom.feature().find("duration"), std::string::npos)
         << atom.ToString();
   }
-  EXPECT_TRUE(IsApplicable(*explanation, explainer.pair_schema(),
+  EXPECT_TRUE(IsApplicable(*explanation, engine.pair_schema(),
                            log.at(poi->first), log.at(poi->second),
                            PairFeatureOptions()));
 
   Query bound = query;
-  ASSERT_TRUE(bound.Bind(explainer.pair_schema()).ok());
+  ASSERT_TRUE(bound.Bind(engine.pair_schema()).ok());
   const ExplanationMetrics metrics = EvaluateExplanation(
-      log, explainer.pair_schema(), bound, *explanation,
+      log, engine.pair_schema(), bound, *explanation,
       PairFeatureOptions());
   Explanation empty;
   const ExplanationMetrics base = EvaluateExplanation(
-      log, explainer.pair_schema(), bound, empty, PairFeatureOptions());
+      log, engine.pair_schema(), bound, empty, PairFeatureOptions());
   EXPECT_GE(metrics.precision + 1e-9, base.precision)
       << "seed " << seed << " width " << width;
   EXPECT_GT(metrics.generality, 0.0);
@@ -288,12 +301,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::size_t>(1, 2, 3, 4)));
 
 TEST_F(ExplainerTest, BuildExamplesIncludesPoiFirst) {
-  Explainer explainer(&log_, ExplainerOptions());
-  Query query = MakeQuery();
-  ASSERT_TRUE(query.Bind(explainer.pair_schema()).ok());
+  const Engine engine(log_);
+  const Query query = MakeQuery();
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok());
   const std::size_t first = log_.Find(query.first_id).value();
   const std::size_t second = log_.Find(query.second_id).value();
-  auto examples = explainer.BuildExamples(query, first, second);
+  auto examples = engine.explainer().BuildExamples(
+      prepared->bound(), prepared->poi_first(), prepared->poi_second());
   ASSERT_TRUE(examples.ok());
   ASSERT_FALSE(examples->empty());
   EXPECT_EQ(examples->front().first, first);

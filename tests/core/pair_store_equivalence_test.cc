@@ -85,8 +85,15 @@ TEST(PairCodeStoreEquivalenceTest, ResidentMatchesStreamingAndLegacy) {
     Query query = GtVsSimQuery("color_isSame = T AND x_isSame = T");
     if (!PickPair(log, query)) continue;
     // The legacy lazy-Value reference.
-    const SimButDiff legacy(&log, SimButDiffOptions());
-    const auto reference = legacy.ExplainLegacy(query, 3);
+    const Engine reference_engine(log);
+    const auto reference_prepared = reference_engine.Prepare(query);
+    ASSERT_TRUE(reference_prepared.ok())
+        << reference_prepared.status().ToString();
+    const SimButDiff legacy(&reference_engine.log(), SimButDiffOptions(),
+                            &reference_engine.snapshot()->columns());
+    const auto reference = legacy.ExplainLegacy(
+        reference_prepared->bound(), reference_prepared->poi_first(),
+        reference_prepared->poi_second(), 3);
 
     for (int threads : {1, 2, 5, 8}) {
       // Resident path (default budget) vs streaming path (budget 0).

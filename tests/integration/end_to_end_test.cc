@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/pair_enumeration.h"
-#include "core/perfxplain.h"
 #include "log/catalog.h"
 #include "pxql/parser.h"
 #include "simulator/trace_generator.h"
+#include "testing/test_util.h"
 
 namespace perfxplain {
 namespace {
+
+using testing::PrepareAndExplain;
 
 /// Shared trace: a 36-job slice of the Table 2 grid. Generated once.
 class EndToEndTest : public ::testing::Test {
@@ -70,19 +73,19 @@ class EndToEndTest : public ::testing::Test {
 Trace* EndToEndTest::trace_ = nullptr;
 
 TEST_F(EndToEndTest, WhySlowerQueryYieldsPreciseExplanation) {
-  PerfXplain system(trace_->job_log);
+  const Engine system(trace_->job_log);
   const Query query = BindAndLocate(
       trace_->job_log,
       "DESPITE numinstances_isSame = T AND pigscript_isSame = T "
       "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM",
       "inputsize_compare = GT");
-  auto explanation = system.Explain(query);
+  auto explanation = PrepareAndExplain(system, query);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
-  auto metrics = system.Evaluate(query, *explanation);
+  auto metrics = system.EvaluateOn(system.log(), query, *explanation);
   ASSERT_TRUE(metrics.ok());
   // The explanation must beat the base rate by a clear margin.
   Explanation empty;
-  auto base = system.Evaluate(query, empty);
+  auto base = system.EvaluateOn(system.log(), query, empty);
   ASSERT_TRUE(base.ok());
   EXPECT_GT(metrics->precision, base->precision + 0.1);
   EXPECT_GT(metrics->precision, 0.7);
@@ -103,19 +106,19 @@ TEST_F(EndToEndTest, WhyLastTaskFasterOnTaskLog) {
       });
   ASSERT_GT(tasks.size(), 50u);
 
-  PerfXplain system(tasks);
+  const Engine system(tasks);
   const Query query = BindAndLocate(
       tasks,
       "DESPITE jobID_isSame = T AND inputsize_compare = SIM AND "
       "hostname_isSame = T "
       "OBSERVED duration_compare = LT EXPECTED duration_compare = SIM",
       "wave_index_compare = GT AND avg_cpu_user_compare = LT");
-  auto explanation = system.Explain(query);
+  auto explanation = PrepareAndExplain(system, query);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
-  auto metrics = system.Evaluate(query, *explanation);
+  auto metrics = system.EvaluateOn(system.log(), query, *explanation);
   ASSERT_TRUE(metrics.ok());
   Explanation empty;
-  auto base = system.Evaluate(query, empty);
+  auto base = system.EvaluateOn(system.log(), query, empty);
   ASSERT_TRUE(base.ok());
   EXPECT_GT(metrics->precision, base->precision + 0.15);
 }
@@ -123,23 +126,23 @@ TEST_F(EndToEndTest, WhyLastTaskFasterOnTaskLog) {
 TEST_F(EndToEndTest, MotivatingScenarioBlockSizeStory) {
   // §2.1: same duration despite half the input; the explanation must be
   // applicable and more precise than the base rate.
-  PerfXplain system(trace_->job_log);
+  const Engine system(trace_->job_log);
   const Query query = BindAndLocate(
       trace_->job_log,
       "DESPITE inputsize_compare = LT "
       "OBSERVED duration_compare = SIM EXPECTED duration_compare = LT",
       "blocksize >= 512MB");
-  auto explanation = system.Explain(query);
+  auto explanation = PrepareAndExplain(system, query);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
-  auto metrics = system.Evaluate(query, *explanation);
+  auto metrics = system.EvaluateOn(system.log(), query, *explanation);
   ASSERT_TRUE(metrics.ok());
   Explanation empty;
-  auto base = system.Evaluate(query, empty);
+  auto base = system.EvaluateOn(system.log(), query, empty);
   EXPECT_GT(metrics->precision, base->precision);
 }
 
 TEST_F(EndToEndTest, AllThreeTechniquesProduceApplicableExplanations) {
-  PerfXplain system(trace_->job_log);
+  const Engine system(trace_->job_log);
   const Query query = BindAndLocate(
       trace_->job_log,
       "DESPITE numinstances_isSame = T AND pigscript_isSame = T "
@@ -150,7 +153,10 @@ TEST_F(EndToEndTest, AllThreeTechniquesProduceApplicableExplanations) {
   for (Technique technique :
        {Technique::kPerfXplain, Technique::kRuleOfThumb,
         Technique::kSimButDiff}) {
-    auto explanation = system.ExplainWith(technique, query, 3);
+    ExplainRequest request;
+    request.technique = technique;
+    request.width = 3;
+    auto explanation = PrepareAndExplain(system, query, request);
     ASSERT_TRUE(explanation.ok()) << TechniqueToString(technique);
     Explanation bound = *explanation;
     ASSERT_TRUE(bound.because.Bind(system.pair_schema()).ok());
@@ -175,10 +181,10 @@ TEST_F(EndToEndTest, CsvRoundTripPreservesExplanations) {
       trace_->job_log,
       "DESPITE numinstances_isSame = T AND pigscript_isSame = T "
       "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM");
-  PerfXplain original(trace_->job_log);
-  PerfXplain restored(std::move(reloaded).value());
-  auto e1 = original.Explain(query);
-  auto e2 = restored.Explain(query);
+  const Engine original(trace_->job_log);
+  const Engine restored(std::move(reloaded).value());
+  auto e1 = PrepareAndExplain(original, query);
+  auto e2 = PrepareAndExplain(restored, query);
   ASSERT_TRUE(e1.ok());
   ASSERT_TRUE(e2.ok());
   EXPECT_EQ(e1->because.ToString(), e2->because.ToString());
@@ -191,14 +197,14 @@ TEST_F(EndToEndTest, OtherPerformanceMetricsAreQueryable) {
   // performance metrics." PXQL predicates are arbitrary, so asking why one
   // job *wrote far more output* works unchanged; the correct answer is the
   // script (filter keeps ~80% of its input, groupby collapses it).
-  PerfXplain system(trace_->job_log);
+  const Engine system(trace_->job_log);
   const Query query = BindAndLocate(
       trace_->job_log,
       "DESPITE inputsize_compare = SIM "
       "OBSERVED hdfs_bytes_written_compare = GT "
       "EXPECTED hdfs_bytes_written_compare = SIM",
       "pigscript_diff = (simple-filter.pig,simple-groupby.pig)");
-  auto explanation = system.Explain(query);
+  auto explanation = PrepareAndExplain(system, query);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
   // The explanation must not cite the queried metric itself...
   for (const Atom& atom : explanation->because.atoms()) {
@@ -206,7 +212,7 @@ TEST_F(EndToEndTest, OtherPerformanceMetricsAreQueryable) {
         << atom.ToString();
   }
   // ... and must be highly precise: output volume is script-determined.
-  auto metrics = system.Evaluate(query, *explanation);
+  auto metrics = system.EvaluateOn(system.log(), query, *explanation);
   ASSERT_TRUE(metrics.ok());
   EXPECT_GT(metrics->precision, 0.9);
 }
@@ -229,14 +235,14 @@ TEST_F(EndToEndTest, MissingValuesDoNotBreakExplanation) {
     }
     PX_CHECK(holey.Add(copy).ok());
   }
-  PerfXplain system(holey);
+  const Engine system(holey);
   const Query query = BindAndLocate(
       holey,
       "DESPITE numinstances_isSame = T AND pigscript_isSame = T "
       "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM");
-  auto explanation = system.Explain(query);
+  auto explanation = PrepareAndExplain(system, query);
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
-  auto metrics = system.Evaluate(query, *explanation);
+  auto metrics = system.EvaluateOn(system.log(), query, *explanation);
   ASSERT_TRUE(metrics.ok());
   EXPECT_GT(metrics->precision, 0.5);
 }
@@ -244,12 +250,12 @@ TEST_F(EndToEndTest, MissingValuesDoNotBreakExplanation) {
 TEST_F(EndToEndTest, ExplanationTextRoundTripsThroughPxql) {
   // An emitted because clause is valid PXQL: parse it back, bind it, and
   // verify it evaluates identically over a sample of pairs.
-  PerfXplain system(trace_->job_log);
+  const Engine system(trace_->job_log);
   const Query query = BindAndLocate(
       trace_->job_log,
       "DESPITE numinstances_isSame = T AND pigscript_isSame = T "
       "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM");
-  auto explanation = system.Explain(query);
+  auto explanation = PrepareAndExplain(system, query);
   ASSERT_TRUE(explanation.ok());
   auto reparsed = ParsePredicate(explanation->because.ToString());
   ASSERT_TRUE(reparsed.ok()) << explanation->because.ToString();
@@ -267,13 +273,15 @@ TEST_F(EndToEndTest, ExplanationTextRoundTripsThroughPxql) {
 }
 
 TEST_F(EndToEndTest, AutoDespiteImprovesRelevanceOnJobQuery) {
-  PerfXplain system(trace_->job_log);
+  const Engine system(trace_->job_log);
   Query query = BindAndLocate(
       trace_->job_log,
       "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM",
       "numinstances_isSame = T AND pigscript_isSame = T AND "
       "inputsize_compare = GT");
-  auto despite = system.GenerateDespite(query);
+  auto prepared = system.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto despite = system.GenerateDespite(*prepared);
   ASSERT_TRUE(despite.ok()) << despite.status().ToString();
   Query bound = query;
   ASSERT_TRUE(bound.Bind(system.pair_schema()).ok());

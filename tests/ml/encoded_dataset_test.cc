@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "ml/decision_tree.h"
 #include "ml/split.h"
 #include "testing/test_util.h"
 
@@ -155,26 +154,17 @@ TEST(EncodedSplitTest, BestPredicateMatchesValuePathEveryFeature) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       rows[r] = static_cast<std::uint32_t>(r);
     }
-    for (bool constrained : {true, false}) {
-      SplitOptions options;
-      options.constrain_to_pair = constrained;
-      options.min_support = 2;
-      for (std::size_t f = 0; f < fx.schema.size(); ++f) {
-        const Value poi_value = constrained
-                                    ? fx.examples[0].features[f]
-                                    : Value::Missing();
-        const auto expected = BestPredicateForFeature(
-            fx.schema, fx.examples, f, poi_value, options);
-        const auto actual = BestPredicateForFeatureEncoded(
-            fx.dataset, rows, fx.dataset.labels(), f,
-            constrained ? std::optional<std::size_t>(0) : std::nullopt,
-            options);
-        ExpectSameCandidate(
-            actual, expected,
-            StrFormat("seed %d feature %s constrained=%d",
-                      static_cast<int>(seed), fx.schema.NameOf(f).c_str(),
-                      constrained ? 1 : 0));
-      }
+    SplitOptions options;
+    options.min_support = 2;
+    for (std::size_t f = 0; f < fx.schema.size(); ++f) {
+      const auto expected = BestPredicateForFeature(
+          fx.schema, fx.examples, f, fx.examples[0].features[f], options);
+      const auto actual = BestPredicateForFeatureEncoded(
+          fx.dataset, rows, fx.dataset.labels(), f, 0, options);
+      ExpectSameCandidate(
+          actual, expected,
+          StrFormat("seed %d feature %s", static_cast<int>(seed),
+                    fx.schema.NameOf(f).c_str()));
     }
   }
 }
@@ -199,27 +189,6 @@ TEST(EncodedSplitTest, RespectsWorkingSubsets) {
         fx.dataset, rows, fx.dataset.labels(), f, 0, options);
     ExpectSameCandidate(actual, expected,
                         "subset feature " + fx.schema.NameOf(f));
-  }
-}
-
-TEST(EncodedDecisionTreeTest, FitsIdenticalTrees) {
-  for (std::uint64_t seed : {41u, 42u}) {
-    const EncodedFixture fx(seed, 10);
-    TreeOptions options;
-    options.max_depth = 5;
-    options.min_leaf = 3;
-    DecisionTree value_tree;
-    ASSERT_TRUE(value_tree.Fit(fx.schema, fx.examples, options).ok());
-    DecisionTree encoded_tree;
-    ASSERT_TRUE(encoded_tree.Fit(fx.schema, fx.dataset, options).ok());
-    EXPECT_EQ(encoded_tree.node_count(), value_tree.node_count());
-    EXPECT_EQ(encoded_tree.depth(), value_tree.depth());
-    EXPECT_EQ(encoded_tree.ToString(fx.schema),
-              value_tree.ToString(fx.schema));
-    for (const TrainingExample& example : fx.examples) {
-      EXPECT_DOUBLE_EQ(encoded_tree.PredictProbability(example.features),
-                       value_tree.PredictProbability(example.features));
-    }
   }
 }
 

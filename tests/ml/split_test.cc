@@ -59,11 +59,6 @@ TEST_F(SplitTest, MissingPairValueDisablesFeatureWhenConstrained) {
   EXPECT_FALSE(BestPredicateForFeature(schema_, examples, f,
                                        Value::Missing(), options_)
                    .has_value());
-  SplitOptions unconstrained;
-  unconstrained.constrain_to_pair = false;
-  EXPECT_TRUE(BestPredicateForFeature(schema_, examples, f, Value::Missing(),
-                                      unconstrained)
-                  .has_value());
 }
 
 TEST_F(SplitTest, NumericThresholdSeparates) {
@@ -168,14 +163,6 @@ TEST_F(SplitTest, EmptyExamplesYieldNoCandidate) {
   EXPECT_FALSE(BestPredicateForFeature(schema_, {}, 0, Value::Nominal("T"),
                                        options_)
                    .has_value());
-}
-
-TEST_F(SplitTest, LabelsHelper) {
-  std::vector<TrainingExample> examples = {
-      Example(0, Value::Nominal("T"), true),
-      Example(0, Value::Nominal("F"), false),
-  };
-  EXPECT_EQ(Labels(examples), (std::vector<bool>{true, false}));
 }
 
 }  // namespace

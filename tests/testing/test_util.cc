@@ -128,6 +128,16 @@ Query GtVsSimQuery(const std::string& despite_text) {
   return std::move(query).value();
 }
 
+Result<Explanation> PrepareAndExplain(const Engine& engine,
+                                      const Query& query,
+                                      const ExplainRequest& request) {
+  auto prepared = engine.Prepare(query);
+  if (!prepared.ok()) return prepared.status();
+  auto response = engine.Explain(*prepared, request);
+  if (!response.ok()) return response.status();
+  return std::move(response).value().explanation;
+}
+
 Predicate MustPredicate(const std::string& text) {
   auto predicate = ParsePredicate(text);
   PX_CHECK(predicate.ok()) << predicate.status().ToString();

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "features/pair_features.h"
 #include "log/execution_log.h"
 #include "pxql/query.h"
@@ -63,6 +64,12 @@ ExecutionLog AdversarialLog(const AdversarialLogSpec& spec);
 /// "duplicate-rows", "all-missing-column", "single-row" (rows = 1) and
 /// "giant-dictionary".
 std::vector<AdversarialLogSpec> AdversarialLogSpecs();
+
+/// Engine::Prepare then Engine::Explain under `request`: the response's
+/// explanation, or the status of whichever step failed.
+Result<Explanation> PrepareAndExplain(const Engine& engine,
+                                      const Query& query,
+                                      const ExplainRequest& request = {});
 
 /// Parses predicate text or dies.
 Predicate MustPredicate(const std::string& text);

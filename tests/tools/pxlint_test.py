@@ -85,7 +85,7 @@ class CheckpointRuleTest(unittest.TestCase):
                           "--rule", "checkpoint")
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertEqual(proc.stdout.count("[checkpoint]"), 1, proc.stdout)
-        self.assertIn("DecisionTree::Build has no ThrowIfInterrupted",
+        self.assertIn("TilePool::Fill has no ThrowIfInterrupted",
                       proc.stdout)
 
     def test_good_fixture_passes(self):

@@ -22,7 +22,13 @@ Checked reference kinds:
   * tools/pxlint.py's own CHECKPOINT_REGISTRY paths, which must exist in
     the tree — pxlint deliberately skips missing files (so its fixture
     roots work), which makes THIS check the one that catches a rename
-    silently retiring a checkpoint obligation.
+    silently retiring a checkpoint obligation;
+  * every --gtest_filter pattern in .github/workflows/ci.yml (positive
+    and negative, gtest wildcards * and ? included), which must match at
+    least one TEST/TEST_F/TEST_P declared in tests/ — a filter naming a
+    deleted test matches nothing and gtest exits 0, silently dropping
+    the CI step's coverage. A built-in negative self-check feeds the
+    matcher a pattern no test can satisfy and fails unless it is flagged.
 
 Run from the repository root:  python3 tools/check_docs_drift.py
 """
@@ -49,6 +55,8 @@ TEST_RE = re.compile(r"\b([A-Za-z0-9]+Test)\.([A-Za-z0-9_]+)\b")
 # `pxlint:<rule>` citations; the rule must exist in tools/pxlint.py.
 PXLINT_CITE_RE = re.compile(r"\bpxlint:([a-z][a-z-]*)")
 PXLINT_PY = "tools/pxlint.py"
+CI_WORKFLOW = ".github/workflows/ci.yml"
+GTEST_FILTER_RE = re.compile(r"--gtest_filter=(['\"]?)([^\s'\"]+)\1")
 
 
 def pxlint_registry():
@@ -114,6 +122,26 @@ def check_path(token):
     return False
 
 
+def gtest_pattern_regex(pattern):
+    """gtest filter wildcards: `*` is any string, `?` any one character."""
+    return re.compile("".join(
+        ".*" if c == "*" else "." if c == "?" else re.escape(c)
+        for c in pattern) + r"\Z")
+
+
+def stale_filter_patterns(text, test_names):
+    """Every --gtest_filter pattern in `text` that matches none of the
+    full test names `test_names`. A filter is `POS:POS-NEG:NEG`; both
+    halves are checked."""
+    stale = []
+    for match in GTEST_FILTER_RE.finditer(text):
+        for pattern in re.split(r"[:-]", match.group(2)):
+            regex = gtest_pattern_regex(pattern)
+            if pattern and not any(regex.match(name) for name in test_names):
+                stale.append(pattern)
+    return stale
+
+
 def main():
     # Names actually registered with google-benchmark, so a stale doc
     # reference that is a prefix of a surviving name (or only appears in a
@@ -124,13 +152,27 @@ def main():
             registered_benches.update(
                 re.findall(r"BENCHMARK\((BM_[A-Za-z0-9_]+)\)", f.read()))
 
-    # (suite, case) pairs declared by TEST/TEST_F anywhere under tests/.
+    # (suite, case) pairs declared by TEST/TEST_F anywhere under tests/,
+    # and the full names gtest filters match against: Suite.Case, or
+    # Prefix/Suite.Case/0 for each instantiation of a TEST_P suite.
     declared_tests = set()
+    test_names = set()
     for path in glob.glob("tests/**/*.cc", recursive=True):
         with open(path, encoding="utf-8") as f:
-            declared_tests.update(
-                re.findall(r"\bTEST(?:_F)?\(\s*([A-Za-z0-9_]+)\s*,"
-                           r"\s*([A-Za-z0-9_]+)\s*\)", f.read()))
+            code = f.read()
+        plain = re.findall(r"\bTEST(?:_F)?\(\s*([A-Za-z0-9_]+)\s*,"
+                           r"\s*([A-Za-z0-9_]+)\s*\)", code)
+        param = re.findall(r"\bTEST_P\(\s*([A-Za-z0-9_]+)\s*,"
+                           r"\s*([A-Za-z0-9_]+)\s*\)", code)
+        prefixes = re.findall(r"\bINSTANTIATE_TEST_SUITE_P\(\s*"
+                              r"([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)",
+                              code)
+        declared_tests.update(plain)
+        test_names.update(f"{suite}.{case}" for suite, case in plain)
+        for suite, case in param:
+            test_names.update(f"{prefix}/{suite}.{case}/0"
+                              for prefix, instantiated in prefixes
+                              if instantiated == suite)
     declared_suites = {suite for suite, _ in declared_tests}
 
     pxlint_rules, checkpoint_paths = pxlint_registry()
@@ -141,6 +183,19 @@ def main():
     for path in sorted(checkpoint_paths):
         if not os.path.exists(path):
             stale.append((PXLINT_PY, f"CHECKPOINT_REGISTRY: {path}"))
+    # A filter pattern naming no test must be reported; prove the matcher
+    # still catches one before trusting its verdict on the workflow.
+    probe = "--gtest_filter='NoSuchSuiteTest.*:EngineTest.NoSuchCase'"
+    if stale_filter_patterns(probe, test_names) != [
+            "NoSuchSuiteTest.*", "EngineTest.NoSuchCase"]:
+        stale.append((__file__, "self-check: a stale --gtest_filter "
+                                "pattern was not flagged"))
+    if os.path.exists(CI_WORKFLOW):
+        with open(CI_WORKFLOW, encoding="utf-8") as f:
+            for pattern in stale_filter_patterns(f.read(), test_names):
+                stale.append((CI_WORKFLOW,
+                              f"--gtest_filter pattern {pattern} matches "
+                              "no test"))
     for doc in DOCS:
         if not os.path.exists(doc):
             stale.append((doc, "(document itself is missing)"))

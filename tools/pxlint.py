@@ -12,8 +12,8 @@ validates such citations against this file):
       belong behind the boundary, after inputs are validated.
 
   pxlint:checkpoint
-      Every registered long-loop entry point (the scans, store build,
-      striped RReliefF, decision-tree growth) contains a
+      Every registered long-loop entry point (the scans, tile fills,
+      striped RReliefF, rotation, recovery, WAL replay) contains a
       ThrowIfInterrupted() cooperative-cancellation checkpoint, so a
       deadline or CancelToken is always observed in bounded time.
 
@@ -98,8 +98,6 @@ CHECKPOINT_REGISTRY = [
     ("src/features/tile_pool.cc", "TilePool::Fill"),
     ("src/features/tile_pool.cc", "TilePool::BuildTile"),
     ("src/ml/relief.cc", "RRelieffStripedImpl"),
-    ("src/ml/decision_tree.cc", "DecisionTree::BuildEncoded"),
-    ("src/ml/decision_tree.cc", "DecisionTree::Build"),
     ("src/serving/live_engine.cc", "LiveEngine::Rotate"),
     ("src/serving/live_engine.cc", "LiveEngine::Recover"),
     ("src/storage/wal.cc", "WalReader::Replay"),
