@@ -523,6 +523,39 @@ void BM_EquiJoinPruning(benchmark::State& state) {
 }
 BENCHMARK(BM_EquiJoinPruning)->Args({1, 1})->Args({0, 1});
 
+/// Clause growth alone (lines 3-17 of Algorithm 1, width 3): one
+/// ExplainPreparedWithExamples over a fixed encoded training matrix of the
+/// task-level "why was the last task faster" question (~2,000 sampled
+/// pairs of the ~1.9k-row log). The engine, scan and matrix are built once
+/// outside the timer; no pair-code plane is built.
+void BM_ClauseGrowth(benchmark::State& state) {
+  const px::bench::Fixture fixture =
+      px::bench::Fixture::TaskLevel(px::bench::HarnessOptions());
+  px::EngineOptions options;
+  options.explainer.threads = 1;
+  options.sim_but_diff.pair_code_budget_bytes = 0;
+  const px::Engine engine(fixture.full_log(), options);
+  auto prepared = engine.Prepare(fixture.query());
+  PX_CHECK(prepared.ok()) << prepared.status().ToString();
+  const px::ExplainerOptions& explainer_options = engine.options().explainer;
+  const px::RelatedPairScan scan = px::ScanRelatedPairs(
+      engine.snapshot()->columns(), prepared->compiled(),
+      explainer_options.pair.sim_fraction, px::EnumerationOptions{1});
+  auto examples = engine.explainer().BuildEncodedExamplesFromScan(
+      prepared->bound(), scan, prepared->poi_first(), prepared->poi_second(),
+      explainer_options);
+  PX_CHECK(examples.ok()) << examples.status().ToString();
+  for (auto _ : state) {
+    auto explanation = engine.explainer().ExplainPreparedWithExamples(
+        prepared->bound(), *examples, explainer_options);
+    PX_CHECK(explanation.ok());
+    benchmark::DoNotOptimize(explanation);
+  }
+  state.SetLabel("training_rows=" + std::to_string(examples->rows()) +
+                 " log_rows=" + std::to_string(fixture.full_log().size()));
+}
+BENCHMARK(BM_ClauseGrowth);
+
 /// The buffer-pool budget sweep: a selective SimButDiff query (despite
 /// 'numinstances = 16' derives a base-atom selection of roughly n/5 hot
 /// rows — only their tiles are ever fetched) served repeatedly at

@@ -1,9 +1,9 @@
 #include "core/explainer.h"
 
 #include <algorithm>
-#include <set>
 
 #include "core/pair_enumeration.h"
+#include "features/pair_feature_kernel.h"
 #include "ml/split.h"
 #include "pxql/compiled_predicate.h"
 
@@ -31,14 +31,15 @@ double PercentileRank(double value, const std::vector<double>& all) {
 /// examples are stored. Both backends expose the same contract:
 ///  - size(): current working-set size;
 ///  - BestPredicate(f, options): per-feature max-info-gain candidate over
-///    the working set, constrained to the pair of interest;
-///  - Count(candidate): (satisfy, satisfy_target) over the working set;
+///    the working set, constrained to the pair of interest, carrying its
+///    (satisfy, satisfy_target) counts over the working set;
 ///  - Filter(candidate): shrink the working set to satisfying examples,
 ///    returning (kept, kept_target).
 ///
 /// ValueClauseDataset scans materialized Value vectors (the reference
-/// oracle); EncodedClauseDataset scans the integer-coded training matrix and
-/// produces bit-identical candidates, gains and scores.
+/// oracle); EncodedClauseDataset keeps the working set and labels as row
+/// bitmaps over the integer-coded training matrix and produces
+/// bit-identical candidates, gains and scores.
 class ValueClauseDataset {
  public:
   ValueClauseDataset(const PairSchema& schema,
@@ -65,15 +66,6 @@ class ValueClauseDataset {
                                    options);
   }
 
-  void Count(const SplitCandidate& candidate, std::size_t* satisfy,
-             std::size_t* satisfy_target) const {
-    for (const TrainingExample& example : working_) {
-      if (!candidate.atom.Eval(example.features)) continue;
-      ++*satisfy;
-      if (example.observed) ++*satisfy_target;
-    }
-  }
-
   std::pair<std::size_t, std::size_t> Filter(const SplitCandidate& chosen) {
     std::vector<TrainingExample> next;
     next.reserve(working_.size());
@@ -97,53 +89,47 @@ class ValueClauseDataset {
 class EncodedClauseDataset {
  public:
   EncodedClauseDataset(const EncodedDataset& data, bool target_expected)
-      : data_(&data), labels_(data.labels()) {
-    rows_.reserve(data.rows());
+      : index_(data),
+        working_((data.rows() + 63) / 64, 0),
+        positive_(working_.size(), 0),
+        size_(data.rows()) {
+    const std::vector<std::uint8_t>& labels = data.labels();
     for (std::size_t r = 0; r < data.rows(); ++r) {
-      rows_.push_back(static_cast<std::uint32_t>(r));
-    }
-    if (target_expected) {
-      for (std::uint8_t& label : labels_) label = label ? 0 : 1;
+      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+      working_[r >> 6] |= bit;
+      // Relevance (target_expected) counts the expected pairs as positive.
+      if ((labels[r] != 0) != target_expected) positive_[r >> 6] |= bit;
     }
   }
 
-  std::size_t size() const { return rows_.size(); }
+  std::size_t size() const { return size_; }
 
-  std::optional<SplitCandidate> BestPredicate(
-      std::size_t f, const SplitOptions& options) const {
-    return BestPredicateForFeatureEncoded(*data_, rows_, labels_, f,
-                                          /*poi_row=*/0, options);
-  }
-
-  void Count(const SplitCandidate& candidate, std::size_t* satisfy,
-             std::size_t* satisfy_target) const {
-    const EncodedAtomTest test(*data_, candidate.atom);
-    for (std::uint32_t r : rows_) {
-      if (!test.Matches(*data_, r)) continue;
-      ++*satisfy;
-      if (labels_[r] != 0) ++*satisfy_target;
-    }
+  std::optional<SplitCandidate> BestPredicate(std::size_t f,
+                                              const SplitOptions& options) {
+    return BestPredicateForFeatureEncoded(index_, working_, positive_, f,
+                                          options);
   }
 
   std::pair<std::size_t, std::size_t> Filter(const SplitCandidate& chosen) {
-    const EncodedAtomTest test(*data_, chosen.atom);
-    std::vector<std::uint32_t> next;
-    next.reserve(rows_.size());
+    const EncodedDataset& data = index_.data();
+    const RowBitmap rows =
+        EncodedAtomTest(data, chosen.atom).MatchingRows(data);
+    size_ = 0;
     std::size_t target_count = 0;
-    for (std::uint32_t r : rows_) {
-      if (test.Matches(*data_, r)) {
-        if (labels_[r] != 0) ++target_count;
-        next.push_back(r);
-      }
+    for (std::size_t w = 0; w < working_.size(); ++w) {
+      working_[w] &= rows[w];
+      size_ += static_cast<std::size_t>(kernel::PopCount(working_[w]));
+      target_count += static_cast<std::size_t>(
+          kernel::PopCount(working_[w] & positive_[w]));
     }
-    rows_ = std::move(next);
-    return {rows_.size(), target_count};
+    return {size_, target_count};
   }
 
  private:
-  const EncodedDataset* data_;
-  std::vector<std::uint32_t> rows_;
-  std::vector<std::uint8_t> labels_;
+  EncodedSplitIndex index_;
+  RowBitmap working_;
+  RowBitmap positive_;
+  std::size_t size_;
 };
 
 /// Shared greedy loop (lines 3-17 of Algorithm 1). See Explainer's class
@@ -156,9 +142,11 @@ std::vector<ExplanationAtom> GenerateClauseWith(
     const std::vector<Atom>& redundant_atoms) {
   std::vector<ExplanationAtom> trace;
   if (working.size() == 0) return trace;
-  const std::set<std::size_t> excluded(excluded_raw.begin(),
-                                       excluded_raw.end());
-  std::set<std::size_t> used_features;
+  std::vector<bool> excluded(schema.raw_size(), false);
+  for (std::size_t raw : excluded_raw) {
+    if (raw < excluded.size()) excluded[raw] = true;
+  }
+  std::vector<bool> used_features(schema.size(), false);
 
   SplitOptions split_options;
 
@@ -180,8 +168,7 @@ std::vector<ExplanationAtom> GenerateClauseWith(
       if (!schema.InLevel(f, options.level)) continue;
       if (!schema.IsDefined(f)) continue;
       const std::size_t raw_index = schema.RawIndexOf(f);
-      if (excluded.count(raw_index) > 0) continue;
-      if (used_features.count(f) > 0) continue;
+      if (excluded[raw_index] || used_features[f]) continue;
       auto split = working.BestPredicate(f, split_options);
       if (!split.has_value()) continue;
       // Atoms every related pair satisfies by construction (they restate
@@ -201,11 +188,11 @@ std::vector<ExplanationAtom> GenerateClauseWith(
     }
     if (candidates.empty()) break;
 
-    // Lines 6-7: precision (or relevance) and generality of each winner.
+    // Lines 6-7: precision (or relevance) and generality of each winner,
+    // from the counts its search carried.
     for (Candidate& candidate : candidates) {
-      std::size_t satisfy = 0;
-      std::size_t satisfy_target = 0;
-      working.Count(candidate.split, &satisfy, &satisfy_target);
+      const std::size_t satisfy = candidate.split.in_total;
+      const std::size_t satisfy_target = candidate.split.in_positive;
       candidate.generality =
           working.size() == 0 ? 0.0
                               : static_cast<double>(satisfy) /
@@ -255,7 +242,7 @@ std::vector<ExplanationAtom> GenerateClauseWith(
     chosen.atom = candidates[best].split.atom;
     chosen.info_gain = candidates[best].split.gain;
     chosen.score = best_score;
-    used_features.insert(candidates[best].pair_index);
+    used_features[candidates[best].pair_index] = true;
 
     const std::size_t before = working.size();
     const auto [kept, target_count] = working.Filter(candidates[best].split);
@@ -375,10 +362,9 @@ Result<Explanation> Explainer::ExplainPreparedWithExamples(
     const Query& bound, const EncodedDataset& examples,
     const ExplainerOptions& options) const {
   Explanation explanation;
-  EncodedClauseDataset working(examples, /*target_expected=*/false);
-  explanation.because_trace =
-      GenerateClauseWith(working, schema_, options, options.width,
-                         ExcludedRawFeatures(bound), bound.despite.atoms());
+  explanation.because_trace = GenerateClauseEncoded(
+      examples, options.width, /*target_expected=*/false,
+      ExcludedRawFeatures(bound), bound.despite.atoms(), options);
   explanation.because = ClauseToPredicate(explanation.because_trace);
   if (explanation.because.is_true()) {
     return Status::Internal("no applicable because clause could be built");
@@ -392,6 +378,16 @@ std::vector<ExplanationAtom> Explainer::GenerateClause(
     const std::vector<Atom>& redundant_atoms) const {
   ValueClauseDataset working(schema_, std::move(examples), target_expected);
   return GenerateClauseWith(working, schema_, options_, width, excluded_raw,
+                            redundant_atoms);
+}
+
+std::vector<ExplanationAtom> Explainer::GenerateClauseEncoded(
+    const EncodedDataset& examples, std::size_t width, bool target_expected,
+    const std::vector<std::size_t>& excluded_raw,
+    const std::vector<Atom>& redundant_atoms,
+    const ExplainerOptions& options) const {
+  EncodedClauseDataset working(examples, target_expected);
+  return GenerateClauseWith(working, schema_, options, width, excluded_raw,
                             redundant_atoms);
 }
 
@@ -419,11 +415,9 @@ Result<Predicate> Explainer::GenerateDespitePrepared(
   auto examples =
       BuildEncodedExamplesWith(bound, poi_first, poi_second, options);
   if (!examples.ok()) return examples.status();
-  EncodedClauseDataset working(examples.value(), /*target_expected=*/true);
-  const std::vector<ExplanationAtom> trace =
-      GenerateClauseWith(working, schema_, options, width,
-                         ExcludedRawFeatures(bound), bound.despite.atoms());
-  return ClauseToPredicate(trace);
+  return ClauseToPredicate(GenerateClauseEncoded(
+      examples.value(), width, /*target_expected=*/true,
+      ExcludedRawFeatures(bound), bound.despite.atoms(), options));
 }
 
 Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
@@ -434,11 +428,9 @@ Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
   if (!examples.ok()) return examples.status();
 
   // des' clause first, truncated at the relevance threshold.
-  EncodedClauseDataset despite_working(examples.value(),
-                                       /*target_expected=*/true);
-  std::vector<ExplanationAtom> despite_trace = GenerateClauseWith(
-      despite_working, schema_, options, options.despite_width,
-      ExcludedRawFeatures(bound), bound.despite.atoms());
+  std::vector<ExplanationAtom> despite_trace = GenerateClauseEncoded(
+      examples.value(), options.despite_width, /*target_expected=*/true,
+      ExcludedRawFeatures(bound), bound.despite.atoms(), options);
   std::size_t keep = despite_trace.size();
   for (std::size_t i = 0; i < despite_trace.size(); ++i) {
     if (despite_trace[i].metric_after >=
@@ -459,11 +451,9 @@ Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
   auto extended_examples =
       BuildEncodedExamplesWith(extended, poi_first, poi_second, options);
   if (!extended_examples.ok()) return extended_examples.status();
-  EncodedClauseDataset because_working(extended_examples.value(),
-                                       /*target_expected=*/false);
-  explanation.because_trace = GenerateClauseWith(
-      because_working, schema_, options, options.width,
-      ExcludedRawFeatures(extended), extended.despite.atoms());
+  explanation.because_trace = GenerateClauseEncoded(
+      extended_examples.value(), options.width, /*target_expected=*/false,
+      ExcludedRawFeatures(extended), extended.despite.atoms(), options);
   explanation.because = ClauseToPredicate(explanation.because_trace);
   if (explanation.because.is_true()) {
     return Status::Internal("no applicable because clause could be built");

@@ -150,6 +150,16 @@ class Explainer {
       bool target_expected, const std::vector<std::size_t>& excluded_raw,
       const std::vector<Atom>& redundant_atoms = {}) const;
 
+  /// The encoded clause search behind the entry points above: generates
+  /// one clause from an encoded training matrix whose row 0 is the pair of
+  /// interest, under per-request `options`. The other arguments are as for
+  /// GenerateClause, whose trace it reproduces bitwise.
+  std::vector<ExplanationAtom> GenerateClauseEncoded(
+      const EncodedDataset& examples, std::size_t width, bool target_expected,
+      const std::vector<std::size_t>& excluded_raw,
+      const std::vector<Atom>& redundant_atoms,
+      const ExplainerOptions& options) const;
+
   /// Raw-feature indexes mentioned by the query's observed/expected clauses
   /// (excluded from candidate explanation features).
   std::vector<std::size_t> ExcludedRawFeatures(const Query& bound_query)

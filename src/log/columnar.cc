@@ -1,5 +1,10 @@
 #include "log/columnar.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
+
 #include "features/pair_schema.h"
 
 namespace perfxplain {
@@ -58,6 +63,7 @@ void ColumnarLog::AllocateColumns() {
       nominal_.push_back(std::move(column));
     }
   }
+  value_orders_ = std::make_unique<ValueOrderSlot[]>(numeric_.size());
 }
 
 void ColumnarLog::IngestRecord(std::size_t row, const ExecutionRecord& record) {
@@ -103,7 +109,8 @@ ColumnarLog::ColumnarLog(const ColumnarLog& base, const ExecutionLog& full_log)
       slot_(base.slot_),
       numeric_(base.numeric_),
       nominal_(base.nominal_),
-      interner_(base.interner_.Clone()) {
+      interner_(base.interner_.Clone()),
+      value_orders_(std::make_unique<ValueOrderSlot[]>(numeric_.size())) {
   PX_CHECK_GE(rows_, base.rows_) << "extension log shrank";
   PX_CHECK_EQ(full_log.schema().size(), schema_.size())
       << "extension log schema mismatch";
@@ -122,6 +129,28 @@ ColumnarLog::ColumnarLog(const ColumnarLog& base, const ExecutionLog& full_log)
 const NumericColumn& ColumnarLog::numeric_column(std::size_t col) const {
   PX_CHECK(is_numeric(col));
   return numeric_[static_cast<std::size_t>(slot_[col])];
+}
+
+const std::vector<std::uint32_t>& ColumnarLog::ValueOrder(
+    std::size_t col) const {
+  const NumericColumn& column = numeric_column(col);
+  ValueOrderSlot& slot = value_orders_[static_cast<std::size_t>(slot_[col])];
+  std::call_once(slot.sorted, [this, &column, &slot] {
+    PX_CHECK_LE(rows_, std::numeric_limits<std::uint32_t>::max());
+    // Sorting (value, row) pairs orders -0.0 and +0.0, which tie on value,
+    // by row; NaN is excluded, so the order is a strict total one.
+    std::vector<std::pair<double, std::uint32_t>> cells;
+    for (std::size_t row = 0; row < rows_; ++row) {
+      if (column.present.Test(row) && !std::isnan(column.values[row])) {
+        cells.emplace_back(column.values[row],
+                           static_cast<std::uint32_t>(row));
+      }
+    }
+    std::sort(cells.begin(), cells.end());
+    slot.rows.reserve(cells.size());
+    for (const auto& cell : cells) slot.rows.push_back(cell.second);
+  });
+  return slot.rows;
 }
 
 const NominalColumn& ColumnarLog::nominal_column(std::size_t col) const {

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -119,17 +121,20 @@ struct PairRef {
 ///    NaN is *data*, not missingness: a NaN cell is present, and the
 ///    kernels reproduce the Value path's NaN behavior (NaN is similar to
 ///    nothing, never equal to itself) bit for bit.
+///    ValueOrder lists its present, non-NaN rows by ascending value.
 ///  - Nominal feature f -> NominalColumn: `codes[row]` is the dense code
 ///    of the string in the shared StringInterner, or kNoCode when the
 ///    cell is missing. All nominal columns share one interner, so string
 ///    equality (even across columns) is integer code equality.
 ///
-/// Thread safety: immutable after construction; any number of threads may
-/// scan one ColumnarLog concurrently (the row-striped enumerations and the
-/// striped RReliefF probe loop do exactly that). The column accessors
-/// return stable references — compiled predicate programs cache the raw
-/// pointers, so a ColumnarLog must outlive every program compiled against
-/// it.
+/// Thread safety: immutable after construction, except that a numeric
+/// column's ValueOrder is sorted on its first use, once, under
+/// std::call_once; any number of threads may scan one ColumnarLog
+/// concurrently (the row-striped enumerations and the striped RReliefF
+/// probe loop do exactly that, and concurrent requests share the orders).
+/// The column accessors return stable references — compiled predicate
+/// programs cache the raw pointers, so a ColumnarLog must outlive every
+/// program compiled against it.
 class ColumnarLog {
  public:
   explicit ColumnarLog(const ExecutionLog& log);
@@ -162,6 +167,16 @@ class ColumnarLog {
   const NumericColumn& numeric_column(std::size_t col) const;
   const NominalColumn& nominal_column(std::size_t col) const;
 
+  /// The rows of numeric column `col` holding a present, non-NaN value, in
+  /// ascending value order; equal values (-0.0 and +0.0 among them) in
+  /// ascending row order. The order depends only on the cells, so an
+  /// incremental extension and a cold build give the same one. It is
+  /// sorted once per ColumnarLog, on the first call for the column:
+  /// sorting every column while a snapshot is built would cost more than
+  /// the whole build of a job log, and most snapshots' columns are never
+  /// walked in order.
+  const std::vector<std::uint32_t>& ValueOrder(std::size_t col) const;
+
   /// Decodes one cell back to a Value (tests and diagnostics; the hot paths
   /// never materialize Values).
   Value ValueAt(std::size_t row, std::size_t col) const;
@@ -178,6 +193,12 @@ class ColumnarLog {
   std::vector<NumericColumn> numeric_;
   std::vector<NominalColumn> nominal_;
   StringInterner interner_;
+  struct ValueOrderSlot {
+    std::once_flag sorted;
+    std::vector<std::uint32_t> rows;
+  };
+  /// One per numeric column, in numeric_ order.
+  std::unique_ptr<ValueOrderSlot[]> value_orders_;
 };
 
 }  // namespace perfxplain

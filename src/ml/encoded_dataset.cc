@@ -12,7 +12,7 @@ EncodedDataset::EncodedDataset(const ColumnarLog& columns,
                                const std::vector<PairRef>& pairs,
                                double sim_fraction)
     : schema_(&schema),
-      interner_(&columns.interner()),
+      columns_(&columns),
       pairs_(pairs) {
   const std::size_t m = pairs_.size();
   labels_.reserve(m);
@@ -113,9 +113,9 @@ Value EncodedDataset::DecodeCode(std::size_t pair_index,
     case PairFeatureKind::kCompare:
       return DecodeCompare(static_cast<std::int8_t>(code));
     case PairFeatureKind::kDiff:
-      return DecodeDiff(code, *interner_);
+      return DecodeDiff(code, interner());
     case PairFeatureKind::kBase:
-      return DecodeBaseNominal(static_cast<std::int32_t>(code), *interner_);
+      return DecodeBaseNominal(static_cast<std::int32_t>(code), interner());
   }
   return Value::Missing();
 }
@@ -177,24 +177,45 @@ EncodedAtomTest::EncodedAtomTest(const EncodedDataset& data,
   if (op_ == CompareOp::kEq && code_targets_.empty()) always_false_ = true;
 }
 
-bool EncodedAtomTest::Matches(const EncodedDataset& data,
-                              std::size_t row) const {
-  if (always_false_) return false;
-  if (numeric_) {
-    if (!data.NumericPresent(pair_index_, row)) return false;
-    return CompareDoubles(op_, data.NumericValues(pair_index_)[row],
-                          num_const_);
-  }
-  const std::int64_t code = data.Codes(pair_index_)[row];
-  if (code < 0) return false;
-  bool in_targets = false;
-  for (std::int64_t target : code_targets_) {
-    if (code == target) {
-      in_targets = true;
-      break;
+RowBitmap EncodedAtomTest::MatchingRows(const EncodedDataset& data) const {
+  const std::size_t n = data.rows();
+  RowBitmap rows((n + 63) / 64, 0);
+  if (always_false_) return rows;
+  // Each word is accumulated in a register: OR-ing bits into memory row by
+  // row would chain every row on a store-to-load round trip.
+  const auto fill = [&rows, n](auto matches) {
+    for (std::size_t w = 0; w < rows.size(); ++w) {
+      const std::size_t end = std::min(n, (w + 1) * 64);
+      std::uint64_t bits = 0;
+      for (std::size_t r = w * 64; r < end; ++r) {
+        bits |= static_cast<std::uint64_t>(matches(r)) << (r & 63);
+      }
+      rows[w] = bits;
     }
+  };
+  if (numeric_) {
+    const std::vector<double>& values = data.NumericValues(pair_index_);
+    fill([&](std::size_t r) {
+      return data.NumericPresent(pair_index_, r) &&
+             CompareDoubles(op_, values[r], num_const_);
+    });
+    return rows;
   }
-  return op_ == CompareOp::kEq ? in_targets : !in_targets;
+  const std::vector<std::int64_t>& codes = data.Codes(pair_index_);
+  const bool want = op_ == CompareOp::kEq;
+  if (code_targets_.size() == 1) {
+    const std::int64_t target = code_targets_[0];
+    fill([&](std::size_t r) {
+      return codes[r] >= 0 && (codes[r] == target) == want;
+    });
+    return rows;
+  }
+  fill([&](std::size_t r) {
+    const std::int64_t code = codes[r];
+    return code >= 0 && (std::find(code_targets_.begin(), code_targets_.end(),
+                                   code) != code_targets_.end()) == want;
+  });
+  return rows;
 }
 
 }  // namespace perfxplain

@@ -11,6 +11,9 @@
 
 namespace perfxplain {
 
+/// A set of EncodedDataset rows: bit r % 64 of word r / 64 is row r.
+using RowBitmap = std::vector<std::uint64_t>;
+
 /// A column-major, integer-coded training matrix: one column per Table 1
 /// pair feature, one row per sampled training pair. Built from a
 /// ColumnarLog via the pair-feature kernels, so no Value is ever
@@ -24,8 +27,8 @@ namespace perfxplain {
 ///    Values.
 ///  - numeric base features are double arrays with a presence bitmap.
 ///
-/// The ColumnarLog's interner must outlive the dataset (codes decode
-/// through it).
+/// The ColumnarLog must outlive the dataset (codes decode through its
+/// interner, and the split search walks its numeric value orders).
 class EncodedDataset {
  public:
   EncodedDataset(const ColumnarLog& columns, const PairSchema& schema,
@@ -33,7 +36,8 @@ class EncodedDataset {
 
   std::size_t rows() const { return pairs_.size(); }
   const PairSchema& schema() const { return *schema_; }
-  const StringInterner& interner() const { return *interner_; }
+  const ColumnarLog& columns() const { return *columns_; }
+  const StringInterner& interner() const { return columns_->interner(); }
   const std::vector<PairRef>& pairs() const { return pairs_; }
 
   /// Per-row observed/expected labels (1 = observed).
@@ -68,7 +72,7 @@ class EncodedDataset {
   };
 
   const PairSchema* schema_;
-  const StringInterner* interner_;
+  const ColumnarLog* columns_;
   std::vector<PairRef> pairs_;
   std::vector<std::uint8_t> labels_;
   std::vector<FeatureColumn> features_;
@@ -82,7 +86,8 @@ class EncodedAtomTest {
  public:
   EncodedAtomTest(const EncodedDataset& data, const Atom& atom);
 
-  bool Matches(const EncodedDataset& data, std::size_t row) const;
+  /// Every row of `data` the atom matches, in one pass over the column.
+  RowBitmap MatchingRows(const EncodedDataset& data) const;
 
  private:
   std::size_t pair_index_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "features/pair_feature_kernel.h"
 #include "ml/info_gain.h"
 
 namespace perfxplain {
@@ -26,37 +27,50 @@ SplitCounts CountSplit(const std::vector<TrainingExample>& examples,
   return counts;
 }
 
-void Consider(const PairSchema& schema, std::size_t pair_index, CompareOp op,
-              const Value& constant, double gain,
-              std::optional<SplitCandidate>& best) {
-  if (!best.has_value() || gain > best->gain) {
-    best = SplitCandidate{Atom::Bound(schema, pair_index, op, constant), gain};
-  }
-}
+/// The running best of one numeric feature's search. Candidates arrive in
+/// a fixed order and a later one wins only with a strictly higher gain.
+/// The atom is bound once, when the search ends, not on every improvement.
+struct NumericBest {
+  bool found = false;
+  CompareOp op = CompareOp::kEq;
+  double constant = 0.0;
+  double gain = 0.0;
+  SplitCounts counts;
 
-/// One (value, label) observation entering the threshold scan.
-struct ThresholdPoint {
-  double value;
-  bool positive;
+  void Consider(CompareOp candidate_op, double candidate_constant,
+                const SplitCounts& candidate_counts) {
+    const double candidate_gain = InformationGain(candidate_counts);
+    if (found && !(candidate_gain > gain)) return;
+    found = true;
+    op = candidate_op;
+    constant = candidate_constant;
+    gain = candidate_gain;
+    counts = candidate_counts;
+  }
+
+  std::optional<SplitCandidate> Bind(const PairSchema& schema,
+                                     std::size_t pair_index) const {
+    if (!found) return std::nullopt;
+    return SplitCandidate{
+        Atom::Bound(schema, pair_index, op, Value::Number(constant)), gain,
+        counts.in_total, counts.in_positive};
+  }
 };
 
 /// The C4.5-style threshold scan shared by the Value and encoded searches:
-/// one ascending pass produces the gains of all `f <= c` and `f >= c`
-/// candidates. Midpoints between adjacent distinct values are used as
-/// thresholds, plus the pair of interest's own value so `f <= poi` /
+/// one ascending pass over `points`, which the caller supplies sorted by
+/// value, produces the gains of all `f <= c` and `f >= c` candidates.
+/// Midpoints between adjacent distinct values are used as thresholds, plus
+/// the extremes and the pair of interest's own value so `f <= poi` /
 /// `f >= poi` are always candidates. Callers extract `points` and the
 /// missing counts from their representation; everything downstream is this
 /// single definition, so the two paths cannot drift apart.
-void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
-                           std::vector<ThresholdPoint>& points,
-                           std::size_t missing_total,
-                           std::size_t missing_positive, double poi,
-                           const SplitOptions& options,
-                           std::optional<SplitCandidate>& best) {
+void ScanSortedThresholds(const std::vector<ThresholdPoint>& points,
+                          std::size_t missing_total,
+                          std::size_t missing_positive, double poi,
+                          const SplitOptions& options, NumericBest& best) {
   using Point = ThresholdPoint;
   if (points.empty()) return;
-  std::sort(points.begin(), points.end(),
-            [](const Point& a, const Point& b) { return a.value < b.value; });
 
   const std::size_t n_total = points.size() + missing_total;
   std::size_t n_positive = missing_positive;
@@ -64,21 +78,44 @@ void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
     if (p.positive) ++n_positive;
   }
 
-  // Candidate thresholds: midpoints between adjacent distinct values, the
-  // extremes, and the pair of interest's value.
+  // Candidate thresholds, ascending and distinct. The midpoint of a < b
+  // lies in [a, b] unless a + b overflows, so merging the pair of
+  // interest's value into the walk over the points yields them sorted; an
+  // overflowed midpoint falls back to a sort. A zero threshold is +0.0:
+  // which zero the walk meets first depends on how equal values were
+  // ordered, and must not reach the atom.
   std::vector<double> thresholds;
   thresholds.reserve(points.size() + 2);
+  bool ascending = true;
+  const auto push = [&thresholds, &ascending](double c) {
+    if (c == 0.0) c = 0.0;
+    if (!thresholds.empty()) {
+      if (thresholds.back() == c) return;
+      if (!(thresholds.back() < c)) ascending = false;
+    }
+    thresholds.push_back(c);
+  };
+  bool poi_pushed = false;
+  const auto push_merged = [&](double c) {
+    if (!poi_pushed && poi <= c) {
+      push(poi);
+      poi_pushed = true;
+    }
+    push(c);
+  };
+  push_merged(points.front().value);
   for (std::size_t i = 0; i + 1 < points.size(); ++i) {
     if (points[i].value != points[i + 1].value) {
-      thresholds.push_back((points[i].value + points[i + 1].value) / 2.0);
+      push_merged((points[i].value + points[i + 1].value) / 2.0);
     }
   }
-  thresholds.push_back(points.front().value);
-  thresholds.push_back(points.back().value);
-  thresholds.push_back(poi);
-  std::sort(thresholds.begin(), thresholds.end());
-  thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
-                   thresholds.end());
+  push_merged(points.back().value);
+  if (!poi_pushed) push(poi);
+  if (!ascending) {
+    std::sort(thresholds.begin(), thresholds.end());
+    thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
+                     thresholds.end());
+  }
 
   // Prefix scan: for each threshold c, in-set of `f <= c` is the prefix of
   // points with value <= c; missing-valued examples are always out.
@@ -99,19 +136,14 @@ void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
       counts.out_total = n_total - prefix_total;
       counts.out_positive = n_positive - prefix_positive;
       if (counts.in_total >= options.min_support) {
-        Consider(schema, pair_index, CompareOp::kLe, Value::Number(c),
-                 InformationGain(counts), best);
+        best.Consider(CompareOp::kLe, c, counts);
       }
     }
-    // f >= c; in-set is the suffix with value >= c. Because thresholds fall
-    // between distinct values or on values, the suffix is everything not in
-    // the strict prefix of values < c; recompute via the complement of the
-    // prefix of values <= c when c is not an observed value. To stay exact
-    // we count the suffix directly from the prefix of values < c.
+    // f >= c; in-set is the suffix with value >= c, i.e. everything but
+    // the points with value < c. Those are the prefix of values <= c minus
+    // the run equal to c at its end; distinct thresholds have disjoint
+    // runs, so walking them back costs O(n) over the whole scan.
     if (poi >= c) {
-      // Count of points with value < c: step an independent scan would cost
-      // O(n) per threshold; instead note that points with value < c equals
-      // prefix_total minus points exactly equal to c that were consumed.
       std::size_t eq_total = 0;
       std::size_t eq_positive = 0;
       for (std::size_t k = cursor; k-- > 0;) {
@@ -127,19 +159,16 @@ void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
       counts.out_total = n_total - counts.in_total;
       counts.out_positive = n_positive - counts.in_positive;
       if (counts.in_total >= options.min_support) {
-        Consider(schema, pair_index, CompareOp::kGe, Value::Number(c),
-                 InformationGain(counts), best);
+        best.Consider(CompareOp::kGe, c, counts);
       }
     }
   }
 }
 
-/// Value-path point extraction for the shared threshold scan.
-void SearchNumericThresholds(const PairSchema& schema,
-                             const std::vector<TrainingExample>& examples,
+/// Value-path point extraction and sort for the shared threshold scan.
+void SearchNumericThresholds(const std::vector<TrainingExample>& examples,
                              std::size_t pair_index, double poi,
-                             const SplitOptions& options,
-                             std::optional<SplitCandidate>& best) {
+                             const SplitOptions& options, NumericBest& best) {
   std::vector<ThresholdPoint> points;
   points.reserve(examples.size());
   std::size_t missing_total = 0;
@@ -153,118 +182,162 @@ void SearchNumericThresholds(const PairSchema& schema,
       if (example.observed) ++missing_positive;
     }
   }
-  ScanNumericThresholds(schema, pair_index, points, missing_total,
-                        missing_positive, poi, options, best);
+  std::sort(points.begin(), points.end(),
+            [](const ThresholdPoint& a, const ThresholdPoint& b) {
+              return a.value < b.value;
+            });
+  ScanSortedThresholds(points, missing_total, missing_positive, poi,
+                       options, best);
 }
 
-/// Encoded point extraction: same scan, inputs from code/double columns.
-void SearchNumericThresholdsEncoded(const PairSchema& schema,
-                                    const EncodedDataset& data,
-                                    const std::vector<std::uint32_t>& rows,
-                                    const std::vector<std::uint8_t>& labels,
-                                    std::size_t pair_index, double poi,
-                                    const SplitOptions& options,
-                                    std::optional<SplitCandidate>& best) {
-  std::vector<ThresholdPoint> points;
-  points.reserve(rows.size());
-  std::size_t missing_total = 0;
-  std::size_t missing_positive = 0;
-  const std::vector<double>& values = data.NumericValues(pair_index);
-  for (std::uint32_t r : rows) {
-    if (data.NumericPresent(pair_index, r)) {
-      points.push_back({values[r], labels[r] != 0});
-    } else {
-      ++missing_total;
-      if (labels[r] != 0) ++missing_positive;
+bool TestRow(const RowBitmap& rows, std::size_t r) {
+  return (rows[r >> 6] >> (r & 63)) & 1;
+}
+
+/// Calls fn(r) for every row r of `rows`, in ascending order.
+template <typename Fn>
+void ForEachRow(const RowBitmap& rows, Fn&& fn) {
+  for (std::size_t w = 0; w < rows.size(); ++w) {
+    for (std::uint64_t bits = rows[w]; bits != 0; bits &= bits - 1) {
+      fn(w * 64 + static_cast<std::size_t>(kernel::CountTrailingZeros(bits)));
     }
   }
-  ScanNumericThresholds(schema, pair_index, points, missing_total,
-                        missing_positive, poi, options, best);
+}
+
+/// Completes a candidate's in-set counts with its out-set, within a
+/// working set of `total` rows of which `positives` are positive.
+SplitCounts WithOutside(SplitCounts counts, std::size_t total,
+                        std::size_t positives) {
+  counts.out_total = total - counts.in_total;
+  counts.out_positive = positives - counts.in_positive;
+  return counts;
 }
 
 }  // namespace
 
-std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
-    const EncodedDataset& data, const std::vector<std::uint32_t>& rows,
-    const std::vector<std::uint8_t>& labels, std::size_t pair_index,
-    std::size_t poi_row, const SplitOptions& options) {
-  const PairSchema& schema = data.schema();
-  if (rows.empty()) return std::nullopt;
-  if (!schema.IsDefined(pair_index)) return std::nullopt;
+EncodedSplitIndex::EncodedSplitIndex(const EncodedDataset& data)
+    : data_(&data), features_(data.schema().size()) {}
 
-  std::optional<SplitCandidate> best;
+const EncodedSplitIndex::Feature& EncodedSplitIndex::FeatureAt(
+    std::size_t pair_index) {
+  Feature& feature = features_[pair_index];
+  if (feature.built) return feature;
+  feature.built = true;
+  const EncodedDataset& data = *data_;
+  const std::size_t n = data.rows();
+  if (n == 0) return feature;
+
+  if (data.IsNumericFeature(pair_index)) {
+    feature.usable = data.NumericPresent(pair_index, 0);
+    return feature;
+  }
+
+  const std::int64_t poi_code = data.Codes(pair_index)[0];
+  if (poi_code < 0) return feature;
+  feature.usable = true;
+  // The sole candidate is the pair of interest's own value. EncodedAtomTest
+  // lowers it to every code that decodes to that value: one code, except
+  // for a diff whose nominal values contain commas, where several packed
+  // codes render to the same "(a,b,c)" string and the Value path counts the
+  // candidate across all of them.
+  feature.eq_atom = Atom::Bound(data.schema(), pair_index, CompareOp::kEq,
+                                data.DecodeCode(pair_index, poi_code));
+  feature.eq_rows = EncodedAtomTest(data, feature.eq_atom).MatchingRows(data);
+  return feature;
+}
+
+void EncodedSplitIndex::GroupByFirstRow(const RowBitmap& working) {
+  if (working == grouped_) return;
+  grouped_ = working;
+  // Counting sort of the working set by first log row; rows stay in
+  // ascending order within a log row.
+  const std::vector<PairRef>& pairs = data_->pairs();
+  first_offsets_.assign(data_->columns().rows() + 1, 0);
+  ForEachRow(working,
+             [&](std::size_t r) { ++first_offsets_[pairs[r].first + 1]; });
+  for (std::size_t i = 1; i < first_offsets_.size(); ++i) {
+    first_offsets_[i] += first_offsets_[i - 1];
+  }
+  by_first_.resize(first_offsets_.back());
+  std::vector<std::uint32_t> cursor(first_offsets_.begin(),
+                                    first_offsets_.end() - 1);
+  ForEachRow(working, [&](std::size_t r) {
+    by_first_[cursor[pairs[r].first]++] = static_cast<std::uint32_t>(r);
+  });
+}
+
+std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
+    EncodedSplitIndex& index, const RowBitmap& working,
+    const RowBitmap& positive, std::size_t pair_index,
+    const SplitOptions& options) {
+  const EncodedDataset& data = index.data();
+  const PairSchema& schema = data.schema();
+  if (!schema.IsDefined(pair_index)) return std::nullopt;
+  const EncodedSplitIndex::Feature& feature = index.FeatureAt(pair_index);
+  if (!feature.usable) return std::nullopt;
+  std::size_t total = 0;
+  std::size_t positives = 0;
+  for (std::size_t w = 0; w < working.size(); ++w) {
+    total += static_cast<std::size_t>(kernel::PopCount(working[w]));
+    positives +=
+        static_cast<std::size_t>(kernel::PopCount(working[w] & positive[w]));
+  }
+  if (total == 0) return std::nullopt;
+  const std::size_t eq_support = std::max<std::size_t>(1, options.min_support);
 
   if (!data.IsNumericFeature(pair_index)) {
-    const std::vector<std::int64_t>& codes = data.Codes(pair_index);
-    const std::int64_t poi_code = codes[poi_row];
-    if (poi_code < 0) return std::nullopt;
-    // The sole candidate is the pair of interest's own value. For
-    // isSame/compare/base-nominal features codes are bijective with
-    // values, so the poi's code is the whole candidate. Diff features
-    // need every code that decodes to the poi's value: two packed diff
-    // codes can render to the same "(a,b,c)" string when a nominal value
-    // contains a comma, and the Value path counts such a candidate across
-    // all of its encodings.
-    const Value poi_value = data.DecodeCode(pair_index, poi_code);
-    std::vector<std::int64_t> group = {poi_code};
-    if (schema.KindOf(pair_index) == PairFeatureKind::kDiff) {
-      std::vector<std::int64_t> distinct;
-      for (std::uint32_t r : rows) {
-        if (codes[r] >= 0 && codes[r] != poi_code) {
-          distinct.push_back(codes[r]);
-        }
-      }
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
-      for (std::int64_t code : distinct) {
-        if (data.DecodeCode(pair_index, code) == poi_value) {
-          group.push_back(code);
-        }
-      }
-    }
-    const bool single = group.size() == 1;
     SplitCounts counts;
-    for (std::uint32_t r : rows) {
-      if (single ? codes[r] == poi_code
-                 : std::find(group.begin(), group.end(), codes[r]) !=
-                       group.end()) {
-        ++counts.in_total;
-        if (labels[r] != 0) ++counts.in_positive;
-      } else {
-        ++counts.out_total;
-        if (labels[r] != 0) ++counts.out_positive;
-      }
+    for (std::size_t w = 0; w < working.size(); ++w) {
+      const std::uint64_t in = feature.eq_rows[w] & working[w];
+      counts.in_total += static_cast<std::size_t>(kernel::PopCount(in));
+      counts.in_positive +=
+          static_cast<std::size_t>(kernel::PopCount(in & positive[w]));
     }
-    if (counts.in_total < std::max<std::size_t>(1, options.min_support)) {
-      return std::nullopt;
-    }
-    Consider(schema, pair_index, CompareOp::kEq, poi_value,
-             InformationGain(counts), best);
-    return best;
+    if (counts.in_total < eq_support) return std::nullopt;
+    counts = WithOutside(counts, total, positives);
+    return SplitCandidate{feature.eq_atom, InformationGain(counts),
+                          counts.in_total, counts.in_positive};
   }
 
   // Numeric feature: equality on the pair's value plus threshold tests.
-  if (!data.NumericPresent(pair_index, poi_row)) return std::nullopt;
-  const std::vector<double>& values = data.NumericValues(pair_index);
-  const double poi = values[poi_row];
-  SplitCounts counts;
-  for (std::uint32_t r : rows) {
-    if (data.NumericPresent(pair_index, r) && values[r] == poi) {
-      ++counts.in_total;
-      if (labels[r] != 0) ++counts.in_positive;
-    } else {
-      ++counts.out_total;
-      if (labels[r] != 0) ++counts.out_positive;
+  // Walking the raw column's value order through the CSR visits the
+  // working set's present cells in ascending order.
+  index.GroupByFirstRow(working);
+  const std::vector<std::uint32_t>& order =
+      data.columns().ValueOrder(schema.RawIndexOf(pair_index));
+  const double* values = data.NumericValues(pair_index).data();
+  const double poi = values[0];
+  const std::uint32_t* offsets = index.first_offsets_.data();
+  const std::uint32_t* by_first = index.by_first_.data();
+  // Branch-free compaction: every visited row is written at the cursor,
+  // which advances only past present cells (hence the one spare slot).
+  std::vector<ThresholdPoint>& points = index.points_;
+  points.resize(index.by_first_.size() + 1);
+  std::size_t cursor = 0;
+  SplitCounts eq;
+  std::size_t present_positive = 0;
+  for (std::uint32_t log_row : order) {
+    const std::uint32_t end = offsets[log_row + 1];
+    for (std::uint32_t k = offsets[log_row]; k < end; ++k) {
+      const std::uint32_t r = by_first[k];
+      const bool keep = data.NumericPresent(pair_index, r);
+      const bool is_positive = keep & TestRow(positive, r);
+      const bool is_eq = keep & (values[r] == poi);
+      points[cursor] = {values[r], is_positive};
+      cursor += keep;
+      present_positive += is_positive;
+      eq.in_total += is_eq;
+      eq.in_positive += is_eq & is_positive;
     }
   }
-  if (counts.in_total >= std::max<std::size_t>(1, options.min_support)) {
-    Consider(schema, pair_index, CompareOp::kEq, Value::Number(poi),
-             InformationGain(counts), best);
+  points.resize(cursor);
+  NumericBest best;
+  if (eq.in_total >= eq_support) {
+    best.Consider(CompareOp::kEq, poi, WithOutside(eq, total, positives));
   }
-  SearchNumericThresholdsEncoded(schema, data, rows, labels, pair_index,
-                                 poi, options, best);
-  return best;
+  ScanSortedThresholds(points, total - points.size(),
+                       positives - present_positive, poi, options, best);
+  return best.Bind(schema, pair_index);
 }
 
 std::optional<SplitCandidate> BestPredicateForFeature(
@@ -275,7 +348,6 @@ std::optional<SplitCandidate> BestPredicateForFeature(
   if (!schema.IsDefined(pair_index)) return std::nullopt;
   if (poi_value.is_missing()) return std::nullopt;
 
-  std::optional<SplitCandidate> best;
   // Equality on the pair of interest's own value — the sole candidate of a
   // nominal feature.
   const SplitCounts counts =
@@ -283,17 +355,21 @@ std::optional<SplitCandidate> BestPredicateForFeature(
         return !e.features[pair_index].is_missing() &&
                e.features[pair_index] == poi_value;
       });
-  if (counts.in_total >= std::max<std::size_t>(1, options.min_support)) {
-    Consider(schema, pair_index, CompareOp::kEq, poi_value,
-             InformationGain(counts), best);
+  const bool supported =
+      counts.in_total >= std::max<std::size_t>(1, options.min_support);
+  if (schema.ValueKindOf(pair_index) == ValueKind::kNominal ||
+      !poi_value.is_numeric()) {
+    if (!supported) return std::nullopt;
+    return SplitCandidate{
+        Atom::Bound(schema, pair_index, CompareOp::kEq, poi_value),
+        InformationGain(counts), counts.in_total, counts.in_positive};
   }
   // Numeric features add the threshold tests.
-  if (schema.ValueKindOf(pair_index) != ValueKind::kNominal &&
-      poi_value.is_numeric()) {
-    SearchNumericThresholds(schema, examples, pair_index, poi_value.number(),
-                            options, best);
-  }
-  return best;
+  NumericBest best;
+  if (supported) best.Consider(CompareOp::kEq, poi_value.number(), counts);
+  SearchNumericThresholds(examples, pair_index, poi_value.number(), options,
+                          best);
+  return best.Bind(schema, pair_index);
 }
 
 }  // namespace perfxplain

@@ -17,6 +17,12 @@ namespace perfxplain {
 struct SplitCandidate {
   Atom atom;
   double gain = 0.0;
+  /// Examples of the searched set that satisfy `atom`, and the positive
+  /// ones among them: the numerators of the generality and precision of
+  /// lines 6-7 of Algorithm 1, carried out of the search so the clause
+  /// loop never recounts them.
+  std::size_t in_total = 0;
+  std::size_t in_positive = 0;
 };
 
 /// Options controlling the per-feature predicate search.
@@ -37,8 +43,10 @@ struct SplitOptions {
 /// value. Numeric features admit equality on the pair's value plus <= / >=
 /// threshold tests at midpoints between adjacent distinct observed values
 /// (C4.5-style), where <= thresholds must be at or above the pair's value
-/// and >= thresholds at or below it. Examples whose value is missing never
-/// satisfy a candidate.
+/// and >= thresholds at or below it. A zero threshold is always +0.0, so
+/// which of -0.0 and +0.0 an atom prints does not depend on the order of
+/// equal values. Examples whose value is missing never satisfy a
+/// candidate.
 ///
 /// `poi_value` is the pair of interest's value for this feature. Returns
 /// nullopt when the feature yields no usable candidate (e.g., the pair's
@@ -48,17 +56,75 @@ std::optional<SplitCandidate> BestPredicateForFeature(
     std::size_t pair_index, const Value& poi_value,
     const SplitOptions& options);
 
+/// One (value, label) observation entering the numeric threshold scan.
+struct ThresholdPoint {
+  double value;
+  bool positive;
+};
+
+/// Per-dataset state of the encoded split search. The training matrix is
+/// fixed while a clause grows and only the working set shrinks, so what a
+/// feature's search needs besides the working set is built once, the first
+/// time the feature is searched, and reused by every later step:
+///  - a code feature keeps its `f = poi` atom and the bitmap of rows that
+///    atom matches (EncodedAtomTest::MatchingRows). A diff's atom matches
+///    every packed code that renders to the poi's "(a,b,c)" string, which
+///    is several codes when a nominal value contains a comma;
+///  - numeric features share the working set grouped by the pair's first
+///    log row (a CSR), regrouped once when the working set changes. A
+///    numeric base cell is its first row's value, so walking the
+///    ColumnarLog's value order of the raw column through the CSR visits
+///    the working set's present cells in ascending order, without a sort;
+///  - one points buffer is reused by every numeric search, so a request
+///    holds no per-feature sorted copies.
+///
+/// Dataset row 0 is the pair of interest. The dataset (and its
+/// ColumnarLog) must outlive the index. Not thread-safe: one clause loop
+/// owns it.
+class EncodedSplitIndex {
+ public:
+  explicit EncodedSplitIndex(const EncodedDataset& data);
+
+  const EncodedDataset& data() const { return *data_; }
+
+ private:
+  friend std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
+      EncodedSplitIndex& index, const RowBitmap& working,
+      const RowBitmap& positive, std::size_t pair_index,
+      const SplitOptions& options);
+
+  struct Feature {
+    bool built = false;
+    bool usable = false;  ///< false when the poi's value is missing
+    Atom eq_atom;         ///< `f = poi` of a code feature
+    RowBitmap eq_rows;    ///< a code feature's rows equal to the poi's value
+  };
+
+  const Feature& FeatureAt(std::size_t pair_index);
+  /// Regroups the CSR to hold exactly `working`, unless it already does.
+  void GroupByFirstRow(const RowBitmap& working);
+
+  const EncodedDataset* data_;
+  std::vector<Feature> features_;
+  /// The rows of `grouped_` keyed by their pair's first log row: the rows
+  /// of log row i are by_first_[first_offsets_[i] .. first_offsets_[i + 1]).
+  RowBitmap grouped_;
+  std::vector<std::uint32_t> first_offsets_;
+  std::vector<std::uint32_t> by_first_;
+  /// The threshold scan's points, reused by every numeric search.
+  std::vector<ThresholdPoint> points_;
+};
+
 /// Encoded fast path of BestPredicateForFeature: the same search over an
-/// integer-coded training matrix, scanning codes and doubles instead of
-/// Values. `rows` is the current working set (dataset row indices, in
-/// order) and `labels` the per-dataset-row positive flags (already flipped
-/// when optimizing relevance). `poi_row` is the dataset row of the pair
-/// of interest. Produces bit-identical candidates and gains to the Value
-/// path.
+/// integer-coded training matrix. `working` is the current working set and
+/// `positive` the rows labelled positive (already flipped when optimizing
+/// relevance); the pair of interest is dataset row 0. A code feature costs
+/// two masked popcounts; a numeric one walks its presorted cells once.
+/// Produces bit-identical candidates, gains and counts to the Value path.
 std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
-    const EncodedDataset& data, const std::vector<std::uint32_t>& rows,
-    const std::vector<std::uint8_t>& labels, std::size_t pair_index,
-    std::size_t poi_row, const SplitOptions& options);
+    EncodedSplitIndex& index, const RowBitmap& working,
+    const RowBitmap& positive, std::size_t pair_index,
+    const SplitOptions& options);
 
 }  // namespace perfxplain
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -135,6 +139,121 @@ TEST(ColumnarLogTest, MissingNominalUsesNoCode) {
   EXPECT_EQ(columns.nominal_column(1).codes[0], StringInterner::kNoCode);
   EXPECT_FALSE(columns.numeric_column(2).present.Test(0));
   EXPECT_TRUE(columns.numeric_column(0).present.Test(0));
+}
+
+/// Numeric cells full of ties, -0.0 beside +0.0, missing cells and NaN.
+ExecutionLog TiedNumericLog(std::uint64_t seed, std::size_t n) {
+  Schema schema;
+  PX_CHECK(schema.Add("a", ValueKind::kNumeric).ok());
+  PX_CHECK(schema.Add("color", ValueKind::kNominal).ok());
+  PX_CHECK(schema.Add("b", ValueKind::kNumeric).ok());
+  ExecutionLog log(schema);
+  Rng rng(seed);
+  const double pool[] = {-3.5, -1, -0.0, 0.0, 0.5, 2, 1e9};
+  const auto cell = [&rng, &pool]() {
+    if (rng.Bernoulli(0.15)) return Value::Missing();
+    if (rng.Bernoulli(0.08)) return Value::Number(std::nan(""));
+    return Value::Number(pool[rng.UniformInt(0, 6)]);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<Value> values;
+    values.push_back(cell());
+    values.push_back(Value::Nominal(rng.Bernoulli(0.5) ? "x" : "y"));
+    values.push_back(cell());
+    PX_CHECK(log.Add(ExecutionRecord(StrFormat("r%03zu", i),
+                                     std::move(values)))
+                 .ok());
+  }
+  return log;
+}
+
+ExecutionLog Prefix(const ExecutionLog& log, std::size_t rows) {
+  ExecutionLog prefix(log.schema());
+  for (std::size_t row = 0; row < rows; ++row) {
+    PX_CHECK(prefix.Add(log.at(row)).ok());
+  }
+  return prefix;
+}
+
+/// ValueOrder(col) lists exactly the present, non-NaN rows of the column,
+/// by ascending value and, among equal values, ascending row.
+void ExpectValueOrder(const ColumnarLog& columns, std::size_t col,
+                      const std::string& context) {
+  const NumericColumn& column = columns.numeric_column(col);
+  const std::vector<std::uint32_t>& order = columns.ValueOrder(col);
+  std::vector<std::uint32_t> eligible;
+  for (std::size_t row = 0; row < columns.rows(); ++row) {
+    if (column.present.Test(row) && !std::isnan(column.values[row])) {
+      eligible.push_back(static_cast<std::uint32_t>(row));
+    }
+  }
+  std::vector<std::uint32_t> listed = order;
+  std::sort(listed.begin(), listed.end());
+  EXPECT_EQ(listed, eligible) << context;
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const double prev = column.values[order[k - 1]];
+    const double next = column.values[order[k]];
+    EXPECT_TRUE(prev < next || (prev == next && order[k - 1] < order[k]))
+        << context << " position " << k;
+  }
+}
+
+TEST(ColumnarLogOrderTest, AscendingOverPresentNonNanCells) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const ExecutionLog log = TiedNumericLog(seed, 90);
+    const ColumnarLog columns(log);
+    for (std::size_t col : {std::size_t{0}, std::size_t{2}}) {
+      ExpectValueOrder(columns, col,
+                       StrFormat("seed %d col %zu", static_cast<int>(seed),
+                                 col));
+    }
+  }
+  // The ad-hoc records constructor orders its rows too.
+  const ExecutionLog log = TiedNumericLog(4, 3);
+  const ColumnarLog records(log.schema(),
+                            {&log.at(2), &log.at(0), &log.at(1)});
+  ExpectValueOrder(records, 0, "records col 0");
+  ExpectValueOrder(records, 2, "records col 2");
+}
+
+TEST(ColumnarLogOrderTest, IncrementalOrderMatchesCold) {
+  const ExecutionLog full = TiedNumericLog(11, 200);
+  const ColumnarLog cold(full);
+  for (std::size_t delta_percent : {5u, 25u, 50u}) {
+    const std::size_t base_rows = full.size() * (100 - delta_percent) / 100;
+    const ColumnarLog base(Prefix(full, base_rows));
+    // Sort the base's orders first, as a served snapshot would have.
+    for (std::size_t col : {std::size_t{0}, std::size_t{2}}) {
+      ExpectValueOrder(base, col, "base");
+    }
+    const ColumnarLog extended(base, full);
+    for (std::size_t col : {std::size_t{0}, std::size_t{2}}) {
+      EXPECT_EQ(extended.ValueOrder(col), cold.ValueOrder(col))
+          << delta_percent << "% delta, col " << col;
+    }
+  }
+}
+
+TEST(ColumnarLogOrderTest, ConcurrentFirstUseSortsOnce) {
+  const ExecutionLog log = TiedNumericLog(21, 300);
+  const ColumnarLog expected(log);
+  const ColumnarLog shared(log);
+  constexpr int kThreads = 4;
+  std::vector<const std::vector<std::uint32_t>*> seen(kThreads * 2);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &seen, t] {
+      seen[2 * t] = &shared.ValueOrder(0);
+      seen[2 * t + 1] = &shared.ValueOrder(2);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[2 * t], seen[0]);
+    EXPECT_EQ(seen[2 * t + 1], seen[1]);
+  }
+  EXPECT_EQ(*seen[0], expected.ValueOrder(0));
+  EXPECT_EQ(*seen[1], expected.ValueOrder(2));
 }
 
 }  // namespace

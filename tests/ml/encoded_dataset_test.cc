@@ -127,9 +127,11 @@ TEST(EncodedDatasetTest, AtomTestMatchesAtomEval) {
     atoms.push_back(predicate.atoms()[0]);
   }
   for (const Atom& atom : atoms) {
-    const EncodedAtomTest test(fx.dataset, atom);
+    const RowBitmap rows = EncodedAtomTest(fx.dataset, atom).MatchingRows(
+        fx.dataset);
+    ASSERT_EQ(rows.size(), (fx.dataset.rows() + 63) / 64);
     for (std::size_t r = 0; r < fx.dataset.rows(); ++r) {
-      EXPECT_EQ(test.Matches(fx.dataset, r),
+      EXPECT_EQ(((rows[r >> 6] >> (r & 63)) & 1) != 0,
                 atom.Eval(fx.examples[r].features))
           << atom.ToString() << " row " << r;
     }
@@ -147,6 +149,25 @@ void ExpectSameCandidate(const std::optional<SplitCandidate>& actual,
   EXPECT_DOUBLE_EQ(actual->gain, expected->gain) << context;
 }
 
+/// `rows` of `dataset` as a RowBitmap.
+RowBitmap RowsBitmap(const EncodedDataset& dataset,
+                     const std::vector<std::uint32_t>& rows) {
+  RowBitmap bitmap((dataset.rows() + 63) / 64, 0);
+  for (std::uint32_t r : rows) bitmap[r >> 6] |= std::uint64_t{1} << (r & 63);
+  return bitmap;
+}
+
+/// The observed rows of `dataset` as a RowBitmap.
+RowBitmap LabelsBitmap(const EncodedDataset& dataset) {
+  std::vector<std::uint32_t> observed;
+  for (std::size_t r = 0; r < dataset.rows(); ++r) {
+    if (dataset.labels()[r] != 0) {
+      observed.push_back(static_cast<std::uint32_t>(r));
+    }
+  }
+  return RowsBitmap(dataset, observed);
+}
+
 TEST(EncodedSplitTest, BestPredicateMatchesValuePathEveryFeature) {
   for (std::uint64_t seed : {7u, 8u, 9u}) {
     const EncodedFixture fx(seed, 9);
@@ -154,13 +175,15 @@ TEST(EncodedSplitTest, BestPredicateMatchesValuePathEveryFeature) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       rows[r] = static_cast<std::uint32_t>(r);
     }
+    EncodedSplitIndex index(fx.dataset);
     SplitOptions options;
     options.min_support = 2;
     for (std::size_t f = 0; f < fx.schema.size(); ++f) {
       const auto expected = BestPredicateForFeature(
           fx.schema, fx.examples, f, fx.examples[0].features[f], options);
       const auto actual = BestPredicateForFeatureEncoded(
-          fx.dataset, rows, fx.dataset.labels(), f, 0, options);
+          index, RowsBitmap(fx.dataset, rows), LabelsBitmap(fx.dataset), f,
+          options);
       ExpectSameCandidate(
           actual, expected,
           StrFormat("seed %d feature %s", static_cast<int>(seed),
@@ -180,13 +203,15 @@ TEST(EncodedSplitTest, RespectsWorkingSubsets) {
     rows.push_back(static_cast<std::uint32_t>(r));
     subset.push_back(fx.examples[r]);
   }
+  EncodedSplitIndex index(fx.dataset);
   SplitOptions options;
   options.min_support = 2;
   for (std::size_t f = 0; f < fx.schema.size(); ++f) {
     const auto expected = BestPredicateForFeature(
         fx.schema, subset, f, fx.examples[0].features[f], options);
     const auto actual = BestPredicateForFeatureEncoded(
-        fx.dataset, rows, fx.dataset.labels(), f, 0, options);
+        index, RowsBitmap(fx.dataset, rows), LabelsBitmap(fx.dataset), f,
+        options);
     ExpectSameCandidate(actual, expected,
                         "subset feature " + fx.schema.NameOf(f));
   }

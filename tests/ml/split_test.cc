@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "testing/test_util.h"
 
 namespace perfxplain {
@@ -146,6 +148,58 @@ TEST_F(SplitTest, MinSupportFiltersNarrowPredicates) {
       if (split->atom.Eval(example.features)) ++support;
     }
     EXPECT_GE(support, 3u);
+  }
+}
+
+TEST_F(SplitTest, ZeroThresholdIsPositiveZeroWhateverTheOrderOfZeros) {
+  // -0.0 and +0.0 compare equal, so the order a sort leaves them in is
+  // arbitrary. A threshold at zero must print as "0" for every order of
+  // the zeros and either sign of the pair of interest's value. Zero wins
+  // as a threshold in two places: the low extreme (`x >= min` splits the
+  // present values from the missing ones) and the pair of interest's own
+  // value. At the high extreme it cannot win: `x <= max` covers the same
+  // rows as `x >= min`, which the ascending scan meets first.
+  const std::size_t f = schema_.IndexOf(PairFeatureKind::kBase, 0);  // "x"
+  struct Case {
+    const char* name;
+    std::vector<double> positives;  // besides the two zeros
+    std::vector<double> negatives;
+    double poi;
+    std::size_t missing_negatives;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {"low extreme", {1, 2, 3}, {}, 3.0, 4, "x >= 0"},
+      {"poi", {-2, -1}, {1, 2}, 0.0, 0, "x <= 0"},
+  };
+  for (const Case& c : cases) {
+    for (const double first_zero : {-0.0, 0.0}) {
+      for (const double poi_sign : {-1.0, 1.0}) {
+        const double poi = c.poi == 0.0 ? std::copysign(0.0, poi_sign)
+                                        : c.poi;
+        std::vector<TrainingExample> examples;
+        examples.push_back(Example(f, Value::Number(first_zero), true));
+        examples.push_back(Example(f, Value::Number(-first_zero), true));
+        for (double v : c.positives) {
+          examples.push_back(Example(f, Value::Number(v), true));
+        }
+        for (double v : c.negatives) {
+          examples.push_back(Example(f, Value::Number(v), false));
+        }
+        for (std::size_t i = 0; i < c.missing_negatives; ++i) {
+          examples.push_back(Example(f, Value::Missing(), false));
+        }
+        auto split = BestPredicateForFeature(schema_, examples, f,
+                                             Value::Number(poi), options_);
+        ASSERT_TRUE(split.has_value()) << c.name;
+        EXPECT_EQ(split->atom.ToString(), c.expected)
+            << c.name << ", first zero " << first_zero << ", poi " << poi;
+        EXPECT_FALSE(std::signbit(split->atom.constant().number())) << c.name;
+        // The split is exact: it holds every positive and nothing else.
+        EXPECT_EQ(split->in_total, 2 + c.positives.size()) << c.name;
+        EXPECT_EQ(split->in_positive, split->in_total) << c.name;
+      }
+    }
   }
 }
 
