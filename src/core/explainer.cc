@@ -89,47 +89,39 @@ class ValueClauseDataset {
 class EncodedClauseDataset {
  public:
   EncodedClauseDataset(const EncodedDataset& data, bool target_expected)
-      : index_(data),
-        working_((data.rows() + 63) / 64, 0),
-        positive_(working_.size(), 0),
-        size_(data.rows()) {
-    const std::vector<std::uint8_t>& labels = data.labels();
-    for (std::size_t r = 0; r < data.rows(); ++r) {
-      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-      working_[r >> 6] |= bit;
-      // Relevance (target_expected) counts the expected pairs as positive.
-      if ((labels[r] != 0) != target_expected) positive_[r >> 6] |= bit;
-    }
-  }
+      : index_(data), working_(AllRows(data, target_expected)) {}
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return working_.total(); }
 
   std::optional<SplitCandidate> BestPredicate(std::size_t f,
                                               const SplitOptions& options) {
-    return BestPredicateForFeatureEncoded(index_, working_, positive_, f,
-                                          options);
+    return BestPredicateForFeatureEncoded(index_, working_, f, options);
   }
 
   std::pair<std::size_t, std::size_t> Filter(const SplitCandidate& chosen) {
     const EncodedDataset& data = index_.data();
-    const RowBitmap rows =
-        EncodedAtomTest(data, chosen.atom).MatchingRows(data);
-    size_ = 0;
-    std::size_t target_count = 0;
-    for (std::size_t w = 0; w < working_.size(); ++w) {
-      working_[w] &= rows[w];
-      size_ += static_cast<std::size_t>(kernel::PopCount(working_[w]));
-      target_count += static_cast<std::size_t>(
-          kernel::PopCount(working_[w] & positive_[w]));
-    }
-    return {size_, target_count};
+    working_.Intersect(EncodedAtomTest(data, chosen.atom).MatchingRows(data));
+    return {working_.total(), working_.positives()};
   }
 
  private:
+  /// Every row of `data`. Relevance (target_expected) counts the expected
+  /// pairs as positive.
+  static EncodedWorkingSet AllRows(const EncodedDataset& data,
+                                   bool target_expected) {
+    RowBitmap rows((data.rows() + 63) / 64, 0);
+    RowBitmap positive(rows.size(), 0);
+    const std::vector<std::uint8_t>& labels = data.labels();
+    for (std::size_t r = 0; r < data.rows(); ++r) {
+      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+      rows[r >> 6] |= bit;
+      if ((labels[r] != 0) != target_expected) positive[r >> 6] |= bit;
+    }
+    return EncodedWorkingSet(std::move(rows), std::move(positive));
+  }
+
   EncodedSplitIndex index_;
-  RowBitmap working_;
-  RowBitmap positive_;
-  std::size_t size_;
+  EncodedWorkingSet working_;
 };
 
 /// Shared greedy loop (lines 3-17 of Algorithm 1). See Explainer's class

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -127,14 +125,12 @@ struct PairRef {
 ///    cell is missing. All nominal columns share one interner, so string
 ///    equality (even across columns) is integer code equality.
 ///
-/// Thread safety: immutable after construction, except that a numeric
-/// column's ValueOrder is sorted on its first use, once, under
-/// std::call_once; any number of threads may scan one ColumnarLog
-/// concurrently (the row-striped enumerations and the striped RReliefF
-/// probe loop do exactly that, and concurrent requests share the orders).
-/// The column accessors return stable references — compiled predicate
-/// programs cache the raw pointers, so a ColumnarLog must outlive every
-/// program compiled against it.
+/// Thread safety: immutable after construction, value orders included;
+/// any number of threads may scan one ColumnarLog concurrently (the
+/// row-striped enumerations and the striped RReliefF probe loop do exactly
+/// that). The column accessors return stable references — compiled
+/// predicate programs cache the raw pointers, so a ColumnarLog must outlive
+/// every program compiled against it.
 class ColumnarLog {
  public:
   explicit ColumnarLog(const ExecutionLog& log);
@@ -169,12 +165,9 @@ class ColumnarLog {
 
   /// The rows of numeric column `col` holding a present, non-NaN value, in
   /// ascending value order; equal values (-0.0 and +0.0 among them) in
-  /// ascending row order. The order depends only on the cells, so an
-  /// incremental extension and a cold build give the same one. It is
-  /// sorted once per ColumnarLog, on the first call for the column:
-  /// sorting every column while a snapshot is built would cost more than
-  /// the whole build of a job log, and most snapshots' columns are never
-  /// walked in order.
+  /// ascending row order. Every constructor sorts the orders of all
+  /// numeric columns from their cells, so an incremental extension and a
+  /// cold build give the same ones.
   const std::vector<std::uint32_t>& ValueOrder(std::size_t col) const;
 
   /// Decodes one cell back to a Value (tests and diagnostics; the hot paths
@@ -186,6 +179,8 @@ class ColumnarLog {
   void AllocateColumns();
   /// Encodes one record into row `row` of the columns.
   void IngestRecord(std::size_t row, const ExecutionRecord& record);
+  /// Builds value_orders_ from the columns' cells.
+  void BuildValueOrders();
 
   Schema schema_;
   std::size_t rows_ = 0;
@@ -193,12 +188,8 @@ class ColumnarLog {
   std::vector<NumericColumn> numeric_;
   std::vector<NominalColumn> nominal_;
   StringInterner interner_;
-  struct ValueOrderSlot {
-    std::once_flag sorted;
-    std::vector<std::uint32_t> rows;
-  };
-  /// One per numeric column, in numeric_ order.
-  std::unique_ptr<ValueOrderSlot[]> value_orders_;
+  /// ValueOrder of each numeric column, in numeric_ order.
+  std::vector<std::vector<std::uint32_t>> value_orders_;
 };
 
 }  // namespace perfxplain

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "common/logging.h"
 #include "features/pair_feature_kernel.h"
 #include "ml/info_gain.h"
 
@@ -62,21 +64,16 @@ struct NumericBest {
 /// value, produces the gains of all `f <= c` and `f >= c` candidates.
 /// Midpoints between adjacent distinct values are used as thresholds, plus
 /// the extremes and the pair of interest's own value so `f <= poi` /
-/// `f >= poi` are always candidates. Callers extract `points` and the
-/// missing counts from their representation; everything downstream is this
+/// `f >= poi` are always candidates. The searched set has `n_total`
+/// examples, `n_positive` of them positive; `present_positive` of the
+/// positives have a value (are in `points`). Callers extract `points` and
+/// the counts from their representation; everything downstream is this
 /// single definition, so the two paths cannot drift apart.
 void ScanSortedThresholds(const std::vector<ThresholdPoint>& points,
-                          std::size_t missing_total,
-                          std::size_t missing_positive, double poi,
+                          std::size_t n_total, std::size_t n_positive,
+                          std::size_t present_positive, double poi,
                           const SplitOptions& options, NumericBest& best) {
-  using Point = ThresholdPoint;
   if (points.empty()) return;
-
-  const std::size_t n_total = points.size() + missing_total;
-  std::size_t n_positive = missing_positive;
-  for (const Point& p : points) {
-    if (p.positive) ++n_positive;
-  }
 
   // Candidate thresholds, ascending and distinct. The midpoint of a < b
   // lies in [a, b] unless a + b overflows, so merging the pair of
@@ -155,7 +152,7 @@ void ScanSortedThresholds(const std::vector<ThresholdPoint>& points,
       const std::size_t lt_positive = prefix_positive - eq_positive;
       SplitCounts counts;
       counts.in_total = points.size() - lt_total;
-      counts.in_positive = (n_positive - missing_positive) - lt_positive;
+      counts.in_positive = present_positive - lt_positive;
       counts.out_total = n_total - counts.in_total;
       counts.out_positive = n_positive - counts.in_positive;
       if (counts.in_total >= options.min_support) {
@@ -171,23 +168,22 @@ void SearchNumericThresholds(const std::vector<TrainingExample>& examples,
                              const SplitOptions& options, NumericBest& best) {
   std::vector<ThresholdPoint> points;
   points.reserve(examples.size());
-  std::size_t missing_total = 0;
-  std::size_t missing_positive = 0;
+  std::size_t positives = 0;
+  std::size_t present_positive = 0;
   for (const TrainingExample& example : examples) {
+    positives += example.observed;
     const Value& v = example.features[pair_index];
     if (v.is_numeric()) {
       points.push_back({v.number(), example.observed});
-    } else {
-      ++missing_total;
-      if (example.observed) ++missing_positive;
+      present_positive += example.observed;
     }
   }
   std::sort(points.begin(), points.end(),
             [](const ThresholdPoint& a, const ThresholdPoint& b) {
               return a.value < b.value;
             });
-  ScanSortedThresholds(points, missing_total, missing_positive, poi,
-                       options, best);
+  ScanSortedThresholds(points, examples.size(), positives, present_positive,
+                       poi, options, best);
 }
 
 bool TestRow(const RowBitmap& rows, std::size_t r) {
@@ -215,35 +211,52 @@ SplitCounts WithOutside(SplitCounts counts, std::size_t total,
 
 }  // namespace
 
-EncodedSplitIndex::EncodedSplitIndex(const EncodedDataset& data)
-    : data_(&data), features_(data.schema().size()) {}
+EncodedWorkingSet::EncodedWorkingSet(RowBitmap rows, RowBitmap positive)
+    : rows_(std::move(rows)), positive_(std::move(positive)) {
+  PX_CHECK_EQ(rows_.size(), positive_.size());
+  Count();
+}
 
-const EncodedSplitIndex::Feature& EncodedSplitIndex::FeatureAt(
-    std::size_t pair_index) {
-  Feature& feature = features_[pair_index];
-  if (feature.built) return feature;
-  feature.built = true;
-  const EncodedDataset& data = *data_;
-  const std::size_t n = data.rows();
-  if (n == 0) return feature;
+void EncodedWorkingSet::Intersect(const RowBitmap& keep) {
+  PX_CHECK_EQ(keep.size(), rows_.size());
+  for (std::size_t w = 0; w < rows_.size(); ++w) rows_[w] &= keep[w];
+  Count();
+}
 
-  if (data.IsNumericFeature(pair_index)) {
-    feature.usable = data.NumericPresent(pair_index, 0);
-    return feature;
+void EncodedWorkingSet::Count() {
+  total_ = 0;
+  positives_ = 0;
+  for (std::size_t w = 0; w < rows_.size(); ++w) {
+    total_ += static_cast<std::size_t>(kernel::PopCount(rows_[w]));
+    positives_ +=
+        static_cast<std::size_t>(kernel::PopCount(rows_[w] & positive_[w]));
   }
+}
 
+EncodedSplitIndex::EncodedSplitIndex(const EncodedDataset& data)
+    : data_(&data),
+      equality_tests_(data.schema().size()),
+      equality_built_(data.schema().size(), false) {}
+
+const EncodedSplitIndex::EqualityTest& EncodedSplitIndex::EqualityTestAt(
+    std::size_t pair_index) {
+  EqualityTest& test = equality_tests_[pair_index];
+  if (equality_built_[pair_index]) return test;
+  equality_built_[pair_index] = true;
+  const EncodedDataset& data = *data_;
+  if (data.rows() == 0) return test;
   const std::int64_t poi_code = data.Codes(pair_index)[0];
-  if (poi_code < 0) return feature;
-  feature.usable = true;
+  if (poi_code < 0) return test;
+  test.usable = true;
   // The sole candidate is the pair of interest's own value. EncodedAtomTest
   // lowers it to every code that decodes to that value: one code, except
   // for a diff whose nominal values contain commas, where several packed
   // codes render to the same "(a,b,c)" string and the Value path counts the
   // candidate across all of them.
-  feature.eq_atom = Atom::Bound(data.schema(), pair_index, CompareOp::kEq,
-                                data.DecodeCode(pair_index, poi_code));
-  feature.eq_rows = EncodedAtomTest(data, feature.eq_atom).MatchingRows(data);
-  return feature;
+  test.atom = Atom::Bound(data.schema(), pair_index, CompareOp::kEq,
+                          data.DecodeCode(pair_index, poi_code));
+  test.rows = EncodedAtomTest(data, test.atom).MatchingRows(data);
+  return test;
 }
 
 void EncodedSplitIndex::GroupByFirstRow(const RowBitmap& working) {
@@ -266,56 +279,25 @@ void EncodedSplitIndex::GroupByFirstRow(const RowBitmap& working) {
   });
 }
 
-std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
-    EncodedSplitIndex& index, const RowBitmap& working,
-    const RowBitmap& positive, std::size_t pair_index,
-    const SplitOptions& options) {
-  const EncodedDataset& data = index.data();
-  const PairSchema& schema = data.schema();
-  if (!schema.IsDefined(pair_index)) return std::nullopt;
-  const EncodedSplitIndex::Feature& feature = index.FeatureAt(pair_index);
-  if (!feature.usable) return std::nullopt;
-  std::size_t total = 0;
-  std::size_t positives = 0;
-  for (std::size_t w = 0; w < working.size(); ++w) {
-    total += static_cast<std::size_t>(kernel::PopCount(working[w]));
-    positives +=
-        static_cast<std::size_t>(kernel::PopCount(working[w] & positive[w]));
-  }
-  if (total == 0) return std::nullopt;
-  const std::size_t eq_support = std::max<std::size_t>(1, options.min_support);
-
-  if (!data.IsNumericFeature(pair_index)) {
-    SplitCounts counts;
-    for (std::size_t w = 0; w < working.size(); ++w) {
-      const std::uint64_t in = feature.eq_rows[w] & working[w];
-      counts.in_total += static_cast<std::size_t>(kernel::PopCount(in));
-      counts.in_positive +=
-          static_cast<std::size_t>(kernel::PopCount(in & positive[w]));
-    }
-    if (counts.in_total < eq_support) return std::nullopt;
-    counts = WithOutside(counts, total, positives);
-    return SplitCandidate{feature.eq_atom, InformationGain(counts),
-                          counts.in_total, counts.in_positive};
-  }
-
-  // Numeric feature: equality on the pair's value plus threshold tests.
+EncodedSplitIndex::NumericCells EncodedSplitIndex::SortedCells(
+    const EncodedWorkingSet& working, std::size_t pair_index) {
+  const EncodedDataset& data = *data_;
   // Walking the raw column's value order through the CSR visits the
   // working set's present cells in ascending order.
-  index.GroupByFirstRow(working);
+  GroupByFirstRow(working.rows());
   const std::vector<std::uint32_t>& order =
-      data.columns().ValueOrder(schema.RawIndexOf(pair_index));
+      data.columns().ValueOrder(data.schema().RawIndexOf(pair_index));
   const double* values = data.NumericValues(pair_index).data();
   const double poi = values[0];
-  const std::uint32_t* offsets = index.first_offsets_.data();
-  const std::uint32_t* by_first = index.by_first_.data();
+  const RowBitmap& positive = working.positive();
+  const std::uint32_t* offsets = first_offsets_.data();
+  const std::uint32_t* by_first = by_first_.data();
   // Branch-free compaction: every visited row is written at the cursor,
   // which advances only past present cells (hence the one spare slot).
-  std::vector<ThresholdPoint>& points = index.points_;
-  points.resize(index.by_first_.size() + 1);
+  points_.resize(by_first_.size() + 1);
   std::size_t cursor = 0;
+  std::size_t positives = 0;
   SplitCounts eq;
-  std::size_t present_positive = 0;
   for (std::uint32_t log_row : order) {
     const std::uint32_t end = offsets[log_row + 1];
     for (std::uint32_t k = offsets[log_row]; k < end; ++k) {
@@ -323,20 +305,58 @@ std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
       const bool keep = data.NumericPresent(pair_index, r);
       const bool is_positive = keep & TestRow(positive, r);
       const bool is_eq = keep & (values[r] == poi);
-      points[cursor] = {values[r], is_positive};
+      points_[cursor] = {values[r], is_positive};
       cursor += keep;
-      present_positive += is_positive;
+      positives += is_positive;
       eq.in_total += is_eq;
       eq.in_positive += is_eq & is_positive;
     }
   }
-  points.resize(cursor);
-  NumericBest best;
-  if (eq.in_total >= eq_support) {
-    best.Consider(CompareOp::kEq, poi, WithOutside(eq, total, positives));
+  points_.resize(cursor);
+  return {points_, positives, eq};
+}
+
+std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
+    EncodedSplitIndex& index, const EncodedWorkingSet& working,
+    std::size_t pair_index, const SplitOptions& options) {
+  const EncodedDataset& data = index.data();
+  const PairSchema& schema = data.schema();
+  if (!schema.IsDefined(pair_index) || working.total() == 0) {
+    return std::nullopt;
   }
-  ScanSortedThresholds(points, total - points.size(),
-                       positives - present_positive, poi, options, best);
+  const std::size_t eq_support = std::max<std::size_t>(1, options.min_support);
+
+  if (!data.IsNumericFeature(pair_index)) {
+    const EncodedSplitIndex::EqualityTest& test =
+        index.EqualityTestAt(pair_index);
+    if (!test.usable) return std::nullopt;
+    const RowBitmap& rows = working.rows();
+    const RowBitmap& positive = working.positive();
+    SplitCounts counts;
+    for (std::size_t w = 0; w < rows.size(); ++w) {
+      const std::uint64_t in = test.rows[w] & rows[w];
+      counts.in_total += static_cast<std::size_t>(kernel::PopCount(in));
+      counts.in_positive +=
+          static_cast<std::size_t>(kernel::PopCount(in & positive[w]));
+    }
+    if (counts.in_total < eq_support) return std::nullopt;
+    counts = WithOutside(counts, working.total(), working.positives());
+    return SplitCandidate{test.atom, InformationGain(counts), counts.in_total,
+                          counts.in_positive};
+  }
+
+  // Numeric feature: equality on the pair's value plus threshold tests.
+  if (!data.NumericPresent(pair_index, 0)) return std::nullopt;
+  const double poi = data.NumericValues(pair_index)[0];
+  const EncodedSplitIndex::NumericCells cells =
+      index.SortedCells(working, pair_index);
+  NumericBest best;
+  if (cells.eq.in_total >= eq_support) {
+    best.Consider(CompareOp::kEq, poi,
+                  WithOutside(cells.eq, working.total(), working.positives()));
+  }
+  ScanSortedThresholds(cells.points, working.total(), working.positives(),
+                       cells.positives, poi, options, best);
   return best.Bind(schema, pair_index);
 }
 

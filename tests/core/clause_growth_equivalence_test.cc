@@ -205,8 +205,10 @@ TEST(ClauseGrowthEquivalenceTest, CarriedCountsEqualAnAtomEvalRecount) {
         const auto expected = BestPredicateForFeature(
             schema, working, f, examples[0].features[f], split_options);
         const auto actual = BestPredicateForFeatureEncoded(
-            index, Bitmap(dataset.rows(), members),
-            Bitmap(dataset.rows(), positives), f, split_options);
+            index,
+            EncodedWorkingSet(Bitmap(dataset.rows(), members),
+                              Bitmap(dataset.rows(), positives)),
+            f, split_options);
         ASSERT_EQ(actual.has_value(), expected.has_value()) << context;
         if (!expected.has_value()) continue;
         EXPECT_EQ(actual->atom.ToString(), expected->atom.ToString())

@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -222,7 +222,6 @@ TEST(ColumnarLogOrderTest, IncrementalOrderMatchesCold) {
   for (std::size_t delta_percent : {5u, 25u, 50u}) {
     const std::size_t base_rows = full.size() * (100 - delta_percent) / 100;
     const ColumnarLog base(Prefix(full, base_rows));
-    // Sort the base's orders first, as a served snapshot would have.
     for (std::size_t col : {std::size_t{0}, std::size_t{2}}) {
       ExpectValueOrder(base, col, "base");
     }
@@ -234,26 +233,72 @@ TEST(ColumnarLogOrderTest, IncrementalOrderMatchesCold) {
   }
 }
 
-TEST(ColumnarLogOrderTest, ConcurrentFirstUseSortsOnce) {
-  const ExecutionLog log = TiedNumericLog(21, 300);
-  const ColumnarLog expected(log);
-  const ColumnarLog shared(log);
-  constexpr int kThreads = 4;
-  std::vector<const std::vector<std::uint32_t>*> seen(kThreads * 2);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&shared, &seen, t] {
-      seen[2 * t] = &shared.ValueOrder(0);
-      seen[2 * t + 1] = &shared.ValueOrder(2);
-    });
+/// Column "wide": values spread over many binades, a tight cluster, the
+/// extremes (infinities, largest finite, subnormals, both zeros), NaN and
+/// missing cells, in random row order. Column "rising": ascending with gaps,
+/// so the already-sorted shortcut runs.
+ExecutionLog SpreadNumericLog(std::uint64_t seed, std::size_t n) {
+  Schema schema;
+  PX_CHECK(schema.Add("wide", ValueKind::kNumeric).ok());
+  PX_CHECK(schema.Add("rising", ValueKind::kNumeric).ok());
+  ExecutionLog log(schema);
+  Rng rng(seed);
+  const double extremes[] = {-HUGE_VAL,
+                             HUGE_VAL,
+                             -std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -0.0,
+                             0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    Value wide = Value::Missing();
+    switch (rng.UniformInt(0, 5)) {
+      case 0:
+        wide = Value::Number(rng.Uniform(-1e6, 1e6));
+        break;
+      case 1:
+        wide = Value::Number(std::ldexp(
+            rng.Uniform(1, 2), static_cast<int>(rng.UniformInt(-40, 40))));
+        break;
+      case 2:
+        wide = Value::Number(1e9 + 1e-6 * static_cast<double>(
+                                             rng.UniformInt(0, 20)));
+        break;
+      case 3:
+        wide = Value::Number(extremes[rng.UniformInt(0, 7)]);
+        break;
+      case 4:
+        wide = Value::Number(std::nan(""));
+        break;
+      default:
+        break;
+    }
+    Value rising = rng.Bernoulli(0.1)
+                       ? Value::Missing()
+                       : Value::Number(static_cast<double>(i / 3));
+    std::vector<Value> values;
+    values.push_back(std::move(wide));
+    values.push_back(std::move(rising));
+    PX_CHECK(log.Add(ExecutionRecord(StrFormat("r%04zu", i),
+                                     std::move(values)))
+                 .ok());
   }
-  for (std::thread& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(seen[2 * t], seen[0]);
-    EXPECT_EQ(seen[2 * t + 1], seen[1]);
+  return log;
+}
+
+TEST(ColumnarLogOrderTest, AscendingOnSpreadAndClusteredValues) {
+  for (std::uint64_t seed : {31u, 32u, 33u}) {
+    const ExecutionLog full = SpreadNumericLog(seed, 1500);
+    const ColumnarLog cold(full);
+    const ColumnarLog extended(ColumnarLog(Prefix(full, 1100)), full);
+    for (std::size_t col : {std::size_t{0}, std::size_t{1}}) {
+      const std::string context =
+          StrFormat("seed %d col %zu", static_cast<int>(seed), col);
+      ExpectValueOrder(cold, col, context);
+      EXPECT_EQ(extended.ValueOrder(col), cold.ValueOrder(col)) << context;
+    }
   }
-  EXPECT_EQ(*seen[0], expected.ValueOrder(0));
-  EXPECT_EQ(*seen[1], expected.ValueOrder(2));
 }
 
 }  // namespace

@@ -182,8 +182,10 @@ TEST(EncodedSplitTest, BestPredicateMatchesValuePathEveryFeature) {
       const auto expected = BestPredicateForFeature(
           fx.schema, fx.examples, f, fx.examples[0].features[f], options);
       const auto actual = BestPredicateForFeatureEncoded(
-          index, RowsBitmap(fx.dataset, rows), LabelsBitmap(fx.dataset), f,
-          options);
+          index,
+          EncodedWorkingSet(RowsBitmap(fx.dataset, rows),
+                            LabelsBitmap(fx.dataset)),
+          f, options);
       ExpectSameCandidate(
           actual, expected,
           StrFormat("seed %d feature %s", static_cast<int>(seed),
@@ -210,8 +212,10 @@ TEST(EncodedSplitTest, RespectsWorkingSubsets) {
     const auto expected = BestPredicateForFeature(
         fx.schema, subset, f, fx.examples[0].features[f], options);
     const auto actual = BestPredicateForFeatureEncoded(
-        index, RowsBitmap(fx.dataset, rows), LabelsBitmap(fx.dataset), f,
-        options);
+        index,
+        EncodedWorkingSet(RowsBitmap(fx.dataset, rows),
+                          LabelsBitmap(fx.dataset)),
+        f, options);
     ExpectSameCandidate(actual, expected,
                         "subset feature " + fx.schema.NameOf(f));
   }
