@@ -292,51 +292,87 @@ BENCHMARK(BM_EvaluateExplanation);
 
 /// The batch path of the service API: Q SimButDiff queries (same query
 /// shape, different pairs of interest) answered by Engine::ExplainBatch —
-/// one ordered-pair scan in which each pair is classified once and its
-/// packed isSame codes are built once, shared by all Q agreement tests.
-/// Single worker thread, so the speedup over the per-call loop below is
-/// pure amortization, not parallelism.
+/// one scan of the shape's candidate pairs for all Q pairs of interest —
+/// against the same Q queries issued one Explain at a time. Args:
+///   0: Q, the query count;
+///   1: pair-code budget denominator (0 = streaming, 8 = an eighth of a
+///      plane, 1 = resident plane);
+///   2: shape — 0 "broad", the harness query (its isSame despite prunes
+///      little), 1 "selective", BM_BudgetSweep's base-atom despite.
+/// Single worker thread, so the speedup over the per-call loop is pure
+/// amortization, not parallelism. Every pair of interest is explained
+/// once before timing, so both timers measure steady-state serving, not
+/// the one-time plane fill or first-touch tile builds
+/// (BM_SequentialExplainStream mode=cold tracks those).
 struct BatchFixture {
-  px::EngineOptions options;
   std::unique_ptr<px::Engine> engine;
   std::vector<px::PreparedQuery> prepared;
+  px::ExplainRequest request;
+  std::string label;
 
-  explicit BatchFixture(std::size_t count) {
+  explicit BatchFixture(const benchmark::State& state) {
     const MicroFixture& fixture = MicroFixture::Get();
+    const std::size_t count = static_cast<std::size_t>(state.range(0));
+    const long denom = state.range(1);
+    const bool selective = state.range(2) != 0;
+    px::Query base = fixture.query;
+    if (selective) {
+      auto parsed = px::ParseQuery(
+          "DESPITE numinstances = 16 AND pigscript = simple-filter.pig "
+          "OBSERVED duration_compare = GT "
+          "EXPECTED duration_compare = SIM");
+      PX_CHECK(parsed.ok()) << parsed.status().ToString();
+      base = std::move(parsed).value();
+    }
+    const std::size_t plane = px::PairCodeStore::BytesNeeded(
+        fixture.log.size(), fixture.log.schema().size());
+    px::EngineOptions options;
     options.sim_but_diff.threads = 1;
+    options.sim_but_diff.pair_code_budget_bytes =
+        denom == 0 ? 0 : plane / static_cast<std::size_t>(denom);
     engine = std::make_unique<px::Engine>(fixture.log, options);
     px::PairSchema schema(fixture.log.schema());
-    px::Query bound = fixture.query;
+    px::Query bound = base;
     PX_CHECK(bound.Bind(schema).ok());
+    request.technique = px::Technique::kSimButDiff;
     for (std::size_t q = 0; q < count; ++q) {
       // Distinct pairs of interest: skip a stride of matches per query.
       auto poi = px::FindPairOfInterest(fixture.log, schema, bound,
-                                        px::PairFeatureOptions(), q * 97);
-      PX_CHECK(poi.ok());
-      px::Query query = fixture.query;
+                                        px::PairFeatureOptions(),
+                                        q * (selective ? 13 : 97));
+      PX_CHECK(poi.ok()) << poi.status().ToString();
+      px::Query query = base;
       query.first_id = fixture.log.at(poi->first).id;
       query.second_id = fixture.log.at(poi->second).id;
       auto one = engine->Prepare(query);
       PX_CHECK(one.ok());
       prepared.push_back(std::move(one).value());
+      auto response = engine->Explain(prepared.back(), request);
+      PX_CHECK(response.ok()) << response.status().ToString();
     }
-    // Warm the snapshot's pair-code store so both the batch and the
-    // per-call timers measure steady-state serving, not the one-time
-    // build (BM_SequentialExplainStream mode=cold tracks that).
-    px::ExplainRequest request;
-    request.technique = px::Technique::kSimButDiff;
-    auto response = engine->Explain(prepared.front(), request);
-    PX_CHECK(response.ok()) << response.status().ToString();
+    label = "queries=" + std::to_string(count) + " budget=" +
+            (denom == 0   ? std::string("0")
+             : denom == 1 ? std::string("plane")
+                          : "plane/" + std::to_string(denom)) +
+            (selective ? " shape=selective" : " shape=broad") + " threads=1";
   }
 };
 
+void BatchArgs(benchmark::internal::Benchmark* bench) {
+  for (long queries : {4, 8}) {
+    for (long denom : {0, 8, 1}) {
+      for (long selective : {0, 1}) {
+        bench->Args({queries, denom, selective});
+      }
+    }
+  }
+}
+
 void BM_ExplainBatch(benchmark::State& state) {
-  BatchFixture fixture(static_cast<std::size_t>(state.range(0)));
-  px::ExplainRequest request;
-  request.technique = px::Technique::kSimButDiff;
+  const BatchFixture fixture(state);
   std::vector<px::Engine::BatchItem> items;
   for (const px::PreparedQuery& one : fixture.prepared) {
-    items.push_back(px::Engine::BatchItem{&one, request});
+    items.push_back(px::Engine::BatchItem{&one, fixture.request});
   }
   for (auto _ : state) {
     auto responses = fixture.engine->ExplainBatch(items);
@@ -345,27 +381,24 @@ void BM_ExplainBatch(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(responses);
   }
-  state.SetLabel("queries=" + std::to_string(state.range(0)) + " threads=1");
+  state.SetLabel(fixture.label);
 }
-BENCHMARK(BM_ExplainBatch)->Arg(4)->Arg(8);
+BENCHMARK(BM_ExplainBatch)->Apply(BatchArgs);
 
 /// The same Q SimButDiff queries issued one Explain at a time — the cost
-/// ExplainBatch amortizes (Q full scans, Q classifications and Q packings
-/// per pair).
+/// ExplainBatch amortizes (Q selection derivations and Q scans).
 void BM_ExplainBatchPerCallLoop(benchmark::State& state) {
-  BatchFixture fixture(static_cast<std::size_t>(state.range(0)));
-  px::ExplainRequest request;
-  request.technique = px::Technique::kSimButDiff;
+  const BatchFixture fixture(state);
   for (auto _ : state) {
     for (const px::PreparedQuery& one : fixture.prepared) {
-      auto response = fixture.engine->Explain(one, request);
+      auto response = fixture.engine->Explain(one, fixture.request);
       PX_CHECK(response.ok()) << response.status().ToString();
       benchmark::DoNotOptimize(response);
     }
   }
-  state.SetLabel("queries=" + std::to_string(state.range(0)) + " threads=1");
+  state.SetLabel(fixture.label);
 }
-BENCHMARK(BM_ExplainBatchPerCallLoop)->Arg(4)->Arg(8);
+BENCHMARK(BM_ExplainBatchPerCallLoop)->Apply(BatchArgs);
 
 /// The sequential serving pattern the PairCodeStore exists for: Q
 /// SimButDiff queries (same shape, different pairs of interest) arriving

@@ -48,13 +48,6 @@ std::string OptionsFingerprint(const EngineOptions& options) {
   return fp;
 }
 
-/// True when SimButDiff under `options` reads the store's filled plane.
-bool PlaneResident(const PairCodeStore& store,
-                   const SimButDiffOptions& options) {
-  return store.bytes_per_plane() <= options.pair_code_budget_bytes &&
-         store.warm(options.pair.sim_fraction);
-}
-
 /// The pair-code store's counters before a SimButDiff scan; Stamp fills a
 /// response's store fields with what the scan did — the one definition
 /// the per-call and the batched paths share.
@@ -69,7 +62,9 @@ class StoreTraffic {
 
   void Stamp(ExplainResponse* response) const {
     response->pair_store_built = store_.build_count() > builds_;
-    response->pair_store_hit = PlaneResident(store_, options_);
+    response->pair_store_hit =
+        store_.bytes_per_plane() <= options_.pair_code_budget_bytes &&
+        store_.warm(options_.pair.sim_fraction);
     response->tile_hits = store_.tile_hits() - hits_;
     response->tile_misses = store_.tile_misses() - misses_;
   }
@@ -81,6 +76,30 @@ class StoreTraffic {
   std::uint64_t hits_;
   std::uint64_t misses_;
 };
+
+/// The items of `indexes` grouped by query shape, in first-appearance
+/// order. Queries whose three bound predicates are structurally identical
+/// label every pair identically (equal predicates lower to equal
+/// programs), so one scan of the shape serves the whole group.
+std::vector<std::vector<std::size_t>> GroupByShape(
+    const std::vector<Engine::BatchItem>& items,
+    const std::vector<std::size_t>& indexes) {
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i : indexes) {
+    const Query& bound = items[i].prepared->bound();
+    std::size_t g = 0;
+    for (; g < groups.size(); ++g) {
+      const Query& seen = items[groups[g].front()].prepared->bound();
+      if (seen.despite == bound.despite && seen.observed == bound.observed &&
+          seen.expected == bound.expected) {
+        break;
+      }
+    }
+    if (g == groups.size()) groups.emplace_back();
+    groups[g].push_back(i);
+  }
+  return groups;
+}
 
 }  // namespace
 
@@ -196,16 +215,30 @@ ExplainerOptions Engine::ExplainerOptionsFor(
   return options;
 }
 
-Status Engine::AttachEvaluation(const PreparedQuery& prepared,
-                                const ExplainRequest& request,
-                                ExplainResponse* response) const {
-  if (!request.evaluate) return Status::OK();
-  const Clock::time_point start = Clock::now();
-  auto metrics = Evaluate(prepared, response->explanation);
-  if (!metrics.ok()) return metrics.status();
-  response->metrics = metrics.value();
-  response->evaluate_ms = MsSince(start);
-  return Status::OK();
+Result<ExplainResponse> Engine::Finish(const PreparedQuery& prepared,
+                                       const ExplainRequest& request,
+                                       const std::string& cache_key,
+                                       Result<Explanation> explanation,
+                                       ExplainResponse response) const {
+  if (!explanation.ok()) return explanation.status();
+  response.technique = request.technique;
+  response.snapshot_id = snapshot_->id();
+  response.explanation = std::move(explanation).value();
+  if (request.evaluate) {
+    const Clock::time_point start = Clock::now();
+    auto metrics = Evaluate(prepared, response.explanation);
+    if (!metrics.ok()) return metrics.status();
+    response.metrics = metrics.value();
+    response.evaluate_ms = MsSince(start);
+  }
+  // Only a fully successful response reaches this Put: every failure —
+  // including a cancel or deadline firing mid-scan — returned earlier, so
+  // a partial result is never cached.
+  if (result_cache_ != nullptr) {
+    result_cache_->Put(cache_key, ResultCache::Value{response.explanation,
+                                                     response.metrics});
+  }
+  return response;
 }
 
 Result<Explanation> Engine::Generate(const PreparedQuery& prepared,
@@ -230,12 +263,15 @@ Result<Explanation> Engine::Generate(const PreparedQuery& prepared,
       return rule_of_thumb().ExplainPrepared(prepared.bound(),
                                              prepared.poi_first(),
                                              prepared.poi_second(), width);
-    case Technique::kSimButDiff:
-      return sim_but_diff_->ExplainPrepared(
-          prepared.bound(), prepared.compiled(), prepared.poi_first(),
-          prepared.poi_second(), width,
-          EnumerationOptions{
-              request.threads.value_or(options_.sim_but_diff.threads)});
+    case Technique::kSimButDiff: {
+      std::vector<Result<Explanation>> results =
+          sim_but_diff_->ExplainPrepared(
+              prepared.bound(), prepared.compiled(),
+              {{prepared.poi_first(), prepared.poi_second(), width}},
+              EnumerationOptions{
+                  request.threads.value_or(options_.sim_but_diff.threads)});
+      return std::move(results.front());
+    }
   }
   return Status::InvalidArgument("unknown technique");
 }
@@ -325,28 +361,36 @@ ExecContext Engine::MakeExecContext(const ExplainRequest& request) const {
   return context;
 }
 
+std::optional<ExplainResponse> Engine::LookUp(const PreparedQuery& prepared,
+                                              const ExplainRequest& request,
+                                              std::string* cache_key) const {
+  if (result_cache_ == nullptr) return std::nullopt;
+  const Clock::time_point lookup_start = Clock::now();
+  *cache_key = CacheKeyFor(prepared, request);
+  auto cached = result_cache_->Get(*cache_key);
+  if (!cached.has_value()) return std::nullopt;
+  ExplainResponse response;
+  response.technique = request.technique;
+  response.snapshot_id = snapshot_->id();
+  response.explanation = std::move(cached->explanation);
+  response.metrics = std::move(cached->metrics);
+  response.explain_ms = MsSince(lookup_start);
+  response.result_cache_hit = true;
+  return response;
+}
+
 Result<ExplainResponse> Engine::Explain(const PreparedQuery& prepared,
                                         const ExplainRequest& request) const {
   PX_RETURN_IF_ERROR(CheckPrepared(prepared));
   PX_RETURN_IF_ERROR(AdmitRequest(request));
-  // The cache is consulted before any scan; a hit is a finished response
-  // (only complete, successful ones are ever inserted) whose explain_ms
-  // is the lookup itself.
   std::string cache_key;
-  if (result_cache_ != nullptr) {
-    const Clock::time_point lookup_start = Clock::now();
-    cache_key = CacheKeyFor(prepared, request);
-    if (auto cached = result_cache_->Get(cache_key); cached.has_value()) {
-      ExplainResponse response;
-      response.technique = request.technique;
-      response.snapshot_id = snapshot_->id();
-      response.explanation = std::move(cached->explanation);
-      response.metrics = std::move(cached->metrics);
-      response.explain_ms = MsSince(lookup_start);
-      response.result_cache_hit = true;
-      return response;
-    }
-  }
+  if (auto cached = LookUp(prepared, request, &cache_key)) return *cached;
+  return Run(prepared, request, cache_key);
+}
+
+Result<ExplainResponse> Engine::Run(const PreparedQuery& prepared,
+                                    const ExplainRequest& request,
+                                    const std::string& cache_key) const {
   const ExecContext exec_context = MakeExecContext(request);
   ScopedExecContext scoped(exec_context.empty() ? nullptr : &exec_context);
   try {
@@ -356,23 +400,11 @@ Result<ExplainResponse> Engine::Explain(const PreparedQuery& prepared,
     }
     const Clock::time_point start = Clock::now();
     auto explanation = Generate(prepared, request);
-    if (!explanation.ok()) return explanation.status();
     ExplainResponse response;
-    response.technique = request.technique;
-    response.snapshot_id = snapshot_->id();
-    response.explanation = std::move(explanation).value();
     response.explain_ms = MsSince(start);
     if (traffic.has_value()) traffic->Stamp(&response);
-    PX_RETURN_IF_ERROR(AttachEvaluation(prepared, request, &response));
-    // Only a fully successful response reaches this Put: every failure —
-    // including a cancel or deadline firing mid-scan — returned above,
-    // so a partial result is never cached.
-    if (result_cache_ != nullptr) {
-      result_cache_->Put(cache_key,
-                         ResultCache::Value{response.explanation,
-                                            response.metrics});
-    }
-    return response;
+    return Finish(prepared, request, cache_key, std::move(explanation),
+                  std::move(response));
   } catch (const InterruptedError& interrupted) {
     // A checkpoint fired mid-scan (or mid-fill): every worker has joined
     // and any tile caught mid-build was freed, so the shared snapshot
@@ -388,158 +420,86 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
   for (std::size_t i = 0; i < items.size(); ++i) {
     responses.push_back(Status::Internal("batch item not answered"));
   }
-  // Items answered by a shared scan; everything else runs through the
-  // per-call path at the bottom.
+  // Items answered below; everything else runs through the per-call path
+  // at the bottom, with the cache key of its one lookup.
   std::vector<bool> handled(items.size(), false);
-  // Cache keys of the items consulted below, kept so the shared-scan
-  // paths can Put their finished responses (empty = not consulted here;
-  // the per-call path lets Explain handle its own caching).
   std::vector<std::string> cache_keys(items.size());
-
-  // The batch's SimButDiff requests share one ordered-pair scan.
-  std::vector<std::size_t> batched;
-  std::vector<SimButDiff::PreparedBatchQuery> queries;
+  std::vector<std::size_t> sim_but_diff_items;
+  std::vector<std::size_t> perfxplain_items;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const BatchItem& item = items[i];
-    if (item.prepared == nullptr) {
-      responses[i] = Status::InvalidArgument("batch item has no query");
-      handled[i] = true;
-      continue;
-    }
-    if (Status prepared_status = CheckPrepared(*item.prepared);
-        !prepared_status.ok()) {
-      responses[i] = prepared_status;
-      handled[i] = true;
-      continue;
-    }
-    if (Status admitted = AdmitRequest(item.request); !admitted.ok()) {
+    Status admitted = item.prepared == nullptr
+                          ? Status::InvalidArgument("batch item has no query")
+                          : CheckPrepared(*item.prepared);
+    if (admitted.ok()) admitted = AdmitRequest(item.request);
+    if (!admitted.ok()) {
       responses[i] = admitted;
       handled[i] = true;
       continue;
     }
-    // Cached items leave the batch before routing, so a hit is answered
-    // without joining (or triggering) any shared scan. Deadline/cancel
-    // items run per-call anyway; Explain consults the cache for them.
-    if (result_cache_ != nullptr && item.request.deadline_ms == 0 &&
-        item.request.cancel == nullptr) {
-      const Clock::time_point lookup_start = Clock::now();
-      cache_keys[i] = CacheKeyFor(*item.prepared, item.request);
-      if (auto cached = result_cache_->Get(cache_keys[i]);
-          cached.has_value()) {
-        ExplainResponse response;
-        response.technique = item.request.technique;
-        response.snapshot_id = snapshot_->id();
-        response.explanation = std::move(cached->explanation);
-        response.metrics = std::move(cached->metrics);
-        response.explain_ms = MsSince(lookup_start);
-        response.result_cache_hit = true;
-        responses[i] = std::move(response);
-        handled[i] = true;
-        continue;
-      }
+    // Cached items leave the batch before grouping, so a hit is answered
+    // without joining (or triggering) any shared scan.
+    if (auto cached = LookUp(*item.prepared, item.request, &cache_keys[i])) {
+      responses[i] = *std::move(cached);
+      handled[i] = true;
+      continue;
     }
-    if (item.request.technique != Technique::kSimButDiff) continue;
-    // Requests carrying a deadline or CancelToken run per-call (through
-    // Explain, which installs their ExecContext); a shared scan has no
-    // single request whose interruption state could govern it.
+    // Requests carrying a deadline or CancelToken run per-call (Run
+    // installs their ExecContext); a shared scan has no single request
+    // whose interruption state could govern it.
     if (item.request.deadline_ms > 0 || item.request.cancel != nullptr) {
       continue;
     }
-    SimButDiff::PreparedBatchQuery query;
-    query.bound = &item.prepared->bound();
-    query.compiled = &item.prepared->compiled();
-    query.poi_first = item.prepared->poi_first();
-    query.poi_second = item.prepared->poi_second();
-    query.width = item.request.width > 0 ? item.request.width
-                                         : options_.explainer.width;
-    batched.push_back(i);
-    queries.push_back(query);
+    if (item.request.technique == Technique::kSimButDiff) {
+      sim_but_diff_items.push_back(i);
+    } else if (item.request.technique == Technique::kPerfXplain &&
+               !item.request.auto_despite &&
+               Definition1(*item.prepared).ok()) {
+      // Auto-despite rewrites the shape mid-flight, and a Definition 1
+      // failure is the per-call path's status, so both run per-call.
+      perfxplain_items.push_back(i);
+    }
   }
 
-  // Below this many SimButDiff requests, a batch whose snapshot store is
-  // already warm (plane filled, within this engine's budget) runs its
-  // items per-call instead of through the shared scan: with packing
-  // already amortized by the store, the batch machinery's per-group
-  // bookkeeping outweighs the one scan it saves (0.89x at 4 queries —
-  // the ROADMAP regression this routing closes). Outputs are unchanged
-  // either way — the batch-vs-per-call suites pin the two paths bitwise —
-  // only `batched`/`explain_ms` reflect the actual route. Cold stores
-  // keep the shared scan at any size: its single pass also covers the
-  // plane's one-time fill.
-  constexpr std::size_t kSmallWarmBatchCutoff = 6;
-  const bool route_small_warm_batch_per_call =
-      PlaneResident(snapshot_->pair_codes(), options_.sim_but_diff) &&
-      batched.size() < kSmallWarmBatchCutoff;
-
-  if (batched.size() > 1 && !route_small_warm_batch_per_call) {
+  // The batch's SimButDiff requests of one query shape share one scan
+  // (SimButDiff::ExplainPrepared over the group's pairs of interest).
+  for (const std::vector<std::size_t>& group :
+       GroupByShape(items, sim_but_diff_items)) {
+    const PreparedQuery& representative = *items[group.front()].prepared;
+    std::vector<SimButDiff::PairOfInterest> pois;
+    for (std::size_t i : group) {
+      const BatchItem& item = items[i];
+      pois.push_back({item.prepared->poi_first(), item.prepared->poi_second(),
+                      item.request.width > 0 ? item.request.width
+                                             : options_.explainer.width});
+    }
     const StoreTraffic traffic(snapshot_->pair_codes(),
                                options_.sim_but_diff);
     const Clock::time_point start = Clock::now();
-    std::vector<Result<Explanation>> results =
-        sim_but_diff_->ExplainBatch(queries, options_.sim_but_diff.threads);
-    // Every batched response starts from this one: the scan's time and
-    // tile traffic are shared, not attributable per item.
+    std::vector<Result<Explanation>> results = sim_but_diff_->ExplainPrepared(
+        representative.bound(), representative.compiled(), pois,
+        EnumerationOptions{options_.sim_but_diff.threads});
+    // Every response of the group starts from this one: the scan's time
+    // and tile traffic are shared, not attributable per item.
     ExplainResponse shared;
-    shared.technique = Technique::kSimButDiff;
-    shared.snapshot_id = snapshot_->id();
-    shared.explain_ms = MsSince(start) / static_cast<double>(batched.size());
+    shared.explain_ms = MsSince(start) / static_cast<double>(group.size());
     shared.batched = true;
     traffic.Stamp(&shared);
-    for (std::size_t b = 0; b < batched.size(); ++b) {
-      const std::size_t i = batched[b];
+    for (std::size_t g = 0; g < group.size(); ++g) {
+      const std::size_t i = group[g];
       handled[i] = true;
-      if (!results[b].ok()) {
-        responses[i] = results[b].status();
-        continue;
-      }
-      ExplainResponse response = shared;
-      response.explanation = std::move(results[b]).value();
-      if (Status evaluated = AttachEvaluation(*items[i].prepared,
-                                              items[i].request, &response);
-          !evaluated.ok()) {
-        responses[i] = evaluated;
-        continue;
-      }
-      if (result_cache_ != nullptr && !cache_keys[i].empty()) {
-        result_cache_->Put(cache_keys[i],
-                           ResultCache::Value{response.explanation,
-                                              response.metrics});
-      }
-      responses[i] = std::move(response);
+      responses[i] = Finish(*items[i].prepared, items[i].request,
+                            cache_keys[i], std::move(results[g]), shared);
     }
   }
 
-  // The batch's PerfXplain requests of one query shape (structurally
-  // identical bound predicates; Definition 1 holding, since the per-call
-  // path fails those before scanning; no auto-despite, which rewrites the
-  // shape mid-flight) share one related-pair classification scan. Each
-  // request then pays only its serial sampling replay, encoding and
-  // clause generation — bitwise identical to per-call Explain because the
-  // counting scan never depends on the pair of interest or the seed.
-  std::vector<std::vector<std::size_t>> px_groups;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const BatchItem& item = items[i];
-    if (handled[i] || item.prepared == nullptr) continue;
-    if (item.request.technique != Technique::kPerfXplain) continue;
-    if (item.request.auto_despite) continue;
-    // Deadline/cancel-carrying requests run per-call (see above).
-    if (item.request.deadline_ms > 0 || item.request.cancel != nullptr) {
-      continue;
-    }
-    if (!Definition1(*item.prepared).ok()) continue;  // per-call status
-    const Query& bound = item.prepared->bound();
-    std::size_t g = 0;
-    for (; g < px_groups.size(); ++g) {
-      const Query& seen = items[px_groups[g].front()].prepared->bound();
-      if (seen.despite == bound.despite && seen.observed == bound.observed &&
-          seen.expected == bound.expected) {
-        break;
-      }
-    }
-    if (g == px_groups.size()) px_groups.emplace_back();
-    px_groups[g].push_back(i);
-  }
-  for (const std::vector<std::size_t>& group : px_groups) {
+  // The batch's PerfXplain requests of one query shape share one
+  // related-pair classification scan. Each request then pays only its
+  // serial sampling replay, encoding and clause generation — bitwise
+  // identical to per-call Explain because the counting scan never depends
+  // on the pair of interest or the seed.
+  for (const std::vector<std::size_t>& group :
+       GroupByShape(items, perfxplain_items)) {
     // A lone request gains nothing from the shared scan.
     if (group.size() < 2) continue;
     const PreparedQuery& representative = *items[group.front()].prepared;
@@ -553,10 +513,9 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
     if (scan.overflowed) continue;
     const double scan_share_ms =
         MsSince(scan_start) / static_cast<double>(group.size());
-    // Second amortization seam (the former ROADMAP carried item): within a
-    // shape group, the encoded training matrix depends only on (scan,
-    // effective seed, pair of interest) — the sampler settings, diversity
-    // cap, balanced flag and sim_fraction are engine-fixed, and
+    // Within a shape group, the encoded training matrix depends only on
+    // (scan, effective seed, pair of interest) — the sampler settings,
+    // diversity cap, balanced flag and sim_fraction are engine-fixed, and
     // per-request overrides touch only width/seed/threads. Requests
     // agreeing on (seed, poi) therefore replay identical sampling draws
     // and encode the identical matrix; build it once per sub-group and
@@ -595,43 +554,23 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
           responses[i] = examples.status();
           continue;
         }
-        const ExplainerOptions explainer_options =
-            ExplainerOptionsFor(item.request);
         const Clock::time_point start = Clock::now();
         auto explanation = explainer_->ExplainPreparedWithExamples(
-            item.prepared->bound(), examples.value(), explainer_options);
-        if (!explanation.ok()) {
-          responses[i] = explanation.status();
-          continue;
-        }
+            item.prepared->bound(), examples.value(),
+            ExplainerOptionsFor(item.request));
         ExplainResponse response;
-        response.technique = Technique::kPerfXplain;
-        response.snapshot_id = snapshot_->id();
-        response.explanation = std::move(explanation).value();
         response.explain_ms = scan_share_ms + sample_share_ms + MsSince(start);
         response.batched = true;
-        if (Status evaluated = AttachEvaluation(*item.prepared, item.request,
-                                                &response);
-            !evaluated.ok()) {
-          responses[i] = evaluated;
-          continue;
-        }
-        if (result_cache_ != nullptr && !cache_keys[i].empty()) {
-          result_cache_->Put(cache_keys[i],
-                             ResultCache::Value{response.explanation,
-                                                response.metrics});
-        }
-        responses[i] = std::move(response);
+        responses[i] = Finish(*item.prepared, item.request, cache_keys[i],
+                              std::move(explanation), std::move(response));
       }
     }
   }
 
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (handled[i]) continue;
-    // Explain consults and fills the cache itself for these (the second
-    // lookup of an item already missed above is a second recorded miss —
-    // the stats are informational, not load-bearing).
-    responses[i] = Explain(*items[i].prepared, items[i].request);
+    if (!handled[i]) {
+      responses[i] = Run(*items[i].prepared, items[i].request, cache_keys[i]);
+    }
   }
   return responses;
 }

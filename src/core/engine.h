@@ -256,8 +256,8 @@ struct ExplainResponse {
   std::optional<ExplanationMetrics> metrics;
 
   /// Wall-clock cost of generating the explanation. For requests answered
-  /// by the shared scan of ExplainBatch this is the amortized share
-  /// (scan time / batched requests) — the batch's whole point.
+  /// by a shared scan of ExplainBatch this is the amortized share (scan
+  /// time / requests of its shape group) — the batch's whole point.
   double explain_ms = 0.0;
   /// Wall-clock cost of the evaluate scan (0 when not requested).
   double evaluate_ms = 0.0;
@@ -347,23 +347,24 @@ class Engine {
   };
 
   /// Answers a batch of requests, amortizing per-pair work across the
-  /// batch:
-  ///  - its SimButDiff requests share ONE ordered-pair scan in which each
-  ///    pair is classified once per distinct query shape and its packed
-  ///    isSame codes are read from the snapshot store (or built once)
-  ///    for every agreement test (SimButDiff::ExplainBatch);
-  ///  - its PerfXplain requests sharing one query *shape* (structurally
-  ///    identical bound despite/observed/expected, no auto-despite) share
-  ///    ONE related-pair classification scan (ScanRelatedPairs); each
-  ///    request then replays only its own serial sampling draws and
-  ///    clause generation (Explainer::BuildEncodedExamplesFromScan +
+  /// batch. Requests of one query *shape* (structurally identical bound
+  /// despite/observed/expected) share one scan:
+  ///  - SimButDiff requests: one SimButDiff::ExplainPrepared call per
+  ///    shape, over the group's pairs of interest — the same scan a
+  ///    per-call Explain runs with one pair;
+  ///  - PerfXplain requests (no auto-despite, Definition 1 holding), in
+  ///    groups of two or more: ONE related-pair classification scan
+  ///    (ScanRelatedPairs); each request then replays only its own serial
+  ///    sampling draws and clause generation
+  ///    (Explainer::BuildEncodedExamplesFromScan +
   ///    ExplainPreparedWithExamples). When the scan overflows the sample
   ///    buffer cap, the group falls back to per-call execution.
-  /// All other requests run through Explain. Results are bitwise
-  /// identical to issuing the requests one-by-one; responses line up with
-  /// `items`. The shared scans use the engine's configured thread counts
-  /// (per-request `threads` overrides apply only to non-batched
-  /// requests).
+  /// All other requests, and those carrying a deadline or CancelToken,
+  /// run the per-call path. Every request is looked up in the result
+  /// cache once. Results are bitwise identical to issuing the requests
+  /// one-by-one; responses line up with `items`. The shared scans use the
+  /// engine's configured thread counts (per-request `threads` overrides
+  /// apply only to per-call requests).
   std::vector<Result<ExplainResponse>> ExplainBatch(
       const std::vector<BatchItem>& items) const;
 
@@ -417,12 +418,29 @@ class Engine {
   /// diverge on how a request maps to options.
   ExplainerOptions ExplainerOptionsFor(const ExplainRequest& request) const;
 
-  /// Runs the evaluate scan when the request asked for one and attaches
-  /// metrics + evaluate_ms to the response. Shared by Explain and both
-  /// batched paths.
-  Status AttachEvaluation(const PreparedQuery& prepared,
-                          const ExplainRequest& request,
-                          ExplainResponse* response) const;
+  /// Consults the result cache for (prepared, request): fills *cache_key
+  /// (left empty when caching is off) and returns the finished response
+  /// of a hit, whose explain_ms is the lookup itself. Explain and
+  /// ExplainBatch look every request up exactly once.
+  std::optional<ExplainResponse> LookUp(const PreparedQuery& prepared,
+                                        const ExplainRequest& request,
+                                        std::string* cache_key) const;
+
+  /// The per-call path past the cache lookup: installs the request's
+  /// ExecContext, generates the explanation and finishes the response.
+  Result<ExplainResponse> Run(const PreparedQuery& prepared,
+                              const ExplainRequest& request,
+                              const std::string& cache_key) const;
+
+  /// The one tail of every computed response, per-call or batched: fills
+  /// `response` (timings and flags already set by the caller) with the
+  /// explanation, runs the evaluate scan when the request asked for one,
+  /// and caches the finished response under `cache_key`.
+  Result<ExplainResponse> Finish(const PreparedQuery& prepared,
+                                 const ExplainRequest& request,
+                                 const std::string& cache_key,
+                                 Result<Explanation> explanation,
+                                 ExplainResponse response) const;
 
   Result<Explanation> Generate(const PreparedQuery& prepared,
                                const ExplainRequest& request) const;

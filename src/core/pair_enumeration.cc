@@ -78,35 +78,6 @@ RelatedCounts CountRelatedPairs(const ColumnarLog& columns,
   return counts;
 }
 
-std::vector<PairRef> CollectRelatedPairs(const ColumnarLog& columns,
-                                         const CompiledQuery& query,
-                                         double sim_fraction,
-                                         const EnumerationOptions&
-                                             enumeration) {
-  const std::size_t n = columns.rows();
-  if (query.despite.always_false()) return {};
-  std::vector<std::vector<PairRef>> partial;
-  ScanDespitePairs(query.despite, n, enumeration, partial,
-                   [&](std::vector<PairRef>& local, std::size_t i,
-                       std::size_t j) {
-                     const PairLabel label = ClassifyPairCompiled(
-                         query, i, j, sim_fraction);
-                     if (label == PairLabel::kUnrelated) return;
-                     local.push_back({i, j,
-                                      label == PairLabel::kObserved});
-                   });
-  // Stripes cover ascending row ranges, so concatenating them in block
-  // order reproduces the row-major enumeration order exactly.
-  std::size_t total = 0;
-  for (const auto& local : partial) total += local.size();
-  std::vector<PairRef> related;
-  related.reserve(total);
-  for (auto& local : partial) {
-    related.insert(related.end(), local.begin(), local.end());
-  }
-  return related;
-}
-
 RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
                                  const CompiledQuery& query,
                                  double sim_fraction,

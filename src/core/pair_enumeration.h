@@ -224,14 +224,6 @@ RelatedCounts CountRelatedPairs(const ColumnarLog& columns,
                                 double sim_fraction,
                                 const EnumerationOptions& enumeration = {});
 
-/// All ordered pairs related to the query (Definition 7), in row-major
-/// order, labeled observed/expected. Row-blocked parallel scan; per-block
-/// results are concatenated in block order, so the output is independent
-/// of the thread count.
-std::vector<PairRef> CollectRelatedPairs(
-    const ColumnarLog& columns, const CompiledQuery& query,
-    double sim_fraction, const EnumerationOptions& enumeration = {});
-
 /// The pair-of-interest-independent product of SampleRelatedPairs'
 /// counting scan: the Definition 8/9 label counts plus — unless the
 /// buffer cap overflowed — every related pair in row-major order. One

@@ -53,6 +53,12 @@ struct SimButDiffOptions {
 /// words, compared against the pair of interest with XOR + mask +
 /// popcount kernels (kernel::ScanPairAgainstPoi) instead of k per-feature
 /// branches — so no Value is materialized while enumerating.
+///
+/// There is one scan, ExplainPrepared: one query shape and any number of
+/// pairs of interest. Engine::Explain runs it for one pair,
+/// Engine::ExplainBatch once per group of same-shape requests; both get
+/// the despite clause's candidate-pair pruning and the same per-row tile
+/// and streaming kernels.
 class SimButDiff {
  public:
   /// `log` and `columns` must outlive this object; `columns` must be the
@@ -71,37 +77,32 @@ class SimButDiff {
   /// The columnar replica every scan of this baseline reads.
   const ColumnarLog& columns() const { return *columns_; }
 
-  /// Answers a query Engine::Prepare bound, validated and resolved to its
-  /// pair of interest: `compiled` must be the query's programs compiled
-  /// against this baseline's columns. `enumeration` supplies the
-  /// worker-thread count (0 = process default) and the candidate-pair
-  /// pruning switch — neither changes the result.
-  Result<Explanation> ExplainPrepared(
-      const Query& bound, const CompiledQuery& compiled,
-      std::size_t poi_first, std::size_t poi_second, std::size_t width,
-      const EnumerationOptions& enumeration) const;
-
-  /// One query of an ExplainBatch call, prepared by the caller.
-  struct PreparedBatchQuery {
-    const Query* bound = nullptr;          ///< bound + validated
-    const CompiledQuery* compiled = nullptr;  ///< against columns()
-    std::size_t poi_first = 0;
-    std::size_t poi_second = 0;
+  /// One pair of interest of a scan (row indexes) and the width of its
+  /// explanation.
+  struct PairOfInterest {
+    std::size_t first = 0;
+    std::size_t second = 0;
     std::size_t width = 3;
   };
 
-  /// Answers every query of the batch in ONE pass over the ordered pairs,
-  /// amortizing the per-pair work that Explain repeats per query:
-  ///  - queries whose three bound predicates are structurally identical
-  ///    form a classification group — each pair is labeled once per group,
-  ///    not once per query;
-  ///  - a pair's packed isSame codes (kernel::PackedIsSameCodes) are built
-  ///    at most once per pair and shared by every query's agreement test.
-  /// Each result is bitwise identical to the corresponding per-call
-  /// Explain (same tallies, same statuses); thread count is
-  /// observation-free as in Explain.
-  std::vector<Result<Explanation>> ExplainBatch(
-      const std::vector<PreparedBatchQuery>& queries, int threads) const;
+  /// Answers a query Engine::Prepare bound, validated and compiled
+  /// (`compiled` against this baseline's columns) for every pair in
+  /// `pois`, in ONE pass over the despite clause's candidate pairs.
+  /// Result r is bitwise identical to a call with {pois[r]} alone, so
+  /// `bound` may stand for any query of the same shape (structurally
+  /// identical despite/observed/expected). Per candidate first row:
+  ///  - a row with a tile (plane or pool frame) runs the branchless
+  ///    similarity filter against each pair of interest and classifies
+  ///    only that pair's similar partners;
+  ///  - a streamed row classifies each partner once; one pair of interest
+  ///    takes the fused early-abandoning pack-and-compare, several share
+  ///    one packing of the partner's codes.
+  /// `enumeration` supplies the worker-thread count (0 = process default)
+  /// and the pruning switch — neither changes any result.
+  std::vector<Result<Explanation>> ExplainPrepared(
+      const Query& bound, const CompiledQuery& compiled,
+      const std::vector<PairOfInterest>& pois,
+      const EnumerationOptions& enumeration) const;
 
   /// The seed implementation (lazy Value views through
   /// ForEachOrderedPair), kept as the reference oracle: the randomized

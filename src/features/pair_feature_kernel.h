@@ -269,8 +269,9 @@ PackedIsSameCodes PackIsSameCodes(const RawColumnTable& table, std::size_t i,
 
 /// Re-packs the codes of pair (i, j) into `packed`, reusing its storage —
 /// the allocation-free form of PackIsSameCodes for scans that pack one
-/// pair per iteration (Engine::ExplainBatch). `packed` must already span
-/// table.size() features; every field is overwritten, padding stays zero.
+/// pair per iteration (SimButDiff's streamed rows with several pairs of
+/// interest). `packed` must already span table.size() features; every
+/// field is overwritten, padding stays zero.
 void PackIsSameCodesInto(const RawColumnTable& table, std::size_t i,
                          std::size_t j, double sim_fraction,
                          PackedIsSameCodes* packed);
@@ -360,11 +361,10 @@ inline std::size_t ScanPairAgainstPoi(const RawColumnTable& table,
 /// Word-level agreement test of an already-packed pair against the
 /// prepacked codes of the pair of interest: XOR + mask + popcount per
 /// word, abandoning the pair once the running disagreement count exceeds
-/// `max_disagree`. This is the batch scan's whole per-pair inner loop,
-/// whether `pair_words` points into a pool tile of the store or at a
-/// freshly repacked scratch vector. Word
-/// granularity accepts/rejects exactly as the per-call 8-feature-chunk
-/// scan does — only the wasted work differs.
+/// `max_disagree`: the per-request test of a streamed pair that was
+/// packed once for several pairs of interest. Word granularity
+/// accepts/rejects exactly as the 8-feature-chunk ScanPairAgainstPoi
+/// does — only the wasted work differs.
 ///
 /// Returns the total number of disagreeing features (<= max_disagree), or
 /// kPackedRejected on early exit. On success diff_masks[w] holds the

@@ -80,10 +80,11 @@ Result<Explanation> Columnar(const SimButDiff& baseline,
                              const Result<PreparedQuery>& prepared,
                              std::size_t width, int threads = 0) {
   if (!prepared.ok()) return prepared.status();
-  return baseline.ExplainPrepared(prepared->bound(), prepared->compiled(),
-                                  prepared->poi_first(),
-                                  prepared->poi_second(), width,
-                                  EnumerationOptions{threads});
+  return baseline
+      .ExplainPrepared(prepared->bound(), prepared->compiled(),
+                       {{prepared->poi_first(), prepared->poi_second(), width}},
+                       EnumerationOptions{threads})
+      .front();
 }
 Result<Explanation> Legacy(const SimButDiff& baseline,
                            const Result<PreparedQuery>& prepared,

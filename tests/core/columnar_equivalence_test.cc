@@ -186,8 +186,9 @@ TEST(ColumnarEquivalenceTest, ThreadCountIsObservationFree) {
     enumeration.threads = threads;
     const RelatedCounts counts = CountRelatedPairs(
         columns, compiled, options.sim_fraction, enumeration);
-    const std::vector<PairRef> pairs = CollectRelatedPairs(
-        columns, compiled, options.sim_fraction, enumeration);
+    const std::vector<PairRef> pairs =
+        ScanRelatedPairs(columns, compiled, options.sim_fraction, enumeration)
+            .related;
     if (threads == 1) {
       first = counts;
       first_pairs = pairs;

@@ -342,66 +342,6 @@ TEST_F(EngineTest, ExplainBatchMatchesPerCall) {
   EXPECT_GE(produced, 5u);
 }
 
-TEST_F(EngineTest, SmallWarmStoreBatchRoutesPerCall) {
-  // With the snapshot's PairCodeStore already warm, a small SimButDiff
-  // batch (< 6 items) skips the shared scan — the warm per-call path wins
-  // below that size (the ROADMAP 0.89x-at-4 regression) — while a batch
-  // at or above the cutoff still shares one scan. Explanations are
-  // bitwise identical on every route.
-  std::vector<PreparedQuery> prepared;
-  for (std::size_t skip : {0u, 3u, 7u, 13u, 17u, 23u}) {
-    auto one = engine_.Prepare(MakeQuery(skip));
-    ASSERT_TRUE(one.ok()) << one.status().ToString();
-    prepared.push_back(std::move(one).value());
-  }
-  ExplainRequest request;
-  request.technique = Technique::kSimButDiff;
-
-  // Warm the store with one per-call Explain.
-  auto warmup = engine_.Explain(prepared[0], request);
-  ASSERT_TRUE(warmup.ok()) << warmup.status().ToString();
-  ASSERT_TRUE(warmup->pair_store_hit);
-  ASSERT_TRUE(
-      engine_.snapshot()->pair_codes().warm(
-          engine_.options().sim_but_diff.pair.sim_fraction));
-
-  std::vector<Engine::BatchItem> small_items;
-  for (std::size_t q = 0; q < 4; ++q) {
-    small_items.push_back(Engine::BatchItem{&prepared[q], request});
-  }
-  const std::vector<Result<ExplainResponse>> small =
-      engine_.ExplainBatch(small_items);
-  ASSERT_EQ(small.size(), small_items.size());
-  for (std::size_t q = 0; q < small.size(); ++q) {
-    ASSERT_TRUE(small[q].ok()) << small[q].status().ToString();
-    EXPECT_FALSE(small[q]->batched) << "item " << q;  // routed per-call
-    EXPECT_TRUE(small[q]->pair_store_hit) << "item " << q;
-    auto per_call = engine_.Explain(prepared[q], request);
-    ASSERT_TRUE(per_call.ok());
-    EXPECT_TRUE(
-        SameExplanation(small[q]->explanation, per_call->explanation))
-        << "item " << q;
-  }
-
-  // At the cutoff (6 items) the shared scan still runs, warm store or not.
-  std::vector<Engine::BatchItem> large_items;
-  for (std::size_t q = 0; q < prepared.size(); ++q) {
-    large_items.push_back(Engine::BatchItem{&prepared[q], request});
-  }
-  const std::vector<Result<ExplainResponse>> large =
-      engine_.ExplainBatch(large_items);
-  ASSERT_EQ(large.size(), large_items.size());
-  for (std::size_t q = 0; q < large.size(); ++q) {
-    ASSERT_TRUE(large[q].ok()) << large[q].status().ToString();
-    EXPECT_TRUE(large[q]->batched) << "item " << q;
-    auto per_call = engine_.Explain(prepared[q], request);
-    ASSERT_TRUE(per_call.ok());
-    EXPECT_TRUE(
-        SameExplanation(large[q]->explanation, per_call->explanation))
-        << "item " << q;
-  }
-}
-
 TEST_F(EngineTest, ExplainBatchSharesPerfXplainClassificationPass) {
   // Three PerfXplain requests of one query shape (different pairs of
   // interest, widths and seeds) share one related-pair classification

@@ -201,9 +201,9 @@ TEST_F(PruningEquivalenceTest, CountCollectSampleAndFindMatchUnpruned) {
       EXPECT_EQ(a.expected, b.expected) << despite;
 
       const std::vector<PairRef> pruned_pairs =
-          CollectRelatedPairs(columns, compiled, 0.10, pruned);
+          ScanRelatedPairs(columns, compiled, 0.10, pruned).related;
       const std::vector<PairRef> unpruned_pairs =
-          CollectRelatedPairs(columns, compiled, 0.10, unpruned);
+          ScanRelatedPairs(columns, compiled, 0.10, unpruned).related;
       ASSERT_EQ(pruned_pairs.size(), unpruned_pairs.size()) << despite;
       for (std::size_t p = 0; p < pruned_pairs.size(); ++p) {
         EXPECT_EQ(pruned_pairs[p].first, unpruned_pairs[p].first);

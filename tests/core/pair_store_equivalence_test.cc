@@ -15,6 +15,7 @@
 #include "core/engine.h"
 #include "core/pair_enumeration.h"
 #include "core/sim_but_diff.h"
+#include "features/tile_pool.h"
 #include "serving/live_engine.h"
 #include "testing/test_util.h"
 
@@ -34,12 +35,14 @@ ExecutionLog AwkwardRandomLog(std::uint64_t seed, std::size_t n) {
   return testing::AdversarialLog(spec);
 }
 
-/// Fills the query's pair-of-interest ids, or returns false.
-bool PickPair(const ExecutionLog& log, Query& query) {
+/// Fills the query's pair-of-interest ids (passing over `skip` matches
+/// first), or returns false.
+bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip = 0) {
   const PairSchema schema(log.schema());
   Query bound = query;
   PX_CHECK(bound.Bind(schema).ok());
-  auto poi = FindPairOfInterest(log, schema, bound, PairFeatureOptions());
+  auto poi =
+      FindPairOfInterest(log, schema, bound, PairFeatureOptions(), skip);
   if (!poi.ok()) return false;
   query.first_id = log.at(poi->first).id;
   query.second_id = log.at(poi->second).id;
@@ -204,8 +207,11 @@ TEST(PairCodeStoreEquivalenceTest, EquiJoinPruningIsBitwiseAtEveryBudget) {
             EnumerationOptions enumeration;
             enumeration.threads = threads;
             enumeration.prune = prune;
-            answers.push_back(baseline.ExplainPrepared(
-                bound, compiled, first, second, 3, enumeration));
+            answers.push_back(
+                baseline
+                    .ExplainPrepared(bound, compiled, {{first, second, 3}},
+                                     enumeration)
+                    .front());
           }
           const std::string context = StrFormat(
               "seed %llu despite '%s' budget %zu threads %d",
@@ -427,6 +433,113 @@ TEST(PairCodeStoreEquivalenceTest, BatchRunsOnResidentStore) {
     ExpectSameExplanation(batch[q]->explanation, per_call->explanation,
                           StrFormat("batch vs per-call %zu", q));
   }
+}
+
+/// A batch response as the explanation it carries, or its status.
+Result<Explanation> AsExplanation(const Result<ExplainResponse>& response) {
+  if (!response.ok()) return response.status();
+  return response->explanation;
+}
+
+TEST(PairCodeStoreEquivalenceTest, RandomizedBatchMatchesPerCallAndLegacy) {
+  // Seeded rounds of 2-9 item SimButDiff batches. A batch's leading items
+  // are a base-atom despite (row-filter pruning), a nominal isSame = T
+  // despite (equi-join buckets), an always-false despite and a duplicate
+  // of the first pair of interest; the rest draw from those shapes.
+  // Widths run 1-4. At every budget from streaming to a full plane, at 1
+  // and 3 threads, on a cold and then a warm store, each response must be
+  // bitwise the per-call Explain and the lazy-Value oracle.
+  const char* const kDespites[] = {"color = red AND x_isSame = T",
+                                   "color_isSame = T", "color_isSame = X"};
+  std::size_t produced = 0;
+  for (std::uint64_t round = 0; round < 32; ++round) {
+    Rng rng(7000 + round);
+    const ExecutionLog log = AwkwardRandomLog(
+        100 + round, static_cast<std::size_t>(rng.UniformInt(24, 48)));
+    const std::size_t n = log.size();
+    SimButDiffOptions sim_but_diff;
+    sim_but_diff.similarity_threshold = round % 2 == 0 ? 0.9 : 0.5;
+    const std::size_t batch_size = 2 + round % 8;
+
+    std::vector<Query> queries;
+    std::vector<std::size_t> widths;
+    for (std::size_t q = 0; q < batch_size; ++q) {
+      const std::size_t shape =
+          q < 3 ? q : static_cast<std::size_t>(rng.UniformInt(0, 2));
+      Query query = GtVsSimQuery(kDespites[shape]);
+      if (q == 3) {
+        query = queries[0];  // the duplicate pair of interest
+      } else if (shape == 2 ||
+                 !PickPair(log, query,
+                           static_cast<std::size_t>(rng.UniformInt(0, 5)))) {
+        // SimButDiff answers any pair of interest, Definition 1 or not.
+        const std::size_t first = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(n) - 1));
+        query.first_id = log.at(first).id;
+        query.second_id = log.at((first + 1) % n).id;
+      }
+      queries.push_back(query);
+      widths.push_back(static_cast<std::size_t>(rng.UniformInt(1, 4)));
+    }
+
+    const Engine reference(log);
+    const SimButDiff legacy(&reference.log(), sim_but_diff,
+                            &reference.snapshot()->columns());
+    std::vector<Result<Explanation>> expected;
+    for (std::size_t q = 0; q < batch_size; ++q) {
+      auto prepared = reference.Prepare(queries[q]);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      expected.push_back(legacy.ExplainLegacy(prepared->bound(),
+                                              prepared->poi_first(),
+                                              prepared->poi_second(),
+                                              widths[q]));
+    }
+
+    const std::size_t plane =
+        PairCodeStore::BytesNeeded(n, log.schema().size());
+    const std::size_t tile = TilePool::TileBytes(n, log.schema().size());
+    for (std::size_t budget : {std::size_t{0}, tile, plane / 8, plane}) {
+      for (int threads : {1, 3}) {
+        EngineOptions options;
+        options.sim_but_diff = sim_but_diff;
+        options.sim_but_diff.pair_code_budget_bytes = budget;
+        options.sim_but_diff.threads = threads;
+        const Engine engine(log, options);
+        std::vector<PreparedQuery> prepared;
+        for (const Query& query : queries) {
+          auto one = engine.Prepare(query);
+          ASSERT_TRUE(one.ok()) << one.status().ToString();
+          prepared.push_back(std::move(one).value());
+        }
+        std::vector<Engine::BatchItem> items;
+        for (std::size_t q = 0; q < batch_size; ++q) {
+          ExplainRequest request;
+          request.technique = Technique::kSimButDiff;
+          request.width = widths[q];
+          items.push_back(Engine::BatchItem{&prepared[q], request});
+        }
+        for (const char* store : {"cold", "warm"}) {
+          const auto batch = engine.ExplainBatch(items);
+          ASSERT_EQ(batch.size(), items.size());
+          for (std::size_t q = 0; q < batch_size; ++q) {
+            const std::string context = StrFormat(
+                "round %llu budget %zu threads %d %s store item %zu",
+                static_cast<unsigned long long>(round), budget, threads,
+                store, q);
+            const Result<Explanation> answer = AsExplanation(batch[q]);
+            if (answer.ok()) ++produced;
+            ExpectSameExplanation(
+                answer,
+                AsExplanation(engine.Explain(prepared[q], items[q].request)),
+                context + " vs per-call");
+            ExpectSameExplanation(answer, expected[q], context + " vs legacy");
+          }
+        }
+      }
+    }
+  }
+  // The comparison must exercise real explanations, not just failures.
+  EXPECT_GT(produced, 0u);
 }
 
 }  // namespace

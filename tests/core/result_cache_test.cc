@@ -363,5 +363,34 @@ TEST(ResultCacheTest, BatchConsultsAndFillsTheSharedCache) {
   }
 }
 
+TEST(ResultCacheTest, BatchLooksUpEachPerCallItemOnce) {
+  // Items the batch answers on the per-call path (a RuleOfThumb request,
+  // an auto-despite PerfXplain request) are looked up in the cache once,
+  // by the batch — a miss is counted once per item, not once by the batch
+  // and again by Explain.
+  const ExecutionLog log = CacheLog();
+  Query query = GtVsSimQuery("color_isSame = T");
+  ASSERT_TRUE(PickPair(log, query));
+  EngineOptions options;
+  options.result_cache_bytes = std::size_t{1} << 20;
+  options.explainer.threads = 1;
+  const Engine engine(log, options);
+  auto prepared = engine.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  ExplainRequest rule_of_thumb;
+  rule_of_thumb.technique = Technique::kRuleOfThumb;
+  ExplainRequest auto_despite;
+  auto_despite.technique = Technique::kPerfXplain;
+  auto_despite.auto_despite = true;
+  const std::vector<Engine::BatchItem> items = {
+      Engine::BatchItem{&*prepared, rule_of_thumb},
+      Engine::BatchItem{&*prepared, auto_despite}};
+  const auto responses = engine.ExplainBatch(items);
+  ASSERT_EQ(responses.size(), items.size());
+  EXPECT_EQ(engine.result_cache()->stats().misses, 2u);
+  EXPECT_EQ(engine.result_cache()->stats().hits, 0u);
+}
+
 }  // namespace
 }  // namespace perfxplain

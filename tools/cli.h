@@ -37,11 +37,11 @@ int ExitCodeForStatus(const Status& status);
 ///       perfxplain (default), ruleofthumb, simbutdiff. --query may repeat
 ///       and --query-file adds one query per non-empty, non-# line; with
 ///       more than one query the whole batch runs through
-///       Engine::ExplainBatch (SimButDiff requests share a single pair
-///       scan) and per-query timing is printed. With --append-from the
-///       records are streamed through the live serving engine;
-///       --wal-dir/--checkpoint-dir/--fsync make that engine durable
-///       (journal every accepted batch, checkpoint on rotation).
+///       Engine::ExplainBatch (requests of one query shape share a
+///       single pair scan) and per-query timing is printed. With
+///       --append-from the records are streamed through the live serving
+///       engine; --wal-dir/--checkpoint-dir/--fsync make that engine
+///       durable (journal every accepted batch, checkpoint on rotation).
 ///   recover --log FILE [--wal-dir DIR] [--checkpoint-dir DIR]
 ///           [--query PXQL ...] [--dump-log FILE]
 ///       Crash recovery: load the newest checkpoint (FILE seeds a fresh
