@@ -966,6 +966,36 @@ BENCHMARK(BM_SnapshotPromotion)
     ->Args({50, 1})->Args({50, 0})
     ->Unit(benchmark::kMillisecond);
 
+/// The pair-code plane fill alone on the ~1.9k-row task log, one thread:
+/// one iteration constructs a plane-sized TilePool (its frame arena
+/// included) and fills it. Arg 0 = cold fill; arg 1 = seeded fill of a
+/// log 10% larger than the seed plane's (the seed's rows are the log's
+/// prefix, as after a promotion). The columns and the seed are built
+/// once outside the timer.
+void BM_PlaneFill(benchmark::State& state) {
+  const px::ExecutionLog& full = TaskLevelLog();
+  const bool seeded = state.range(0) != 0;
+  const std::size_t base_rows = full.size() * 10 / 11;
+  px::ExecutionLog base_log(full.schema());
+  for (std::size_t i = 0; i < base_rows; ++i) {
+    PX_CHECK(base_log.Add(full.at(i)).ok());
+  }
+  const double sim = px::SimButDiffOptions{}.pair.sim_fraction;
+  const px::ColumnarLog columns(full);
+  const px::ColumnarLog base_columns(base_log);
+  px::TilePool base(&base_columns, sim, base_columns.rows());
+  base.Fill(1);
+  for (auto _ : state) {
+    px::TilePool plane(&columns, sim, columns.rows());
+    plane.Fill(1, seeded ? &base : nullptr);
+    benchmark::DoNotOptimize(plane.Fetch(columns.rows() - 1));
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(px::StrFormat("rows=%zu %s", columns.rows(),
+                               seeded ? "seeded" : "cold"));
+}
+BENCHMARK(BM_PlaneFill)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

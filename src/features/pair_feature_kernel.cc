@@ -9,9 +9,7 @@ namespace kernel {
 PackedIsSameCodes PackIsSameCodes(const RawColumnTable& table, std::size_t i,
                                   std::size_t j, double sim_fraction) {
   PackedIsSameCodes packed(table.size());
-  for (std::size_t f = 0; f < table.size(); ++f) {
-    packed.SetCode(f, table.IsSame(f, i, j, sim_fraction));
-  }
+  PackIsSameCodesRaw(table, i, j, sim_fraction, packed.mutable_words());
   return packed;
 }
 
@@ -19,9 +17,7 @@ void PackIsSameCodesInto(const RawColumnTable& table, std::size_t i,
                          std::size_t j, double sim_fraction,
                          PackedIsSameCodes* packed) {
   PX_CHECK_EQ(packed->features(), table.size());
-  for (std::size_t f = 0; f < table.size(); ++f) {
-    packed->SetCode(f, table.IsSame(f, i, j, sim_fraction));
-  }
+  PackIsSameCodesRaw(table, i, j, sim_fraction, packed->mutable_words());
 }
 
 void PackIsSameCodesRaw(const RawColumnTable& table, std::size_t i,

@@ -240,8 +240,10 @@ class PackedIsSameCodes {
   std::size_t word_count() const { return words_.size(); }
   std::uint64_t word(std::size_t w) const { return words_[w]; }
   const std::uint64_t* words() const { return words_.data(); }
+  /// The word span the packing primitive (PackIsSameCodesRaw) writes.
+  std::uint64_t* mutable_words() { return words_.data(); }
 
-  /// Overwrites the field of feature `f` (packing helpers and tests).
+  /// Overwrites the field of feature `f` (for hand-built vectors).
   void SetCode(std::size_t f, std::int8_t code) {
     const std::size_t shift = 2 * (f % kPackedFeaturesPerWord);
     std::uint64_t& w = words_[f / kPackedFeaturesPerWord];
@@ -277,10 +279,11 @@ void PackIsSameCodesInto(const RawColumnTable& table, std::size_t i,
                          PackedIsSameCodes* packed);
 
 /// Packs the codes of pair (i, j) directly into a caller-owned word span —
-/// the storage-free primitive behind PackIsSameCodes/PackIsSameCodesInto
-/// and the PairCodeStore bulk build. `words` must hold
-/// ceil(table.size() / kPackedFeaturesPerWord) words; every word is
-/// overwritten and padding fields past the last feature are zero.
+/// the storage-free primitive behind PackIsSameCodes/PackIsSameCodesInto,
+/// and the per-pair oracle of the TilePool's column-at-a-time row kernel.
+/// `words` must hold ceil(table.size() / kPackedFeaturesPerWord) words;
+/// every word is overwritten and padding fields past the last feature are
+/// zero.
 void PackIsSameCodesRaw(const RawColumnTable& table, std::size_t i,
                         std::size_t j, double sim_fraction,
                         std::uint64_t* words);

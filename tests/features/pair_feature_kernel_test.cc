@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/string_util.h"
 #include "features/pair_features.h"
+#include "features/tile_pool.h"
 
 namespace perfxplain {
 namespace {
@@ -227,6 +230,120 @@ TEST(PairFeatureKernelEdgeTest, CompareNaNIsGt) {
             kernel::kGtCode);
   EXPECT_EQ(kernel::CompareNumeric(true, 1.0, true, nan, 0.1),
             kernel::kGtCode);
+}
+
+/// The mirror of TilePool::Fill copies pair (j, i)'s words into pair
+/// (i, j), so isSame must be bitwise symmetric. A log of 34 numeric and 2
+/// nominal columns (two packed words) whose cells cycle through the
+/// awkward doubles — +-0, +-inf, NaN, subnormals, +-DBL_MAX, a 1e-6
+/// cluster at 1e9, values on a 0.1-fraction boundary — with missing
+/// numeric cells and missing (kNoCode) nominal cells sprinkled in.
+class PairFeatureSymmetryTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kNumeric = 34;
+  static constexpr std::size_t kNominal = 2;
+
+  PairFeatureSymmetryTest() : log_(MakeLog()), columns_(log_) {}
+
+  static ExecutionLog MakeLog() {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    const double values[] = {0.0,    -0.0,         inf,
+                             -inf,   std::nan(""), denorm,
+                             -denorm, 1e-310,      DBL_MIN,
+                             DBL_MAX, -DBL_MAX,    1e9,
+                             1e9 * (1 + 1e-6),     1e9 * (1 - 1e-6),
+                             1e9 + 1e3,            1e9 + 2e3,
+                             9.0,    10.0,         11.0,
+                             90.0,   100.0,        110.0,
+                             -100.0, 1.0};
+    const std::size_t v = sizeof(values) / sizeof(values[0]);
+    Schema schema;
+    for (std::size_t c = 0; c < kNumeric; ++c) {
+      PX_CHECK(schema.Add(StrFormat("n%02zu", c), ValueKind::kNumeric).ok());
+    }
+    for (std::size_t c = 0; c < kNominal; ++c) {
+      PX_CHECK(schema.Add(StrFormat("s%zu", c), ValueKind::kNominal).ok());
+    }
+    ExecutionLog log(schema);
+    const char* names[] = {"a", "b", nullptr};
+    for (std::size_t r = 0; r < 2 * v; ++r) {
+      std::vector<Value> cells;
+      for (std::size_t c = 0; c < kNumeric; ++c) {
+        cells.push_back((r + 3 * c) % 13 == 0
+                            ? Value::Missing()
+                            : Value::Number(values[(r * (c + 1) + c) % v]));
+      }
+      for (std::size_t c = 0; c < kNominal; ++c) {
+        const char* name = names[(r + c * (r / 3)) % 3];
+        cells.push_back(name == nullptr ? Value::Missing()
+                                        : Value::Nominal(name));
+      }
+      PX_CHECK(
+          log.Add(ExecutionRecord(StrFormat("r%03zu", r), std::move(cells)))
+              .ok());
+    }
+    return log;
+  }
+
+  ExecutionLog log_;
+  ColumnarLog columns_;
+};
+
+TEST_F(PairFeatureSymmetryTest, IsSameAndPackedWordsAreBitwiseSymmetric) {
+  const kernel::RawColumnTable table(columns_);
+  const std::size_t n = columns_.rows();
+  const std::size_t words =
+      kernel::PackedIsSameCodes(table.size()).word_count();
+  ASSERT_EQ(words, 2u);
+  std::vector<std::uint64_t> ij(words);
+  std::vector<std::uint64_t> ji(words);
+  for (const double sim : {0.0, 0.1, 1.0}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t f = 0; f < table.size(); ++f) {
+          ASSERT_EQ(table.IsSame(f, i, j, sim), table.IsSame(f, j, i, sim))
+              << "sim " << sim << " pair (" << i << "," << j << ") feature "
+              << f;
+        }
+        kernel::PackIsSameCodesRaw(table, i, j, sim, ij.data());
+        kernel::PackIsSameCodesRaw(table, j, i, sim, ji.data());
+        ASSERT_EQ(ij, ji) << "sim " << sim << " pair (" << i << "," << j
+                          << ")";
+      }
+    }
+  }
+}
+
+TEST_F(PairFeatureSymmetryTest, PlaneFillMatchesPerPairPackingOnEdgeValues) {
+  // The TilePool's column-at-a-time row kernel against the per-pair
+  // primitive, on a filled plane and on on-demand tiles of a small pool.
+  const kernel::RawColumnTable table(columns_);
+  const std::size_t n = columns_.rows();
+  for (const double sim : {0.0, 0.1, 1.0}) {
+    TilePool plane(&columns_, sim, n);
+    plane.Fill(1);
+    TilePool pool(&columns_, sim, /*frames=*/3);
+    const std::size_t words = plane.word_count();
+    std::vector<std::uint64_t> expected(words);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t* tile = plane.Fetch(i);
+      const std::uint64_t* fetched = i % 17 == 5 ? pool.Fetch(i) : nullptr;
+      for (std::size_t j = 0; j < n; ++j) {
+        kernel::PackIsSameCodesRaw(table, i, j, sim, expected.data());
+        for (std::size_t w = 0; w < words; ++w) {
+          ASSERT_EQ(tile[j * words + w], expected[w])
+              << "sim " << sim << " pair (" << i << "," << j << ") word "
+              << w;
+          if (fetched != nullptr) {
+            ASSERT_EQ(fetched[j * words + w], expected[w])
+                << "on-demand, sim " << sim << " pair (" << i << "," << j
+                << ") word " << w;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

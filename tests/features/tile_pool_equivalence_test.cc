@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -137,6 +140,237 @@ TEST(TilePoolTest, InterruptedBuildFreesItsFrame) {
   // still takes the next first touch, and row 0 then streams.
   EXPECT_NE(pool.Fetch(1), nullptr);
   EXPECT_EQ(pool.Fetch(0), nullptr);
+}
+
+// ------------------------------------ block fill vs the per-pair oracle
+
+/// `log` with its columns repeated `copies` times under fresh names (9
+/// copies of the four adversarial columns span two packed words).
+ExecutionLog Widen(const ExecutionLog& log, std::size_t copies) {
+  Schema schema;
+  for (std::size_t c = 0; c < copies; ++c) {
+    for (const FeatureDef& def : log.schema().defs()) {
+      PX_CHECK(
+          schema.Add(StrFormat("%s_%zu", def.name.c_str(), c), def.kind).ok());
+    }
+  }
+  ExecutionLog wide(schema);
+  for (const ExecutionRecord& record : log.records()) {
+    std::vector<Value> cells;
+    for (std::size_t c = 0; c < copies; ++c) {
+      cells.insert(cells.end(), record.values.begin(), record.values.end());
+    }
+    PX_CHECK(wide.Add(ExecutionRecord(record.id, std::move(cells))).ok());
+  }
+  return wide;
+}
+
+/// The first `rows` records of `log`.
+ExecutionLog Prefix(const ExecutionLog& log, std::size_t rows) {
+  ExecutionLog prefix(log.schema());
+  for (std::size_t r = 0; r < rows; ++r) PX_CHECK(prefix.Add(log.at(r)).ok());
+  return prefix;
+}
+
+/// Adversarial logs of kFillBlockRows + 1 and 2 * kFillBlockRows + 3 rows
+/// (a block and a row; two blocks and a partial third), one and two
+/// packed words wide.
+std::vector<std::pair<std::string, ExecutionLog>> BlockBoundaryLogs() {
+  const std::size_t block = TilePool::kFillBlockRows;
+  std::vector<std::pair<std::string, ExecutionLog>> logs;
+  for (AdversarialLogSpec spec : AdversarialLogSpecs()) {
+    if (spec.duplicated_rows || spec.rows < 2) continue;
+    for (const std::size_t rows : {block + 1, 2 * block + 3}) {
+      spec.rows = rows;
+      const ExecutionLog log = testing::AdversarialLog(spec);
+      for (const std::size_t copies : {std::size_t{1}, std::size_t{9}}) {
+        logs.emplace_back(
+            StrFormat("%s rows=%zu copies=%zu", spec.name.c_str(), rows,
+                      copies),
+            Widen(log, copies));
+      }
+    }
+  }
+  return logs;
+}
+
+/// Every pair vector of the plane over `columns`, pair (i, j) at
+/// (i * rows + j) * words, packed one pair at a time.
+std::vector<std::uint64_t> OraclePlane(const ColumnarLog& columns,
+                                       double sim) {
+  const kernel::RawColumnTable table(columns);
+  const std::size_t n = columns.rows();
+  const std::size_t words =
+      TilePool::TileBytes(1, table.size()) / sizeof(std::uint64_t);
+  std::vector<std::uint64_t> plane(n * n * words);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      kernel::PackIsSameCodesRaw(table, i, j, sim,
+                                 plane.data() + (i * n + j) * words);
+    }
+  }
+  return plane;
+}
+
+/// Every word of a filled `plane` equals the oracle's.
+void ExpectPlaneMatches(TilePool& plane,
+                        const std::vector<std::uint64_t>& oracle,
+                        const std::string& context) {
+  ASSERT_TRUE(plane.full()) << context;
+  const std::size_t tile_words = plane.rows() * plane.word_count();
+  for (std::size_t i = 0; i < plane.rows(); ++i) {
+    const std::uint64_t* tile = plane.Fetch(i);
+    for (std::size_t w = 0; w < tile_words; ++w) {
+      ASSERT_EQ(tile[w], oracle[i * tile_words + w])
+          << context << " pair (" << i << ", " << w / plane.word_count()
+          << ") word " << w % plane.word_count();
+    }
+  }
+}
+
+constexpr int kFillThreads[] = {0, 1, 2, 3, 8};
+constexpr double kSim = 0.1;
+
+TEST(TilePoolTest, ColdFillMatchesPerPairOracleAcrossBlocks) {
+  for (const auto& [name, log] : BlockBoundaryLogs()) {
+    const ColumnarLog columns(log);
+    const std::vector<std::uint64_t> oracle = OraclePlane(columns, kSim);
+    for (const int threads : kFillThreads) {
+      TilePool plane(&columns, kSim, columns.rows());
+      plane.Fill(threads);
+      ExpectPlaneMatches(plane, oracle,
+                         StrFormat("%s threads=%d", name.c_str(), threads));
+    }
+  }
+}
+
+TEST(TilePoolTest, SeededFillMatchesPerPairOracleAcrossBlocks) {
+  const std::size_t block = TilePool::kFillBlockRows;
+  for (const auto& [name, log] : BlockBoundaryLogs()) {
+    const ColumnarLog columns(log);
+    const std::vector<std::uint64_t> oracle = OraclePlane(columns, kSim);
+    // Seeds ending before any row, after the first, on the first block
+    // boundary and one row short of the log.
+    for (const std::size_t seed_rows :
+         {std::size_t{0}, std::size_t{1}, block, log.size() - 1}) {
+      const ExecutionLog seed_log = Prefix(log, seed_rows);
+      const ColumnarLog seed_columns(seed_log);
+      TilePool seed(&seed_columns, kSim, seed_columns.rows());
+      seed.Fill(1);
+      for (const int threads : kFillThreads) {
+        TilePool plane(&columns, kSim, columns.rows());
+        plane.Fill(threads, &seed);
+        ExpectPlaneMatches(plane, oracle,
+                           StrFormat("%s seed_rows=%zu threads=%d",
+                                     name.c_str(), seed_rows, threads));
+      }
+    }
+  }
+}
+
+TEST(TilePoolTest, FillAroundScatteredFetchesMatchesPerPairOracle) {
+  const std::size_t block = TilePool::kFillBlockRows;
+  for (const auto& [name, log] : BlockBoundaryLogs()) {
+    const ColumnarLog columns(log);
+    const std::vector<std::uint64_t> oracle = OraclePlane(columns, kSim);
+    const std::size_t n = columns.rows();
+    // Out of row order, so the fetched tiles' frames are too; on and
+    // around the first block boundary.
+    const std::vector<std::size_t> scattered = {n - 1, block, 3, block - 1,
+                                                0, n / 2};
+    for (const bool seeded : {false, true}) {
+      const ExecutionLog seed_log = Prefix(log, block);
+      const ColumnarLog seed_columns(seed_log);
+      TilePool seed(&seed_columns, kSim, seed_columns.rows());
+      seed.Fill(1);
+      for (const int threads : kFillThreads) {
+        TilePool plane(&columns, kSim, n);
+        std::vector<const std::uint64_t*> fetched;
+        for (const std::size_t row : scattered) {
+          fetched.push_back(plane.Fetch(row));
+        }
+        plane.Fill(threads, seeded ? &seed : nullptr);
+        const std::string context =
+            StrFormat("%s seeded=%d threads=%d", name.c_str(), seeded,
+                      threads);
+        ExpectPlaneMatches(plane, oracle, context);
+        for (std::size_t r = 0; r < scattered.size(); ++r) {
+          EXPECT_EQ(plane.Fetch(scattered[r]), fetched[r])
+              << context << " row " << scattered[r];
+        }
+      }
+    }
+  }
+}
+
+TEST(TilePoolTest, InterruptedThenCompletedFillMatchesPerPairOracle) {
+  // A canceller thread interrupts the fill after a varying delay (zero
+  // stops it at its first checkpoint; the longer ones land anywhere or
+  // not at all); a second fill completes the plane either way.
+  for (const auto& [name, log] : BlockBoundaryLogs()) {
+    const ColumnarLog columns(log);
+    const std::vector<std::uint64_t> oracle = OraclePlane(columns, kSim);
+    for (const int threads : kFillThreads) {
+      for (const int delay_us : {0, 20, 100, 400}) {
+        TilePool plane(&columns, kSim, columns.rows());
+        auto token = std::make_shared<CancelToken>();
+        ExecContext context;
+        context.cancel = token;
+        if (delay_us == 0) token->Cancel();
+        std::thread canceller([&token, delay_us] {
+          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+          token->Cancel();
+        });
+        {
+          ScopedExecContext scoped(&context);
+          try {
+            plane.Fill(threads);
+          } catch (const InterruptedError&) {
+          }
+        }
+        canceller.join();
+        EXPECT_TRUE(delay_us != 0 || !plane.full());
+        plane.Fill(threads);
+        ExpectPlaneMatches(plane, oracle,
+                           StrFormat("%s threads=%d delay=%dus", name.c_str(),
+                                     threads, delay_us));
+      }
+    }
+  }
+}
+
+TEST(TilePoolTest, ConcurrentFillsAndFetchesMatchPerPairOracle) {
+  // Fills racing each other (cold and seeded, different stripe counts)
+  // and fetchers touching rows from the far end: a row another thread is
+  // building is waited for, never mirrored from before it is published.
+  // Runs under TSan in CI.
+  const std::size_t block = TilePool::kFillBlockRows;
+  for (const auto& [name, log] : BlockBoundaryLogs()) {
+    const ColumnarLog columns(log);
+    const std::vector<std::uint64_t> oracle = OraclePlane(columns, kSim);
+    const ExecutionLog seed_log = Prefix(log, block);
+    const ColumnarLog seed_columns(seed_log);
+    TilePool seed(&seed_columns, kSim, seed_columns.rows());
+    seed.Fill(1);
+    TilePool plane(&columns, kSim, columns.rows());
+    {
+      std::vector<std::thread> workers;
+      workers.emplace_back([&] { plane.Fill(1); });
+      workers.emplace_back([&] { plane.Fill(3, &seed); });
+      workers.emplace_back([&] { plane.Fill(2); });
+      for (int fetcher = 0; fetcher < 2; ++fetcher) {
+        workers.emplace_back([&, fetcher] {
+          for (std::size_t row = plane.rows(); row-- > 0;) {
+            if (row % 2 == static_cast<std::size_t>(fetcher)) {
+              plane.Fetch(row);
+            }
+          }
+        });
+      }
+      for (std::thread& worker : workers) worker.join();
+    }
+    ExpectPlaneMatches(plane, oracle, name);
+  }
 }
 
 // ---------------------------------------------- randomized budget suites
