@@ -5,6 +5,7 @@
 // saturates near 1.0 for query 1 and around 0.7+ for query 2.
 
 #include <cstdio>
+#include <utility>
 
 #include "core/metrics.h"
 #include "harness.h"
@@ -36,9 +37,13 @@ std::vector<Series> RelevanceByWidth(Fixture& fixture,
         generated = std::move(despite).value();
         if (!generated.Bind(engine.pair_schema()).ok()) continue;
       }
-      series[w].Add(px::EvaluateDespiteRelevance(
-          logs.test, engine.pair_schema(), bound, generated,
-          px::PairFeatureOptions()));
+      // Relevance of the despite clause alone: no because clause.
+      px::Explanation despite_only;
+      despite_only.despite = std::move(generated);
+      series[w].Add(px::EvaluateExplanation(logs.test, engine.pair_schema(),
+                                            bound, despite_only,
+                                            px::PairFeatureOptions())
+                        .relevance);
     }
   }
   return series;

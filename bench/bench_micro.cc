@@ -78,20 +78,31 @@ void BM_PairFeatureVector(benchmark::State& state) {
 }
 BENCHMARK(BM_PairFeatureVector);
 
+/// The Definition 8/9 label counts alone: a ScanRelatedPairs that buffers
+/// no pair.
+px::RelatedCounts CountRelated(const px::ColumnarLog& columns,
+                               const px::CompiledQuery& compiled,
+                               px::EnumerationOptions enumeration) {
+  enumeration.sample_buffer_cap = 0;
+  return px::ScanRelatedPairs(columns, compiled, 0.10, enumeration).counts;
+}
+
+/// Counting from the row log: builds the columnar replica and compiles the
+/// query on every iteration.
 void BM_CountRelatedPairs(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();
   px::PairSchema schema(fixture.log.schema());
   px::Query bound = fixture.query;
   PX_CHECK(bound.Bind(schema).ok());
-  px::PairFeatureOptions options;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        px::CountRelatedPairs(fixture.log, schema, bound, options));
+    const px::ColumnarLog columns(fixture.log);
+    benchmark::DoNotOptimize(CountRelated(
+        columns, px::CompiledQuery::Compile(bound, schema, columns), {}));
   }
 }
 BENCHMARK(BM_CountRelatedPairs);
 
-/// The seed implementation of CountRelatedPairs (lazy Value views through
+/// The seed implementation of the count (lazy Value views through
 /// ForEachOrderedPair + ClassifyPair), kept in-binary as a baseline so the
 /// columnar speedup is measured under identical machine conditions in the
 /// same run — the host this tracks on is a shared box with drifting load.
@@ -145,8 +156,7 @@ void BM_CountRelatedPairsColumnar(benchmark::State& state) {
   px::EnumerationOptions enumeration;
   enumeration.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(px::CountRelatedPairs(
-        columns, compiled, 0.10, enumeration));
+    benchmark::DoNotOptimize(CountRelated(columns, compiled, enumeration));
   }
   state.SetLabel("threads=" + std::to_string(state.range(0)));
 }
@@ -511,8 +521,7 @@ void BM_SelectiveQueryPruning(benchmark::State& state) {
   enumeration.prune = state.range(0) != 0;
   enumeration.threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        px::CountRelatedPairs(columns, compiled, 0.10, enumeration));
+    benchmark::DoNotOptimize(CountRelated(columns, compiled, enumeration));
   }
   state.SetLabel(std::string("prune=") +
                  (enumeration.prune ? "on" : "off") +
@@ -547,8 +556,7 @@ void BM_EquiJoinPruning(benchmark::State& state) {
   enumeration.prune = state.range(0) != 0;
   enumeration.threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        px::CountRelatedPairs(columns, compiled, 0.10, enumeration));
+    benchmark::DoNotOptimize(CountRelated(columns, compiled, enumeration));
   }
   state.SetLabel(std::string("prune=") + (enumeration.prune ? "on" : "off") +
                  " rows=" + std::to_string(log.size()) +

@@ -8,6 +8,7 @@
 // 0.24 -> 0.72 for query 2).
 
 #include <cstdio>
+#include <utility>
 
 #include "core/metrics.h"
 #include "harness.h"
@@ -39,12 +40,16 @@ void RunQuery(const char* name, Fixture& fixture,
     if (!bound.Bind(engine.pair_schema()).ok()) continue;
     px::Predicate generated = despite.value();
     if (!generated.Bind(engine.pair_schema()).ok()) continue;
-    before.Add(px::EvaluateDespiteRelevance(logs.test, engine.pair_schema(),
-                                            bound, px::Predicate::True(),
-                                            px::PairFeatureOptions()));
-    after.Add(px::EvaluateDespiteRelevance(logs.test, engine.pair_schema(),
-                                           bound, generated,
-                                           px::PairFeatureOptions()));
+    // Relevance of a despite clause alone: an explanation with no because.
+    const auto relevance = [&](px::Predicate despite_ext) {
+      px::Explanation despite_only;
+      despite_only.despite = std::move(despite_ext);
+      return px::EvaluateExplanation(logs.test, engine.pair_schema(), bound,
+                                     despite_only, px::PairFeatureOptions())
+          .relevance;
+    };
+    before.Add(relevance(px::Predicate::True()));
+    after.Add(relevance(generated));
     if (run == 0) sample = generated.ToString();
   }
   px::bench::PrintRow({name, before.ToString(), after.ToString()}, 34);

@@ -248,16 +248,18 @@ Result<Explanation> Engine::Generate(const PreparedQuery& prepared,
   switch (request.technique) {
     case Technique::kPerfXplain: {
       PX_RETURN_IF_ERROR(Definition1(prepared));
-      const ExplainerOptions explainer_options = ExplainerOptionsFor(request);
+      const ExplainerOptions options = ExplainerOptionsFor(request);
       if (request.auto_despite) {
         return explainer_->ExplainWithAutoDespitePrepared(
-            prepared.bound(), prepared.poi_first(), prepared.poi_second(),
-            explainer_options);
+            prepared.bound(), prepared.compiled(), prepared.poi_first(),
+            prepared.poi_second(), options);
       }
-      return explainer_->ExplainPrepared(prepared.bound(),
-                                         prepared.poi_first(),
-                                         prepared.poi_second(),
-                                         explainer_options);
+      std::vector<Result<Explanation>> results = explainer_->ExplainPrepared(
+          prepared.bound(), prepared.compiled(),
+          {{prepared.poi_first(), prepared.poi_second(), options.width,
+            options.seed}},
+          options, EnumerationOptions{options.threads});
+      return std::move(results.front());
     }
     case Technique::kRuleOfThumb:
       return rule_of_thumb().ExplainPrepared(prepared.bound(),
@@ -461,6 +463,23 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
     }
   }
 
+  // Finishes a shape group answered by one call of its technique's entry
+  // point: the call's time (and tile traffic) is shared, not attributable
+  // per item, so every response of the group starts from `shared`.
+  const auto finish_group = [&](const std::vector<std::size_t>& group,
+                                Clock::time_point start,
+                                std::vector<Result<Explanation>> results,
+                                ExplainResponse shared) {
+    shared.explain_ms = MsSince(start) / static_cast<double>(group.size());
+    shared.batched = true;
+    for (std::size_t g = 0; g < group.size(); ++g) {
+      const std::size_t i = group[g];
+      handled[i] = true;
+      responses[i] = Finish(*items[i].prepared, items[i].request,
+                            cache_keys[i], std::move(results[g]), shared);
+    }
+  };
+
   // The batch's SimButDiff requests of one query shape share one scan
   // (SimButDiff::ExplainPrepared over the group's pairs of interest).
   for (const std::vector<std::size_t>& group :
@@ -470,8 +489,7 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
     for (std::size_t i : group) {
       const BatchItem& item = items[i];
       pois.push_back({item.prepared->poi_first(), item.prepared->poi_second(),
-                      item.request.width > 0 ? item.request.width
-                                             : options_.explainer.width});
+                      ExplainerOptionsFor(item.request).width});
     }
     const StoreTraffic traffic(snapshot_->pair_codes(),
                                options_.sim_but_diff);
@@ -479,92 +497,31 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
     std::vector<Result<Explanation>> results = sim_but_diff_->ExplainPrepared(
         representative.bound(), representative.compiled(), pois,
         EnumerationOptions{options_.sim_but_diff.threads});
-    // Every response of the group starts from this one: the scan's time
-    // and tile traffic are shared, not attributable per item.
     ExplainResponse shared;
-    shared.explain_ms = MsSince(start) / static_cast<double>(group.size());
-    shared.batched = true;
     traffic.Stamp(&shared);
-    for (std::size_t g = 0; g < group.size(); ++g) {
-      const std::size_t i = group[g];
-      handled[i] = true;
-      responses[i] = Finish(*items[i].prepared, items[i].request,
-                            cache_keys[i], std::move(results[g]), shared);
-    }
+    finish_group(group, start, std::move(results), std::move(shared));
   }
 
   // The batch's PerfXplain requests of one query shape share one
-  // related-pair classification scan. Each request then pays only its
-  // serial sampling replay, encoding and clause generation — bitwise
-  // identical to per-call Explain because the counting scan never depends
-  // on the pair of interest or the seed.
+  // related-pair scan (Explainer::ExplainPrepared over the group's pairs
+  // of interest). A lone request runs per-call, through the same entry
+  // point, and is not marked batched.
   for (const std::vector<std::size_t>& group :
        GroupByShape(items, perfxplain_items)) {
-    // A lone request gains nothing from the shared scan.
     if (group.size() < 2) continue;
     const PreparedQuery& representative = *items[group.front()].prepared;
-    const Clock::time_point scan_start = Clock::now();
-    const RelatedPairScan scan = ScanRelatedPairs(
-        snapshot_->columns(), representative.compiled(),
-        options_.explainer.pair.sim_fraction,
-        EnumerationOptions{options_.explainer.threads});
-    // Overflowed scans carry no replayable pair list; the group falls
-    // back to per-call execution (each call streams its own draws).
-    if (scan.overflowed) continue;
-    const double scan_share_ms =
-        MsSince(scan_start) / static_cast<double>(group.size());
-    // Within a shape group, the encoded training matrix depends only on
-    // (scan, effective seed, pair of interest) — the sampler settings,
-    // diversity cap, balanced flag and sim_fraction are engine-fixed, and
-    // per-request overrides touch only width/seed/threads. Requests
-    // agreeing on (seed, poi) therefore replay identical sampling draws
-    // and encode the identical matrix; build it once per sub-group and
-    // run only the width-dependent clause generation per request.
-    std::vector<std::vector<std::size_t>> matrix_groups;
+    std::vector<Explainer::PairOfInterest> pois;
     for (std::size_t i : group) {
       const BatchItem& item = items[i];
-      const std::uint64_t seed =
-          item.request.seed.value_or(options_.explainer.seed);
-      std::size_t m = 0;
-      for (; m < matrix_groups.size(); ++m) {
-        const BatchItem& seen = items[matrix_groups[m].front()];
-        const std::uint64_t seen_seed =
-            seen.request.seed.value_or(options_.explainer.seed);
-        if (seen_seed == seed &&
-            seen.prepared->poi_first() == item.prepared->poi_first() &&
-            seen.prepared->poi_second() == item.prepared->poi_second()) {
-          break;
-        }
-      }
-      if (m == matrix_groups.size()) matrix_groups.emplace_back();
-      matrix_groups[m].push_back(i);
+      const ExplainerOptions options = ExplainerOptionsFor(item.request);
+      pois.push_back({item.prepared->poi_first(), item.prepared->poi_second(),
+                      options.width, options.seed});
     }
-    for (const std::vector<std::size_t>& matrix_group : matrix_groups) {
-      const BatchItem& lead = items[matrix_group.front()];
-      const Clock::time_point sample_start = Clock::now();
-      auto examples = explainer_->BuildEncodedExamplesFromScan(
-          lead.prepared->bound(), scan, lead.prepared->poi_first(),
-          lead.prepared->poi_second(), ExplainerOptionsFor(lead.request));
-      const double sample_share_ms =
-          MsSince(sample_start) / static_cast<double>(matrix_group.size());
-      for (std::size_t i : matrix_group) {
-        const BatchItem& item = items[i];
-        handled[i] = true;
-        if (!examples.ok()) {
-          responses[i] = examples.status();
-          continue;
-        }
-        const Clock::time_point start = Clock::now();
-        auto explanation = explainer_->ExplainPreparedWithExamples(
-            item.prepared->bound(), examples.value(),
-            ExplainerOptionsFor(item.request));
-        ExplainResponse response;
-        response.explain_ms = scan_share_ms + sample_share_ms + MsSince(start);
-        response.batched = true;
-        responses[i] = Finish(*item.prepared, item.request, cache_keys[i],
-                              std::move(explanation), std::move(response));
-      }
-    }
+    const Clock::time_point start = Clock::now();
+    std::vector<Result<Explanation>> results = explainer_->ExplainPrepared(
+        representative.bound(), representative.compiled(), pois,
+        options_.explainer, EnumerationOptions{options_.explainer.threads});
+    finish_group(group, start, std::move(results), ExplainResponse());
   }
 
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -580,7 +537,8 @@ Result<Predicate> Engine::GenerateDespite(const PreparedQuery& prepared,
   PX_RETURN_IF_ERROR(CheckPrepared(prepared));
   PX_RETURN_IF_ERROR(Definition1(prepared));
   return explainer_->GenerateDespitePrepared(
-      prepared.bound(), prepared.poi_first(), prepared.poi_second(),
+      prepared.bound(), prepared.compiled(), prepared.poi_first(),
+      prepared.poi_second(),
       width > 0 ? width : options_.explainer.despite_width,
       options_.explainer);
 }

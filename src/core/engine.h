@@ -256,8 +256,8 @@ struct ExplainResponse {
   std::optional<ExplanationMetrics> metrics;
 
   /// Wall-clock cost of generating the explanation. For requests answered
-  /// by a shared scan of ExplainBatch this is the amortized share (scan
-  /// time / requests of its shape group) — the batch's whole point.
+  /// by a shared scan of ExplainBatch this is the amortized share (the
+  /// shape group's time / its requests) — the batch's whole point.
   double explain_ms = 0.0;
   /// Wall-clock cost of the evaluate scan (0 when not requested).
   double evaluate_ms = 0.0;
@@ -348,17 +348,14 @@ class Engine {
 
   /// Answers a batch of requests, amortizing per-pair work across the
   /// batch. Requests of one query *shape* (structurally identical bound
-  /// despite/observed/expected) share one scan:
-  ///  - SimButDiff requests: one SimButDiff::ExplainPrepared call per
-  ///    shape, over the group's pairs of interest — the same scan a
-  ///    per-call Explain runs with one pair;
+  /// despite/observed/expected) share one scan: one call per shape of the
+  /// technique's entry point over the group's pairs of interest — the
+  /// same call a per-call Explain makes with one pair:
+  ///  - SimButDiff requests: SimButDiff::ExplainPrepared;
   ///  - PerfXplain requests (no auto-despite, Definition 1 holding), in
-  ///    groups of two or more: ONE related-pair classification scan
-  ///    (ScanRelatedPairs); each request then replays only its own serial
-  ///    sampling draws and clause generation
-  ///    (Explainer::BuildEncodedExamplesFromScan +
-  ///    ExplainPreparedWithExamples). When the scan overflows the sample
-  ///    buffer cap, the group falls back to per-call execution.
+  ///    groups of two or more: Explainer::ExplainPrepared, which scans
+  ///    once and builds one training matrix per (seed, pair of interest).
+  ///    A lone request runs per-call.
   /// All other requests, and those carrying a deadline or CancelToken,
   /// run the per-call path. Every request is looked up in the result
   /// cache once. Results are bitwise identical to issuing the requests
@@ -413,9 +410,9 @@ class Engine {
   ExecContext MakeExecContext(const ExplainRequest& request) const;
 
   /// The engine's ExplainerOptions with the request's width/seed/threads
-  /// overrides applied — the one definition both the per-call PerfXplain
-  /// path and the batched shared-scan path use, so the two can never
-  /// diverge on how a request maps to options.
+  /// overrides applied — the one definition the per-call path and the
+  /// batch's shared scans use, so the two can never diverge on how a
+  /// request maps to its width and seed.
   ExplainerOptions ExplainerOptionsFor(const ExplainRequest& request) const;
 
   /// Consults the result cache for (prepared, request): fills *cache_key

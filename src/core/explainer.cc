@@ -309,16 +309,8 @@ Result<std::vector<TrainingExample>> Explainer::BuildExamples(
                                 /*keep_first=*/true);
 }
 
-Result<EncodedDataset> Explainer::BuildEncodedExamplesWith(
-    const Query& bound_query, std::size_t poi_first, std::size_t poi_second,
-    const ExplainerOptions& options) const {
-  Rng rng(options.seed);
-  const CompiledQuery compiled =
-      CompiledQuery::Compile(bound_query, schema_, *columnar_);
-  auto sampled = SampleRelatedPairs(
-      *columnar_, compiled, poi_first, poi_second,
-      options.pair.sim_fraction, options.sampler, rng,
-      options.balanced_sampling, EnumerationOptions{options.threads});
+Result<EncodedDataset> Explainer::Encode(Result<std::vector<PairRef>> sampled,
+                                        const ExplainerOptions& options) const {
   if (!sampled.ok()) return sampled.status();
   std::vector<PairRef> pairs = std::move(sampled).value();
   if (options.max_pairs_per_record > 0) {
@@ -336,18 +328,34 @@ Result<EncodedDataset> Explainer::BuildEncodedExamplesFromScan(
     const ExplainerOptions& options) const {
   (void)bound_query;  // the scan already encodes the query's shape
   Rng rng(options.seed);
-  auto sampled =
+  return Encode(
       ReplaySampleDraws(scan, columnar_->rows(), poi_first, poi_second,
-                        options.sampler, rng, options.balanced_sampling);
-  if (!sampled.ok()) return sampled.status();
-  std::vector<PairRef> pairs = std::move(sampled).value();
-  if (options.max_pairs_per_record > 0) {
-    pairs = EnforceRecordDiversity(std::move(pairs),
-                                   options.max_pairs_per_record,
-                                   /*keep_first=*/true);
-  }
-  return EncodedDataset(*columnar_, schema_, pairs,
-                        options.pair.sim_fraction);
+                        options.sampler, rng, options.balanced_sampling),
+      options);
+}
+
+Result<EncodedDataset> Explainer::EncodeFromScan(
+    const CompiledQuery& compiled, const RelatedPairScan& scan,
+    std::size_t poi_first, std::size_t poi_second,
+    const ExplainerOptions& options,
+    const EnumerationOptions& enumeration) const {
+  Rng rng(options.seed);
+  return Encode(SampleFromScan(scan, *columnar_, compiled, poi_first,
+                               poi_second, options.pair.sim_fraction,
+                               options.sampler, rng,
+                               options.balanced_sampling, enumeration),
+                options);
+}
+
+Result<EncodedDataset> Explainer::ScanAndEncode(
+    const CompiledQuery& compiled, std::size_t poi_first,
+    std::size_t poi_second, const ExplainerOptions& options) const {
+  const EnumerationOptions enumeration{options.threads};
+  return EncodeFromScan(compiled,
+                        ScanRelatedPairs(*columnar_, compiled,
+                                         options.pair.sim_fraction,
+                                         enumeration),
+                        poi_first, poi_second, options, enumeration);
 }
 
 Result<Explanation> Explainer::ExplainPreparedWithExamples(
@@ -392,20 +400,48 @@ Predicate Explainer::ClauseToPredicate(
   return predicate;
 }
 
-Result<Explanation> Explainer::ExplainPrepared(
-    const Query& bound, std::size_t poi_first, std::size_t poi_second,
-    const ExplainerOptions& options) const {
-  auto examples =
-      BuildEncodedExamplesWith(bound, poi_first, poi_second, options);
-  if (!examples.ok()) return examples.status();
-  return ExplainPreparedWithExamples(bound, examples.value(), options);
+std::vector<Result<Explanation>> Explainer::ExplainPrepared(
+    const Query& bound, const CompiledQuery& compiled,
+    const std::vector<PairOfInterest>& pois,
+    const ExplainerOptions& base_options,
+    const EnumerationOptions& enumeration) const {
+  std::vector<Result<Explanation>> results(
+      pois.size(), Status::Internal("pair of interest not answered"));
+  const RelatedPairScan scan = ScanRelatedPairs(
+      *columnar_, compiled, base_options.pair.sim_fraction, enumeration);
+  // Requests agreeing on (seed, pair of interest) replay identical draws
+  // and encode the identical matrix: build it once, at the first such
+  // request, and answer every request of the group from it before the
+  // next matrix is built.
+  std::vector<bool> answered(pois.size(), false);
+  for (std::size_t lead = 0; lead < pois.size(); ++lead) {
+    if (answered[lead]) continue;
+    const PairOfInterest& key = pois[lead];
+    ExplainerOptions options = base_options;
+    options.seed = key.seed;
+    const Result<EncodedDataset> examples = EncodeFromScan(
+        compiled, scan, key.first, key.second, options, enumeration);
+    for (std::size_t r = lead; r < pois.size(); ++r) {
+      const PairOfInterest& poi = pois[r];
+      if (answered[r] || poi.seed != key.seed || poi.first != key.first ||
+          poi.second != key.second) {
+        continue;
+      }
+      answered[r] = true;
+      options.width = poi.width;
+      results[r] = examples.ok() ? ExplainPreparedWithExamples(
+                                       bound, examples.value(), options)
+                                 : examples.status();
+    }
+  }
+  return results;
 }
 
 Result<Predicate> Explainer::GenerateDespitePrepared(
-    const Query& bound, std::size_t poi_first, std::size_t poi_second,
-    std::size_t width, const ExplainerOptions& options) const {
-  auto examples =
-      BuildEncodedExamplesWith(bound, poi_first, poi_second, options);
+    const Query& bound, const CompiledQuery& compiled, std::size_t poi_first,
+    std::size_t poi_second, std::size_t width,
+    const ExplainerOptions& options) const {
+  auto examples = ScanAndEncode(compiled, poi_first, poi_second, options);
   if (!examples.ok()) return examples.status();
   return ClauseToPredicate(GenerateClauseEncoded(
       examples.value(), width, /*target_expected=*/true,
@@ -413,10 +449,9 @@ Result<Predicate> Explainer::GenerateDespitePrepared(
 }
 
 Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
-    const Query& bound, std::size_t poi_first, std::size_t poi_second,
-    const ExplainerOptions& options) const {
-  auto examples =
-      BuildEncodedExamplesWith(bound, poi_first, poi_second, options);
+    const Query& bound, const CompiledQuery& compiled, std::size_t poi_first,
+    std::size_t poi_second, const ExplainerOptions& options) const {
+  auto examples = ScanAndEncode(compiled, poi_first, poi_second, options);
   if (!examples.ok()) return examples.status();
 
   // des' clause first, truncated at the relevance threshold.
@@ -437,11 +472,13 @@ Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
   explanation.despite_trace = despite_trace;
   explanation.despite = ClauseToPredicate(despite_trace);
 
-  // bec clause in the context of des AND des'.
+  // bec clause in the context of des AND des': a new shape, so the one
+  // query this request compiles.
   Query extended = bound;
   extended.despite = extended.despite.And(explanation.despite);
-  auto extended_examples =
-      BuildEncodedExamplesWith(extended, poi_first, poi_second, options);
+  auto extended_examples = ScanAndEncode(
+      CompiledQuery::Compile(extended, schema_, *columnar_), poi_first,
+      poi_second, options);
   if (!extended_examples.ok()) return extended_examples.status();
   explanation.because_trace = GenerateClauseEncoded(
       extended_examples.value(), options.width, /*target_expected=*/false,

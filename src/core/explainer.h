@@ -81,6 +81,11 @@ struct ExplainerOptions {
 /// examples that satisfy the clause so far. Features mentioned by the
 /// observed/expected clauses (the runtime metric itself) are excluded from
 /// explanations.
+///
+/// There is one pipeline, ExplainPrepared: one query shape and any number
+/// of pairs of interest. Engine::Explain runs it for one pair,
+/// Engine::ExplainBatch once per group of same-shape requests; both scan
+/// the PreparedQuery's compiled programs, so no request recompiles.
 class Explainer {
  public:
   /// `log` and `columns` must outlive the explainer; `columns` must be the
@@ -92,50 +97,66 @@ class Explainer {
   const PairSchema& pair_schema() const { return schema_; }
   const ExplainerOptions& options() const { return options_; }
 
-  /// The entry points behind Engine::Explain and Engine::GenerateDespite:
-  /// the default because-only mode (§4.2: "by default, PerfXplain
-  /// generates only the bec clause"), an explicit des' clause (§6.4) and
-  /// des' + bec, each starting from a query Engine::Prepare bound,
-  /// validated and resolved to its pair of interest (and whose Definition
-  /// 1 check the Engine enforces), under explicit per-request options.
-  /// `options` may differ from the constructor options only in width /
-  /// despite_width / seed / threads: anything that changes pair semantics
-  /// (sim_fraction, level, sampling sizes) would desynchronize the
-  /// Definition 1 check the Engine already performed. Thread-safe: these
-  /// methods touch only immutable state and call-local Rngs.
-  Result<Explanation> ExplainPrepared(const Query& bound,
-                                      std::size_t poi_first,
-                                      std::size_t poi_second,
-                                      const ExplainerOptions& options) const;
+  /// One pair of interest of a request (row indexes), with the width and
+  /// sampling seed of its explanation.
+  struct PairOfInterest {
+    std::size_t first = 0;
+    std::size_t second = 0;
+    std::size_t width = 3;
+    std::uint64_t seed = 17;
+  };
 
-  /// ExplainPrepared split at the encoded training matrix — the
-  /// amortization seam of Engine::ExplainBatch for PerfXplain. The O(n²)
-  /// related-pair classification depends only on the query *shape* (its
-  /// three bound predicates), so a batch of structurally identical queries
-  /// shares one ScanRelatedPairs. This half replays the request's serial
-  /// sampling draws, applies the diversity cap and encodes. The matrix
-  /// depends only on (scan, pair of interest, seed, sampling options,
-  /// sim_fraction) — NOT on the clause width — so ExplainBatch builds it
-  /// once per (shape, seed, poi) sub-group. `scan` must come from
+  /// Answers a query Engine::Prepare bound, validated and compiled
+  /// (`compiled` against this explainer's columns) for every pair in
+  /// `pois`, in three steps:
+  ///  1. one ScanRelatedPairs of `compiled`;
+  ///  2. one training matrix per distinct (seed, pair of interest), its
+  ///     draws replayed from the scan's buffer or, when the scan overflowed
+  ///     `enumeration.sample_buffer_cap`, streamed (SampleFromScan);
+  ///  3. ExplainPreparedWithExamples per request, under `base_options`
+  ///     with the request's width and seed.
+  /// Result r is bitwise identical to a call with {pois[r]} alone, so
+  /// `bound` may stand for any query of the same shape. The threads, cap
+  /// and pruning switch of `enumeration` change no result.
+  ///
+  /// Here and below, `options` may differ from the constructor options
+  /// only in width / despite_width / seed / threads: anything that changes
+  /// pair semantics (sim_fraction, level, sampling sizes) would
+  /// desynchronize the Definition 1 check the Engine already performed.
+  /// Thread-safe: only immutable state and call-local Rngs are touched.
+  std::vector<Result<Explanation>> ExplainPrepared(
+      const Query& bound, const CompiledQuery& compiled,
+      const std::vector<PairOfInterest>& pois,
+      const ExplainerOptions& base_options,
+      const EnumerationOptions& enumeration) const;
+
+  /// Step 2 of ExplainPrepared for one pair of interest over a buffered
+  /// scan (not overflowed): replays the request's serial sampling draws,
+  /// applies the diversity cap and encodes. `scan` must come from
   /// ScanRelatedPairs over this explainer's columns with the query's
-  /// compiled programs and this engine's sim_fraction, and must not be
-  /// overflowed.
+  /// compiled programs and this engine's sim_fraction.
   Result<EncodedDataset> BuildEncodedExamplesFromScan(
       const Query& bound_query, const RelatedPairScan& scan,
       std::size_t poi_first, std::size_t poi_second,
       const ExplainerOptions& options) const;
 
-  /// The because-clause tail of ExplainPrepared over an already-built
+  /// Step 3 of ExplainPrepared: the because clause over an already-built
   /// encoded training matrix (any width). BuildEncodedExamplesFromScan +
   /// ExplainPreparedWithExamples == ExplainPrepared, bitwise.
   Result<Explanation> ExplainPreparedWithExamples(
       const Query& bound, const EncodedDataset& examples,
       const ExplainerOptions& options) const;
+
+  /// The des'-only mode behind Engine::GenerateDespite (§6.4) and the
+  /// des' + bec mode of an auto-despite request, over the same scan and
+  /// training matrix as ExplainPrepared.
   Result<Predicate> GenerateDespitePrepared(
-      const Query& bound, std::size_t poi_first, std::size_t poi_second,
-      std::size_t width, const ExplainerOptions& options) const;
+      const Query& bound, const CompiledQuery& compiled,
+      std::size_t poi_first, std::size_t poi_second, std::size_t width,
+      const ExplainerOptions& options) const;
   Result<Explanation> ExplainWithAutoDespitePrepared(
-      const Query& bound, std::size_t poi_first, std::size_t poi_second,
+      const Query& bound, const CompiledQuery& compiled,
+      std::size_t poi_first, std::size_t poi_second,
       const ExplainerOptions& options) const;
 
   /// The Value-path oracle of the clause search: generates one clause from
@@ -176,13 +197,24 @@ class Explainer {
   static Predicate ClauseToPredicate(
       const std::vector<ExplanationAtom>& trace);
 
-  /// The encoded fast path of BuildExamples: the same sampled pairs (same
-  /// Rng draw sequence) encoded into an integer training matrix, never
-  /// materializing a Value, under explicit options (seed / threads /
-  /// sampling come from `options`, not the constructor's).
-  Result<EncodedDataset> BuildEncodedExamplesWith(
-      const Query& bound_query, std::size_t poi_first, std::size_t poi_second,
-      const ExplainerOptions& options) const;
+  /// Step 2 of ExplainPrepared for one pair of interest, over a buffered
+  /// or overflowed scan of `compiled`.
+  Result<EncodedDataset> EncodeFromScan(
+      const CompiledQuery& compiled, const RelatedPairScan& scan,
+      std::size_t poi_first, std::size_t poi_second,
+      const ExplainerOptions& options,
+      const EnumerationOptions& enumeration) const;
+
+  /// The training matrix of one request: ScanRelatedPairs of `compiled`
+  /// on `options.threads`, then EncodeFromScan.
+  Result<EncodedDataset> ScanAndEncode(const CompiledQuery& compiled,
+                                       std::size_t poi_first,
+                                       std::size_t poi_second,
+                                       const ExplainerOptions& options) const;
+
+  /// The diversity cap and encoding of a drawn sample.
+  Result<EncodedDataset> Encode(Result<std::vector<PairRef>> sampled,
+                                const ExplainerOptions& options) const;
 
   const ExecutionLog* log_;
   ExplainerOptions options_;

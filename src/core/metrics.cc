@@ -84,53 +84,6 @@ ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
   return metrics;
 }
 
-double EvaluateDespiteRelevance(const ExecutionLog& log,
-                                const PairSchema& schema,
-                                const Query& bound_query,
-                                const Predicate& despite_ext,
-                                const PairFeatureOptions& options,
-                                const EnumerationOptions& enumeration) {
-  return EvaluateDespiteRelevance(ColumnarLog(log), schema, bound_query,
-                                  despite_ext, options, enumeration);
-}
-
-double EvaluateDespiteRelevance(const ColumnarLog& columns,
-                                const PairSchema& schema,
-                                const Query& bound_query,
-                                const Predicate& despite_ext,
-                                const PairFeatureOptions& options,
-                                const EnumerationOptions& enumeration) {
-  const CompiledQuery query =
-      CompiledQuery::Compile(bound_query, schema, columns);
-  const CompiledPredicate despite =
-      CompiledPredicate::Compile(despite_ext, schema, columns);
-  const double f = options.sim_fraction;
-
-  struct Counts {
-    std::size_t matching = 0;
-    std::size_t expected = 0;
-  };
-  std::vector<Counts> partials;
-  ScanDespitePairs(query.despite, columns.rows(), enumeration,
-                   partials,
-                   [&](Counts& local, std::size_t i, std::size_t j) {
-                     const PairLabel label =
-                         ClassifyPairCompiled(query, i, j, f);
-                     if (label == PairLabel::kUnrelated) return;
-                     if (!despite.Eval(i, j, f)) return;
-                     ++local.matching;
-                     if (label == PairLabel::kExpected) ++local.expected;
-                   });
-  std::size_t matching = 0;
-  std::size_t expected = 0;
-  for (const Counts& local : partials) {
-    matching += local.matching;
-    expected += local.expected;
-  }
-  if (matching == 0) return 0.0;
-  return static_cast<double>(expected) / static_cast<double>(matching);
-}
-
 bool IsApplicable(const Explanation& explanation, const PairSchema& schema,
                   const ExecutionRecord& first, const ExecutionRecord& second,
                   const PairFeatureOptions& options) {

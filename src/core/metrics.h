@@ -36,6 +36,8 @@ struct ExplanationMetrics {
 /// over `enumeration.threads` workers and pruned to the query's despite
 /// candidates; neither changes the metrics). Predicates must already be
 /// bound to `schema`. Probabilities conditioned on an empty set are 0.
+/// The relevance of a despite clause alone (§6.4: Table 3, Figure 4a) is
+/// the relevance of an explanation with that despite and no because.
 ExplanationMetrics EvaluateExplanation(
     const ColumnarLog& columns, const PairSchema& schema,
     const Query& bound_query, const Explanation& explanation,
@@ -48,23 +50,6 @@ ExplanationMetrics EvaluateExplanation(
     const Query& bound_query, const Explanation& explanation,
     const PairFeatureOptions& options,
     const EnumerationOptions& enumeration = {});
-
-/// Relevance of a despite clause alone: P(exp | despite_ext AND des).
-/// Used by the §6.4 experiment (Table 3 / Figure 4a).
-double EvaluateDespiteRelevance(const ColumnarLog& columns,
-                                const PairSchema& schema,
-                                const Query& bound_query,
-                                const Predicate& despite_ext,
-                                const PairFeatureOptions& options,
-                                const EnumerationOptions& enumeration);
-
-/// EvaluateDespiteRelevance over a log, building its columnar replica.
-double EvaluateDespiteRelevance(const ExecutionLog& log,
-                                const PairSchema& schema,
-                                const Query& bound_query,
-                                const Predicate& despite_ext,
-                                const PairFeatureOptions& options,
-                                const EnumerationOptions& enumeration = {});
 
 /// True when the explanation is applicable to the pair (Definition 3):
 /// both clauses hold for (first, second). The records may be ad-hoc (from

@@ -37,47 +37,6 @@ PairLabel ClassifyPairCompiled(const CompiledQuery& query, std::size_t i,
   return PairLabel::kUnrelated;
 }
 
-RelatedCounts CountRelatedPairs(const ExecutionLog& log,
-                                const PairSchema& schema,
-                                const Query& bound_query,
-                                const PairFeatureOptions& options) {
-  const ColumnarLog columns(log);
-  const CompiledQuery compiled =
-      CompiledQuery::Compile(bound_query, schema, columns);
-  return CountRelatedPairs(columns, compiled, options.sim_fraction);
-}
-
-RelatedCounts CountRelatedPairs(const ColumnarLog& columns,
-                                const CompiledQuery& query,
-                                double sim_fraction,
-                                const EnumerationOptions& enumeration) {
-  const std::size_t n = columns.rows();
-  // A pair failing des (or satisfying neither obs nor exp) is unrelated, so
-  // an always-false despite clause relates nothing.
-  if (query.despite.always_false()) return RelatedCounts{};
-  std::vector<RelatedCounts> partial;
-  ScanDespitePairs(query.despite, n, enumeration, partial,
-                   [&](RelatedCounts& local, std::size_t i, std::size_t j) {
-                     switch (ClassifyPairCompiled(query, i, j,
-                                                  sim_fraction)) {
-                       case PairLabel::kObserved:
-                         ++local.observed;
-                         break;
-                       case PairLabel::kExpected:
-                         ++local.expected;
-                         break;
-                       case PairLabel::kUnrelated:
-                         break;
-                     }
-                   });
-  RelatedCounts counts;
-  for (const RelatedCounts& local : partial) {
-    counts.observed += local.observed;
-    counts.expected += local.expected;
-  }
-  return counts;
-}
-
 RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
                                  const CompiledQuery& query,
                                  double sim_fraction,
@@ -85,8 +44,8 @@ RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
   // One parallel pass produces the §4.3 label counts and, while the total
   // stays under the buffer cap, the related pairs themselves. A broad
   // despite clause that relates almost every ordered pair overflows the
-  // cap; the buffers are then discarded and callers fall back to a second,
-  // streaming draw scan, keeping memory O(accepted).
+  // cap; the buffers are then discarded and SampleFromScan streams the
+  // draws in a second scan, keeping memory O(accepted).
   const std::size_t n = columns.rows();
   const std::size_t cap = enumeration.sample_buffer_cap;
   struct StripeState {
@@ -207,20 +166,19 @@ Result<std::vector<PairRef>> ReplaySampleDraws(
   return sampled;
 }
 
-Result<std::vector<PairRef>> SampleRelatedPairs(
-    const ColumnarLog& columns, const CompiledQuery& query,
-    std::size_t poi_first, std::size_t poi_second, double sim_fraction,
+Result<std::vector<PairRef>> SampleFromScan(
+    const RelatedPairScan& scan, const ColumnarLog& columns,
+    const CompiledQuery& query, std::size_t poi_first,
+    std::size_t poi_second, double sim_fraction,
     const SamplerOptions& sampler_options, Rng& rng, bool balanced,
     const EnumerationOptions& enumeration) {
   const std::size_t n = columns.rows();
-  if (poi_first >= n || poi_second >= n || poi_first == poi_second) {
-    return Status::InvalidArgument("pair of interest indexes out of range");
-  }
-  RelatedPairScan scan =
-      ScanRelatedPairs(columns, query, sim_fraction, enumeration);
   if (!scan.overflowed) {
     return ReplaySampleDraws(scan, n, poi_first, poi_second, sampler_options,
                              rng, balanced);
+  }
+  if (poi_first >= n || poi_second >= n || poi_first == poi_second) {
+    return Status::InvalidArgument("pair of interest indexes out of range");
   }
   if (scan.counts.total() == 0) {
     return Status::FailedPrecondition(
@@ -260,9 +218,10 @@ Result<std::vector<TrainingExample>> BuildTrainingExamples(
   const ColumnarLog columns(log);
   const CompiledQuery compiled =
       CompiledQuery::Compile(bound_query, schema, columns);
-  auto sampled = SampleRelatedPairs(columns, compiled, poi_first, poi_second,
-                                    pair_options.sim_fraction,
-                                    sampler_options, rng, balanced);
+  auto sampled = SampleFromScan(
+      ScanRelatedPairs(columns, compiled, pair_options.sim_fraction),
+      columns, compiled, poi_first, poi_second, pair_options.sim_fraction,
+      sampler_options, rng, balanced);
   if (!sampled.ok()) return sampled.status();
 
   std::vector<TrainingExample> examples;

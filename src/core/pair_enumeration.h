@@ -75,11 +75,11 @@ struct EnumerationOptions {
   /// defaulting to the hardware concurrency).
   int threads = 0;
 
-  /// Max related pairs SampleRelatedPairs may buffer during its counting
-  /// pass (~24 bytes each). Under the cap, sampling replays the draws from
-  /// the buffer (one scan total); above it, the buffer is discarded and a
-  /// second, streaming scan performs the draws with O(accepted) memory.
-  /// Both paths produce identical results. 0 forces the streaming path.
+  /// Max related pairs ScanRelatedPairs may buffer (~24 bytes each).
+  /// Under the cap, sampling replays the draws from the buffer (one scan
+  /// total); above it, the buffer is discarded and SampleFromScan runs a
+  /// second, streaming scan for the draws with O(accepted) memory. Both
+  /// paths produce identical results. 0 forces the streaming path.
   std::size_t sample_buffer_cap = std::size_t{1} << 21;
 
   /// Candidate-pair pruning: derive the query's despite selection
@@ -211,63 +211,49 @@ struct RelatedCounts {
   std::size_t total() const { return observed + expected; }
 };
 
-/// One pass over all ordered pairs counting Definition 8/9 labels.
-RelatedCounts CountRelatedPairs(const ExecutionLog& log,
-                                const PairSchema& schema,
-                                const Query& bound_query,
-                                const PairFeatureOptions& options);
-
-/// Columnar fast path of CountRelatedPairs: row-blocked and multi-threaded
-/// over a prebuilt ColumnarLog and compiled query.
-RelatedCounts CountRelatedPairs(const ColumnarLog& columns,
-                                const CompiledQuery& query,
-                                double sim_fraction,
-                                const EnumerationOptions& enumeration = {});
-
-/// The pair-of-interest-independent product of SampleRelatedPairs'
-/// counting scan: the Definition 8/9 label counts plus — unless the
-/// buffer cap overflowed — every related pair in row-major order. One
-/// scan of a query *shape* serves any number of pairs of interest:
-/// Engine::ExplainBatch runs it once per group of structurally identical
-/// PerfXplain queries and replays the sampling per request.
+/// The pair-of-interest-independent half of lines 1-2 of Algorithm 1: the
+/// Definition 8/9 label counts plus — unless the buffer cap overflowed —
+/// every related pair in row-major order. One scan of a query *shape*
+/// serves any number of pairs of interest: Explainer::ExplainPrepared
+/// runs it once per call and draws each request's sample from it.
 struct RelatedPairScan {
   RelatedCounts counts;
   /// Row-major related pairs; empty and meaningless when `overflowed`.
   std::vector<PairRef> related;
   /// True when more than EnumerationOptions::sample_buffer_cap pairs were
-  /// related: the buffer was discarded and callers must fall back to the
-  /// streaming draw scan (plain SampleRelatedPairs).
+  /// related: the buffer was discarded and SampleFromScan streams the
+  /// draws instead.
   bool overflowed = false;
 };
 
-/// The counting pass of SampleRelatedPairs, exposed so the scan can be
-/// shared across queries of one shape. Selection-pruned like every
-/// despite-first scan.
+/// The counting pass of constructTrainingExamples, shared across the
+/// queries of one shape. Selection-pruned like every despite-first scan.
+/// With sample_buffer_cap = 0 it only counts.
 RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
                                  const CompiledQuery& query,
                                  double sim_fraction,
                                  const EnumerationOptions& enumeration = {});
 
-/// The serial §4.3 acceptance replay of SampleRelatedPairs over an
-/// already-collected scan (which must not be overflowed): computes the
-/// balanced acceptance probabilities from the counts and draws one
-/// Bernoulli per related pair (except the pair of interest) in row-major
-/// order — bit-identical to SampleRelatedPairs over the same log and
-/// query for the same Rng. `rows` is the scanned log's row count (pair-of-
-/// interest bounds check only).
+/// The serial §4.3 acceptance replay over an already-collected scan
+/// (which must not be overflowed): computes the balanced acceptance
+/// probabilities from the counts and draws one Bernoulli per related pair
+/// (except the pair of interest) in row-major order — bit-identical to
+/// SampleFromScan's streaming draws for the same Rng. `rows` is the
+/// scanned log's row count (pair-of-interest bounds check only).
 Result<std::vector<PairRef>> ReplaySampleDraws(
     const RelatedPairScan& scan, std::size_t rows, std::size_t poi_first,
     std::size_t poi_second, const SamplerOptions& sampler_options, Rng& rng,
     bool balanced = true);
 
-/// constructTrainingExamples + sample (lines 1-2 of Algorithm 1) on the
-/// columnar fast path: collects related pairs, then serially replays the
-/// §4.3 balanced-sampling acceptance draws over them in row-major order
-/// (bit-identical to the legacy Value path for the same Rng seed). The
-/// pair of interest is always first.
-Result<std::vector<PairRef>> SampleRelatedPairs(
-    const ColumnarLog& columns, const CompiledQuery& query,
-    std::size_t poi_first, std::size_t poi_second, double sim_fraction,
+/// sample (line 2 of Algorithm 1) over a finished ScanRelatedPairs of
+/// `query`, pair of interest first: replayed from a buffered scan, or
+/// streamed over a serial re-enumeration of the candidate pairs with
+/// O(accepted) memory when the scan overflowed. Both draw the same pairs
+/// as the legacy Value path for the same Rng.
+Result<std::vector<PairRef>> SampleFromScan(
+    const RelatedPairScan& scan, const ColumnarLog& columns,
+    const CompiledQuery& query, std::size_t poi_first,
+    std::size_t poi_second, double sim_fraction,
     const SamplerOptions& sampler_options, Rng& rng, bool balanced = true,
     const EnumerationOptions& enumeration = {});
 

@@ -25,18 +25,8 @@ Status DeltaLog::Validate(const ExecutionRecord& record) const {
   return Status::OK();
 }
 
-Status DeltaLog::Append(ExecutionRecord record) {
-  MutexLock lock(mutex_);
-  PX_RETURN_IF_ERROR(Validate(record));
-  ids_.insert(record.id);
-  pending_.push_back(Pending{std::move(record), Clock::now()});
-  return Status::OK();
-}
-
-Status DeltaLog::AppendBatch(std::vector<ExecutionRecord> records) {
-  MutexLock lock(mutex_);
-  // Validate the whole batch (including intra-batch duplicates) before
-  // staging anything, so a bad record never leaves a partial batch.
+Status DeltaLog::ValidateLocked(
+    const std::vector<ExecutionRecord>& records) const {
   std::set<std::string> batch_ids;
   for (const ExecutionRecord& record : records) {
     PX_RETURN_IF_ERROR(Validate(record));
@@ -45,6 +35,18 @@ Status DeltaLog::AppendBatch(std::vector<ExecutionRecord> records) {
                                      "' appears twice in the batch");
     }
   }
+  return Status::OK();
+}
+
+Status DeltaLog::Append(ExecutionRecord record) {
+  return AppendBatch(BatchOfOne(std::move(record)));
+}
+
+Status DeltaLog::AppendBatch(std::vector<ExecutionRecord> records) {
+  MutexLock lock(mutex_);
+  // Validate the whole batch (including intra-batch duplicates) before
+  // staging anything, so a bad record never leaves a partial batch.
+  PX_RETURN_IF_ERROR(ValidateLocked(records));
   const Clock::time_point now = Clock::now();
   for (ExecutionRecord& record : records) {
     ids_.insert(record.id);
@@ -56,15 +58,7 @@ Status DeltaLog::AppendBatch(std::vector<ExecutionRecord> records) {
 Status DeltaLog::ValidateBatch(
     const std::vector<ExecutionRecord>& records) const {
   MutexLock lock(mutex_);
-  std::set<std::string> batch_ids;
-  for (const ExecutionRecord& record : records) {
-    PX_RETURN_IF_ERROR(Validate(record));
-    if (!batch_ids.insert(record.id).second) {
-      return Status::InvalidArgument("record id '" + record.id +
-                                     "' appears twice in the batch");
-    }
-  }
-  return Status::OK();
+  return ValidateLocked(records);
 }
 
 bool DeltaLog::Contains(const std::string& id) const {

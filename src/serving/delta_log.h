@@ -7,6 +7,7 @@
 #include <deque>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -15,6 +16,13 @@
 #include "log/schema.h"
 
 namespace perfxplain {
+
+/// A batch of just `record`, moved in (a braced list would copy it).
+inline std::vector<ExecutionRecord> BatchOfOne(ExecutionRecord record) {
+  std::vector<ExecutionRecord> batch;
+  batch.push_back(std::move(record));
+  return batch;
+}
 
 /// The write side of the live-ingest split: a thread-safe, append-only
 /// staging buffer of ExecutionRecords that have arrived since the serving
@@ -50,10 +58,11 @@ class DeltaLog {
 
   const Schema& schema() const { return schema_; }
 
-  /// Validates and stages one record: value count must match the schema,
-  /// the id must be non-empty and not already pending (including records
-  /// currently draining). The caller (LiveEngine) is responsible for
-  /// rejecting ids already present in the served base log.
+  /// Validates and stages one record (AppendBatch of one): value count
+  /// must match the schema, the id must be non-empty and not already
+  /// pending (including records currently draining). The caller
+  /// (LiveEngine) is responsible for rejecting ids already present in the
+  /// served base log.
   Status Append(ExecutionRecord record) PX_EXCLUDES(mutex_);
 
   /// All-or-nothing batch append: every record is validated (against the
@@ -102,6 +111,10 @@ class DeltaLog {
   };
 
   Status Validate(const ExecutionRecord& record) const PX_REQUIRES(mutex_);
+  /// Validate for every record plus the intra-batch duplicate check: the
+  /// one validation loop of AppendBatch and ValidateBatch.
+  Status ValidateLocked(const std::vector<ExecutionRecord>& records) const
+      PX_REQUIRES(mutex_);
 
   const Schema schema_;
   mutable Mutex mutex_;

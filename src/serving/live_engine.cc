@@ -52,11 +52,24 @@ std::uint64_t LiveEngine::generation() const {
   return current_->snapshot()->id();
 }
 
+Status LiveEngine::CheckNotServed(
+    const std::vector<ExecutionRecord>& records) const {
+  for (const ExecutionRecord& record : records) {
+    if (current_->log().Find(record.id).ok()) {
+      return Status::InvalidArgument("record id '" + record.id +
+                                     "' already exists in the served log");
+    }
+  }
+  return Status::OK();
+}
+
 Status LiveEngine::Append(ExecutionRecord record) {
+  return AppendBatch(BatchOfOne(std::move(record)));
+}
+
+Status LiveEngine::AppendBatch(std::vector<ExecutionRecord> records) {
   if (wal_ != nullptr) {
-    std::vector<ExecutionRecord> batch;
-    batch.push_back(std::move(record));
-    PX_RETURN_IF_ERROR(DurableStage(std::move(batch)));
+    PX_RETURN_IF_ERROR(DurableStage(std::move(records)));
     MaybeAutoRotate();
     return Status::OK();
   }
@@ -67,30 +80,7 @@ Status LiveEngine::Append(ExecutionRecord record) {
     // the delta) or (new base containing them) — never a gap a duplicate
     // could slip through.
     MutexLock lock(state_mutex_);
-    if (current_->log().Find(record.id).ok()) {
-      return Status::InvalidArgument("record id '" + record.id +
-                                     "' already exists in the served log");
-    }
-    PX_RETURN_IF_ERROR(delta_.Append(std::move(record)));
-  }
-  MaybeAutoRotate();
-  return Status::OK();
-}
-
-Status LiveEngine::AppendBatch(std::vector<ExecutionRecord> records) {
-  if (wal_ != nullptr) {
-    PX_RETURN_IF_ERROR(DurableStage(std::move(records)));
-    MaybeAutoRotate();
-    return Status::OK();
-  }
-  {
-    MutexLock lock(state_mutex_);
-    for (const ExecutionRecord& record : records) {
-      if (current_->log().Find(record.id).ok()) {
-        return Status::InvalidArgument("record id '" + record.id +
-                                       "' already exists in the served log");
-      }
-    }
+    PX_RETURN_IF_ERROR(CheckNotServed(records));
     PX_RETURN_IF_ERROR(delta_.AppendBatch(std::move(records)));
   }
   MaybeAutoRotate();
@@ -105,12 +95,7 @@ Status LiveEngine::DurableStage(std::vector<ExecutionRecord> records) {
     // journal: replay re-runs exactly these deterministic checks, so the
     // WAL stays free of batches the live engine did not accept.
     MutexLock lock(state_mutex_);
-    for (const ExecutionRecord& record : records) {
-      if (current_->log().Find(record.id).ok()) {
-        return Status::InvalidArgument("record id '" + record.id +
-                                       "' already exists in the served log");
-      }
-    }
+    PX_RETURN_IF_ERROR(CheckNotServed(records));
     PX_RETURN_IF_ERROR(delta_.ValidateBatch(records));
   }
   // Journal + fsync outside state_mutex_: a disk barrier must never
@@ -402,14 +387,7 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Recover(
       Status staged;
       {
         MutexLock lock(engine->state_mutex_);
-        for (const ExecutionRecord& record : batch.records) {
-          if (engine->current_->log().Find(record.id).ok()) {
-            staged = Status::InvalidArgument(
-                "record id '" + record.id +
-                "' already exists in the served log");
-            break;
-          }
-        }
+        staged = engine->CheckNotServed(batch.records);
         if (staged.ok()) {
           staged = engine->delta_.AppendBatch(std::move(batch.records));
         }

@@ -252,6 +252,12 @@ class LiveEngine {
   void MaybeAutoRotate() PX_EXCLUDES(state_mutex_, rotation_mutex_);
   void PromoterLoop();
 
+  /// InvalidArgument naming the first record whose id the served log
+  /// already holds. Every append path (live, durable, replay) runs it
+  /// under state_mutex_, which the rotation's swap+commit also holds.
+  Status CheckNotServed(const std::vector<ExecutionRecord>& records) const
+      PX_REQUIRES(state_mutex_);
+
   /// The durable append path: pre-validate under state_mutex_, journal +
   /// fsync OUTSIDE it (a disk barrier must never stall Explain's
   /// engine-pointer grab), then stage. append_mutex_ serializes these

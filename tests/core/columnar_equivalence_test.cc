@@ -24,9 +24,9 @@ using testing::CausalLog;
 using testing::GtVsSimQuery;
 using testing::MustPredicate;
 
-/// The seed implementation of CountRelatedPairs: lazy Value views all the
-/// way down. The production code now runs the columnar fast path; this
-/// reference pins the original semantics.
+/// The seed implementation of the related-pair count: lazy Value views
+/// all the way down. The production code now runs the columnar
+/// ScanRelatedPairs; this reference pins the original semantics.
 RelatedCounts ReferenceCountRelatedPairs(const ExecutionLog& log,
                                          const PairSchema& schema,
                                          const Query& bound_query,
@@ -163,8 +163,13 @@ TEST(ColumnarEquivalenceTest, CountRelatedPairsMatchesReference) {
     const PairFeatureOptions options;
     const RelatedCounts expected =
         ReferenceCountRelatedPairs(log, schema, query, options);
+    const ColumnarLog columns(log);
     const RelatedCounts actual =
-        CountRelatedPairs(log, schema, query, options);
+        ScanRelatedPairs(columns,
+                         CompiledQuery::Compile(query, schema, columns),
+                         options.sim_fraction,
+                         EnumerationOptions{0, /*sample_buffer_cap=*/0})
+            .counts;
     EXPECT_EQ(actual.observed, expected.observed) << "seed " << seed;
     EXPECT_EQ(actual.expected, expected.expected) << "seed " << seed;
   }
@@ -184,11 +189,13 @@ TEST(ColumnarEquivalenceTest, ThreadCountIsObservationFree) {
   for (int threads : {1, 2, 3, 7}) {
     EnumerationOptions enumeration;
     enumeration.threads = threads;
-    const RelatedCounts counts = CountRelatedPairs(
-        columns, compiled, options.sim_fraction, enumeration);
     const std::vector<PairRef> pairs =
         ScanRelatedPairs(columns, compiled, options.sim_fraction, enumeration)
             .related;
+    enumeration.sample_buffer_cap = 0;  // count only
+    const RelatedCounts counts =
+        ScanRelatedPairs(columns, compiled, options.sim_fraction, enumeration)
+            .counts;
     if (threads == 1) {
       first = counts;
       first_pairs = pairs;
@@ -227,9 +234,10 @@ TEST(ColumnarEquivalenceTest, SampleBufferCapIsObservationFree) {
     enumeration.threads = 2;
     enumeration.sample_buffer_cap = cap;
     Rng rng(4242);
-    auto sampled = SampleRelatedPairs(columns, compiled, poi->first,
-                                      poi->second, 0.10, sampler_options,
-                                      rng, true, enumeration);
+    auto sampled = SampleFromScan(
+        ScanRelatedPairs(columns, compiled, 0.10, enumeration), columns,
+        compiled, poi->first, poi->second, 0.10, sampler_options, rng, true,
+        enumeration);
     ASSERT_TRUE(sampled.ok());
     if (reference.empty()) {
       reference = sampled.value();

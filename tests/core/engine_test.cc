@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -425,6 +426,118 @@ TEST_F(EngineTest, ExplainBatchThreadCountIsObservationFree) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(SameOutcome(parallel[i], serial[i])) << "item " << i;
   }
+}
+
+TEST_F(EngineTest, ExplainerGroupMatchesRequestsRunAlone) {
+  // Explainer::ExplainPrepared over randomized groups of (pair of
+  // interest, width, seed) — duplicate pairs, shared and distinct seeds —
+  // must answer every request bitwise as the same request alone, for
+  // every buffer cap (0 and 1 overflow the scan, so the group's draws
+  // stream) and thread count. A small sample makes the draws, and so the
+  // explanations, depend on the seed.
+  EngineOptions options = SerialOptions();
+  options.explainer.sampler.sample_size = 40;
+  const Engine engine(engine_.snapshot(), options);
+  const Explainer& explainer = engine.explainer();
+  auto prepared = engine.Prepare(MakeQuery());
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const CompiledQuery& compiled = prepared->compiled();
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t skip : {0u, 7u, 13u, 21u}) {
+    auto poi = FindPairOfInterest(engine.snapshot()->columns(), compiled,
+                                  options.explainer.pair.sim_fraction, skip);
+    ASSERT_TRUE(poi.ok()) << poi.status().ToString();
+    pairs.push_back(*poi);
+  }
+
+  // Bitwise: same clauses and every per-atom diagnostic exactly equal.
+  const auto same = [](const Result<Explanation>& actual,
+                       const Result<Explanation>& expected)
+      -> ::testing::AssertionResult {
+    if (actual.ok() != expected.ok()) {
+      return ::testing::AssertionFailure() << "ok-ness differs";
+    }
+    if (!expected.ok()) {
+      return actual.status().code() == expected.status().code()
+                 ? ::testing::AssertionSuccess()
+                 : ::testing::AssertionFailure() << "status differs";
+    }
+    const std::vector<ExplanationAtom>& a = actual->because_trace;
+    const std::vector<ExplanationAtom>& b = expected->because_trace;
+    if (a.size() != b.size()) {
+      return ::testing::AssertionFailure() << "trace size differs";
+    }
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (!(a[k].atom == b[k].atom) || a[k].score != b[k].score ||
+          a[k].info_gain != b[k].info_gain ||
+          a[k].metric_after != b[k].metric_after ||
+          a[k].generality_after != b[k].generality_after) {
+        return ::testing::AssertionFailure()
+               << "atom " << k << ": " << a[k].atom.ToString() << " vs "
+               << b[k].atom.ToString();
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  std::mt19937_64 rng(20261018);
+  const std::vector<std::uint64_t> seeds = {17, 5, 99};
+  std::vector<std::vector<Explainer::PairOfInterest>> groups;
+  for (int g = 0; g < 6; ++g) {
+    std::vector<Explainer::PairOfInterest> group;
+    const std::size_t size = 2 + rng() % 5;
+    for (std::size_t r = 0; r < size; ++r) {
+      const auto& poi = pairs[rng() % pairs.size()];
+      group.push_back({poi.first, poi.second, 1 + rng() % 3,
+                       seeds[rng() % seeds.size()]});
+    }
+    // Always a duplicate pair with the same seed and a duplicate pair
+    // with another seed.
+    Explainer::PairOfInterest twin = group.front();
+    twin.width = 1 + twin.width % 3;
+    group.push_back(twin);
+    twin.seed = twin.seed == seeds[0] ? seeds[1] : seeds[0];
+    group.push_back(twin);
+    groups.push_back(std::move(group));
+  }
+
+  std::size_t produced = 0;
+  std::size_t seed_sensitive = 0;
+  for (std::size_t cap :
+       {std::size_t{0}, std::size_t{1}, EnumerationOptions().sample_buffer_cap}) {
+    for (int threads : {1, 3}) {
+      EnumerationOptions enumeration;
+      enumeration.threads = threads;
+      enumeration.sample_buffer_cap = cap;
+      for (const std::vector<Explainer::PairOfInterest>& group : groups) {
+        const std::vector<Result<Explanation>> together =
+            explainer.ExplainPrepared(prepared->bound(), compiled, group,
+                                      options.explainer, enumeration);
+        ASSERT_EQ(together.size(), group.size());
+        for (std::size_t r = 0; r < group.size(); ++r) {
+          const std::vector<Result<Explanation>> alone =
+              explainer.ExplainPrepared(prepared->bound(), compiled,
+                                        {group[r]}, options.explainer,
+                                        enumeration);
+          ASSERT_EQ(alone.size(), 1u);
+          EXPECT_TRUE(same(together[r], alone.front()))
+              << "cap " << cap << " threads " << threads << " request "
+              << r;
+          if (together[r].ok()) ++produced;
+        }
+        // The group's last two requests share a pair of interest under
+        // different seeds; count how often the seed changes the answer.
+        const std::size_t last = group.size() - 1;
+        if (together[last].ok() && together[last - 1].ok() &&
+            !same(together[last], together[last - 1])) {
+          ++seed_sensitive;
+        }
+      }
+    }
+  }
+  EXPECT_GT(produced, 0u);
+  // Sharing one matrix across seeds must be observable on this log.
+  EXPECT_GT(seed_sensitive, 0u);
 }
 
 TEST_F(EngineTest, ConcurrentExplainMatchesSerial) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "core/pair_enumeration.h"
@@ -181,12 +183,16 @@ TEST_F(ExplainerTest, GenerateDespiteRaisesRelevance) {
   ASSERT_TRUE(bound.Bind(engine.pair_schema()).ok());
   Predicate generated = despite.value();
   ASSERT_TRUE(generated.Bind(engine.pair_schema()).ok());
-  const double before = EvaluateDespiteRelevance(
-      log, engine.pair_schema(), bound, Predicate::True(),
-      PairFeatureOptions());
-  const double after = EvaluateDespiteRelevance(
-      log, engine.pair_schema(), bound, generated,
-      PairFeatureOptions());
+  // Relevance of a despite clause alone: an explanation with no because.
+  const auto relevance = [&](Predicate despite) {
+    Explanation despite_only;
+    despite_only.despite = std::move(despite);
+    return EvaluateExplanation(log, engine.pair_schema(), bound,
+                               despite_only, PairFeatureOptions())
+        .relevance;
+  };
+  const double before = relevance(Predicate::True());
+  const double after = relevance(generated);
   EXPECT_GT(after, before + 0.1);
 }
 

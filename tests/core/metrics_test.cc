@@ -123,18 +123,17 @@ TEST_F(MetricsTest, EmptyPopulationGivesZeroes) {
 }
 
 TEST_F(MetricsTest, DespiteRelevanceHelper) {
-  EXPECT_DOUBLE_EQ(
-      EvaluateDespiteRelevance(log_, schema_, query_, Predicate::True(),
-                               options_),
-      0.5);
-  EXPECT_DOUBLE_EQ(
-      EvaluateDespiteRelevance(log_, schema_, query_,
-                               Bound("color_isSame = T"), options_),
-      1.0);
-  EXPECT_DOUBLE_EQ(
-      EvaluateDespiteRelevance(log_, schema_, query_,
-                               Bound("color_isSame = F"), options_),
-      0.0);
+  // The relevance of a despite clause alone (§6.4): an explanation with
+  // that despite and no because.
+  const auto relevance = [&](Predicate despite) {
+    Explanation despite_only;
+    despite_only.despite = std::move(despite);
+    return EvaluateExplanation(log_, schema_, query_, despite_only, options_)
+        .relevance;
+  };
+  EXPECT_DOUBLE_EQ(relevance(Predicate::True()), 0.5);
+  EXPECT_DOUBLE_EQ(relevance(Bound("color_isSame = T")), 1.0);
+  EXPECT_DOUBLE_EQ(relevance(Bound("color_isSame = F")), 0.0);
 }
 
 TEST_F(MetricsTest, IsApplicableChecksBothClauses) {

@@ -24,6 +24,17 @@ class PairEnumerationTest : public ::testing::Test {
     PX_CHECK(query_.Bind(schema_).ok());
   }
 
+  /// The Definition 8/9 label counts of `query`: a ScanRelatedPairs that
+  /// buffers no pair.
+  RelatedCounts Count(const Query& query) const {
+    const ColumnarLog columns(log_);
+    return ScanRelatedPairs(columns,
+                            CompiledQuery::Compile(query, schema_, columns),
+                            options_.sim_fraction,
+                            EnumerationOptions{0, /*sample_buffer_cap=*/0})
+        .counts;
+  }
+
   ExecutionLog log_;
   PairSchema schema_;
   Query query_;
@@ -62,8 +73,7 @@ TEST_F(PairEnumerationTest, ClassifyPairLabels) {
 }
 
 TEST_F(PairEnumerationTest, CountRelatedPairs) {
-  const RelatedCounts counts =
-      CountRelatedPairs(log_, schema_, query_, options_);
+  const RelatedCounts counts = Count(query_);
   EXPECT_EQ(counts.observed, 4u);
   EXPECT_EQ(counts.expected, 4u);
   EXPECT_EQ(counts.total(), 8u);
@@ -72,8 +82,7 @@ TEST_F(PairEnumerationTest, CountRelatedPairs) {
 TEST_F(PairEnumerationTest, DespiteRestrictsRelatedness) {
   Query query = GtVsSimQuery("color_isSame = T");
   ASSERT_TRUE(query.Bind(schema_).ok());
-  const RelatedCounts counts =
-      CountRelatedPairs(log_, schema_, query, options_);
+  const RelatedCounts counts = Count(query);
   EXPECT_EQ(counts.observed, 0u);   // GT pairs cross the color groups
   EXPECT_EQ(counts.expected, 4u);
 }
@@ -193,10 +202,15 @@ TEST_F(PruningEquivalenceTest, CountCollectSampleAndFindMatchUnpruned) {
       EnumerationOptions unpruned = pruned;
       unpruned.prune = false;
 
+      // Count-only scans (no pair buffered), then buffered ones.
+      EnumerationOptions pruned_count = pruned;
+      pruned_count.sample_buffer_cap = 0;
+      EnumerationOptions unpruned_count = unpruned;
+      unpruned_count.sample_buffer_cap = 0;
       const RelatedCounts a =
-          CountRelatedPairs(columns, compiled, 0.10, pruned);
+          ScanRelatedPairs(columns, compiled, 0.10, pruned_count).counts;
       const RelatedCounts b =
-          CountRelatedPairs(columns, compiled, 0.10, unpruned);
+          ScanRelatedPairs(columns, compiled, 0.10, unpruned_count).counts;
       EXPECT_EQ(a.observed, b.observed) << despite;
       EXPECT_EQ(a.expected, b.expected) << despite;
 
@@ -222,14 +236,14 @@ TEST_F(PruningEquivalenceTest, CountCollectSampleAndFindMatchUnpruned) {
         unpruned_cap.sample_buffer_cap = cap;
         Rng rng_a(99);
         Rng rng_b(99);
-        auto sampled_a =
-            SampleRelatedPairs(columns, compiled, poi_first, poi_second,
-                               0.10, SamplerOptions(), rng_a,
-                               /*balanced=*/true, pruned_cap);
-        auto sampled_b =
-            SampleRelatedPairs(columns, compiled, poi_first, poi_second,
-                               0.10, SamplerOptions(), rng_b,
-                               /*balanced=*/true, unpruned_cap);
+        auto sampled_a = SampleFromScan(
+            ScanRelatedPairs(columns, compiled, 0.10, pruned_cap), columns,
+            compiled, poi_first, poi_second, 0.10, SamplerOptions(), rng_a,
+            /*balanced=*/true, pruned_cap);
+        auto sampled_b = SampleFromScan(
+            ScanRelatedPairs(columns, compiled, 0.10, unpruned_cap), columns,
+            compiled, poi_first, poi_second, 0.10, SamplerOptions(), rng_b,
+            /*balanced=*/true, unpruned_cap);
         ASSERT_EQ(sampled_a.ok(), sampled_b.ok()) << despite;
         if (!sampled_a.ok()) continue;
         ASSERT_EQ(sampled_a->size(), sampled_b->size())
@@ -263,7 +277,9 @@ TEST_F(PruningEquivalenceTest, CountCollectSampleAndFindMatchUnpruned) {
   }
 }
 
-TEST_F(PruningEquivalenceTest, ScanPlusReplayMatchesSampleRelatedPairs) {
+TEST_F(PruningEquivalenceTest, ScanPlusReplayMatchesStreamedDraws) {
+  // The buffered replay against the draws SampleFromScan streams over an
+  // overflowed (count-only) scan of the same query.
   const ColumnarLog columns(log_);
   const Query query = BoundQuery("color = red");
   const CompiledQuery compiled =
@@ -274,13 +290,17 @@ TEST_F(PruningEquivalenceTest, ScanPlusReplayMatchesSampleRelatedPairs) {
   EXPECT_EQ(scan.related.size(), scan.counts.total());
   const std::size_t poi_first = scan.related.front().first;
   const std::size_t poi_second = scan.related.front().second;
+  const EnumerationOptions count_only{0, /*sample_buffer_cap=*/0};
+  const RelatedPairScan overflowed =
+      ScanRelatedPairs(columns, compiled, 0.10, count_only);
+  ASSERT_TRUE(overflowed.overflowed);
   Rng rng_a(7);
   Rng rng_b(7);
   auto replayed = ReplaySampleDraws(scan, columns.rows(), poi_first,
                                     poi_second, SamplerOptions(), rng_a);
-  auto direct =
-      SampleRelatedPairs(columns, compiled, poi_first, poi_second, 0.10,
-                         SamplerOptions(), rng_b);
+  auto direct = SampleFromScan(overflowed, columns, compiled, poi_first,
+                               poi_second, 0.10, SamplerOptions(), rng_b,
+                               /*balanced=*/true, count_only);
   ASSERT_TRUE(replayed.ok());
   ASSERT_TRUE(direct.ok());
   ASSERT_EQ(replayed->size(), direct->size());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/engine.h"
 #include "core/pair_enumeration.h"
 #include "log/catalog.h"
@@ -287,12 +289,16 @@ TEST_F(EndToEndTest, AutoDespiteImprovesRelevanceOnJobQuery) {
   ASSERT_TRUE(bound.Bind(system.pair_schema()).ok());
   Predicate generated = despite.value();
   ASSERT_TRUE(generated.Bind(system.pair_schema()).ok());
-  const double before = EvaluateDespiteRelevance(
-      trace_->job_log, system.pair_schema(), bound, Predicate::True(),
-      PairFeatureOptions());
-  const double after = EvaluateDespiteRelevance(
-      trace_->job_log, system.pair_schema(), bound, generated,
-      PairFeatureOptions());
+  // Relevance of a despite clause alone: an explanation with no because.
+  const auto relevance = [&](Predicate despite) {
+    Explanation despite_only;
+    despite_only.despite = std::move(despite);
+    return EvaluateExplanation(trace_->job_log, system.pair_schema(), bound,
+                               despite_only, PairFeatureOptions())
+        .relevance;
+  };
+  const double before = relevance(Predicate::True());
+  const double after = relevance(generated);
   EXPECT_GT(after, before);
 }
 

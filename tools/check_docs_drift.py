@@ -28,7 +28,13 @@ Checked reference kinds:
     least one TEST/TEST_F/TEST_P declared in tests/ — a filter naming a
     deleted test matches nothing and gtest exits 0, silently dropping
     the CI step's coverage. A built-in negative self-check feeds the
-    matcher a pattern no test can satisfy and fails unless it is flagged.
+    matcher a pattern no test can satisfy and fails unless it is flagged;
+  * backticked `Class::member` citations (also `namespace::function`;
+    `std::` is exempt), whose member must be declared in a file of src/,
+    bench/, tools/ or perfbench/src/ that declares the class (or the code
+    must spell out `Class::member` itself), outside comments and string
+    literals — so docs cannot keep naming a deleted or renamed entry
+    point. The same kind of self-check feeds it undeclared members.
 
 Run from the repository root:  python3 tools/check_docs_drift.py
 """
@@ -57,6 +63,17 @@ PXLINT_CITE_RE = re.compile(r"\bpxlint:([a-z][a-z-]*)")
 PXLINT_PY = "tools/pxlint.py"
 CI_WORKFLOW = ".github/workflows/ci.yml"
 GTEST_FILTER_RE = re.compile(r"--gtest_filter=(['\"]?)([^\s'\"]+)\1")
+# `Class::member` inside a backticked span; the last `::` pair counts.
+BACKTICK_RE = re.compile(r"`([^`\n]+)`")
+SCOPED_RE = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)::([A-Za-z_][A-Za-z0-9_]*)"
+                       r"\b(?!::)")
+CODE_ROOTS = ("src", "bench", "tools", "perfbench/src")
+CODE_EXTENSIONS = (".h", ".cc", ".cpp", ".py")
+# Comments and string literals of C++ and Python, blanked before the
+# declaration search so a stale mention in prose does not count.
+CODE_NOISE_RE = re.compile(
+    r"//[^\n]*|/\*.*?\*/|#[^\n]*|\"(?:\\.|[^\"\\\n])*\"",
+    re.DOTALL)
 
 
 def pxlint_registry():
@@ -142,6 +159,47 @@ def stale_filter_patterns(text, test_names):
     return stale
 
 
+def code_index():
+    """(scoped, qualified) over the code under CODE_ROOTS, comments and
+    strings blanked. `scoped` maps each class, struct, enum or namespace
+    name to the identifiers declared in the files that declare it: a
+    function (`name(`), a field, constant or enumerator (`name =`,
+    `name;`, `name,`, `name{`, `name[`) or a nested type. Calls match too;
+    a call compiles only while its callee is declared. `qualified` holds
+    every `Scope::member` the code itself spells out, which covers
+    out-of-line definitions and namespace aliases."""
+    scoped = {}
+    qualified = set()
+    for root in CODE_ROOTS:
+        for path in glob.glob(os.path.join(root, "**", "*"), recursive=True):
+            if not path.endswith(CODE_EXTENSIONS) or "fixtures" in path:
+                continue
+            with open(path, encoding="utf-8") as f:
+                code = CODE_NOISE_RE.sub(" ", f.read())
+            types = set(re.findall(
+                r"\b(?:class|struct|enum|using|namespace)\s+"
+                r"(?:class\s+)?([A-Za-z_][A-Za-z0-9_]*)", code))
+            names = types | set(re.findall(
+                r"\b([A-Za-z_][A-Za-z0-9_]*)\s*[(=;,{\[]", code))
+            for scope in types:
+                scoped.setdefault(scope, set()).update(names)
+            qualified.update(SCOPED_RE.findall(code))
+    return scoped, qualified
+
+
+def undeclared_members(text, index):
+    """`Scope::member` citations in backticked spans of `text` that the
+    code neither spells out nor declares in a file declaring `Scope`."""
+    scoped, qualified = index
+    stale = []
+    for span in BACKTICK_RE.findall(text):
+        for scope, member in SCOPED_RE.findall(span):
+            if (scope != "std" and (scope, member) not in qualified and
+                    member not in scoped.get(scope, ())):
+                stale.append(f"{scope}::{member}")
+    return sorted(set(stale))
+
+
 def main():
     # Names actually registered with google-benchmark, so a stale doc
     # reference that is a prefix of a surviving name (or only appears in a
@@ -190,6 +248,16 @@ def main():
             "NoSuchSuiteTest.*", "EngineTest.NoSuchCase"]:
         stale.append((__file__, "self-check: a stale --gtest_filter "
                                 "pattern was not flagged"))
+    index = code_index()
+    # A cited member no code declares must be reported — also when another
+    # class declares a member of that name — and a live one must pass:
+    # prove the scanner on both before trusting it on the docs.
+    probe = ("`Engine::NoSuchDriftProbeMember`, `SimButDiff::GenerateClause`"
+             " and `Engine::ExplainBatch`")
+    if undeclared_members(probe, index) != [
+            "Engine::NoSuchDriftProbeMember", "SimButDiff::GenerateClause"]:
+        stale.append((__file__, "self-check: a cited Class::member that "
+                                "no code declares was not flagged"))
     if os.path.exists(CI_WORKFLOW):
         with open(CI_WORKFLOW, encoding="utf-8") as f:
             for pattern in stale_filter_patterns(f.read(), test_names):
@@ -223,6 +291,9 @@ def main():
                 stale.append((doc, f"{suite}.{case}"))
             elif suite.endswith("Test") and suite not in declared_suites:
                 stale.append((doc, f"{suite}.{case} (unknown test suite)"))
+        for cited in undeclared_members(text, index):
+            stale.append((doc, f"{cited} (member not declared in "
+                               f"{', '.join(CODE_ROOTS)})"))
         for rule in sorted(set(PXLINT_CITE_RE.findall(text))):
             if rule not in pxlint_rules:
                 stale.append((doc, f"pxlint:{rule} (unknown pxlint rule)"))
