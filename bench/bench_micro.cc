@@ -1004,6 +1004,28 @@ void BM_PlaneFill(benchmark::State& state) {
 }
 BENCHMARK(BM_PlaneFill)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+/// One durable checkpoint round trip of the ~1.9k-row task log: one
+/// iteration is SnapshotCheckpoint::Write (encode, write, fsync, rename,
+/// directory fsync, sweep of the previous generation) plus LoadLatest
+/// (read, verify, rebuild the log) in a temp directory.
+void BM_CheckpointWriteLoad(benchmark::State& state) {
+  const px::ExecutionLog& log = TaskLevelLog();
+  const std::string dir = BenchScratchDir("checkpoint");
+  std::uint64_t generation = 0;
+  for (auto _ : state) {
+    generation += 1;
+    PX_CHECK(px::SnapshotCheckpoint::Write(dir, log, generation, generation)
+                 .ok());
+    auto loaded = px::SnapshotCheckpoint::LoadLatest(dir);
+    PX_CHECK(loaded.ok()) << loaded.status().ToString();
+    PX_CHECK(loaded->log.size() == log.size());
+    benchmark::DoNotOptimize(loaded);
+  }
+  std::filesystem::remove_all(dir);
+  state.SetLabel(px::StrFormat("rows=%zu", log.size()));
+}
+BENCHMARK(BM_CheckpointWriteLoad)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -13,6 +13,17 @@ const ExecutionRecord& ExecutionLog::at(std::size_t i) const {
   return records_[i];
 }
 
+Status CheckValueKinds(const Schema& schema, const ExecutionRecord& record) {
+  for (std::size_t f = 0; f < record.values.size(); ++f) {
+    const Value& v = record.values[f];
+    if (!v.is_missing() && v.kind() != schema.at(f).kind) {
+      return Status::InvalidArgument("record '" + record.id + "' feature '" +
+                                     schema.at(f).name + "' has wrong kind");
+    }
+  }
+  return Status::OK();
+}
+
 Status ExecutionLog::Add(ExecutionRecord record) {
   if (record.values.size() != schema_.size()) {
     return Status::InvalidArgument(
@@ -23,15 +34,7 @@ Status ExecutionLog::Add(ExecutionRecord record) {
   if (by_id_.count(record.id) > 0) {
     return Status::InvalidArgument("duplicate record id: " + record.id);
   }
-  for (std::size_t f = 0; f < record.values.size(); ++f) {
-    const Value& v = record.values[f];
-    if (!v.is_missing() &&
-        v.kind() != schema_.at(f).kind) {
-      return Status::InvalidArgument(
-          "record '" + record.id + "' feature '" + schema_.at(f).name +
-          "' has wrong kind");
-    }
-  }
+  PX_RETURN_IF_ERROR(CheckValueKinds(schema_, record));
   by_id_.emplace(record.id, records_.size());
   records_.push_back(std::move(record));
   return Status::OK();
@@ -109,19 +112,22 @@ std::string ExecutionLog::ToCsvText() const {
   return CsvEncodeRows(rows);
 }
 
-Result<ExecutionLog> ExecutionLog::FromCsvText(const std::string& text,
-                                               const std::string& context) {
-  auto rows_or = CsvParseText(text, context);
+Result<ExecutionLog> ExecutionLog::LoadCsv(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open for reading: " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) return Status::IoError("read failed: " + path);
+  auto rows_or = CsvParseText(buffer.str(), path);
   if (!rows_or.ok()) return rows_or.status();
   const auto& rows = rows_or.value();
   if (rows.size() < 2) {
-    return Status::ParseError("log CSV needs header and kind rows: " +
-                              context);
+    return Status::ParseError("log CSV needs header and kind rows: " + path);
   }
   const auto& header = rows[0];
   const auto& kinds = rows[1];
   if (header.size() != kinds.size() || header.empty() || header[0] != "id") {
-    return Status::ParseError("malformed log CSV header: " + context);
+    return Status::ParseError("malformed log CSV header: " + path);
   }
   Schema schema;
   for (std::size_t i = 1; i < header.size(); ++i) {
@@ -140,7 +146,7 @@ Result<ExecutionLog> ExecutionLog::FromCsvText(const std::string& text,
     const auto& row = rows[r];
     if (row.size() != header.size()) {
       return Status::ParseError("row " + std::to_string(r) +
-                                " has wrong arity in " + context);
+                                " has wrong arity in " + path);
     }
     std::vector<Value> values;
     values.reserve(row.size() - 1);
@@ -160,15 +166,6 @@ Status ExecutionLog::SaveCsv(const std::string& path) const {
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();
-}
-
-Result<ExecutionLog> ExecutionLog::LoadCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  return FromCsvText(buffer.str(), path);
 }
 
 }  // namespace perfxplain

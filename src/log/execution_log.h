@@ -27,6 +27,10 @@ struct ExecutionRecord {
       : id(std::move(record_id)), values(std::move(vals)) {}
 };
 
+/// OK when each non-missing value has its feature's kind in `schema` (one
+/// feature per value): the kind rule of ExecutionLog::Add and DeltaLog.
+Status CheckValueKinds(const Schema& schema, const ExecutionRecord& record);
+
 /// A log of past executions sharing one Schema. This is PerfXplain's only
 /// input besides the PXQL query: explanations are mined from it and the
 /// quality metrics are measured against it.
@@ -42,8 +46,8 @@ class ExecutionLog {
   const ExecutionRecord& at(std::size_t i) const;
   const std::vector<ExecutionRecord>& records() const { return records_; }
 
-  /// Appends `record`; its value count must match the schema and its id must
-  /// be unique within the log.
+  /// Appends `record`; its value count must match the schema, its values
+  /// must pass CheckValueKinds and its id must be unique within the log.
   Status Add(ExecutionRecord record);
 
   /// Index of the record with `id`, or error when absent.
@@ -75,13 +79,8 @@ class ExecutionLog {
   Status SaveCsv(const std::string& path) const;
   static Result<ExecutionLog> LoadCsv(const std::string& path);
 
-  /// Same format as an in-memory text blob (the checkpoint writer
-  /// checksums these bytes before they reach disk, so what the CRC covers
-  /// is exactly what a recovery will parse). `context` labels parse
-  /// errors (a path or description).
+  /// SaveCsv's bytes as an in-memory text blob.
   std::string ToCsvText() const;
-  static Result<ExecutionLog> FromCsvText(const std::string& text,
-                                          const std::string& context);
 
  private:
   Schema schema_;

@@ -18,6 +18,7 @@ Status DeltaLog::Validate(const ExecutionRecord& record) const {
         std::to_string(record.values.size()) + " values; schema expects " +
         std::to_string(schema_.size()));
   }
+  PX_RETURN_IF_ERROR(CheckValueKinds(schema_, record));
   if (ids_.count(record.id) > 0) {
     return Status::InvalidArgument("record id '" + record.id +
                                    "' is already pending");

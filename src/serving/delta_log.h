@@ -27,11 +27,11 @@ inline std::vector<ExecutionRecord> BatchOfOne(ExecutionRecord record) {
 /// The write side of the live-ingest split: a thread-safe, append-only
 /// staging buffer of ExecutionRecords that have arrived since the serving
 /// LogSnapshot was built. Appends validate against the schema (arity,
-/// non-empty unique id) and are O(1) amortized — they never touch the
-/// analytical representation, so ingest can never block or tear an
-/// in-flight Explain. The promoter periodically drains the buffer into a
-/// fresh snapshot (LiveEngine::Rotate) using the three-phase protocol
-/// below.
+/// value kinds, non-empty unique id) and are O(1) amortized — they never
+/// touch the analytical representation, so ingest can never block or
+/// tear an in-flight Explain. The promoter periodically drains the buffer
+/// into a fresh snapshot (LiveEngine::Rotate) using the three-phase
+/// protocol below.
 ///
 /// Drain protocol (one drainer at a time; LiveEngine serializes rotations):
 ///  1. BeginDrain() copies the first k pending records and marks them
@@ -59,10 +59,11 @@ class DeltaLog {
   const Schema& schema() const { return schema_; }
 
   /// Validates and stages one record (AppendBatch of one): value count
-  /// must match the schema, the id must be non-empty and not already
-  /// pending (including records currently draining). The caller
-  /// (LiveEngine) is responsible for rejecting ids already present in the
-  /// served base log.
+  /// must match the schema, values must pass CheckValueKinds (as
+  /// promotion's ExecutionLog::Add requires), the id must be non-empty
+  /// and not already pending (including records currently draining). The
+  /// caller (LiveEngine) is responsible for rejecting ids already present
+  /// in the served base log.
   Status Append(ExecutionRecord record) PX_EXCLUDES(mutex_);
 
   /// All-or-nothing batch append: every record is validated (against the

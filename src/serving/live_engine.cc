@@ -336,6 +336,16 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Recover(
         WalReader::Replay(durability.wal_dir, wal_through, fs);
     if (!replayed.ok()) return replayed.status();
     replay = std::move(*replayed);
+    // A drain-commit past both the checkpoint's cutoff and the journal's
+    // last batch means the checkpoint that folded those batches (and let
+    // their segments be truncated) is gone: serving on would silently
+    // drop acknowledged appends.
+    if (replay.drained_through > std::max(wal_through, replay.last_sequence)) {
+      return Status::IoError("WAL '" + durability.wal_dir +
+                             "' was drained through batch " +
+                             std::to_string(replay.drained_through) +
+                             " but no checkpoint covers it");
+    }
     if (replay.tail_truncated) {
       PX_RETURN_IF_ERROR(
           fs->TruncateFile(durability.wal_dir + "/" + replay.truncated_file,

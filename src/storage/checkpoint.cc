@@ -1,142 +1,78 @@
 #include "storage/checkpoint.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
+#include "common/cancel.h"
+#include "storage/frame.h"
 
 namespace perfxplain {
 
 namespace {
 
-constexpr char kManifestName[] = "MANIFEST";
-constexpr char kLogName[] = "log.csv";
-constexpr char kManifestMagic[] = "PXCKPT1";
+constexpr char kCheckpointMagic[] = "PXCKPT02";
+constexpr std::size_t kMagicBytes = 8;
+constexpr char kTmpPrefix[] = ".tmp-";
 
-std::string HexCrc(std::uint32_t crc) {
-  char buffer[9];
-  std::snprintf(buffer, sizeof(buffer), "%08x", crc);
-  return buffer;
-}
-
-/// Parses "checkpoint-NNNNNN" names; returns 0 for non-checkpoint names
-/// (generations are always >= 1).
+/// 0 for names other than "checkpoint-NNNNNN" (generations start at 1).
 std::uint64_t GenerationOf(const std::string& name) {
-  const std::string prefix = "checkpoint-";
-  if (name.size() <= prefix.size() ||
-      name.compare(0, prefix.size(), prefix) != 0) {
-    return 0;
-  }
-  std::uint64_t generation = 0;
-  for (std::size_t i = prefix.size(); i < name.size(); ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return 0;
-    generation = generation * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return generation;
+  return NumberedFileIndex(name, "checkpoint-", "").value_or(0);
 }
 
-Status WriteFileDurably(FileSystem* fs, const std::string& path,
-                        const std::string& contents) {
-  Result<std::unique_ptr<WritableFile>> file = fs->OpenForAppend(path);
-  if (!file.ok()) return file.status();
-  PX_RETURN_IF_ERROR((*file)->Append(contents));
-  PX_RETURN_IF_ERROR((*file)->Sync());
-  return (*file)->Close();
+Status CorruptAt(const std::string& path, std::uint64_t offset,
+                 const std::string& what) {
+  return Status::IoError("corrupt checkpoint '" + path + "' at offset " +
+                         std::to_string(offset) + ": " + what);
 }
 
-struct ManifestEntry {
-  std::string name;
-  std::uint64_t size = 0;
-  std::uint32_t crc = 0;
-};
-
-std::string EncodeManifest(std::uint64_t generation, std::uint64_t wal_through,
-                           const std::vector<ManifestEntry>& files) {
-  std::string out;
-  out += kManifestMagic;
-  out += '\n';
-  out += "generation " + std::to_string(generation) + "\n";
-  out += "wal_through " + std::to_string(wal_through) + "\n";
-  for (const ManifestEntry& entry : files) {
-    out += "file " + entry.name + " " + std::to_string(entry.size) + " " +
-           HexCrc(entry.crc) + "\n";
+/// The whole file: magic, header frame, one record frame per row in log
+/// order, end frame.
+std::string EncodeCheckpoint(const ExecutionLog& log, std::uint64_t generation,
+                             std::uint64_t wal_through) {
+  std::string out(kCheckpointMagic, kMagicBytes);
+  std::string payload;
+  PutU64(payload, generation);
+  PutU64(payload, wal_through);
+  PutU32(payload, static_cast<std::uint32_t>(log.schema().size()));
+  for (const FeatureDef& def : log.schema().defs()) {
+    PutU8(payload, static_cast<std::uint8_t>(def.kind));
+    PutBytes(payload, def.name);
   }
-  // Self-checksum over everything above, so a damaged manifest (the root
-  // of trust for the data files) is itself detectable.
-  out += "manifest_crc " + HexCrc(Crc32c(out.data(), out.size())) + "\n";
+  AppendFrame(out, kFrameCheckpointHeader, payload);
+  for (const ExecutionRecord& record : log.records()) {
+    payload.clear();
+    SerializeRecord(record, payload);
+    AppendFrame(out, kFrameRecord, payload);
+  }
+  payload.clear();
+  PutU64(payload, log.size());
+  AppendFrame(out, kFrameCheckpointEnd, payload);
   return out;
 }
 
-Status CorruptManifest(const std::string& path, const std::string& what) {
-  return Status::IoError("corrupt checkpoint manifest '" + path +
-                         "': " + what);
-}
-
-bool SplitLines(const std::string& text, std::vector<std::string>* lines) {
-  lines->clear();
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) return false;  // must end with newline
-    lines->push_back(text.substr(start, end - start));
-    start = end + 1;
+bool ParseHeader(PayloadCursor cursor, CheckpointContents* contents) {
+  std::uint32_t features = 0;
+  if (!cursor.TakeU64(&contents->generation) ||
+      !cursor.TakeU64(&contents->wal_through) || !cursor.TakeU32(&features)) {
+    return false;
   }
-  return true;
-}
-
-bool ParseU64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseHexCrc(const std::string& text, std::uint32_t* out) {
-  if (text.size() != 8) return false;
-  std::uint32_t value = 0;
-  for (char c : text) {
-    std::uint32_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint32_t>(c - 'a') + 10;
-    } else {
+  Schema schema;
+  for (std::uint32_t f = 0; f < features; ++f) {
+    std::uint8_t kind = 0;
+    std::string name;
+    if (!cursor.TakeU8(&kind) || !cursor.TakeBytes(&name) ||
+        !schema.Add(std::move(name), static_cast<ValueKind>(kind)).ok()) {
       return false;
     }
-    value = (value << 4) | digit;
   }
-  *out = value;
-  return true;
-}
-
-std::vector<std::string> SplitWords(const std::string& line) {
-  std::vector<std::string> words;
-  std::size_t start = 0;
-  while (start < line.size()) {
-    const std::size_t end = line.find(' ', start);
-    if (end == std::string::npos) {
-      words.push_back(line.substr(start));
-      break;
-    }
-    words.push_back(line.substr(start, end - start));
-    start = end + 1;
-  }
-  return words;
+  contents->log = ExecutionLog(std::move(schema));
+  return cursor.exhausted();
 }
 
 }  // namespace
 
-std::string CheckpointDirName(std::uint64_t generation) {
-  std::string digits = std::to_string(generation);
-  if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
-  return "checkpoint-" + digits;
+std::string CheckpointFileName(std::uint64_t generation) {
+  return NumberedFileName("checkpoint-", generation, "");
 }
 
 Status SnapshotCheckpoint::Write(const std::string& dir,
@@ -148,41 +84,33 @@ Status SnapshotCheckpoint::Write(const std::string& dir,
     return Status::InvalidArgument("checkpoint generations start at 1");
   }
   PX_RETURN_IF_ERROR(fs->CreateDirs(dir));
-  const std::string final_name = CheckpointDirName(generation);
-  const std::string tmp_path = dir + "/.tmp-" + final_name;
+  const std::string final_name = CheckpointFileName(generation);
+  const std::string tmp_path = dir + "/" + kTmpPrefix + final_name;
   const std::string final_path = dir + "/" + final_name;
-  // A stale tmp from a crashed earlier attempt (or a leftover final dir
-  // from a bizarre re-checkpoint of the same generation) must not pollute
-  // this attempt.
+  // A stale tmp from a crashed earlier attempt must not pollute this one.
   PX_RETURN_IF_ERROR(fs->RemoveAll(tmp_path));
-  PX_RETURN_IF_ERROR(fs->RemoveAll(final_path));
-  PX_RETURN_IF_ERROR(fs->CreateDirs(tmp_path));
-
-  const std::string log_text = log.ToCsvText();
-  std::vector<ManifestEntry> files;
-  files.push_back(ManifestEntry{
-      kLogName, static_cast<std::uint64_t>(log_text.size()),
-      Crc32c(log_text.data(), log_text.size())});
-  PX_RETURN_IF_ERROR(
-      WriteFileDurably(fs, tmp_path + "/" + kLogName, log_text));
-  PX_RETURN_IF_ERROR(WriteFileDurably(
-      fs, tmp_path + "/" + kManifestName,
-      EncodeManifest(generation, wal_through, files)));
-  // Publish atomically: rename then parent fsync. Before the fsync the
+  {
+    Result<std::unique_ptr<WritableFile>> file = fs->OpenForAppend(tmp_path);
+    if (!file.ok()) return file.status();
+    PX_RETURN_IF_ERROR(
+        (*file)->Append(EncodeCheckpoint(log, generation, wal_through)));
+    PX_RETURN_IF_ERROR((*file)->Sync());
+    PX_RETURN_IF_ERROR((*file)->Close());
+  }
+  // Publish atomically: rename then directory fsync. Before the fsync the
   // rename itself may not survive a power cut, but then the old state is
-  // still intact — the protocol never exposes a partial directory.
-  PX_RETURN_IF_ERROR(fs->SyncDir(tmp_path));
+  // still intact — the protocol never exposes a partial file.
   PX_RETURN_IF_ERROR(fs->Rename(tmp_path, final_path));
   PX_RETURN_IF_ERROR(fs->SyncDir(dir));
 
   // Retire older checkpoints and stale tmps. Best-effort: the new
-  // checkpoint is already durable, and a leftover directory only costs
-  // disk until the next sweep.
+  // checkpoint is already durable, and a leftover only costs disk until
+  // the next sweep.
   Result<std::vector<std::string>> names = fs->ListDir(dir);
   if (names.ok()) {
     for (const std::string& name : *names) {
       if (name == final_name) continue;
-      const bool stale_tmp = name.compare(0, 5, ".tmp-") == 0;
+      const bool stale_tmp = name.compare(0, 5, kTmpPrefix) == 0;
       const std::uint64_t other = GenerationOf(name);
       if (stale_tmp || (other != 0 && other < generation)) {
         (void)fs->RemoveAll(dir + "/" + name);
@@ -211,95 +139,74 @@ Result<CheckpointContents> SnapshotCheckpoint::LoadLatest(
   }
   if (best == 0) return Status::NotFound("no checkpoint in: " + dir);
 
-  const std::string base = dir + "/" + best_name;
-  const std::string manifest_path = base + "/" + kManifestName;
-  Result<std::string> manifest_text = fs->ReadFile(manifest_path);
-  if (!manifest_text.ok()) return manifest_text.status();
-
-  std::vector<std::string> lines;
-  if (!SplitLines(*manifest_text, &lines) || lines.size() < 4) {
-    return CorruptManifest(manifest_path, "truncated");
-  }
-  // The self-CRC line must be last and must match the bytes above it.
-  const std::string& crc_line = lines.back();
-  std::vector<std::string> crc_words = SplitWords(crc_line);
-  std::uint32_t stated_crc = 0;
-  if (crc_words.size() != 2 || crc_words[0] != "manifest_crc" ||
-      !ParseHexCrc(crc_words[1], &stated_crc)) {
-    return CorruptManifest(manifest_path, "missing manifest_crc line");
-  }
-  const std::size_t covered =
-      manifest_text->size() - crc_line.size() - 1;  // minus line + '\n'
-  if (Crc32c(manifest_text->data(), covered) != stated_crc) {
-    return CorruptManifest(manifest_path, "manifest checksum mismatch");
-  }
-  if (lines[0] != kManifestMagic) {
-    return CorruptManifest(manifest_path, "bad magic '" + lines[0] + "'");
-  }
-
-  CheckpointContents contents;
-  std::vector<ManifestEntry> files;
-  for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
-    std::vector<std::string> words = SplitWords(lines[i]);
-    if (words.size() == 2 && words[0] == "generation") {
-      if (!ParseU64(words[1], &contents.generation)) {
-        return CorruptManifest(manifest_path, "bad generation: " + lines[i]);
+  const std::string path = dir + "/" + best_name;
+  Result<std::string> data = fs->ReadFile(path);
+  if (!data.ok()) return data.status();
+  // Rebuild the log through ExecutionLog::Add. Anything but a whole,
+  // consistent file is a contextful IoError naming the file and offset.
+  try {
+    if (data->size() < kMagicBytes ||
+        data->compare(0, kMagicBytes, kCheckpointMagic, kMagicBytes) != 0) {
+      return CorruptAt(path, 0, "bad checkpoint magic");
+    }
+    CheckpointContents contents;
+    bool saw_header = false;
+    std::size_t offset = kMagicBytes;
+    while (offset < data->size()) {
+      ThrowIfInterrupted();
+      const Frame frame = ReadFrame(*data, offset);
+      if (frame.state == Frame::State::kTorn) {
+        return CorruptAt(path, offset, "torn frame");
       }
-    } else if (words.size() == 2 && words[0] == "wal_through") {
-      if (!ParseU64(words[1], &contents.wal_through)) {
-        return CorruptManifest(manifest_path, "bad wal_through: " + lines[i]);
+      if (frame.state == Frame::State::kCorrupt) {
+        return CorruptAt(path, offset, frame.what);
       }
-    } else if (words.size() == 4 && words[0] == "file") {
-      ManifestEntry entry;
-      entry.name = words[1];
-      if (!ParseU64(words[2], &entry.size) ||
-          !ParseHexCrc(words[3], &entry.crc)) {
-        return CorruptManifest(manifest_path, "bad file entry: " + lines[i]);
+      PayloadCursor cursor = frame.payload;
+      if (!saw_header) {
+        if (frame.type != kFrameCheckpointHeader ||
+            !ParseHeader(cursor, &contents)) {
+          return CorruptAt(path, offset, "malformed header frame");
+        }
+        if (contents.generation != best) {
+          return CorruptAt(path, offset,
+                           "generation " +
+                               std::to_string(contents.generation) +
+                               " does not match the file name");
+        }
+        saw_header = true;
+      } else if (frame.type == kFrameRecord) {
+        ExecutionRecord record;
+        if (!ParseRecord(cursor, &record)) {
+          return CorruptAt(path, offset, "malformed record frame");
+        }
+        Status added = contents.log.Add(std::move(record));
+        if (!added.ok()) return CorruptAt(path, offset, added.message());
+      } else if (frame.type == kFrameCheckpointEnd) {
+        std::uint64_t rows = 0;
+        if (!cursor.TakeU64(&rows) || !cursor.exhausted()) {
+          return CorruptAt(path, offset, "malformed end frame");
+        }
+        if (rows != contents.log.size()) {
+          return CorruptAt(path, offset,
+                           "end frame counts " + std::to_string(rows) +
+                               " rows but " +
+                               std::to_string(contents.log.size()) +
+                               " precede it");
+        }
+        if (frame.end != data->size()) {
+          return CorruptAt(path, frame.end, "bytes after the end frame");
+        }
+        return contents;
+      } else {
+        return CorruptAt(path, offset,
+                         "unknown frame type " + std::to_string(frame.type));
       }
-      files.push_back(std::move(entry));
-    } else {
-      return CorruptManifest(manifest_path, "unknown line: " + lines[i]);
+      offset = frame.end;
     }
+    return CorruptAt(path, offset, "missing end frame");
+  } catch (const InterruptedError& interrupted) {
+    return interrupted.status();
   }
-  if (contents.generation == 0) {
-    return CorruptManifest(manifest_path, "missing generation");
-  }
-  if (contents.generation != best) {
-    return CorruptManifest(
-        manifest_path,
-        "generation " + std::to_string(contents.generation) +
-            " does not match directory name " + best_name);
-  }
-
-  std::string log_text;
-  bool saw_log = false;
-  for (const ManifestEntry& entry : files) {
-    const std::string path = base + "/" + entry.name;
-    Result<std::string> data = fs->ReadFile(path);
-    if (!data.ok()) return data.status();
-    if (data->size() != entry.size) {
-      return Status::IoError(
-          "checkpoint file '" + path + "' is " +
-          std::to_string(data->size()) + " bytes, manifest says " +
-          std::to_string(entry.size));
-    }
-    if (Crc32c(data->data(), data->size()) != entry.crc) {
-      return Status::IoError("checkpoint file '" + path +
-                             "' checksum mismatch");
-    }
-    if (entry.name == kLogName) {
-      saw_log = true;
-      log_text = std::move(*data);
-    }
-  }
-  if (!saw_log) {
-    return CorruptManifest(manifest_path, "no log.csv entry");
-  }
-  Result<ExecutionLog> log =
-      ExecutionLog::FromCsvText(log_text, base + "/" + kLogName);
-  if (!log.ok()) return log.status();
-  contents.log = std::move(*log);
-  return contents;
 }
 
 }  // namespace perfxplain

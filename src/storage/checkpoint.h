@@ -11,25 +11,23 @@
 namespace perfxplain {
 
 /// Durable snapshot checkpoints for the live-serving engine. A checkpoint
-/// captures the promoted ExecutionLog (schema included — it is the CSV's
-/// header and kind rows), the snapshot generation that produced it, and
-/// the highest WAL batch sequence folded into it; recovery loads the
-/// newest checkpoint and replays only the WAL tail past `wal_through`.
+/// captures the promoted ExecutionLog (schema included), the snapshot
+/// generation that produced it, and the highest WAL batch sequence folded
+/// into it; recovery loads the newest checkpoint and replays only the WAL
+/// tail past `wal_through`.
 ///
-/// On-disk layout under the checkpoint directory:
+/// On-disk layout: one file `checkpoint-NNNNNN` per generation, in the
+/// WAL's frame and record codec (storage/frame.h): the magic "PXCKPT02",
+/// a header frame (generation, wal_through, the schema's names and
+/// kinds), one record frame per row in log order, and an end frame with
+/// the row count. Values are stored exactly (a double as its bit
+/// pattern), so the loaded log equals the written one cell for cell.
 ///
-///   checkpoint-NNNNNN/          one directory per generation
-///     MANIFEST                  header, per-file size + CRC32C, self-CRC
-///     log.csv                   ExecutionLog::ToCsvText bytes
-///
-/// Atomicity: contents are written into a `.tmp-NNNNNN` directory, every
-/// file fsynced, then the directory is renamed into place and the parent
-/// fsynced — a crash anywhere leaves either the previous checkpoint or
-/// the new one, never a half-written hybrid (stale tmp directories are
-/// swept on the next successful Write). The manifest checksums are
-/// computed over the exact bytes handed to the filesystem, so LoadLatest
-/// verifying them proves end-to-end that what recovery parses is what the
-/// serving process serialized.
+/// Atomicity: the file is written as `.tmp-checkpoint-NNNNNN`, fsynced,
+/// renamed into place and the directory fsynced, so a crash leaves either
+/// the previous checkpoint or the new one (stale tmp files are swept on
+/// the next successful Write). The frame CRCs cover the exact bytes
+/// handed to the filesystem: what recovery parses is what was serialized.
 struct CheckpointContents {
   std::uint64_t generation = 0;
   /// Highest WAL batch sequence already folded into `log`; replay starts
@@ -41,7 +39,7 @@ struct CheckpointContents {
 class SnapshotCheckpoint {
  public:
   /// Durably writes `log` as generation `generation`, then deletes older
-  /// checkpoints and stale tmp directories (best-effort). On return the
+  /// checkpoints and stale tmp files (best-effort). On return the
   /// new checkpoint is the one LoadLatest will pick, or nothing changed.
   static Status Write(const std::string& dir, const ExecutionLog& log,
                       std::uint64_t generation, std::uint64_t wal_through,
@@ -49,14 +47,17 @@ class SnapshotCheckpoint {
 
   /// Loads the newest checkpoint. kNotFound when the directory holds none
   /// (fresh deployment); any integrity failure of the newest checkpoint —
-  /// bad manifest, size or CRC mismatch, unparseable log — is a contextful
-  /// error, never a silent fallback to older state.
+  /// a torn frame, a CRC mismatch, a missing end frame, a row-count or
+  /// generation mismatch — is an IoError naming the file and offset, never
+  /// a silent fallback to older state. Interruptible via the calling
+  /// thread's ExecContext (kCancelled / kDeadlineExceeded surface as the
+  /// returned Status).
   static Result<CheckpointContents> LoadLatest(const std::string& dir,
                                                FileSystem* fs = nullptr);
 };
 
 /// "checkpoint-NNNNNN" for `generation` (zero-padded, wider if needed).
-std::string CheckpointDirName(std::uint64_t generation);
+std::string CheckpointFileName(std::uint64_t generation);
 
 }  // namespace perfxplain
 

@@ -1,11 +1,10 @@
 #include "storage/wal.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/cancel.h"
-#include "common/crc32c.h"
+#include "storage/frame.h"
 
 namespace perfxplain {
 
@@ -14,161 +13,6 @@ const char kWalMagic[9] = "PXWAL001";
 namespace {
 
 constexpr std::size_t kMagicBytes = 8;
-// [u32 payload_len][u8 type][u32 payload_crc][u32 header_crc]
-constexpr std::size_t kHeaderBytes = 13;
-constexpr std::size_t kHeaderCrcCovers = 9;
-
-constexpr std::uint8_t kFrameRecord = 1;
-constexpr std::uint8_t kFrameCommit = 2;
-constexpr std::uint8_t kFrameDrainCommit = 3;
-
-void PutU8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-std::uint32_t ReadU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  }
-  return v;
-}
-
-std::uint64_t ReadU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  }
-  return v;
-}
-
-/// Bounds-checked cursor over a payload; any overrun is corruption, never
-/// undefined behaviour.
-class PayloadCursor {
- public:
-  PayloadCursor(const std::string& data, std::size_t begin, std::size_t size)
-      : data_(data.data() + begin), size_(size) {}
-
-  bool TakeU32(std::uint32_t* out) {
-    if (size_ - pos_ < 4) return false;
-    *out = ReadU32(data_ + pos_);
-    pos_ += 4;
-    return true;
-  }
-
-  bool TakeU64(std::uint64_t* out) {
-    if (size_ - pos_ < 8) return false;
-    *out = ReadU64(data_ + pos_);
-    pos_ += 8;
-    return true;
-  }
-
-  bool TakeU8(std::uint8_t* out) {
-    if (size_ - pos_ < 1) return false;
-    *out = static_cast<std::uint8_t>(data_[pos_]);
-    pos_ += 1;
-    return true;
-  }
-
-  bool TakeBytes(std::size_t n, std::string* out) {
-    if (size_ - pos_ < n) return false;
-    out->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool exhausted() const { return pos_ == size_; }
-
-  std::size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-void SerializeRecord(const ExecutionRecord& record, std::string& out) {
-  PutU32(out, static_cast<std::uint32_t>(record.id.size()));
-  out.append(record.id);
-  PutU32(out, static_cast<std::uint32_t>(record.values.size()));
-  for (const Value& value : record.values) {
-    PutU8(out, static_cast<std::uint8_t>(value.kind()));
-    if (value.is_numeric()) {
-      std::uint64_t bits = 0;
-      const double number = value.number();
-      std::memcpy(&bits, &number, sizeof(bits));
-      PutU64(out, bits);
-    } else if (value.is_nominal()) {
-      const std::string& text = value.nominal();
-      PutU32(out, static_cast<std::uint32_t>(text.size()));
-      out.append(text);
-    }
-  }
-}
-
-bool ParseRecord(PayloadCursor cursor, ExecutionRecord* record) {
-  std::uint32_t id_len = 0;
-  if (!cursor.TakeU32(&id_len)) return false;
-  if (!cursor.TakeBytes(id_len, &record->id)) return false;
-  std::uint32_t count = 0;
-  if (!cursor.TakeU32(&count)) return false;
-  record->values.clear();
-  // The count is untrusted bytes: every value needs at least its kind
-  // byte, so bounding the reservation by the remaining payload turns a
-  // wild (or CRC-colliding) count into a parse failure below instead of
-  // a multi-gigabyte bad_alloc here.
-  record->values.reserve(std::min<std::size_t>(count, cursor.remaining()));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint8_t kind = 0;
-    if (!cursor.TakeU8(&kind)) return false;
-    switch (static_cast<ValueKind>(kind)) {
-      case ValueKind::kMissing:
-        record->values.push_back(Value::Missing());
-        break;
-      case ValueKind::kNumeric: {
-        std::uint64_t bits = 0;
-        if (!cursor.TakeU64(&bits)) return false;
-        double number = 0.0;
-        std::memcpy(&number, &bits, sizeof(number));
-        record->values.push_back(Value::Number(number));
-        break;
-      }
-      case ValueKind::kNominal: {
-        std::uint32_t len = 0;
-        if (!cursor.TakeU32(&len)) return false;
-        std::string text;
-        if (!cursor.TakeBytes(len, &text)) return false;
-        record->values.push_back(Value::Nominal(std::move(text)));
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return cursor.exhausted();
-}
-
-void AppendFrame(std::string& out, std::uint8_t type,
-                 const std::string& payload) {
-  const std::size_t header_at = out.size();
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  PutU8(out, type);
-  PutU32(out, Crc32c(payload.data(), payload.size()));
-  PutU32(out, Crc32c(out.data() + header_at, kHeaderCrcCovers));
-  out.append(payload);
-}
 
 Status CorruptAt(const std::string& file, std::uint64_t offset,
                  const std::string& what) {
@@ -176,32 +20,14 @@ Status CorruptAt(const std::string& file, std::uint64_t offset,
                          std::to_string(offset) + ": " + what);
 }
 
-bool IsSegmentName(const std::string& name) {
-  // "wal-" + digits + ".log". Indices are zero-padded to 6 digits but
-  // rotation past 999999 widens the run, so accept any digit count that
-  // still fits a u64 (19 digits) — a fixed width would make replay and
-  // the max-index scan silently ignore high-index segments.
-  if (name.size() < 9 || name.size() > 4 + 19 + 4) return false;
-  if (name.compare(0, 4, "wal-") != 0) return false;
-  if (name.compare(name.size() - 4, 4, ".log") != 0) return false;
-  return std::all_of(name.begin() + 4, name.end() - 4,
-                     [](char c) { return c >= '0' && c <= '9'; });
-}
-
-std::uint64_t SegmentIndexOf(const std::string& name) {
-  std::uint64_t index = 0;
-  for (std::size_t i = 4; i + 4 < name.size(); ++i) {
-    index = index * 10 + static_cast<std::uint64_t>(name[i] - '0');
-  }
-  return index;
+std::optional<std::uint64_t> SegmentIndex(const std::string& name) {
+  return NumberedFileIndex(name, "wal-", ".log");
 }
 
 }  // namespace
 
 std::string WalSegmentFileName(std::uint64_t index) {
-  std::string digits = std::to_string(index);
-  if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
-  return "wal-" + digits + ".log";
+  return NumberedFileName("wal-", index, ".log");
 }
 
 WalWriter::WalWriter(std::string dir, WalOptions options,
@@ -226,7 +52,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   Result<std::vector<std::string>> names = fs->ListDir(dir);
   if (!names.ok()) return names.status();
   for (const std::string& name : *names) {
-    if (IsSegmentName(name)) max_index = std::max(max_index, SegmentIndexOf(name));
+    max_index = std::max(max_index, SegmentIndex(name).value_or(0));
   }
   std::unique_ptr<WalWriter> writer(
       new WalWriter(dir, options, next_sequence, std::move(sealed), fs));
@@ -366,18 +192,6 @@ Status WalWriter::AppendDrainCommit(std::uint64_t through_sequence,
   return MaybeSyncLocked();
 }
 
-Status WalWriter::Sync() {
-  MutexLock lock(mutex_);
-  if (current_ == nullptr) {
-    return Status::FailedPrecondition("WAL writer has no open segment");
-  }
-  WritableFile* file = current_.get();
-  Status synced =
-      RetryTransient(options_.retry, [file] { return file->Sync(); });
-  if (synced.ok()) batches_since_sync_ = 0;
-  return synced;
-}
-
 Status WalWriter::TruncateThrough(std::uint64_t sequence) {
   MutexLock lock(mutex_);
   std::vector<WalSegmentInfo> kept;
@@ -410,21 +224,18 @@ Result<WalReplayResult> WalReader::Replay(const std::string& dir,
   if (!*exists) return result;
   Result<std::vector<std::string>> names = fs->ListDir(dir);
   if (!names.ok()) return names.status();
-  std::vector<std::string> segments;
+  std::vector<std::pair<std::uint64_t, std::string>> segments;
   for (const std::string& name : *names) {
-    if (IsSegmentName(name)) segments.push_back(name);
+    if (auto index = SegmentIndex(name)) segments.emplace_back(*index, name);
   }
   // Write order is numeric index order, which diverges from ListDir's
   // lexicographic order once indices outgrow the 6-digit zero padding
   // ("wal-1000000.log" sorts before "wal-999999.log").
-  std::sort(segments.begin(), segments.end(),
-            [](const std::string& a, const std::string& b) {
-              return SegmentIndexOf(a) < SegmentIndexOf(b);
-            });
+  std::sort(segments.begin(), segments.end());
 
   try {
     for (std::size_t seg = 0; seg < segments.size(); ++seg) {
-      const std::string& name = segments[seg];
+      const std::string& name = segments[seg].second;
       const bool is_last = seg + 1 == segments.size();
       Result<std::string> contents = fs->ReadFile(dir + "/" + name);
       if (!contents.ok()) return contents.status();
@@ -464,30 +275,16 @@ Result<WalReplayResult> WalReader::Replay(const std::string& dir,
       bool torn = false;
       while (offset < data.size()) {
         ThrowIfInterrupted();
-        if (data.size() - offset < kHeaderBytes) {
-          torn = true;  // header itself is incomplete
+        const Frame frame = ReadFrame(data, offset);
+        if (frame.state == Frame::State::kTorn) {
+          torn = true;  // the header or payload ran past EOF mid-write
           break;
         }
-        const char* header = data.data() + offset;
-        const std::uint32_t payload_len = ReadU32(header);
-        const std::uint8_t type = static_cast<std::uint8_t>(header[4]);
-        const std::uint32_t payload_crc = ReadU32(header + 5);
-        const std::uint32_t header_crc = ReadU32(header + 9);
-        if (Crc32c(header, kHeaderCrcCovers) != header_crc) {
-          // All 13 header bytes are present, so the header write
-          // completed; a mismatch is damage, not a torn write.
-          return CorruptAt(name, offset, "frame header checksum mismatch");
+        if (frame.state == Frame::State::kCorrupt) {
+          return CorruptAt(name, offset, frame.what);
         }
-        if (data.size() - offset - kHeaderBytes < payload_len) {
-          torn = true;  // payload ran past EOF mid-write
-          break;
-        }
-        const std::size_t payload_at = offset + kHeaderBytes;
-        if (Crc32c(data.data() + payload_at, payload_len) != payload_crc) {
-          return CorruptAt(name, offset, "frame payload checksum mismatch");
-        }
-        PayloadCursor cursor(data, payload_at, payload_len);
-        switch (type) {
+        PayloadCursor cursor = frame.payload;
+        switch (frame.type) {
           case kFrameRecord: {
             ExecutionRecord record;
             if (!ParseRecord(cursor, &record)) {
@@ -546,7 +343,7 @@ Result<WalReplayResult> WalReader::Replay(const std::string& dir,
               result.batches.push_back(std::move(batch));
             }
             pending.clear();
-            committed_end = payload_at + payload_len;
+            committed_end = frame.end;
             break;
           }
           case kFrameDrainCommit: {
@@ -562,14 +359,15 @@ Result<WalReplayResult> WalReader::Replay(const std::string& dir,
             }
             result.drained_through = through;
             result.drained_generation = generation;
-            committed_end = payload_at + payload_len;
+            committed_end = frame.end;
             break;
           }
           default:
             return CorruptAt(name, offset,
-                             "unknown frame type " + std::to_string(type));
+                             "unknown frame type " +
+                                 std::to_string(frame.type));
         }
-        offset = payload_at + payload_len;
+        offset = frame.end;
       }
 
       // A torn or uncommitted tail is legal in ANY segment, not just the

@@ -23,18 +23,14 @@ namespace perfxplain {
 /// explanation mined from it — bitwise identical to the uncrashed run.
 ///
 /// On-disk layout: a directory of segment files `wal-NNNNNN.log`, each
-/// starting with the 8-byte magic "PXWAL001" followed by frames:
-///
-///   [u32 payload_len][u8 type][u32 payload_crc][u32 header_crc] payload
-///
-/// (all little-endian; header_crc covers the first 9 header bytes, so a
-/// bit-flipped length field is detected as corruption rather than
-/// misparsed as a torn write). Frame types: kRecord carries one
-/// serialized ExecutionRecord; kCommit seals the records since the last
-/// marker as batch `sequence` with an expected record count; kDrainCommit
-/// records that a rotation folded everything through `through_sequence`
-/// into snapshot `generation`. Record frames not followed by their commit
-/// marker were never acknowledged and are discarded on replay.
+/// the 8-byte magic "PXWAL001" followed by frames of the codec in
+/// storage/frame.h (which checkpoint files share). kFrameRecord carries
+/// one ExecutionRecord; kFrameCommit seals the records since the last
+/// marker as batch `sequence` with an expected record count;
+/// kFrameDrainCommit records that a rotation folded everything through
+/// `through_sequence` into snapshot `generation`. Record frames not
+/// followed by their commit marker were never acknowledged and are
+/// discarded on replay.
 ///
 /// Torn-vs-corrupt classification on replay: a frame extending past EOF
 /// is a torn write. Torn (or commit-less) tails are legal in any segment
@@ -142,9 +138,6 @@ class WalWriter {
   /// `through_sequence` is folded into snapshot `generation`.
   Status AppendDrainCommit(std::uint64_t through_sequence,
                            std::uint64_t generation) PX_EXCLUDES(mutex_);
-
-  /// Explicit durability barrier regardless of fsync mode.
-  Status Sync() PX_EXCLUDES(mutex_);
 
   /// Deletes sealed segments whose batches are all <= `sequence`
   /// (i.e. wholly covered by a durable checkpoint). The active segment is

@@ -257,9 +257,9 @@ TEST_F(FaultInjectionTest, CorruptedWalSegmentSurvivesSweep) {
 }
 
 TEST_F(FaultInjectionTest, CorruptedCheckpointSurvivesSweep) {
-  // Same matrix over both checkpoint files. Loading either answers with
-  // the exact bytes that were checkpointed or refuses cleanly — a
-  // corrupted checkpoint must never decode into a different log.
+  // Same matrix over the checkpoint file. Loading it answers with the
+  // exact bytes that were checkpointed or refuses cleanly — a corrupted
+  // checkpoint must never decode into a different log.
   const std::string dir = ::testing::TempDir() + "px_fault_ckpt";
   ASSERT_TRUE(FileSystem::Default()->RemoveAll(dir).ok());
   const ExecutionLog log = perfxplain::testing::AdversarialLog(
@@ -267,30 +267,27 @@ TEST_F(FaultInjectionTest, CorruptedCheckpointSurvivesSweep) {
   ASSERT_TRUE(SnapshotCheckpoint::Write(dir, log, 3, 5).ok());
   const std::string reference = log.ToCsvText();
 
-  for (const char* file : {"MANIFEST", "log.csv"}) {
-    const std::string path = dir + "/" + CheckpointDirName(3) + "/" + file;
-    auto pristine = FileSystem::Default()->ReadFile(path);
-    ASSERT_TRUE(pristine.ok());
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      for (int kind = 0; kind <= 5; ++kind) {
-        const std::string label = std::string(file) + " kind " +
-                                  std::to_string(kind) + " seed " +
-                                  std::to_string(seed);
-        Rng rng(seed * 4000 + static_cast<std::uint64_t>(kind));
-        WriteBytes(path, Corrupt(*pristine, kind, rng));
-        auto loaded = SnapshotCheckpoint::LoadLatest(dir);
-        if (loaded.ok()) {
-          EXPECT_EQ(loaded->log.ToCsvText(), reference) << label;
-          EXPECT_EQ(loaded->generation, 3u) << label;
-        } else {
-          EXPECT_FALSE(loaded.status().message().empty()) << label;
-          EXPECT_NE(loaded.status().code(), StatusCode::kInternal)
-              << label << ": " << loaded.status().ToString();
-        }
+  const std::string path = dir + "/" + CheckpointFileName(3);
+  auto pristine = FileSystem::Default()->ReadFile(path);
+  ASSERT_TRUE(pristine.ok());
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (int kind = 0; kind <= 5; ++kind) {
+      const std::string label =
+          "kind " + std::to_string(kind) + " seed " + std::to_string(seed);
+      Rng rng(seed * 4000 + static_cast<std::uint64_t>(kind));
+      WriteBytes(path, Corrupt(*pristine, kind, rng));
+      auto loaded = SnapshotCheckpoint::LoadLatest(dir);
+      if (loaded.ok()) {
+        EXPECT_EQ(loaded->log.ToCsvText(), reference) << label;
+        EXPECT_EQ(loaded->generation, 3u) << label;
+      } else {
+        EXPECT_FALSE(loaded.status().message().empty()) << label;
+        EXPECT_NE(loaded.status().code(), StatusCode::kInternal)
+            << label << ": " << loaded.status().ToString();
       }
     }
-    WriteBytes(path, *pristine);
   }
+  WriteBytes(path, *pristine);
 }
 
 }  // namespace

@@ -48,6 +48,13 @@ TEST_F(DeltaLogTest, AppendValidates) {
   ExecutionRecord short_record("short", {Value::Number(1.0)});
   EXPECT_EQ(delta_.Append(std::move(short_record)).code(),
             StatusCode::kInvalidArgument);
+  // Wrong kind: ExecutionLog::Add would refuse it at promotion.
+  ExecutionRecord wrong_kind("wrong", {Value::Nominal("oops"),
+                                       Value::Nominal("red"),
+                                       Value::Number(1.0)});
+  EXPECT_EQ(delta_.Append(std::move(wrong_kind)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(delta_.Contains("wrong"));
   // Duplicate pending id.
   EXPECT_TRUE(delta_.Append(Record("dup")).ok());
   EXPECT_EQ(delta_.Append(Record("dup")).code(),

@@ -105,6 +105,27 @@ TEST_F(LiveEngineTest, AppendValidatesAgainstServedLogAndDelta) {
   EXPECT_EQ(live.pending_rows(), 1u);
 }
 
+TEST_F(LiveEngineTest, RefusedWrongKindAppendLeavesRotationWorking) {
+  LiveEngine live(base_, SerialOptions());
+  // A nominal where the schema says numeric: promotion's ExecutionLog::Add
+  // would refuse it, so staging it would wedge every later rotation.
+  ExecutionRecord wrong_kind = full_.at(60);
+  const std::size_t numeric = full_.schema().IndexOf("cause");
+  ASSERT_NE(numeric, Schema::kNotFound);
+  wrong_kind.values[numeric] = Value::Nominal("oops");
+  EXPECT_EQ(live.Append(std::move(wrong_kind)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(live.pending_rows(), 0u);
+
+  std::vector<ExecutionRecord> good = {full_.at(60), full_.at(61)};
+  ASSERT_TRUE(live.AppendBatch(std::move(good)).ok());
+  auto rotated = live.Rotate();
+  ASSERT_TRUE(rotated.ok()) << rotated.status().ToString();
+  EXPECT_EQ(rotated->promoted_rows, 2u);
+  EXPECT_EQ(live.pending_rows(), 0u);
+  EXPECT_EQ(live.engine()->log().size(), 62u);
+}
+
 TEST_F(LiveEngineTest, RotateWithoutPendingIsANoOp) {
   LiveEngine live(base_, SerialOptions());
   const std::uint64_t before = live.generation();

@@ -1,10 +1,12 @@
 #include "storage/checkpoint.h"
 
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "storage/file_io.h"
+#include "storage/frame.h"
 #include "testing/fault_fs.h"
 #include "testing/test_util.h"
 
@@ -35,6 +37,23 @@ class CheckpointTest : public ::testing::Test {
                       .ok());
     }
     return log;
+  }
+
+  /// Offset just past the magic and the header frame.
+  static std::size_t HeaderEnd(const std::string& bytes) {
+    return ReadFrame(bytes, /*offset=*/8).end;
+  }
+
+  /// Flips the byte at `offset`, expects a load to fail naming the file,
+  /// and flips it back.
+  void ExpectFlipDetected(const std::string& path, std::uint64_t offset) {
+    ASSERT_TRUE(CorruptFileByte(path, offset).ok());
+    auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
+    ASSERT_FALSE(loaded.ok()) << "flip at offset " << offset;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(loaded.status().message().find(path), std::string::npos)
+        << loaded.status().ToString();
+    ASSERT_TRUE(CorruptFileByte(path, offset).ok());  // restore
   }
 };
 
@@ -74,56 +93,87 @@ TEST_F(CheckpointTest, NewestGenerationWinsAndOlderOnesAreSwept) {
   auto names = FileSystem::Default()->ListDir(dir_);
   ASSERT_TRUE(names.ok());
   EXPECT_EQ(names->size(), 1u);
-  EXPECT_EQ(names->front(), CheckpointDirName(5));
+  EXPECT_EQ(names->front(), CheckpointFileName(5));
 }
 
 TEST_F(CheckpointTest, EveryCorruptedManifestByteIsDetected) {
+  // The manifest of a checkpoint file: its magic and header frame
+  // (generation, wal_through, schema).
   ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
-  const std::string manifest = dir_ + "/" + CheckpointDirName(7) + "/MANIFEST";
-  auto bytes = FileSystem::Default()->ReadFile(manifest);
+  const std::string path = dir_ + "/" + CheckpointFileName(7);
+  auto bytes = FileSystem::Default()->ReadFile(path);
   ASSERT_TRUE(bytes.ok());
-  for (std::uint64_t offset = 0; offset < bytes->size(); ++offset) {
-    ASSERT_TRUE(CorruptFileByte(manifest, offset).ok());
-    auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
-    EXPECT_FALSE(loaded.ok()) << "flip at manifest offset " << offset;
-    ASSERT_TRUE(CorruptFileByte(manifest, offset).ok());  // restore
+  for (std::uint64_t offset = 0; offset < HeaderEnd(*bytes); ++offset) {
+    ASSERT_NO_FATAL_FAILURE(ExpectFlipDetected(path, offset));
   }
   EXPECT_TRUE(SnapshotCheckpoint::LoadLatest(dir_).ok());
 }
 
 TEST_F(CheckpointTest, CorruptedLogPayloadIsDetected) {
+  // Every byte past the header: the record frames and the end frame.
   ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
-  const std::string payload = dir_ + "/" + CheckpointDirName(7) + "/log.csv";
-  auto bytes = FileSystem::Default()->ReadFile(payload);
+  const std::string path = dir_ + "/" + CheckpointFileName(7);
+  auto bytes = FileSystem::Default()->ReadFile(path);
   ASSERT_TRUE(bytes.ok());
-  for (std::uint64_t offset = 0; offset < bytes->size(); offset += 13) {
-    ASSERT_TRUE(CorruptFileByte(payload, offset).ok());
-    auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
-    EXPECT_FALSE(loaded.ok()) << "flip at log.csv offset " << offset;
-    ASSERT_TRUE(CorruptFileByte(payload, offset).ok());
+  for (std::uint64_t offset = HeaderEnd(*bytes); offset < bytes->size();
+       ++offset) {
+    ASSERT_NO_FATAL_FAILURE(ExpectFlipDetected(path, offset));
   }
-}
-
-TEST_F(CheckpointTest, TruncatedLogPayloadIsDetected) {
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
-  const std::string payload = dir_ + "/" + CheckpointDirName(7) + "/log.csv";
-  auto bytes = FileSystem::Default()->ReadFile(payload);
-  ASSERT_TRUE(bytes.ok());
-  ASSERT_TRUE(
-      FileSystem::Default()->TruncateFile(payload, bytes->size() - 1).ok());
-  auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().ToString().find("log.csv"), std::string::npos)
-      << loaded.status().ToString();
+  EXPECT_TRUE(SnapshotCheckpoint::LoadLatest(dir_).ok());
 }
 
 TEST_F(CheckpointTest, DeletedPayloadIsDetected) {
   ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
+  const std::string path = dir_ + "/" + CheckpointFileName(7);
+  auto bytes = FileSystem::Default()->ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  const std::size_t header_end = HeaderEnd(*bytes);
+  std::size_t end_frame = header_end;
+  while (ReadFrame(*bytes, end_frame).type != kFrameCheckpointEnd) {
+    end_frame = ReadFrame(*bytes, end_frame).end;
+  }
+  // Every row frame gone, the header and end frame kept whole: the end
+  // frame's row count must catch it. Then the end frame gone as well.
+  for (const std::string& stripped :
+       {bytes->substr(0, header_end) + bytes->substr(end_frame),
+        bytes->substr(0, header_end)}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << stripped;
+    auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
+    ASSERT_FALSE(loaded.ok()) << stripped.size() << " bytes left";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(loaded.status().message().find(path), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST_F(CheckpointTest, EveryTruncationIsDetected) {
+  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
+  const std::string path = dir_ + "/" + CheckpointFileName(7);
+  auto bytes = FileSystem::Default()->ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  for (std::size_t length = 0; length < bytes->size(); ++length) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes->data(), static_cast<std::streamsize>(length));
+    out.close();
+    auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
+    ASSERT_FALSE(loaded.ok()) << "truncated to " << length << " bytes";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(loaded.status().message().find(path), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST_F(CheckpointTest, GenerationDisagreeingWithTheFileNameIsDetected) {
+  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
   ASSERT_TRUE(FileSystem::Default()
-                  ->RemoveFile(dir_ + "/" + CheckpointDirName(7) + "/log.csv")
+                  ->Rename(dir_ + "/" + CheckpointFileName(7),
+                           dir_ + "/" + CheckpointFileName(9))
                   .ok());
   auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
-  EXPECT_FALSE(loaded.ok());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find(CheckpointFileName(9)),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST_F(CheckpointTest, CorruptNewestIsNeverASilentFallbackToOlder) {
@@ -132,10 +182,10 @@ TEST_F(CheckpointTest, CorruptNewestIsNeverASilentFallbackToOlder) {
   ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(6), 5, 9).ok());
   ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(2), 2, 4).ok());
   auto newest_exists =
-      FileSystem::Default()->FileExists(dir_ + "/" + CheckpointDirName(5));
+      FileSystem::Default()->FileExists(dir_ + "/" + CheckpointFileName(5));
   ASSERT_TRUE(newest_exists.ok() && *newest_exists);
-  const std::string manifest = dir_ + "/" + CheckpointDirName(5) + "/MANIFEST";
-  ASSERT_TRUE(CorruptFileByte(manifest, 3).ok());
+  const std::string newest = dir_ + "/" + CheckpointFileName(5);
+  ASSERT_TRUE(CorruptFileByte(newest, 3).ok());
   auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
   EXPECT_FALSE(loaded.ok());
 }

@@ -7,17 +7,24 @@
 // exact reference answer — never crash, never silently serve wrong data.
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "core/pair_enumeration.h"
 #include "gtest/gtest.h"
 #include "serving/live_engine.h"
 #include "storage/file_io.h"
+#include "storage/frame.h"
+#include "storage/wal.h"
 #include "testing/fault_fs.h"
 #include "testing/test_util.h"
 
@@ -28,6 +35,8 @@ using perfxplain::testing::CausalLog;
 using perfxplain::testing::CorruptFileByte;
 using perfxplain::testing::FaultFs;
 using perfxplain::testing::GtVsSimQuery;
+using perfxplain::testing::TinyRecord;
+using perfxplain::testing::TinySchema;
 
 bool PickPair(const ExecutionLog& log, Query& query) {
   const PairSchema schema(log.schema());
@@ -300,23 +309,192 @@ TEST_F(RecoveryTest, DeletedCheckpointPayloadRefusesLoudly) {
     auto live = LiveEngine::Recover(seed_, Durability(), SerialOptions());
     ASSERT_TRUE(live.ok());
     ASSERT_TRUE((*live)->AppendBatch(batches_[0]).ok());
-    ASSERT_TRUE((*live)->Rotate().ok());
+    auto rotated = (*live)->Rotate();
+    ASSERT_TRUE(rotated.ok());
+    ASSERT_TRUE(rotated->checkpointed) << rotated->checkpoint_error;
   }
-  bool removed = false;
-  for (const auto& entry : std::filesystem::recursive_directory_iterator(
-           dir_ + "/ckpt")) {
-    if (entry.is_regular_file() &&
-        entry.path().filename() == "log.csv") {
-      std::filesystem::remove(entry.path());
-      removed = true;
+  // Drop every row frame of the checkpoint, keeping its magic, header
+  // frame and end frame: the rows it claims are gone, and recovery must
+  // say so rather than serve the seed plus the journal tail.
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir_ + "/ckpt")) {
+    names.push_back(entry.path().string());
+  }
+  ASSERT_EQ(names.size(), 1u);
+  auto bytes = FileSystem::Default()->ReadFile(names[0]);
+  ASSERT_TRUE(bytes.ok());
+  std::string stripped = bytes->substr(0, 8);  // the magic
+  for (std::size_t offset = 8; offset < bytes->size();) {
+    const Frame frame = ReadFrame(*bytes, offset);
+    ASSERT_EQ(frame.state, Frame::State::kWhole);
+    if (frame.type != kFrameRecord) {
+      stripped += bytes->substr(offset, frame.end - offset);
+    }
+    offset = frame.end;
+  }
+  ASSERT_LT(stripped.size(), bytes->size());
+  std::ofstream(names[0], std::ios::binary | std::ios::trunc) << stripped;
+
+  auto recovered = LiveEngine::Recover(seed_, Durability(), SerialOptions());
+  ASSERT_FALSE(recovered.ok())
+      << "served " << (*recovered)->engine()->log().size() << " rows";
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIoError);
+  EXPECT_NE(recovered.status().message().find(names[0]), std::string::npos)
+      << recovered.status().ToString();
+}
+
+TEST_F(RecoveryTest, DeletedCheckpointRefusesLoudlyOrServesExactly) {
+  // Default segments keep the covered batches in the active segment;
+  // one-byte segments let the checkpoint truncate every batch it covers,
+  // leaving only the drain-commit marker that names it.
+  for (const std::uint64_t segment_bytes : {std::uint64_t{4} << 20,
+                                            std::uint64_t{1}}) {
+    SCOPED_TRACE("segment_bytes " + std::to_string(segment_bytes));
+    ResetDirs();
+    DurabilityOptions durability = Durability();
+    durability.wal.segment_bytes = segment_bytes;
+    {
+      auto live = LiveEngine::Recover(seed_, durability, SerialOptions());
+      ASSERT_TRUE(live.ok()) << live.status().ToString();
+      ASSERT_TRUE((*live)->AppendBatch(batches_[0]).ok());
+      ASSERT_TRUE((*live)->AppendBatch(batches_[1]).ok());
+      auto rotated = (*live)->Rotate();
+      ASSERT_TRUE(rotated.ok());
+      ASSERT_TRUE(rotated->checkpointed) << rotated->checkpoint_error;
+    }
+    std::size_t removed = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(durability.checkpoint_dir)) {
+      removed += std::filesystem::remove_all(entry.path()) > 0 ? 1 : 0;
+    }
+    ASSERT_EQ(removed, 1u);
+    auto recovered = LiveEngine::Recover(seed_, durability, SerialOptions());
+    if (recovered.ok()) {
+      EXPECT_EQ((*recovered)->engine()->log().ToCsvText(),
+                ReferenceLog(2).ToCsvText());
+    } else {
+      EXPECT_EQ(recovered.status().code(), StatusCode::kIoError);
+      EXPECT_FALSE(recovered.status().message().empty());
     }
   }
-  ASSERT_TRUE(removed);
+}
+
+TEST_F(RecoveryTest, ParentFormatCheckpointDirectoryRefusesLoudly) {
+  // The directory layout of earlier releases: checkpoint-NNNNNN/ holding
+  // a text MANIFEST and log.csv. It is the newest generation, so loading
+  // must fail loudly rather than skip it for the seed log.
+  const std::string base = dir_ + "/ckpt/checkpoint-000005";
+  ASSERT_TRUE(FileSystem::Default()->CreateDirs(base).ok());
+  const std::string log_text = ReferenceLog(4).ToCsvText();
+  char crc[9];
+  std::snprintf(crc, sizeof(crc), "%08x",
+                Crc32c(log_text.data(), log_text.size()));
+  std::string manifest = "PXCKPT1\ngeneration 5\nwal_through 4\nfile log.csv " +
+                         std::to_string(log_text.size()) + " " + crc + "\n";
+  std::snprintf(crc, sizeof(crc), "%08x",
+                Crc32c(manifest.data(), manifest.size()));
+  manifest += std::string("manifest_crc ") + crc + "\n";
+  std::ofstream(base + "/log.csv", std::ios::binary) << log_text;
+  std::ofstream(base + "/MANIFEST", std::ios::binary) << manifest;
+
   auto recovered = LiveEngine::Recover(seed_, Durability(), SerialOptions());
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_NE(recovered.status().ToString().find("log.csv"),
+  ASSERT_FALSE(recovered.ok())
+      << "served " << (*recovered)->engine()->log().size() << " rows";
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIoError);
+  EXPECT_NE(recovered.status().message().find("checkpoint-000005"),
             std::string::npos)
       << recovered.status().ToString();
+}
+
+TEST_F(RecoveryTest, RecoveredValuesMatchTheLiveLogBitForBit) {
+  // Values a text rendering would bend: nominals that read back as
+  // missing or need quoting, and doubles whose bits depend on printed
+  // precision.
+  const std::vector<std::string> nominals = {"", "?", "a,b", "say \"hi\"",
+                                             "line\nbreak"};
+  const std::vector<double> numbers = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      4.9e-324,
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      0.1,
+      1e15 + 0.5};
+  ExecutionLog seed(TinySchema());
+  ASSERT_TRUE(seed.Add(TinyRecord("seed", 1.0, "red", 2.0)).ok());
+  std::vector<ExecutionRecord> batch;
+  for (std::size_t i = 0; i < numbers.size(); ++i) {
+    batch.push_back(TinyRecord("v" + std::to_string(i), numbers[i],
+                               nominals[i % nominals.size()],
+                               numbers[numbers.size() - 1 - i]));
+  }
+  batch.push_back(ExecutionRecord(
+      "missing", {Value::Missing(), Value::Missing(), Value::Number(3.0)}));
+
+  ExecutionLog live_log;
+  {
+    auto live = LiveEngine::Recover(seed, Durability(), SerialOptions());
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ASSERT_TRUE((*live)->AppendBatch(batch).ok());
+    auto rotated = (*live)->Rotate();
+    ASSERT_TRUE(rotated.ok());
+    ASSERT_TRUE(rotated->checkpointed) << rotated->checkpoint_error;
+    live_log = (*live)->engine()->log();
+  }
+  RecoveryStats stats;
+  auto recovered = LiveEngine::Recover(seed, Durability(), SerialOptions(),
+                                       RotationPolicy{}, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(stats.checkpoint_loaded);
+  EXPECT_EQ(stats.replayed_batches, 0u);  // the checkpoint covers it all
+
+  const ExecutionLog& log = (*recovered)->engine()->log();
+  ASSERT_EQ(log.size(), live_log.size());
+  for (std::size_t r = 0; r < log.size(); ++r) {
+    ASSERT_EQ(log.at(r).id, live_log.at(r).id);
+    for (std::size_t f = 0; f < log.schema().size(); ++f) {
+      SCOPED_TRACE("row " + log.at(r).id + " feature " + std::to_string(f));
+      const Value& got = log.at(r).values[f];
+      const Value& want = live_log.at(r).values[f];
+      ASSERT_EQ(got.kind(), want.kind());
+      if (want.is_nominal()) {
+        EXPECT_EQ(got.nominal(), want.nominal());
+      } else if (want.is_numeric()) {
+        const double a = got.number();
+        const double b = want.number();
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
+      }
+    }
+  }
+}
+
+TEST_F(RecoveryTest, WrongKindBatchInTheJournalIsRejectedOnReplay) {
+  // A journal written before appends checked value kinds: the bad batch
+  // is refused by replay's validated path, the next one is served.
+  std::vector<ExecutionRecord> wrong_kind = batches_[0];
+  wrong_kind[1].values[full_.schema().IndexOf("cause")] =
+      Value::Nominal("oops");
+  {
+    auto wal = WalWriter::Open(dir_ + "/wal", WalOptions{});
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_TRUE((*wal)->AppendBatch(wrong_kind).ok());
+    ASSERT_TRUE((*wal)->AppendBatch(batches_[1]).ok());
+  }
+  RecoveryStats stats;
+  auto recovered = LiveEngine::Recover(seed_, Durability(), SerialOptions(),
+                                       RotationPolicy{}, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(stats.rejected_batches, 1u);
+  EXPECT_EQ(stats.replayed_batches, 1u);
+  const ExecutionLog& log = (*recovered)->engine()->log();
+  EXPECT_EQ(log.size(), seed_.size() + batches_[1].size());
+  for (const ExecutionRecord& record : batches_[1]) {
+    EXPECT_TRUE(log.Find(record.id).ok()) << record.id;
+  }
+  EXPECT_FALSE(log.Find(wrong_kind[0].id).ok());
 }
 
 TEST_F(RecoveryTest, SequencesContinuePastAFullyTruncatedJournal) {
@@ -368,6 +546,28 @@ TEST_F(RecoveryTest, RecoveryHonoursCancellation) {
   context.cancel = token;
   ScopedExecContext scoped(&context);
   auto recovered = LiveEngine::Recover(seed_, Durability(), SerialOptions());
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCancelled);
+}
+
+TEST_F(RecoveryTest, CheckpointOnlyRecoveryHonoursCancellation) {
+  {
+    auto live = LiveEngine::Recover(seed_, Durability(), SerialOptions());
+    ASSERT_TRUE(live.ok());
+    ASSERT_TRUE((*live)->AppendBatch(batches_[0]).ok());
+    auto rotated = (*live)->Rotate();
+    ASSERT_TRUE(rotated.ok());
+    ASSERT_TRUE(rotated->checkpointed) << rotated->checkpoint_error;
+  }
+  DurabilityOptions checkpoint_only;
+  checkpoint_only.checkpoint_dir = Durability().checkpoint_dir;
+  auto token = std::make_shared<CancelToken>();
+  token->Cancel();
+  ExecContext context;
+  context.cancel = token;
+  ScopedExecContext scoped(&context);
+  auto recovered =
+      LiveEngine::Recover(seed_, checkpoint_only, SerialOptions());
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kCancelled);
 }

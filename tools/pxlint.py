@@ -13,9 +13,10 @@ validates such citations against this file):
 
   pxlint:checkpoint
       Every registered long-loop entry point (the scans, tile fills,
-      striped RReliefF, rotation, recovery, WAL replay) contains a
-      ThrowIfInterrupted() cooperative-cancellation checkpoint, so a
-      deadline or CancelToken is always observed in bounded time.
+      striped RReliefF, rotation, recovery, WAL replay, checkpoint load)
+      contains a ThrowIfInterrupted() cooperative-cancellation
+      checkpoint, so a deadline or CancelToken is always observed in
+      bounded time.
 
   pxlint:determinism
       No nondeterminism sources in the hot layers (src/core,
@@ -100,6 +101,7 @@ CHECKPOINT_REGISTRY = [
     ("src/ml/relief.cc", "RRelieffStripedImpl"),
     ("src/serving/live_engine.cc", "LiveEngine::Rotate"),
     ("src/serving/live_engine.cc", "LiveEngine::Recover"),
+    ("src/storage/checkpoint.cc", "SnapshotCheckpoint::LoadLatest"),
     ("src/storage/wal.cc", "WalReader::Replay"),
 ]
 CHECKPOINT_CALL = "ThrowIfInterrupted"
