@@ -237,12 +237,12 @@ void BM_SimButDiffExplainLegacyValuePath(benchmark::State& state) {
   const px::Engine engine(fixture.log);
   auto prepared = engine.Prepare(fixture.query);
   PX_CHECK(prepared.ok());
-  const px::SimButDiff baseline(&engine.log(), px::SimButDiffOptions(),
+  const px::SimButDiff baseline(px::SimButDiffOptions(),
                                 &engine.snapshot()->columns());
   for (auto _ : state) {
-    auto explanation =
-        baseline.ExplainLegacy(prepared->bound(), prepared->poi_first(),
-                               prepared->poi_second(), 3);
+    auto explanation = baseline.ExplainLegacy(
+        fixture.log, prepared->bound(), prepared->poi_first(),
+        prepared->poi_second(), 3);
     PX_CHECK(explanation.ok()) << explanation.status().ToString();
     benchmark::DoNotOptimize(explanation);
   }
@@ -940,24 +940,26 @@ void BM_SnapshotPromotion(benchmark::State& state) {
   const std::size_t base_rows =
       full.size() - full.size() * delta_percent / 100;
   px::ExecutionLog base_log(full.schema());
-  for (std::size_t i = 0; i < base_rows; ++i) {
-    PX_CHECK(base_log.Add(full.at(i)).ok());
+  std::vector<px::ExecutionRecord> delta;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    if (i < base_rows) {
+      PX_CHECK(base_log.Add(full.at(i)).ok());
+    } else {
+      delta.push_back(full.at(i));
+    }
   }
   const double sim = px::SimButDiffOptions{}.pair.sim_fraction;
   const std::size_t budget =
       px::PairCodeStore::BytesNeeded(full.size(), full.schema().size());
-  const px::LogSnapshot base(std::move(base_log));
-  const px::TilePool* base_plane =
-      base.pair_codes().Acquire(
-          sim,
-          px::PairCodeStore::BytesNeeded(base.log().size(),
-                                         full.schema().size()),
-          1);
+  const px::LogSnapshot base(base_log);
+  const px::TilePool* base_plane = base.pair_codes().Acquire(
+      sim, px::PairCodeStore::BytesNeeded(base_rows, full.schema().size()),
+      1);
   PX_CHECK(base_plane != nullptr);
 
   for (auto _ : state) {
     if (incremental) {
-      const px::LogSnapshot grown(full, base);
+      const px::LogSnapshot grown(base, delta);
       benchmark::DoNotOptimize(
           grown.pair_codes().Acquire(sim, budget, 1, base_plane));
     } else {
@@ -1010,12 +1012,14 @@ BENCHMARK(BM_PlaneFill)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 /// (read, verify, rebuild the log) in a temp directory.
 void BM_CheckpointWriteLoad(benchmark::State& state) {
   const px::ExecutionLog& log = TaskLevelLog();
+  const px::ColumnarLog columns(log);
   const std::string dir = BenchScratchDir("checkpoint");
   std::uint64_t generation = 0;
   for (auto _ : state) {
     generation += 1;
-    PX_CHECK(px::SnapshotCheckpoint::Write(dir, log, generation, generation)
-                 .ok());
+    PX_CHECK(
+        px::SnapshotCheckpoint::Write(dir, columns, generation, generation)
+            .ok());
     auto loaded = px::SnapshotCheckpoint::LoadLatest(dir);
     PX_CHECK(loaded.ok()) << loaded.status().ToString();
     PX_CHECK(loaded->log.size() == log.size());

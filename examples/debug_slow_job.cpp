@@ -78,7 +78,7 @@ int main() {
   std::printf("job_small (1.3 GB): %6.0f s   <- user expected ~half\n",
               d_small);
 
-  px::Engine engine(std::move(trace.job_log));
+  px::Engine engine(trace.job_log);
 
   // "Despite having less input data, job_small had the same runtime as
   //  job_big. I expected it to be much faster." (Example 3 of the paper.)

@@ -82,18 +82,19 @@ int main(int argc, char** argv) {
 
   // A sample explanation for the paper's second evaluation query, through
   // the engine's prepare-once/explain-many API.
-  px::Engine engine(std::move(trace.job_log));
+  const px::ExecutionLog& log = trace.job_log;
+  px::Engine engine(log);
   auto query = px::ParseQuery(
       "DESPITE numinstances_isSame = T AND pigscript_isSame = T "
       "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM");
   if (!query.ok()) return 1;
   if (!query->Bind(engine.pair_schema()).ok()) return 1;
-  auto poi = px::FindPairOfInterest(engine.log(), engine.pair_schema(),
+  auto poi = px::FindPairOfInterest(log, engine.pair_schema(),
                                     *query, px::PairFeatureOptions(),
                                     /*skip=*/100);
   if (!poi.ok()) return 1;
-  query->first_id = engine.log().at(poi->first).id;
-  query->second_id = engine.log().at(poi->second).id;
+  query->first_id = log.at(poi->first).id;
+  query->second_id = log.at(poi->second).id;
   std::printf("\nquery:\n%s\n", query->ToString().c_str());
   auto prepared = engine.Prepare(*query);
   if (!prepared.ok()) return 1;

@@ -46,9 +46,10 @@ int main() {
               trace.task_log.size());
 
   // 2. Hand the job log to the engine. The Engine holds an immutable
-  //    LogSnapshot (row log + columnar replica) that any number of
-  //    concurrent Explain calls share.
-  px::Engine engine(std::move(trace.job_log));
+  //    LogSnapshot (the log's dictionary-encoded columns) that any number
+  //    of concurrent Explain calls share.
+  const px::ExecutionLog& log = trace.job_log;
+  px::Engine engine(log);
 
   // 3. Express the performance question in PXQL. We first locate a pair of
   //    interest that matches the question: J1 much slower than J2 even
@@ -64,14 +65,14 @@ int main() {
   }
   px::Query query = std::move(query_or).value();
   if (!query.Bind(engine.pair_schema()).ok()) return 1;
-  auto poi = px::FindPairOfInterest(engine.log(), engine.pair_schema(),
+  auto poi = px::FindPairOfInterest(log, engine.pair_schema(),
                                     query, px::PairFeatureOptions());
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;
   }
-  query.first_id = engine.log().at(poi->first).id;
-  query.second_id = engine.log().at(poi->second).id;
+  query.first_id = log.at(poi->first).id;
+  query.second_id = log.at(poi->second).id;
   std::printf("\nPXQL query:\n%s\n", query.ToString().c_str());
 
   // 4. Prepare the query once (parse/bind/compile/resolve), then run it.

@@ -43,7 +43,7 @@ int main() {
       });
   std::printf("reduce-task log: %zu tasks\n", reducers.size());
 
-  px::Engine engine(std::move(reducers));
+  px::Engine engine(reducers);
 
   // "Despite belonging to the same job, reducer T1 was much slower than
   //  T2. I expected all reducers of a job to take about as long."
@@ -63,14 +63,14 @@ int main() {
                          "pigscript = simple-groupby.pig")
           .value());
   if (!finder.Bind(engine.pair_schema()).ok()) return 1;
-  auto poi = px::FindPairOfInterest(engine.log(), engine.pair_schema(),
+  auto poi = px::FindPairOfInterest(reducers, engine.pair_schema(),
                                     finder, px::PairFeatureOptions());
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;
   }
-  query.first_id = engine.log().at(poi->first).id;
-  query.second_id = engine.log().at(poi->second).id;
+  query.first_id = reducers.at(poi->first).id;
+  query.second_id = reducers.at(poi->second).id;
   std::printf("\nPXQL query:\n%s\n", query.ToString().c_str());
 
   auto prepared = engine.Prepare(query);

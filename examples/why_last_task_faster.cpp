@@ -36,7 +36,8 @@ int main() {
   std::printf("task log: %zu tasks from %zu jobs\n", trace.task_log.size(),
               trace.job_log.size());
 
-  px::Engine engine(std::move(trace.task_log));
+  const px::ExecutionLog& log = trace.task_log;
+  px::Engine engine(log);
 
   // Query 1 of the paper's evaluation: despite being in the same job, on
   // the same host, processing a similar amount of data, T1 (the last task)
@@ -57,16 +58,16 @@ int main() {
   finder.despite = finder.despite.And(
       px::ParsePredicate("wave_index_compare = GT").value());
   if (!finder.Bind(engine.pair_schema()).ok()) return 1;
-  auto poi = px::FindPairOfInterest(engine.log(), engine.pair_schema(),
+  auto poi = px::FindPairOfInterest(log, engine.pair_schema(),
                                     finder, px::PairFeatureOptions());
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;
   }
-  query.first_id = engine.log().at(poi->first).id;
-  query.second_id = engine.log().at(poi->second).id;
+  query.first_id = log.at(poi->first).id;
+  query.second_id = log.at(poi->second).id;
 
-  const auto& schema = engine.log().schema();
+  const auto& schema = log.schema();
   const std::size_t f_duration =
       schema.IndexOf(px::feature_names::kDuration);
   const std::size_t f_wave = schema.IndexOf("wave_index");
@@ -74,11 +75,11 @@ int main() {
       "\npair of interest:\n  %s  (wave %.0f, %.1f s)\n  %s  (wave %.0f, "
       "%.1f s)\n",
       query.first_id.c_str(),
-      engine.log().at(poi->first).values[f_wave].number(),
-      engine.log().at(poi->first).values[f_duration].number(),
+      log.at(poi->first).values[f_wave].number(),
+      log.at(poi->first).values[f_duration].number(),
       query.second_id.c_str(),
-      engine.log().at(poi->second).values[f_wave].number(),
-      engine.log().at(poi->second).values[f_duration].number());
+      log.at(poi->second).values[f_wave].number(),
+      log.at(poi->second).values[f_duration].number());
   std::printf("\nPXQL query:\n%s\n", query.ToString().c_str());
 
   auto prepared = engine.Prepare(query);

@@ -133,9 +133,8 @@ const char* TechniqueToString(Technique technique) {
   return "?";
 }
 
-Engine::Engine(ExecutionLog log, EngineOptions options)
-    : Engine(std::make_shared<const LogSnapshot>(std::move(log)),
-             std::move(options)) {}
+Engine::Engine(const ExecutionLog& log, EngineOptions options)
+    : Engine(std::make_shared<const LogSnapshot>(log), std::move(options)) {}
 
 Engine::Engine(std::shared_ptr<const LogSnapshot> snapshot,
                EngineOptions options)
@@ -150,17 +149,16 @@ Engine::Engine(std::shared_ptr<const LogSnapshot> snapshot,
   // Every technique scans the snapshot's one columnar replica; SimButDiff
   // additionally borrows the snapshot's pair-code store so sequential
   // queries run on resident packed codes.
-  explainer_ = std::make_unique<Explainer>(
-      &snapshot_->log(), options_.explainer, &snapshot_->columns());
+  explainer_ =
+      std::make_unique<Explainer>(options_.explainer, &snapshot_->columns());
   sim_but_diff_ = std::make_unique<SimButDiff>(
-      &snapshot_->log(), options_.sim_but_diff, &snapshot_->columns(),
-      &snapshot_->pair_codes());
+      options_.sim_but_diff, &snapshot_->columns(), &snapshot_->pair_codes());
 }
 
 const RuleOfThumb& Engine::rule_of_thumb() const {
   std::call_once(rule_of_thumb_once_, [this] {
-    rule_of_thumb_ = std::make_unique<RuleOfThumb>(
-        &snapshot_->log(), options_.rule_of_thumb, &snapshot_->columns());
+    rule_of_thumb_ = std::make_unique<RuleOfThumb>(options_.rule_of_thumb,
+                                                   &snapshot_->columns());
   });
   return *rule_of_thumb_;
 }
@@ -176,9 +174,9 @@ Result<PreparedQuery> Engine::Prepare(const Query& query) const {
     return Status::InvalidArgument(
         "query must identify the pair of interest (FOR ... WHERE)");
   }
-  auto first = snapshot_->log().Find(bound.first_id);
+  auto first = snapshot_->columns().Find(bound.first_id);
   if (!first.ok()) return first.status();
-  auto second = snapshot_->log().Find(bound.second_id);
+  auto second = snapshot_->columns().Find(bound.second_id);
   if (!second.ok()) return second.status();
   prepared.poi_first_ = first.value();
   prepared.poi_second_ = second.value();
@@ -314,7 +312,7 @@ Status Engine::CheckPrepared(const PreparedQuery& prepared) const {
 
 Status Engine::AdmitRequest(const ExplainRequest& request) const {
   const EngineLimits& limits = options_.limits;
-  const std::size_t n = snapshot_->log().size();
+  const std::size_t n = snapshot_->columns().rows();
   if (limits.max_candidate_pairs > 0) {
     const std::size_t pairs = n > 1 ? n * (n - 1) : 0;
     if (pairs > limits.max_candidate_pairs) {
@@ -558,7 +556,7 @@ Result<ExplanationMetrics> Engine::Evaluate(
 Result<ExplanationMetrics> Engine::EvaluateOn(
     const ExecutionLog& test_log, const Query& query,
     const Explanation& explanation) const {
-  if (!(test_log.schema() == snapshot_->log().schema())) {
+  if (!(test_log.schema() == snapshot_->columns().schema())) {
     return Status::InvalidArgument("test log schema differs from training");
   }
   Query bound = query;

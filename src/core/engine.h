@@ -34,40 +34,35 @@ enum class Technique {
 
 const char* TechniqueToString(Technique technique);
 
-/// The immutable data a query runs against: one log of past executions,
-/// its pair schema, the dictionary-encoded columnar replica every scan
-/// reads, and the lazily filled PairCodeStore of packed per-pair isSame
-/// codes. A snapshot is built once and never mutated afterwards (the
-/// store's tiles are built on demand, each published once and never
-/// changed, so its fills are invisible to readers), so
+/// The immutable data a query runs against: the dictionary-encoded
+/// columns of one log of past executions (its only copy, which every scan
+/// reads), its pair schema, and the lazily filled PairCodeStore of packed
+/// per-pair isSame codes. A snapshot is built once and never mutated
+/// afterwards (the store's tiles are built on demand, each published once
+/// and never changed, so its fills are invisible to readers), so
 /// any number of Engines, PreparedQueries and worker threads may share one
 /// through a shared_ptr<const LogSnapshot> — the serving-engine split
 /// between shared immutable data and cheap per-request state.
 class LogSnapshot {
  public:
-  explicit LogSnapshot(ExecutionLog log)
+  explicit LogSnapshot(const ExecutionLog& log)
       : id_(NextId()),
-        log_(std::move(log)),
-        schema_(log_.schema()),
-        columns_(log_),
+        schema_(log.schema()),
+        columns_(log),
         pair_codes_(&columns_) {}
 
-  /// Incremental promotion: a snapshot of `log` that extends `base`.
-  /// `log` must be base's log plus appended records — same schema, first
-  /// base.log().size() records identical and in the same order (the
-  /// delta-log promoter constructs exactly this). The columnar replica
-  /// copies base's columns and ingests only the new rows; append-only
+  /// Incremental promotion: `base` with `appended` after its rows. The
+  /// columns copy base's and encode only the new records; append-only
   /// interning keeps every dictionary code identical, so the result is
-  /// bitwise indistinguishable from LogSnapshot(log) built cold at the
-  /// cost of the delta only. The pair-code store starts cold either way
-  /// (planes fill lazily); the promoter re-warms it by passing base's
-  /// filled plane as the seed of PairCodeStore::Acquire, which copies
-  /// old-row tiles and packs only pairs touching new rows.
-  LogSnapshot(ExecutionLog log, const LogSnapshot& base)
+  /// bitwise indistinguishable from a cold snapshot of the same records
+  /// at the cost of the delta only. The pair-code store starts cold
+  /// either way (planes fill lazily); the promoter re-warms it by passing
+  /// base's filled plane as the seed of PairCodeStore::Acquire, which
+  /// copies old-row tiles and packs only pairs touching new rows.
+  LogSnapshot(const LogSnapshot& base, std::vector<ExecutionRecord> appended)
       : id_(NextId()),
-        log_(std::move(log)),
-        schema_(log_.schema()),
-        columns_(base.columns_, log_),
+        schema_(base.schema_),
+        columns_(base.columns_, appended),
         pair_codes_(&columns_) {}
 
   LogSnapshot(const LogSnapshot&) = delete;
@@ -87,7 +82,6 @@ class LogSnapshot {
   /// re-issue a generation an on-disk checkpoint already names).
   static void EnsureNextIdAfter(std::uint64_t id);
 
-  const ExecutionLog& log() const { return log_; }
   const PairSchema& pair_schema() const { return schema_; }
   const ColumnarLog& columns() const { return columns_; }
   /// The snapshot-resident packed pair-code cache. Computed at most once
@@ -101,7 +95,6 @@ class LogSnapshot {
   static std::uint64_t NextId();
 
   std::uint64_t id_;
-  ExecutionLog log_;
   PairSchema schema_;
   ColumnarLog columns_;
   PairCodeStore pair_codes_;
@@ -294,7 +287,7 @@ struct ExplainResponse {
 /// validated and resolved to its pair of interest.
 ///
 /// Typical use:
-///   Engine engine(std::move(job_log));
+///   Engine engine(job_log);
 ///   auto prepared = engine.PrepareText(
 ///       "FOR J1, J2 WHERE J1.JobID = 'job_000001' AND "
 ///       "J2.JobID = 'job_000002' "
@@ -305,7 +298,7 @@ struct ExplainResponse {
 ///   auto response = engine.Explain(*prepared, request);
 class Engine {
  public:
-  explicit Engine(ExecutionLog log, EngineOptions options = {});
+  explicit Engine(const ExecutionLog& log, EngineOptions options = {});
   /// Shares an existing snapshot (e.g. with other Engines serving the
   /// same log under different options).
   explicit Engine(std::shared_ptr<const LogSnapshot> snapshot,
@@ -317,7 +310,9 @@ class Engine {
   const std::shared_ptr<const LogSnapshot>& snapshot() const {
     return snapshot_;
   }
-  const ExecutionLog& log() const { return snapshot_->log(); }
+  /// The snapshot's rows decoded to a fresh ExecutionLog (a copy, not a
+  /// view: bind it to a value before taking references into it).
+  ExecutionLog log() const { return snapshot_->columns().ToLog(); }
   const PairSchema& pair_schema() const { return snapshot_->pair_schema(); }
   const EngineOptions& options() const { return options_; }
   const Explainer& explainer() const { return *explainer_; }

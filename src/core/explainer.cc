@@ -252,11 +252,6 @@ std::vector<ExplanationAtom> GenerateClauseWith(
   return trace;
 }
 
-const ExecutionLog& CheckedLog(const ExecutionLog* log) {
-  PX_CHECK(log != nullptr);
-  return *log;
-}
-
 }  // namespace
 
 Status CheckDefinition1(const CompiledQuery& compiled, std::size_t first,
@@ -277,14 +272,10 @@ Status CheckDefinition1(const CompiledQuery& compiled, std::size_t first,
   return Status::OK();
 }
 
-Explainer::Explainer(const ExecutionLog* log, ExplainerOptions options,
-                     const ColumnarLog* columns)
-    : log_(&CheckedLog(log)),
-      options_(options),
-      schema_(log->schema()),
-      columnar_(columns) {
-  PX_CHECK(columns != nullptr);
-}
+Explainer::Explainer(ExplainerOptions options, const ColumnarLog* columns)
+    : options_(options),
+      schema_(CheckedColumns(columns).schema()),
+      columnar_(columns) {}
 
 std::vector<std::size_t> Explainer::ExcludedRawFeatures(
     const Query& bound_query) const {
@@ -297,11 +288,11 @@ std::vector<std::size_t> Explainer::ExcludedRawFeatures(
 }
 
 Result<std::vector<TrainingExample>> Explainer::BuildExamples(
-    const Query& bound_query, std::size_t poi_first,
+    const ExecutionLog& log, const Query& bound_query, std::size_t poi_first,
     std::size_t poi_second) const {
   Rng rng(options_.seed);
   auto examples = BuildTrainingExamples(
-      *log_, schema_, bound_query, poi_first, poi_second, options_.pair,
+      log, schema_, bound_query, poi_first, poi_second, options_.pair,
       options_.sampler, rng, options_.balanced_sampling);
   if (!examples.ok() || options_.max_pairs_per_record == 0) return examples;
   return EnforceRecordDiversity(std::move(examples).value(),

@@ -88,11 +88,9 @@ struct ExplainerOptions {
 /// the PreparedQuery's compiled programs, so no request recompiles.
 class Explainer {
  public:
-  /// `log` and `columns` must outlive the explainer; `columns` must be the
-  /// columnar copy of `log` (the Engine passes its snapshot's, so every
-  /// technique scans one replica).
-  Explainer(const ExecutionLog* log, ExplainerOptions options,
-            const ColumnarLog* columns);
+  /// `columns` must outlive the explainer (the Engine passes its
+  /// snapshot's, so every technique scans one replica).
+  Explainer(ExplainerOptions options, const ColumnarLog* columns);
 
   const PairSchema& pair_schema() const { return schema_; }
   const ExplainerOptions& options() const { return options_; }
@@ -188,10 +186,11 @@ class Explainer {
 
   /// The Value-path oracle of the sampler: builds (and balanced-samples)
   /// the training examples for a query Engine::Prepare bound, with the
-  /// pair of interest first.
+  /// pair of interest first, over `log` — the rows of this explainer's
+  /// columns as an ExecutionLog.
   Result<std::vector<TrainingExample>> BuildExamples(
-      const Query& bound_query, std::size_t poi_first,
-      std::size_t poi_second) const;
+      const ExecutionLog& log, const Query& bound_query,
+      std::size_t poi_first, std::size_t poi_second) const;
 
  private:
   static Predicate ClauseToPredicate(
@@ -216,7 +215,6 @@ class Explainer {
   Result<EncodedDataset> Encode(Result<std::vector<PairRef>> sampled,
                                 const ExplainerOptions& options) const;
 
-  const ExecutionLog* log_;
   ExplainerOptions options_;
   PairSchema schema_;
   const ColumnarLog* columnar_;

@@ -94,7 +94,7 @@ bool IsApplicable(const Explanation& explanation, const PairSchema& schema,
   // resolution (constants absent from the two records' dictionary, kind
   // mismatches) is correct here because the evaluated pair IS the whole
   // log. This was the last production consumer of PairFeatureView.
-  const ColumnarLog columns(schema.raw(), {&first, &second});
+  const ColumnarLog columns(schema.raw(), {first, second});
   const CompiledPredicate despite =
       CompiledPredicate::Compile(explanation.despite, schema, columns);
   if (!despite.Eval(0, 1, options.sim_fraction)) return false;

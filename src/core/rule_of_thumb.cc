@@ -19,12 +19,12 @@ Result<Explanation> FinishExplanation(Explanation explanation) {
 
 }  // namespace
 
-RuleOfThumb::RuleOfThumb(const ExecutionLog* log, RuleOfThumbOptions options,
+RuleOfThumb::RuleOfThumb(RuleOfThumbOptions options,
                          const ColumnarLog* columns)
-    : log_(log), options_(options), schema_(log->schema()), columns_(columns) {
-  PX_CHECK(log != nullptr);
-  PX_CHECK(columns != nullptr);
-  const std::size_t target = log_->schema().IndexOf(feature_names::kDuration);
+    : options_(options),
+      schema_(CheckedColumns(columns).schema()),
+      columns_(columns) {
+  const std::size_t target = schema_.raw().IndexOf(feature_names::kDuration);
   PX_CHECK_NE(target, Schema::kNotFound)
       << "log schema lacks a duration feature";
   Rng rng(options_.seed);
@@ -58,11 +58,12 @@ Result<Explanation> RuleOfThumb::ExplainPrepared(const Query& bound,
   return FinishExplanation(std::move(explanation));
 }
 
-Result<Explanation> RuleOfThumb::ExplainLegacy(const Query& bound,
+Result<Explanation> RuleOfThumb::ExplainLegacy(const ExecutionLog& log,
+                                               const Query& bound,
                                                std::size_t poi_first,
                                                std::size_t poi_second,
                                                std::size_t width) const {
-  PairFeatureView view(&schema_, &log_->at(poi_first), &log_->at(poi_second),
+  PairFeatureView view(&schema_, &log.at(poi_first), &log.at(poi_second),
                        &options_.pair);
 
   const std::vector<bool> excluded = OutcomeRawFeatureMask(bound, schema_);

@@ -33,11 +33,10 @@ struct RuleOfThumbOptions {
 /// Values), bitwise identical to the legacy path.
 class RuleOfThumb {
  public:
-  /// Ranks features once over `columns`, the columnar copy of `log`; both
-  /// must outlive this object (the Engine passes its snapshot's replica,
-  /// so all three techniques scan one).
-  RuleOfThumb(const ExecutionLog* log, RuleOfThumbOptions options,
-              const ColumnarLog* columns);
+  /// Ranks features once over `columns`, which must outlive this object
+  /// (the Engine passes its snapshot's replica, so all three techniques
+  /// scan one).
+  RuleOfThumb(RuleOfThumbOptions options, const ColumnarLog* columns);
 
   /// Feature ranking (raw-schema indexes, most important first).
   const std::vector<std::size_t>& ranking() const { return ranking_; }
@@ -52,14 +51,16 @@ class RuleOfThumb {
 
   /// The seed implementation (Value-path disagreement test), kept as the
   /// reference oracle for the equivalence tests and the in-binary
-  /// bench_micro baseline. Takes the same prepared inputs as
-  /// ExplainPrepared. Bitwise-identical explanations.
-  Result<Explanation> ExplainLegacy(const Query& bound, std::size_t poi_first,
+  /// bench_micro baseline. Reads the pair of interest from `log`, the
+  /// rows of this baseline's columns as an ExecutionLog, and takes the
+  /// same prepared inputs as ExplainPrepared. Bitwise-identical
+  /// explanations.
+  Result<Explanation> ExplainLegacy(const ExecutionLog& log,
+                                    const Query& bound, std::size_t poi_first,
                                     std::size_t poi_second,
                                     std::size_t width) const;
 
  private:
-  const ExecutionLog* log_;
   RuleOfThumbOptions options_;
   PairSchema schema_;
   const ColumnarLog* columns_;

@@ -83,16 +83,12 @@ Result<Explanation> ExplanationFromTallies(
 
 }  // namespace
 
-SimButDiff::SimButDiff(const ExecutionLog* log, SimButDiffOptions options,
-                       const ColumnarLog* columns, const PairCodeStore* store)
-    : log_(log),
-      options_(options),
-      schema_(log->schema()),
+SimButDiff::SimButDiff(SimButDiffOptions options, const ColumnarLog* columns,
+                       const PairCodeStore* store)
+    : options_(options),
+      schema_(CheckedColumns(columns).schema()),
       columns_(columns),
-      store_(store) {
-  PX_CHECK(log != nullptr);
-  PX_CHECK(columns != nullptr);
-}
+      store_(store) {}
 
 TilePool* SimButDiff::AcquireTiles(int threads) const {
   if (store_ == nullptr) return nullptr;
@@ -317,13 +313,14 @@ std::vector<Result<Explanation>> SimButDiff::ExplainPrepared(
   return results;
 }
 
-Result<Explanation> SimButDiff::ExplainLegacy(const Query& bound,
+Result<Explanation> SimButDiff::ExplainLegacy(const ExecutionLog& log,
+                                              const Query& bound,
                                               std::size_t poi_first,
                                               std::size_t poi_second,
                                               std::size_t width) const {
   const std::size_t k = schema_.raw_size();
-  PairFeatureView poi_view(&schema_, &log_->at(poi_first),
-                           &log_->at(poi_second), &options_.pair);
+  PairFeatureView poi_view(&schema_, &log.at(poi_first), &log.at(poi_second),
+                           &options_.pair);
   std::vector<Value> poi_is_same(k);
   for (std::size_t f = 0; f < k; ++f) {
     poi_is_same[f] = poi_view.Get(f);
@@ -340,7 +337,7 @@ Result<Explanation> SimButDiff::ExplainLegacy(const Query& bound,
   std::size_t similar_pairs = 0;
 
   ForEachOrderedPair(
-      *log_, schema_, options_.pair,
+      log, schema_, options_.pair,
       [&](std::size_t i, std::size_t j, const PairFeatureView& view) {
         if (i == poi_first && j == poi_second) return true;
         const PairLabel label = ClassifyPair(bound, view);

@@ -61,17 +61,15 @@ struct SimButDiffOptions {
 /// and streaming kernels.
 class SimButDiff {
  public:
-  /// `log` and `columns` must outlive this object; `columns` must be the
-  /// columnar copy of `log` (the Engine passes its snapshot's, so all
-  /// three techniques scan one replica). When `store` is non-null it must
-  /// be the PairCodeStore of `columns` (the Engine passes its snapshot's):
-  /// scans then read the snapshot-resident tiles of the store's TilePool
-  /// — the first acquisition of a plane fills it once, every later
-  /// sequential query skips packing entirely — subject to
-  /// SimButDiffOptions::pair_code_budget_bytes. A null store keeps the
+  /// `columns` must outlive this object (the Engine passes its
+  /// snapshot's, so all three techniques scan one replica). When `store`
+  /// is non-null it must be the PairCodeStore of `columns` (the Engine
+  /// passes its snapshot's): scans then read the snapshot-resident tiles
+  /// of the store's TilePool — the first acquisition of a plane fills it
+  /// once, every later sequential query skips packing entirely — subject
+  /// to SimButDiffOptions::pair_code_budget_bytes. A null store keeps the
   /// streaming fused pack-and-compare.
-  SimButDiff(const ExecutionLog* log, SimButDiffOptions options,
-             const ColumnarLog* columns,
+  SimButDiff(SimButDiffOptions options, const ColumnarLog* columns,
              const PairCodeStore* store = nullptr);
 
   /// The columnar replica every scan of this baseline reads.
@@ -107,10 +105,12 @@ class SimButDiff {
   /// The seed implementation (lazy Value views through
   /// ForEachOrderedPair), kept as the reference oracle: the randomized
   /// equivalence tests and the in-binary bench_micro baseline pin the
-  /// columnar path against it. Takes the bound query and pair of interest
+  /// columnar path against it. Scans `log`, the rows of this baseline's
+  /// columns as an ExecutionLog, with the bound query and pair of interest
   /// of a PreparedQuery, like ExplainPrepared. Bitwise-identical
   /// explanations.
-  Result<Explanation> ExplainLegacy(const Query& bound, std::size_t poi_first,
+  Result<Explanation> ExplainLegacy(const ExecutionLog& log,
+                                    const Query& bound, std::size_t poi_first,
                                     std::size_t poi_second,
                                     std::size_t width) const;
 
@@ -120,7 +120,6 @@ class SimButDiff {
   /// pool, else nullptr — every row streams.
   TilePool* AcquireTiles(int threads) const;
 
-  const ExecutionLog* log_;
   SimButDiffOptions options_;
   PairSchema schema_;
   const ColumnarLog* columns_;

@@ -162,17 +162,37 @@ void ColumnarLog::AllocateColumns() {
   for (std::size_t col = 0; col < k; ++col) {
     if (is_numeric(col)) {
       slot_[col] = static_cast<std::int32_t>(numeric_.size());
-      NumericColumn column;
-      column.values.assign(rows_, 0.0);
-      column.present = PresenceBitmap(rows_);
-      numeric_.push_back(std::move(column));
+      numeric_.emplace_back();
     } else {
       slot_[col] = static_cast<std::int32_t>(nominal_.size());
-      NominalColumn column;
-      column.codes.assign(rows_, StringInterner::kNoCode);
-      nominal_.push_back(std::move(column));
+      nominal_.emplace_back();
     }
   }
+}
+
+void ColumnarLog::Append(const std::vector<ExecutionRecord>& records,
+                         bool unique_ids) {
+  const std::size_t first = rows_;
+  rows_ += records.size();
+  for (NumericColumn& column : numeric_) {
+    column.values.resize(rows_, 0.0);
+    column.present.Resize(rows_);
+  }
+  for (NominalColumn& column : nominal_) {
+    column.codes.resize(rows_, StringInterner::kNoCode);
+  }
+  ids_.reserve(rows_);
+  row_of_.reserve(rows_);
+  std::size_t row = first;
+  for (const ExecutionRecord& record : records) {
+    PX_CHECK_EQ(record.values.size(), schema_.size())
+        << "record '" << record.id << "' does not match the schema";
+    const bool fresh = row_of_.emplace(record.id, row).second;
+    PX_CHECK(fresh || !unique_ids) << "duplicate record id: " << record.id;
+    ids_.push_back(record.id);
+    IngestRecord(row++, record);
+  }
+  BuildValueOrders();
 }
 
 void ColumnarLog::IngestRecord(std::size_t row, const ExecutionRecord& record) {
@@ -191,50 +211,29 @@ void ColumnarLog::IngestRecord(std::size_t row, const ExecutionRecord& record) {
   }
 }
 
-ColumnarLog::ColumnarLog(const ExecutionLog& log)
-    : schema_(log.schema()), rows_(log.size()) {
+ColumnarLog::ColumnarLog(const ExecutionLog& log) : schema_(log.schema()) {
   AllocateColumns();
-  for (std::size_t row = 0; row < rows_; ++row) {
-    IngestRecord(row, log.at(row));
-  }
-  BuildValueOrders();
+  Append(log.records(), /*unique_ids=*/true);
 }
 
 ColumnarLog::ColumnarLog(const Schema& schema,
-                         std::initializer_list<const ExecutionRecord*> records)
-    : schema_(schema), rows_(records.size()) {
+                         const std::vector<ExecutionRecord>& records)
+    : schema_(schema) {
   AllocateColumns();
-  std::size_t row = 0;
-  for (const ExecutionRecord* record : records) {
-    PX_CHECK(record != nullptr);
-    PX_CHECK_EQ(record->values.size(), schema_.size())
-        << "record does not match the schema";
-    IngestRecord(row++, *record);
-  }
-  BuildValueOrders();
+  Append(records, /*unique_ids=*/false);
 }
 
-ColumnarLog::ColumnarLog(const ColumnarLog& base, const ExecutionLog& full_log)
+ColumnarLog::ColumnarLog(const ColumnarLog& base,
+                         const std::vector<ExecutionRecord>& appended)
     : schema_(base.schema_),
-      rows_(full_log.size()),
+      rows_(base.rows_),
       slot_(base.slot_),
       numeric_(base.numeric_),
       nominal_(base.nominal_),
-      interner_(base.interner_.Clone()) {
-  PX_CHECK_GE(rows_, base.rows_) << "extension log shrank";
-  PX_CHECK_EQ(full_log.schema().size(), schema_.size())
-      << "extension log schema mismatch";
-  for (NumericColumn& column : numeric_) {
-    column.values.resize(rows_, 0.0);
-    column.present.Resize(rows_);
-  }
-  for (NominalColumn& column : nominal_) {
-    column.codes.resize(rows_, StringInterner::kNoCode);
-  }
-  for (std::size_t row = base.rows_; row < rows_; ++row) {
-    IngestRecord(row, full_log.at(row));
-  }
-  BuildValueOrders();
+      interner_(base.interner_.Clone()),
+      ids_(base.ids_),
+      row_of_(base.row_of_) {
+  Append(appended, /*unique_ids=*/true);
 }
 
 void ColumnarLog::BuildValueOrders() {
@@ -273,6 +272,37 @@ Value ColumnarLog::ValueAt(std::size_t row, std::size_t col) const {
   const std::int32_t code = nominal_column(col).codes[row];
   if (code == StringInterner::kNoCode) return Value::Missing();
   return Value::Nominal(interner_.StringOf(code));
+}
+
+Result<std::size_t> ColumnarLog::Find(const std::string& id) const {
+  auto it = row_of_.find(id);
+  if (it == row_of_.end()) {
+    return Status::NotFound("no record with id: " + id);
+  }
+  return it->second;
+}
+
+ExecutionRecord ColumnarLog::Record(std::size_t row) const {
+  PX_CHECK_LT(row, rows_);
+  std::vector<Value> values;
+  values.reserve(schema_.size());
+  for (std::size_t col = 0; col < schema_.size(); ++col) {
+    values.push_back(ValueAt(row, col));
+  }
+  return ExecutionRecord(ids_[row], std::move(values));
+}
+
+ExecutionLog ColumnarLog::ToLog() const {
+  ExecutionLog log(schema_);
+  for (std::size_t row = 0; row < rows_; ++row) {
+    PX_CHECK(log.Add(Record(row)).ok());
+  }
+  return log;
+}
+
+const ColumnarLog& CheckedColumns(const ColumnarLog* columns) {
+  PX_CHECK(columns != nullptr);
+  return *columns;
 }
 
 }  // namespace perfxplain

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -108,11 +107,13 @@ struct PairRef {
   bool observed = false;
 };
 
-/// Column-oriented, dictionary-encoded copy of an ExecutionLog, built once
-/// and scanned by the pair-feature kernels and compiled PXQL predicates.
-/// The source log is not retained; the columnar form is self-contained.
+/// Column-oriented, dictionary-encoded form of a log of executions: the one
+/// copy of the log a LogSnapshot holds. The pair-feature kernels and
+/// compiled PXQL predicates scan it; Record and ToLog decode it back to
+/// records bit for bit where a row form is needed.
 ///
 /// Layout and value semantics:
+///  - Record ids in row order, with a hash index behind Find.
 ///  - Numeric feature f -> NumericColumn: `values[row]` is the raw double,
 ///    `present` the missing bitmap. A missing cell stores 0.0 with its
 ///    presence bit clear — consumers must test presence before reading.
@@ -136,22 +137,22 @@ class ColumnarLog {
   explicit ColumnarLog(const ExecutionLog& log);
 
   /// Columnar form of a handful of ad-hoc records (not necessarily from any
-  /// log; duplicate ids are fine). Each record's value count must match
-  /// `schema`. Row r of the result is *records[r]. Used by the columnar
-  /// IsApplicable to evaluate compiled predicates over one record pair
-  /// without constructing a lazy PairFeatureView.
+  /// log; duplicate ids are fine, and Find returns the first). Each
+  /// record's value count must match `schema`. Row r of the result is
+  /// records[r]. Used by the columnar IsApplicable to evaluate compiled
+  /// predicates over one record pair without constructing a lazy
+  /// PairFeatureView.
   ColumnarLog(const Schema& schema,
-              std::initializer_list<const ExecutionRecord*> records);
+              const std::vector<ExecutionRecord>& records);
 
-  /// Incremental extension: columnar form of `full_log`, built by copying
-  /// `base`'s columns and ingesting only rows [base.rows(), full_log.size()).
-  /// Requires that `full_log` has the same schema as `base` and that its
-  /// first base.rows() records are the records `base` was built from, in the
-  /// same order (the snapshot-promotion path appends deltas after the old
-  /// log, so this holds by construction). Because the interner is append-only
-  /// and rows are ingested in log order, the result is bitwise identical to
-  /// ColumnarLog(full_log) built cold — same codes, same column contents.
-  ColumnarLog(const ColumnarLog& base, const ExecutionLog& full_log);
+  /// `base` with `appended` ingested after its rows: base's columns are
+  /// copied and only the new records encoded. Each record must match the
+  /// schema, pass CheckValueKinds and carry an id new to the log. Because
+  /// the interner is append-only, the result is bitwise identical to a
+  /// cold build of base's records followed by `appended` — same codes,
+  /// same column contents.
+  ColumnarLog(const ColumnarLog& base,
+              const std::vector<ExecutionRecord>& appended);
 
   std::size_t rows() const { return rows_; }
   const Schema& schema() const { return schema_; }
@@ -174,9 +175,22 @@ class ColumnarLog {
   /// never materialize Values).
   Value ValueAt(std::size_t row, std::size_t col) const;
 
+  /// Row of the record with `id`, or NotFound when absent.
+  Result<std::size_t> Find(const std::string& id) const;
+
+  /// The record of row `row`, decoded bit for bit.
+  ExecutionRecord Record(std::size_t row) const;
+
+  /// Every row decoded back to an ExecutionLog, in row order.
+  ExecutionLog ToLog() const;
+
  private:
-  /// Sizes the column pools for `rows_` rows of `schema_`.
+  /// Creates the (empty) column pools of `schema_`.
   void AllocateColumns();
+  /// The ingest loop of every constructor: grows the columns by the rows
+  /// of `records`, encodes and indexes each record, and rebuilds the value
+  /// orders.
+  void Append(const std::vector<ExecutionRecord>& records, bool unique_ids);
   /// Encodes one record into row `row` of the columns.
   void IngestRecord(std::size_t row, const ExecutionRecord& record);
   /// Builds value_orders_ from the columns' cells.
@@ -190,7 +204,13 @@ class ColumnarLog {
   StringInterner interner_;
   /// ValueOrder of each numeric column, in numeric_ order.
   std::vector<std::vector<std::uint32_t>> value_orders_;
+  std::vector<std::string> ids_;  ///< per row
+  std::unordered_map<std::string, std::size_t> row_of_;  ///< id -> first row
 };
+
+/// `*columns`, checked to be non-null: for constructors that read the
+/// columns in their initializer list.
+const ColumnarLog& CheckedColumns(const ColumnarLog* columns);
 
 }  // namespace perfxplain
 

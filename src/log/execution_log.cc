@@ -1,7 +1,6 @@
 #include "log/execution_log.h"
 
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/csv.h"
@@ -95,30 +94,31 @@ Status ExecutionLog::EnsureRecords(const ExecutionLog& source,
 }
 
 std::string ExecutionLog::ToCsvText() const {
-  std::vector<std::vector<std::string>> rows;
   std::vector<std::string> header = {"id"};
   std::vector<std::string> kinds = {"id"};
   for (const auto& def : schema_.defs()) {
     header.push_back(def.name);
     kinds.push_back(def.kind == ValueKind::kNumeric ? "numeric" : "nominal");
   }
-  rows.push_back(std::move(header));
-  rows.push_back(std::move(kinds));
+  std::string out = CsvEncodeRows({header, kinds});
   for (const auto& record : records_) {
-    std::vector<std::string> row = {record.id};
-    for (const auto& v : record.values) row.push_back(v.ToString());
-    rows.push_back(std::move(row));
+    out += CsvEncodeField(record.id);
+    for (const auto& v : record.values) {
+      out += ',';
+      // A quoted field reads back as a nominal, so the nominals that a bare
+      // field would read as missing are quoted.
+      out += CsvEncodeField(v.ToString(), v.is_nominal() &&
+                                              (v.nominal().empty() ||
+                                               v.nominal() == "?"));
+    }
+    out += '\n';
   }
-  return CsvEncodeRows(rows);
+  return out;
 }
 
 Result<ExecutionLog> ExecutionLog::LoadCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  auto rows_or = CsvParseText(buffer.str(), path);
+  std::vector<std::vector<bool>> quoted;
+  auto rows_or = CsvReadFile(path, &quoted);
   if (!rows_or.ok()) return rows_or.status();
   const auto& rows = rows_or.value();
   if (rows.size() < 2) {
@@ -151,8 +151,10 @@ Result<ExecutionLog> ExecutionLog::LoadCsv(const std::string& path) {
     std::vector<Value> values;
     values.reserve(row.size() - 1);
     for (std::size_t i = 1; i < row.size(); ++i) {
-      values.push_back(
-          Value::FromString(row[i], log.schema().at(i - 1).kind));
+      const ValueKind kind = log.schema().at(i - 1).kind;
+      values.push_back(quoted[r][i] && kind == ValueKind::kNominal
+                           ? Value::Nominal(row[i])
+                           : Value::FromString(row[i], kind));
     }
     PX_RETURN_IF_ERROR(log.Add(ExecutionRecord(row[0], std::move(values))));
   }

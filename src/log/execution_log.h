@@ -74,8 +74,10 @@ class ExecutionLog {
                        const std::vector<std::string>& ids);
 
   /// CSV persistence. First row: "id,<f1>,<f2>,..."; second row: feature
-  /// kinds ("numeric"/"nominal"); then one row per record with "?" for
-  /// missing values.
+  /// kinds ("numeric"/"nominal"); then one row per record with a bare "?"
+  /// for missing values. A quoted field always reads back as a nominal, so
+  /// the nominals "" and "?" are written quoted. Every value round-trips,
+  /// except that a NaN reads back as a NaN without its payload.
   Status SaveCsv(const std::string& path) const;
   static Result<ExecutionLog> LoadCsv(const std::string& path);
 

@@ -60,7 +60,7 @@ class DeltaLog {
 
   /// Validates and stages one record (AppendBatch of one): value count
   /// must match the schema, values must pass CheckValueKinds (as
-  /// promotion's ExecutionLog::Add requires), the id must be non-empty
+  /// promotion's ColumnarLog extension requires), the id must be non-empty
   /// and not already pending (including records currently draining). The
   /// caller (LiveEngine) is responsible for rejecting ids already present
   /// in the served base log.

@@ -25,7 +25,7 @@ double MsSince(Clock::time_point start) {
 
 }  // namespace
 
-LiveEngine::LiveEngine(ExecutionLog log, EngineOptions options,
+LiveEngine::LiveEngine(const ExecutionLog& log, EngineOptions options,
                        RotationPolicy policy)
     : options_(std::move(options)), policy_(policy), delta_(log.schema()) {
   // Successive generations must share one ResultCache so rotation can
@@ -37,7 +37,7 @@ LiveEngine::LiveEngine(ExecutionLog log, EngineOptions options,
   }
   MutexLock lock(state_mutex_);
   current_ = std::make_shared<const Engine>(
-      std::make_shared<const LogSnapshot>(std::move(log)), options_);
+      std::make_shared<const LogSnapshot>(log), options_);
 }
 
 LiveEngine::~LiveEngine() { StopPromoter(); }
@@ -55,7 +55,7 @@ std::uint64_t LiveEngine::generation() const {
 Status LiveEngine::CheckNotServed(
     const std::vector<ExecutionRecord>& records) const {
   for (const ExecutionRecord& record : records) {
-    if (current_->log().Find(record.id).ok()) {
+    if (current_->snapshot()->columns().Find(record.id).ok()) {
       return Status::InvalidArgument("record id '" + record.id +
                                      "' already exists in the served log");
     }
@@ -165,7 +165,7 @@ Result<RotationStats> LiveEngine::Rotate(const RotateRequest& request) {
   RotationStats stats;
   stats.old_snapshot_id = old_engine->snapshot()->id();
   stats.new_snapshot_id = stats.old_snapshot_id;
-  stats.total_rows = old_engine->log().size();
+  stats.total_rows = old_engine->snapshot()->columns().rows();
 
   std::vector<ExecutionRecord> drained;
   std::uint64_t drain_through = 0;
@@ -188,7 +188,7 @@ Result<RotationStats> LiveEngine::Rotate(const RotateRequest& request) {
   // the snapshot past the candidate-pair ceiling (installing it would make
   // every subsequent request inadmissible anyway). The deltas stay staged
   // so the caller can raise the limit and retry.
-  const std::size_t total = old_engine->log().size() + drained.size();
+  const std::size_t total = stats.total_rows + drained.size();
   if (options_.limits.max_candidate_pairs > 0) {
     const std::size_t pairs = total > 1 ? total * (total - 1) : 0;
     if (pairs > options_.limits.max_candidate_pairs) {
@@ -209,21 +209,12 @@ Result<RotationStats> LiveEngine::Rotate(const RotateRequest& request) {
   }
   ScopedExecContext scoped(context.empty() ? nullptr : &context);
   try {
-    // Fold the drained records after the served log, in append order —
-    // exactly the prefix property the incremental LogSnapshot constructor
-    // and the interner's append-only codes rely on.
-    ExecutionLog next_log = old_engine->log();
-    for (ExecutionRecord& record : drained) {
-      ThrowIfInterrupted();
-      if (Status added = next_log.Add(std::move(record)); !added.ok()) {
-        // Unreachable when Append's validation holds; fail soft anyway.
-        delta_.AbortDrain();
-        return added;
-      }
-    }
+    // Extend the served columns by the drained records, in append order.
+    // Append validated every record's arity, kinds and id.
+    ThrowIfInterrupted();
     const std::size_t promoted = drained.size();
     auto next_snapshot = std::make_shared<const LogSnapshot>(
-        std::move(next_log), *old_engine->snapshot());
+        *old_engine->snapshot(), std::move(drained));
 
     // Re-warm the pair-code plane incrementally when the old generation's
     // was filled and the grown plane still fits the engine's budget:
@@ -247,7 +238,7 @@ Result<RotationStats> LiveEngine::Rotate(const RotateRequest& request) {
 
     stats.new_snapshot_id = next_snapshot->id();
     stats.promoted_rows = promoted;
-    stats.total_rows = next_snapshot->log().size();
+    stats.total_rows = next_snapshot->columns().rows();
 
     // Durability epilogue — everything here is fail-soft: the swap
     // already happened, and on any failure the WAL keeps every segment,
@@ -262,7 +253,7 @@ Result<RotationStats> LiveEngine::Rotate(const RotateRequest& request) {
     if (durability_.checkpoint_on_rotate &&
         !durability_.checkpoint_dir.empty()) {
       Status written = SnapshotCheckpoint::Write(
-          durability_.checkpoint_dir, next_snapshot->log(),
+          durability_.checkpoint_dir, next_snapshot->columns(),
           next_snapshot->id(), drain_through, fs_);
       if (written.ok()) {
         stats.checkpointed = true;
@@ -358,8 +349,13 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Recover(
     LogSnapshot::EnsureNextIdAfter(replay.drained_generation);
   }
 
-  auto engine = std::make_unique<LiveEngine>(std::move(base),
-                                             std::move(options), policy);
+  // The engine keeps only the columns, so the row copy ends with this
+  // block, before the tail is re-applied and rotated in.
+  std::unique_ptr<LiveEngine> engine;
+  {
+    const ExecutionLog served = std::move(base);
+    engine = std::make_unique<LiveEngine>(served, std::move(options), policy);
+  }
   engine->durability_ = durability;
   engine->fs_ = fs;
 

@@ -153,7 +153,7 @@ struct RotationStats {
 /// containing them), never a gap.
 class LiveEngine {
  public:
-  explicit LiveEngine(ExecutionLog log, EngineOptions options = {},
+  explicit LiveEngine(const ExecutionLog& log, EngineOptions options = {},
                       RotationPolicy policy = {});
   ~LiveEngine();
 

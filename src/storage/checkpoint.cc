@@ -27,25 +27,26 @@ Status CorruptAt(const std::string& path, std::uint64_t offset,
 
 /// The whole file: magic, header frame, one record frame per row in log
 /// order, end frame.
-std::string EncodeCheckpoint(const ExecutionLog& log, std::uint64_t generation,
+std::string EncodeCheckpoint(const ColumnarLog& columns,
+                             std::uint64_t generation,
                              std::uint64_t wal_through) {
   std::string out(kCheckpointMagic, kMagicBytes);
   std::string payload;
   PutU64(payload, generation);
   PutU64(payload, wal_through);
-  PutU32(payload, static_cast<std::uint32_t>(log.schema().size()));
-  for (const FeatureDef& def : log.schema().defs()) {
+  PutU32(payload, static_cast<std::uint32_t>(columns.schema().size()));
+  for (const FeatureDef& def : columns.schema().defs()) {
     PutU8(payload, static_cast<std::uint8_t>(def.kind));
     PutBytes(payload, def.name);
   }
   AppendFrame(out, kFrameCheckpointHeader, payload);
-  for (const ExecutionRecord& record : log.records()) {
+  for (std::size_t row = 0; row < columns.rows(); ++row) {
     payload.clear();
-    SerializeRecord(record, payload);
+    SerializeRecord(columns.Record(row), payload);
     AppendFrame(out, kFrameRecord, payload);
   }
   payload.clear();
-  PutU64(payload, log.size());
+  PutU64(payload, columns.rows());
   AppendFrame(out, kFrameCheckpointEnd, payload);
   return out;
 }
@@ -76,7 +77,7 @@ std::string CheckpointFileName(std::uint64_t generation) {
 }
 
 Status SnapshotCheckpoint::Write(const std::string& dir,
-                                 const ExecutionLog& log,
+                                 const ColumnarLog& columns,
                                  std::uint64_t generation,
                                  std::uint64_t wal_through, FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
@@ -93,7 +94,7 @@ Status SnapshotCheckpoint::Write(const std::string& dir,
     Result<std::unique_ptr<WritableFile>> file = fs->OpenForAppend(tmp_path);
     if (!file.ok()) return file.status();
     PX_RETURN_IF_ERROR(
-        (*file)->Append(EncodeCheckpoint(log, generation, wal_through)));
+        (*file)->Append(EncodeCheckpoint(columns, generation, wal_through)));
     PX_RETURN_IF_ERROR((*file)->Sync());
     PX_RETURN_IF_ERROR((*file)->Close());
   }

@@ -5,13 +5,14 @@
 #include <string>
 
 #include "common/status.h"
+#include "log/columnar.h"
 #include "log/execution_log.h"
 #include "storage/file_io.h"
 
 namespace perfxplain {
 
 /// Durable snapshot checkpoints for the live-serving engine. A checkpoint
-/// captures the promoted ExecutionLog (schema included), the snapshot
+/// captures the promoted snapshot's rows (schema included), the snapshot
 /// generation that produced it, and the highest WAL batch sequence folded
 /// into it; recovery loads the newest checkpoint and replays only the WAL
 /// tail past `wal_through`.
@@ -38,10 +39,11 @@ struct CheckpointContents {
 
 class SnapshotCheckpoint {
  public:
-  /// Durably writes `log` as generation `generation`, then deletes older
-  /// checkpoints and stale tmp files (best-effort). On return the
-  /// new checkpoint is the one LoadLatest will pick, or nothing changed.
-  static Status Write(const std::string& dir, const ExecutionLog& log,
+  /// Durably writes the rows of `columns` as generation `generation`, then
+  /// deletes older checkpoints and stale tmp files (best-effort). On
+  /// return the new checkpoint is the one LoadLatest will pick, or nothing
+  /// changed.
+  static Status Write(const std::string& dir, const ColumnarLog& columns,
                       std::uint64_t generation, std::uint64_t wal_through,
                       FileSystem* fs = nullptr);
 

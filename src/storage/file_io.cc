@@ -94,6 +94,11 @@ class PosixFileSystem : public FileSystem {
   }
 
   Result<std::string> ReadFile(const std::string& path) override {
+    // An ifstream opens a directory and reads it as empty.
+    std::error_code ec;
+    if (stdfs::is_directory(path, ec)) {
+      return Status::IoError("cannot read '" + path + "': is a directory");
+    }
     std::ifstream in(path, std::ios::binary);
     if (!in) return Status::IoError("cannot open for reading: " + path);
     std::ostringstream buffer;

@@ -86,11 +86,11 @@ Result<Explanation> Columnar(const SimButDiff& baseline,
                        EnumerationOptions{threads})
       .front();
 }
-Result<Explanation> Legacy(const SimButDiff& baseline,
+Result<Explanation> Legacy(const SimButDiff& baseline, const ExecutionLog& log,
                            const Result<PreparedQuery>& prepared,
                            std::size_t width) {
   if (!prepared.ok()) return prepared.status();
-  return baseline.ExplainLegacy(prepared->bound(), prepared->poi_first(),
+  return baseline.ExplainLegacy(log, prepared->bound(), prepared->poi_first(),
                                 prepared->poi_second(), width);
 }
 
@@ -103,10 +103,11 @@ Result<Explanation> Columnar(const RuleOfThumb& baseline,
                                   prepared->poi_second(), width);
 }
 Result<Explanation> Legacy(const RuleOfThumb& baseline,
+                           const ExecutionLog& log,
                            const Result<PreparedQuery>& prepared,
                            std::size_t width) {
   if (!prepared.ok()) return prepared.status();
-  return baseline.ExplainLegacy(prepared->bound(), prepared->poi_first(),
+  return baseline.ExplainLegacy(log, prepared->bound(), prepared->poi_first(),
                                 prepared->poi_second(), width);
 }
 
@@ -153,13 +154,12 @@ TEST(BaselineEquivalenceTest, SimButDiffMatchesLegacyOnAwkwardLogs) {
     for (double threshold : {0.9, 0.5, 1.0}) {
       SimButDiffOptions options;
       options.similarity_threshold = threshold;
-      const SimButDiff baseline(&engine.log(), options,
-                                &engine.snapshot()->columns());
+      const SimButDiff baseline(options, &engine.snapshot()->columns());
       for (std::size_t width : {1u, 2u, 4u}) {
         auto explanation = Columnar(baseline, prepared, width);
         if (explanation.ok()) ++produced;
         ExpectSameExplanation(
-            explanation, Legacy(baseline, prepared, width),
+            explanation, Legacy(baseline, log, prepared, width),
             StrFormat("seed %llu threshold %.1f width %zu",
                       static_cast<unsigned long long>(seed), threshold,
                       width));
@@ -181,8 +181,7 @@ TEST(BaselineEquivalenceTest, SimButDiffThreadCountIsObservationFree) {
   for (int threads : {1, 2, 3, 7}) {
     SimButDiffOptions options;
     options.threads = threads;
-    const SimButDiff baseline(&engine.log(), options,
-                              &engine.snapshot()->columns());
+    const SimButDiff baseline(options, &engine.snapshot()->columns());
     auto explanation = Columnar(baseline, prepared, 3, threads);
     if (threads == 1) {
       single = std::move(explanation);
@@ -196,8 +195,7 @@ TEST(BaselineEquivalenceTest, SimButDiffThreadCountIsObservationFree) {
 TEST(BaselineEquivalenceTest, SimButDiffEmptyResultQueries) {
   const ExecutionLog log = AwkwardRandomLog(21, 30);
   const Engine engine(log);
-  const SimButDiff baseline(&engine.log(), SimButDiffOptions(),
-                            &engine.snapshot()->columns());
+  const SimButDiff baseline(SimButDiffOptions(), &engine.snapshot()->columns());
 
   // A despite level no pair feature can produce compiles to always-false;
   // the legacy path scans and relates nothing. Same FailedPrecondition.
@@ -206,7 +204,7 @@ TEST(BaselineEquivalenceTest, SimButDiffEmptyResultQueries) {
   impossible.second_id = log.at(1).id;
   const auto impossible_prepared = engine.Prepare(impossible);
   ExpectSameExplanation(Columnar(baseline, impossible_prepared, 2),
-                        Legacy(baseline, impossible_prepared, 2),
+                        Legacy(baseline, log, impossible_prepared, 2),
                         "always-false despite");
 
   // A diff constant outside the dictionary behaves the same way.
@@ -215,7 +213,7 @@ TEST(BaselineEquivalenceTest, SimButDiffEmptyResultQueries) {
   unseen.second_id = log.at(1).id;
   const auto unseen_prepared = engine.Prepare(unseen);
   ExpectSameExplanation(Columnar(baseline, unseen_prepared, 2),
-                        Legacy(baseline, unseen_prepared, 2),
+                        Legacy(baseline, log, unseen_prepared, 2),
                         "out-of-dictionary diff constant");
 
   // Unknown record ids fail identically, in Prepare, before any scan.
@@ -224,7 +222,7 @@ TEST(BaselineEquivalenceTest, SimButDiffEmptyResultQueries) {
   unknown.second_id = "gone";
   const auto unknown_prepared = engine.Prepare(unknown);
   ExpectSameExplanation(Columnar(baseline, unknown_prepared, 2),
-                        Legacy(baseline, unknown_prepared, 2),
+                        Legacy(baseline, log, unknown_prepared, 2),
                         "unknown ids");
 }
 
@@ -264,7 +262,7 @@ TEST(BaselineEquivalenceTest, RuleOfThumbMatchesLegacyOnAwkwardLogs) {
   for (std::uint64_t seed : {31u, 32u, 33u}) {
     const ExecutionLog log = AwkwardRandomLog(seed, 40);
     const Engine engine(log);
-    const RuleOfThumb baseline(&engine.log(), RuleOfThumbOptions(),
+    const RuleOfThumb baseline(RuleOfThumbOptions(),
                                &engine.snapshot()->columns());
 
     // The constructor's ranking already runs columnar; pin it against an
@@ -284,7 +282,7 @@ TEST(BaselineEquivalenceTest, RuleOfThumbMatchesLegacyOnAwkwardLogs) {
         auto explanation = Columnar(baseline, prepared, width);
         if (explanation.ok()) ++produced;
         ExpectSameExplanation(
-            explanation, Legacy(baseline, prepared, width),
+            explanation, Legacy(baseline, log, prepared, width),
             StrFormat("seed %llu skip %zu width %zu",
                       static_cast<unsigned long long>(seed), skip, width));
       }
@@ -296,7 +294,7 @@ TEST(BaselineEquivalenceTest, RuleOfThumbMatchesLegacyOnAwkwardLogs) {
     agree.second_id = agree.first_id;
     const auto agree_prepared = engine.Prepare(agree);
     ExpectSameExplanation(Columnar(baseline, agree_prepared, 3),
-                          Legacy(baseline, agree_prepared, 3),
+                          Legacy(baseline, log, agree_prepared, 3),
                           "self-pair agrees everywhere");
   }
   EXPECT_GT(produced, 0u);

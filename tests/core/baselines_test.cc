@@ -47,7 +47,7 @@ class BaselinesTest : public ::testing::Test {
 
 TEST_F(BaselinesTest, RuleOfThumbRanksCauseHighly) {
   const ColumnarLog columns(log_);
-  RuleOfThumb baseline(&log_, RuleOfThumbOptions(), &columns);
+  RuleOfThumb baseline(RuleOfThumbOptions(), &columns);
   const auto& ranking = baseline.ranking();
   ASSERT_EQ(ranking.size(), log_.schema().size() - 1);  // duration excluded
   // `cause` (index 0) must rank above both decoys.

@@ -115,7 +115,7 @@ TEST(ClauseGrowthEquivalenceTest, EncodedTraceMatchesValueOracleBitwise) {
     ExplainerOptions options;
     options.pair.sim_fraction = kSimFraction;
     options.normalize_scores = round % 3 != 0;
-    const Explainer explainer(&log, options, &columns);
+    const Explainer explainer(options, &columns);
     const PairSchema& schema = explainer.pair_schema();
     const std::vector<PairRef> pairs = RandomPairs(
         rng, log.size(), static_cast<std::size_t>(rng.UniformInt(8, 120)));

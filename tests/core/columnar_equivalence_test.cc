@@ -369,7 +369,7 @@ TEST(ColumnarEquivalenceTest, EncodedExplainMatchesValuePipeline) {
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   const Query& bound = prepared->bound();
   auto value_examples = explainer.BuildExamples(
-      bound, prepared->poi_first(), prepared->poi_second());
+      log, bound, prepared->poi_first(), prepared->poi_second());
   ASSERT_TRUE(value_examples.ok());
   const std::vector<ExplanationAtom> value_trace = explainer.GenerateClause(
       value_examples.value(), options.width, /*target_expected=*/false,

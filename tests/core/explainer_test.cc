@@ -314,7 +314,7 @@ TEST_F(ExplainerTest, BuildExamplesIncludesPoiFirst) {
   const std::size_t first = log_.Find(query.first_id).value();
   const std::size_t second = log_.Find(query.second_id).value();
   auto examples = engine.explainer().BuildExamples(
-      prepared->bound(), prepared->poi_first(), prepared->poi_second());
+      log_, prepared->bound(), prepared->poi_first(), prepared->poi_second());
   ASSERT_TRUE(examples.ok());
   ASSERT_FALSE(examples->empty());
   EXPECT_EQ(examples->front().first, first);

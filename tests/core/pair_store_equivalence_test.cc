@@ -92,10 +92,10 @@ TEST(PairCodeStoreEquivalenceTest, ResidentMatchesStreamingAndLegacy) {
     const auto reference_prepared = reference_engine.Prepare(query);
     ASSERT_TRUE(reference_prepared.ok())
         << reference_prepared.status().ToString();
-    const SimButDiff legacy(&reference_engine.log(), SimButDiffOptions(),
+    const SimButDiff legacy(SimButDiffOptions(),
                             &reference_engine.snapshot()->columns());
     const auto reference = legacy.ExplainLegacy(
-        reference_prepared->bound(), reference_prepared->poi_first(),
+        log, reference_prepared->bound(), reference_prepared->poi_first(),
         reference_prepared->poi_second(), 3);
 
     for (int threads : {1, 2, 5, 8}) {
@@ -199,7 +199,7 @@ TEST(PairCodeStoreEquivalenceTest, EquiJoinPruningIsBitwiseAtEveryBudget) {
             SimButDiffOptions options;
             options.similarity_threshold = 0.5;
             options.pair_code_budget_bytes = budget;
-            const SimButDiff baseline(&log, options, &columns, &store);
+            const SimButDiff baseline(options, &columns, &store);
             const CompiledQuery compiled =
                 CompiledQuery::Compile(bound, schema, columns);
             ASSERT_TRUE(
@@ -483,13 +483,12 @@ TEST(PairCodeStoreEquivalenceTest, RandomizedBatchMatchesPerCallAndLegacy) {
     }
 
     const Engine reference(log);
-    const SimButDiff legacy(&reference.log(), sim_but_diff,
-                            &reference.snapshot()->columns());
+    const SimButDiff legacy(sim_but_diff, &reference.snapshot()->columns());
     std::vector<Result<Explanation>> expected;
     for (std::size_t q = 0; q < batch_size; ++q) {
       auto prepared = reference.Prepare(queries[q]);
       ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-      expected.push_back(legacy.ExplainLegacy(prepared->bound(),
+      expected.push_back(legacy.ExplainLegacy(log, prepared->bound(),
                                               prepared->poi_first(),
                                               prepared->poi_second(),
                                               widths[q]));

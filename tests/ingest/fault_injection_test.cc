@@ -264,7 +264,7 @@ TEST_F(FaultInjectionTest, CorruptedCheckpointSurvivesSweep) {
   ASSERT_TRUE(FileSystem::Default()->RemoveAll(dir).ok());
   const ExecutionLog log = perfxplain::testing::AdversarialLog(
       perfxplain::testing::AdversarialLogSpecs().front());
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir, log, 3, 5).ok());
+  ASSERT_TRUE(SnapshotCheckpoint::Write(dir, ColumnarLog(log), 3, 5).ok());
   const std::string reference = log.ToCsvText();
 
   const std::string path = dir + "/" + CheckpointFileName(3);

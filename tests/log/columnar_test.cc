@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -175,6 +176,118 @@ ExecutionLog Prefix(const ExecutionLog& log, std::size_t rows) {
   return prefix;
 }
 
+/// Records `rows`.. of `log`, the records an extension appends.
+std::vector<ExecutionRecord> Suffix(const ExecutionLog& log,
+                                    std::size_t rows) {
+  return std::vector<ExecutionRecord>(log.records().begin() + rows,
+                                      log.records().end());
+}
+
+/// Every edge of the cell kinds — signed zeros, NaNs, infinities,
+/// subnormals, the nominals "" and "?" and strings holding a line break,
+/// missing cells — under ids in no sorted order.
+ExecutionLog EdgeValueLog() {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<Value> numbers = {
+      Value::Number(0.0),
+      Value::Number(-0.0),
+      Value::Number(Limits::quiet_NaN()),
+      Value::Number(-Limits::quiet_NaN()),
+      Value::Number(Limits::infinity()),
+      Value::Number(-Limits::infinity()),
+      Value::Number(Limits::denorm_min()),
+      Value::Number(-Limits::denorm_min()),
+      Value::Number(std::nextafter(Limits::min(), 0.0)),
+      Value::Missing(),
+      Value::Number(0.1)};
+  const std::vector<Value> nominals = {
+      Value::Nominal(""),           Value::Nominal("?"),
+      Value::Nominal("line\nbreak"), Value::Missing(),
+      Value::Nominal("\n"),         Value::Nominal("T")};
+  const std::vector<std::string> ids = {"r9", "a",   "r10", "zz",  "b?", "m",
+                                        "r1", "r01", "c\nd", "0",  "?"};
+  Schema schema;
+  PX_CHECK(schema.Add("x", ValueKind::kNumeric).ok());
+  PX_CHECK(schema.Add("name", ValueKind::kNominal).ok());
+  PX_CHECK(schema.Add("y", ValueKind::kNumeric).ok());
+  ExecutionLog log(schema);
+  for (std::size_t row = 0; row < ids.size(); ++row) {
+    PX_CHECK(log.Add(ExecutionRecord(
+                         ids[row],
+                         {numbers[row % numbers.size()],
+                          nominals[row % nominals.size()],
+                          numbers[(row * 7 + 3) % numbers.size()]}))
+                 .ok());
+  }
+  return log;
+}
+
+/// `columns` decodes to exactly `log`: the same ids, and every cell the
+/// same kind and bytes (doubles compared by representation).
+void ExpectDecodesTo(const ColumnarLog& columns, const ExecutionLog& log,
+                     const std::string& context) {
+  ASSERT_EQ(columns.rows(), log.size()) << context;
+  const ExecutionLog decoded = columns.ToLog();
+  ASSERT_EQ(decoded.size(), log.size()) << context;
+  for (std::size_t row = 0; row < log.size(); ++row) {
+    const ExecutionRecord record = columns.Record(row);
+    EXPECT_EQ(record.id, log.at(row).id) << context;
+    EXPECT_EQ(decoded.at(row).id, log.at(row).id) << context;
+    for (std::size_t col = 0; col < log.schema().size(); ++col) {
+      const std::string where =
+          StrFormat("%s row %zu col %zu", context.c_str(), row, col);
+      const Value& expected = log.at(row).values[col];
+      for (const Value* actual :
+           {&record.values[col], &decoded.at(row).values[col]}) {
+        ASSERT_EQ(actual->kind(), expected.kind()) << where;
+        if (expected.is_numeric()) {
+          const double a = actual->number();
+          const double e = expected.number();
+          EXPECT_EQ(std::memcmp(&a, &e, sizeof e), 0) << where;
+        } else if (expected.is_nominal()) {
+          EXPECT_EQ(actual->nominal(), expected.nominal()) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnarLogDecodeTest, ColdAndExtendedColumnsDecodeToTheLog) {
+  const ExecutionLog log = EdgeValueLog();
+  ExpectDecodesTo(ColumnarLog(log), log, "cold");
+  for (std::size_t base_rows : {std::size_t{0}, std::size_t{1},
+                                log.size() / 2, log.size()}) {
+    const ColumnarLog extended(ColumnarLog(Prefix(log, base_rows)),
+                               Suffix(log, base_rows));
+    ExpectDecodesTo(extended, log, StrFormat("base %zu", base_rows));
+  }
+}
+
+TEST(ColumnarLogDecodeTest, FindReturnsEveryRowAndNotFoundOtherwise) {
+  const ExecutionLog log = EdgeValueLog();
+  const ColumnarLog cold(log);
+  const ColumnarLog extended(ColumnarLog(Prefix(log, 4)), Suffix(log, 4));
+  for (const ColumnarLog* columns : {&cold, &extended}) {
+    for (std::size_t row = 0; row < log.size(); ++row) {
+      auto found = columns->Find(log.at(row).id);
+      ASSERT_TRUE(found.ok()) << found.status().ToString();
+      EXPECT_EQ(*found, row);
+    }
+    auto absent = columns->Find("r2");
+    ASSERT_FALSE(absent.ok());
+    EXPECT_EQ(absent.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(absent.status().message(), log.Find("r2").status().message());
+  }
+}
+
+TEST(ColumnarLogDecodeTest, AdHocRecordsMayRepeatAnId) {
+  const ExecutionLog log = EdgeValueLog();
+  const ColumnarLog pair(log.schema(), {log.at(3), log.at(3)});
+  ASSERT_EQ(pair.rows(), 2u);
+  EXPECT_EQ(pair.Record(1).id, log.at(3).id);
+  EXPECT_EQ(pair.Find(log.at(3).id).value(), 0u);
+}
+
 /// ValueOrder(col) lists exactly the present, non-NaN rows of the column,
 /// by ascending value and, among equal values, ascending row.
 void ExpectValueOrder(const ColumnarLog& columns, std::size_t col,
@@ -210,8 +323,7 @@ TEST(ColumnarLogOrderTest, AscendingOverPresentNonNanCells) {
   }
   // The ad-hoc records constructor orders its rows too.
   const ExecutionLog log = TiedNumericLog(4, 3);
-  const ColumnarLog records(log.schema(),
-                            {&log.at(2), &log.at(0), &log.at(1)});
+  const ColumnarLog records(log.schema(), {log.at(2), log.at(0), log.at(1)});
   ExpectValueOrder(records, 0, "records col 0");
   ExpectValueOrder(records, 2, "records col 2");
 }
@@ -225,7 +337,7 @@ TEST(ColumnarLogOrderTest, IncrementalOrderMatchesCold) {
     for (std::size_t col : {std::size_t{0}, std::size_t{2}}) {
       ExpectValueOrder(base, col, "base");
     }
-    const ColumnarLog extended(base, full);
+    const ColumnarLog extended(base, Suffix(full, base_rows));
     for (std::size_t col : {std::size_t{0}, std::size_t{2}}) {
       EXPECT_EQ(extended.ValueOrder(col), cold.ValueOrder(col))
           << delta_percent << "% delta, col " << col;
@@ -291,7 +403,8 @@ TEST(ColumnarLogOrderTest, AscendingOnSpreadAndClusteredValues) {
   for (std::uint64_t seed : {31u, 32u, 33u}) {
     const ExecutionLog full = SpreadNumericLog(seed, 1500);
     const ColumnarLog cold(full);
-    const ColumnarLog extended(ColumnarLog(Prefix(full, 1100)), full);
+    const ColumnarLog extended(ColumnarLog(Prefix(full, 1100)),
+                               Suffix(full, 1100));
     for (std::size_t col : {std::size_t{0}, std::size_t{1}}) {
       const std::string context =
           StrFormat("seed %d col %zu", static_cast<int>(seed), col);

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <vector>
 
 #include "common/csv.h"
 #include "testing/test_util.h"
@@ -119,6 +124,57 @@ TEST(ExecutionLogTest, EnsureRecordsRejectsSchemaMismatch) {
   PX_CHECK(other.Add("z", ValueKind::kNumeric).ok());
   ExecutionLog different(other);
   EXPECT_FALSE(log.EnsureRecords(different, {"x"}).ok());
+}
+
+TEST(ExecutionLogTest, CsvRoundTripKeepsEveryValue) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<Value> nominals = {
+      Value::Nominal(""),          Value::Nominal("?"),
+      Value::Nominal("a,b"),       Value::Nominal("say \"hi\""),
+      Value::Nominal("line\nbreak"), Value::Missing()};
+  const std::vector<Value> numbers = {
+      Value::Number(-0.0),          Value::Number(Limits::infinity()),
+      Value::Number(-Limits::infinity()), Value::Number(4.9e-324),
+      Value::Number(Limits::max()), Value::Number(-Limits::max()),
+      Value::Number(0.1),           Value::Missing(),
+      Value::Number(Limits::quiet_NaN())};
+  Schema schema;
+  ASSERT_TRUE(schema.Add("number", ValueKind::kNumeric).ok());
+  ASSERT_TRUE(schema.Add("name", ValueKind::kNominal).ok());
+  ExecutionLog log(schema);
+  const std::size_t rows = std::max(nominals.size(), numbers.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    ASSERT_TRUE(log.Add(ExecutionRecord(
+                            "r" + std::to_string(r),
+                            {numbers[r % numbers.size()],
+                             nominals[r % nominals.size()]}))
+                    .ok());
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("px_log_roundtrip_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  ASSERT_TRUE(log.SaveCsv(path).ok());
+  auto loaded = ExecutionLog::LoadCsv(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->size(), log.size());
+  for (std::size_t r = 0; r < log.size(); ++r) {
+    EXPECT_EQ(loaded->at(r).id, log.at(r).id);
+    const Value& number = log.at(r).values[0];
+    const Value& read = loaded->at(r).values[0];
+    ASSERT_EQ(read.kind(), number.kind()) << "row " << r;
+    if (number.is_numeric() && std::isnan(number.number())) {
+      EXPECT_TRUE(std::isnan(read.number())) << "row " << r;
+    } else if (number.is_numeric()) {
+      const double expected = number.number();
+      const double actual = read.number();
+      EXPECT_EQ(std::memcmp(&actual, &expected, sizeof expected), 0)
+          << "row " << r << ": " << actual << " vs " << expected;
+    }
+    EXPECT_EQ(loaded->at(r).values[1], log.at(r).values[1]) << "row " << r;
+  }
+  EXPECT_EQ(loaded->ToCsvText(), log.ToCsvText());
 }
 
 class ExecutionLogCsvTest : public ::testing::Test {

@@ -75,7 +75,7 @@ TEST(PromotionEquivalenceTest, ExtendedColumnsMatchColdRebuild) {
   const ExecutionLog full = CausalLog(48, 7);
   const ExecutionLog base_log = Prefix(full, 30);
   const ColumnarLog base(base_log);
-  const ColumnarLog extended(base, full);
+  const ColumnarLog extended(base, Suffix(full, 30));
   const ColumnarLog cold(full);
   ExpectSameColumns(extended, cold, "causal 30+18");
 }
@@ -88,7 +88,7 @@ TEST(PromotionEquivalenceTest, ExtendedColumnsMatchColdOnAdversarialLogs) {
          {std::size_t{0}, full.size() / 2, full.size()}) {
       const ExecutionLog base_log = Prefix(full, base_rows);
       const ColumnarLog base(base_log);
-      const ColumnarLog extended(base, full);
+      const ColumnarLog extended(base, Suffix(full, base_rows));
       const ColumnarLog cold(full);
       ExpectSameColumns(extended, cold,
                         spec.name + " base " + std::to_string(base_rows));
@@ -116,7 +116,7 @@ TEST(PromotionEquivalenceTest, SeededPlaneMatchesColdAtEveryThreadCount) {
                                         base_log.schema().size()),
         1);
     ASSERT_NE(base_plane, nullptr);
-    const LogSnapshot grown(full, base);
+    const LogSnapshot grown(base, Suffix(full, 25));
     TilePool* seeded =
         grown.pair_codes().Acquire(sim, budget, threads, base_plane);
     ASSERT_NE(seeded, nullptr) << "threads " << threads;

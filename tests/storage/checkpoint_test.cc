@@ -59,8 +59,8 @@ class CheckpointTest : public ::testing::Test {
 
 TEST_F(CheckpointTest, WriteLoadRoundtrip) {
   const ExecutionLog log = MakeLog(5);
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, log, /*generation=*/3,
-                                        /*wal_through=*/12)
+  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, ColumnarLog(log),
+                                        /*generation=*/3, /*wal_through=*/12)
                   .ok());
   auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -80,9 +80,9 @@ TEST_F(CheckpointTest, MissingAndEmptyDirectoriesAreNotFound) {
 
 TEST_F(CheckpointTest, NewestGenerationWinsAndOlderOnesAreSwept) {
   ASSERT_TRUE(
-      SnapshotCheckpoint::Write(dir_, MakeLog(2), 2, 4).ok());
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(2)), 2, 4).ok());
   ASSERT_TRUE(
-      SnapshotCheckpoint::Write(dir_, MakeLog(6), 5, 9).ok());
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(6)), 5, 9).ok());
 
   auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
   ASSERT_TRUE(loaded.ok());
@@ -99,7 +99,8 @@ TEST_F(CheckpointTest, NewestGenerationWinsAndOlderOnesAreSwept) {
 TEST_F(CheckpointTest, EveryCorruptedManifestByteIsDetected) {
   // The manifest of a checkpoint file: its magic and header frame
   // (generation, wal_through, schema).
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
+  ASSERT_TRUE(
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(4)), 7, 3).ok());
   const std::string path = dir_ + "/" + CheckpointFileName(7);
   auto bytes = FileSystem::Default()->ReadFile(path);
   ASSERT_TRUE(bytes.ok());
@@ -111,7 +112,8 @@ TEST_F(CheckpointTest, EveryCorruptedManifestByteIsDetected) {
 
 TEST_F(CheckpointTest, CorruptedLogPayloadIsDetected) {
   // Every byte past the header: the record frames and the end frame.
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
+  ASSERT_TRUE(
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(4)), 7, 3).ok());
   const std::string path = dir_ + "/" + CheckpointFileName(7);
   auto bytes = FileSystem::Default()->ReadFile(path);
   ASSERT_TRUE(bytes.ok());
@@ -123,7 +125,8 @@ TEST_F(CheckpointTest, CorruptedLogPayloadIsDetected) {
 }
 
 TEST_F(CheckpointTest, DeletedPayloadIsDetected) {
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
+  ASSERT_TRUE(
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(4)), 7, 3).ok());
   const std::string path = dir_ + "/" + CheckpointFileName(7);
   auto bytes = FileSystem::Default()->ReadFile(path);
   ASSERT_TRUE(bytes.ok());
@@ -147,7 +150,8 @@ TEST_F(CheckpointTest, DeletedPayloadIsDetected) {
 }
 
 TEST_F(CheckpointTest, EveryTruncationIsDetected) {
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
+  ASSERT_TRUE(
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(4)), 7, 3).ok());
   const std::string path = dir_ + "/" + CheckpointFileName(7);
   auto bytes = FileSystem::Default()->ReadFile(path);
   ASSERT_TRUE(bytes.ok());
@@ -164,7 +168,8 @@ TEST_F(CheckpointTest, EveryTruncationIsDetected) {
 }
 
 TEST_F(CheckpointTest, GenerationDisagreeingWithTheFileNameIsDetected) {
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(4), 7, 3).ok());
+  ASSERT_TRUE(
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(4)), 7, 3).ok());
   ASSERT_TRUE(FileSystem::Default()
                   ->Rename(dir_ + "/" + CheckpointFileName(7),
                            dir_ + "/" + CheckpointFileName(9))
@@ -179,8 +184,10 @@ TEST_F(CheckpointTest, GenerationDisagreeingWithTheFileNameIsDetected) {
 TEST_F(CheckpointTest, CorruptNewestIsNeverASilentFallbackToOlder) {
   // Both generations on disk (sweep skipped by writing newest first by
   // hand): corruption of the newest must surface, not quietly serve gen 2.
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(6), 5, 9).ok());
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(2), 2, 4).ok());
+  ASSERT_TRUE(
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(6)), 5, 9).ok());
+  ASSERT_TRUE(
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(2)), 2, 4).ok());
   auto newest_exists =
       FileSystem::Default()->FileExists(dir_ + "/" + CheckpointFileName(5));
   ASSERT_TRUE(newest_exists.ok() && *newest_exists);
@@ -191,7 +198,8 @@ TEST_F(CheckpointTest, CorruptNewestIsNeverASilentFallbackToOlder) {
 }
 
 TEST_F(CheckpointTest, CrashMidWriteLeavesPreviousCheckpointServable) {
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(3), 2, 4).ok());
+  ASSERT_TRUE(
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(3)), 2, 4).ok());
 
   // Kill the write plane at a sweep of budgets across the second Write:
   // whatever survives, LoadLatest must still serve generation 2 intact —
@@ -199,7 +207,7 @@ TEST_F(CheckpointTest, CrashMidWriteLeavesPreviousCheckpointServable) {
   for (std::uint64_t budget = 0; budget <= 400; budget += 23) {
     FaultFs fs(budget);
     Status crashed =
-        SnapshotCheckpoint::Write(dir_, MakeLog(8), 6, 11, &fs);
+        SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(8)), 6, 11, &fs);
     if (crashed.ok()) break;  // budget outlasted the whole write
     auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
     ASSERT_TRUE(loaded.ok())
@@ -209,7 +217,8 @@ TEST_F(CheckpointTest, CrashMidWriteLeavesPreviousCheckpointServable) {
   }
 
   // And a later healthy Write recovers fully, sweeping the debris.
-  ASSERT_TRUE(SnapshotCheckpoint::Write(dir_, MakeLog(8), 6, 11).ok());
+  ASSERT_TRUE(
+      SnapshotCheckpoint::Write(dir_, ColumnarLog(MakeLog(8)), 6, 11).ok());
   auto loaded = SnapshotCheckpoint::LoadLatest(dir_);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->generation, 6u);

@@ -451,6 +451,24 @@ TEST_F(WalTest, ShortStubSegmentMidJournalIsTornNotCorrupt) {
   EXPECT_FALSE(replay->tail_truncated);  // the stub is not the youngest
 }
 
+TEST_F(WalTest, DirectoryNamedLikeASegmentFailsReplay) {
+  {
+    auto writer = WalWriter::Open(dir_, WalOptions{});
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->AppendBatch(Batch(0, 2)).ok());
+  }
+  // Not an empty (torn) youngest segment: nothing in it can be read.
+  ASSERT_TRUE(FileSystem::Default()->CreateDirs(SegmentPath(2)).ok());
+
+  auto replay = WalReader::Replay(dir_);
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.status().code(), StatusCode::kIoError);
+  EXPECT_NE(replay.status().message().find(WalSegmentFileName(2) +
+                                           "': is a directory"),
+            std::string::npos)
+      << replay.status().ToString();
+}
+
 TEST_F(WalTest, SegmentIndicesPastSixDigitsReplayInNumericOrder) {
   // Past index 999999 the file names widen to seven digits and stop
   // sorting lexicographically ("wal-1000000.log" < "wal-999999.log").

@@ -378,6 +378,21 @@ TEST_F(CliTest, RecoverRequiresADurabilityDirectory) {
   EXPECT_NE(output.find("error"), std::string::npos) << output;
 }
 
+TEST_F(CliTest, RecoverRefusesACheckpointDirectory) {
+  // A directory named like the newest checkpoint cannot be read as one.
+  Query query;
+  const std::string path = WriteCausalLog(&query);
+  const std::string ckpt_dir = (dir_ / "ckpt").string();
+  std::filesystem::create_directories(dir_ / "ckpt" / "checkpoint-000005");
+  std::string output;
+  EXPECT_EQ(RunCli({"recover", "--log", path, "--checkpoint-dir", ckpt_dir},
+                   &output),
+            1);
+  EXPECT_NE(output.find("checkpoint-000005': is a directory"),
+            std::string::npos)
+      << output;
+}
+
 TEST_F(CliTest, ExplainRejectsBadFsyncMode) {
   Query query;
   const std::string path = WriteCausalLog(&query);

@@ -670,7 +670,8 @@ int RunRecover(const ParsedArgs& args, std::ostream& out) {
         << " offset " << stats.truncate_offset << "\n";
   }
   const std::shared_ptr<const Engine> engine = live.engine();
-  out << "serving " << engine->log().size() << " rows at generation "
+  out << "serving " << engine->snapshot()->columns().rows()
+      << " rows at generation "
       << engine->snapshot()->id() << "\n";
 
   if (auto it = args.options.find("dump-log"); it != args.options.end()) {
