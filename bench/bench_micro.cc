@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) of the pieces behind PerfXplain's
 // interactive response time (§4.3 motivates sampling with explanation
-// latency): pair-feature computation, training-example construction with
+// latency): pair enumeration, training-example construction with
 // balanced sampling, clause generation at several sample sizes, and
 // explanation evaluation. Also an ablation of the percentile-rank score
 // normalization (DESIGN.md decision 1).
@@ -50,6 +50,20 @@ struct MicroFixture {
   }
 };
 
+/// The `skip`-th ordered pair of the fixture log satisfying `bound`'s
+/// despite and observed clauses.
+std::pair<std::size_t, std::size_t> FindPoi(const px::Query& bound,
+                                            std::size_t skip = 0) {
+  const MicroFixture& fixture = MicroFixture::Get();
+  const px::PairSchema schema(fixture.log.schema());
+  const px::ColumnarLog columns(fixture.log);
+  auto poi = px::FindPairOfInterest(
+      columns, px::CompiledQuery::Compile(bound, schema, columns), 0.10,
+      skip);
+  PX_CHECK(poi.ok()) << poi.status().ToString();
+  return *poi;
+}
+
 void BM_SimulateJob(benchmark::State& state) {
   px::ClusterConfig cluster;
   px::SimCostModel costs;
@@ -65,18 +79,6 @@ void BM_SimulateJob(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulateJob)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_PairFeatureVector(benchmark::State& state) {
-  const MicroFixture& fixture = MicroFixture::Get();
-  px::PairSchema schema(fixture.log.schema());
-  px::PairFeatureOptions options;
-  px::PairFeatureView view(&schema, &fixture.log.at(0), &fixture.log.at(1),
-                           &options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.Materialize());
-  }
-}
-BENCHMARK(BM_PairFeatureVector);
 
 /// The Definition 8/9 label counts alone: a ScanRelatedPairs that buffers
 /// no pair.
@@ -101,38 +103,6 @@ void BM_CountRelatedPairs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CountRelatedPairs);
-
-/// The seed implementation of the count (lazy Value views through
-/// ForEachOrderedPair + ClassifyPair), kept in-binary as a baseline so the
-/// columnar speedup is measured under identical machine conditions in the
-/// same run — the host this tracks on is a shared box with drifting load.
-void BM_CountRelatedPairsLegacyValuePath(benchmark::State& state) {
-  const MicroFixture& fixture = MicroFixture::Get();
-  px::PairSchema schema(fixture.log.schema());
-  px::Query bound = fixture.query;
-  PX_CHECK(bound.Bind(schema).ok());
-  px::PairFeatureOptions options;
-  for (auto _ : state) {
-    px::RelatedCounts counts;
-    px::ForEachOrderedPair(
-        fixture.log, schema, options,
-        [&](std::size_t, std::size_t, const px::PairFeatureView& view) {
-          switch (px::ClassifyPair(bound, view)) {
-            case px::PairLabel::kObserved:
-              ++counts.observed;
-              break;
-            case px::PairLabel::kExpected:
-              ++counts.expected;
-              break;
-            case px::PairLabel::kUnrelated:
-              break;
-          }
-          return true;
-        });
-    benchmark::DoNotOptimize(counts);
-  }
-}
-BENCHMARK(BM_CountRelatedPairsLegacyValuePath);
 
 void BM_ColumnarLogBuild(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();
@@ -162,22 +132,26 @@ void BM_CountRelatedPairsColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_CountRelatedPairsColumnar)->Arg(1)->Arg(0);
 
+/// Lines 1-2 of Algorithm 1 as the explainer runs them: the related-pair
+/// scan, the §4.3 draws and the encoded training matrix, over prebuilt
+/// columns and predicate programs.
 void BM_BuildTrainingExamples(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();
   px::PairSchema schema(fixture.log.schema());
   px::Query bound = fixture.query;
   PX_CHECK(bound.Bind(schema).ok());
-  px::PairFeatureOptions pair_options;
-  px::SamplerOptions sampler_options;
-  auto poi = px::FindPairOfInterest(fixture.log, schema, bound, pair_options);
-  PX_CHECK(poi.ok());
+  const px::ColumnarLog columns(fixture.log);
+  const px::CompiledQuery compiled =
+      px::CompiledQuery::Compile(bound, schema, columns);
+  const auto [first, second] = FindPoi(bound);
   for (auto _ : state) {
     px::Rng rng(17);
-    auto examples = px::BuildTrainingExamples(
-        fixture.log, schema, bound, poi->first, poi->second, pair_options,
-        sampler_options, rng);
-    PX_CHECK(examples.ok());
-    benchmark::DoNotOptimize(examples);
+    auto sampled = px::SampleFromScan(
+        px::ScanRelatedPairs(columns, compiled, 0.10), columns, compiled,
+        first, second, 0.10, px::SamplerOptions(), rng);
+    PX_CHECK(sampled.ok());
+    benchmark::DoNotOptimize(
+        px::EncodedDataset(columns, schema, sampled.value(), 0.10));
   }
 }
 BENCHMARK(BM_BuildTrainingExamples);
@@ -205,7 +179,7 @@ BENCHMARK(BM_ExplainWidth3)->Arg(500)->Arg(2000)->Arg(8000);
 /// The §5.2 SimButDiff baseline on the columnar path: compiled query,
 /// packed 2-bit isSame codes compared against the poi with XOR+popcount
 /// word kernels, row-blocked scan. Arg = thread count (1 = per-core
-/// speedup vs the legacy baseline below, 0 = hardware concurrency). A
+/// cost, 0 = hardware concurrency). A
 /// zero pair-code budget keeps every pair on the streaming
 /// pack-and-compare, and Prepare runs per call, so the timing stays
 /// comparable with the per-call figures in BENCH_micro.json.
@@ -229,32 +203,11 @@ void BM_SimButDiffExplain(benchmark::State& state) {
 }
 BENCHMARK(BM_SimButDiffExplain)->Arg(1)->Arg(0);
 
-/// The seed SimButDiff (lazy Value views), kept in-binary as a baseline so
-/// the columnar speedup is measured under identical machine conditions in
-/// the same run.
-void BM_SimButDiffExplainLegacyValuePath(benchmark::State& state) {
-  const MicroFixture& fixture = MicroFixture::Get();
-  const px::Engine engine(fixture.log);
-  auto prepared = engine.Prepare(fixture.query);
-  PX_CHECK(prepared.ok());
-  const px::SimButDiff baseline(px::SimButDiffOptions(),
-                                &engine.snapshot()->columns());
-  for (auto _ : state) {
-    auto explanation = baseline.ExplainLegacy(
-        fixture.log, prepared->bound(), prepared->poi_first(),
-        prepared->poi_second(), 3);
-    PX_CHECK(explanation.ok()) << explanation.status().ToString();
-    benchmark::DoNotOptimize(explanation);
-  }
-}
-BENCHMARK(BM_SimButDiffExplainLegacyValuePath);
-
 /// The §5.1 RuleOfThumb one-time RReliefF ranking pass (the baseline's
 /// construction cost; its per-query Explain is O(k)) on the columnar
 /// backend, with the columns prebuilt as the Engine shares them. Arg =
-/// thread count for the striped probe loop (1 = per-core speedup vs the
-/// legacy baseline below, 0 = hardware concurrency); weights are bitwise
-/// identical either way.
+/// thread count for the striped probe loop (1 = per-core cost, 0 =
+/// hardware concurrency); weights are bitwise identical either way.
 void BM_RuleOfThumbRank(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();
   const px::ColumnarLog columns(fixture.log);
@@ -270,20 +223,6 @@ void BM_RuleOfThumbRank(benchmark::State& state) {
   state.SetLabel("threads=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_RuleOfThumbRank)->Arg(1)->Arg(0);
-
-/// The seed RReliefF ranking (Value diffs), in-binary legacy counterpart
-/// of BM_RuleOfThumbRank.
-void BM_RuleOfThumbRankLegacyValuePath(benchmark::State& state) {
-  const MicroFixture& fixture = MicroFixture::Get();
-  const std::size_t target =
-      fixture.log.schema().IndexOf(px::feature_names::kDuration);
-  for (auto _ : state) {
-    px::Rng rng(29);
-    benchmark::DoNotOptimize(px::RankFeaturesByImportance(
-        fixture.log, target, px::ReliefOptions(), rng));
-  }
-}
-BENCHMARK(BM_RuleOfThumbRankLegacyValuePath);
 
 void BM_EvaluateExplanation(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();
@@ -347,13 +286,10 @@ struct BatchFixture {
     request.technique = px::Technique::kSimButDiff;
     for (std::size_t q = 0; q < count; ++q) {
       // Distinct pairs of interest: skip a stride of matches per query.
-      auto poi = px::FindPairOfInterest(fixture.log, schema, bound,
-                                        px::PairFeatureOptions(),
-                                        q * (selective ? 13 : 97));
-      PX_CHECK(poi.ok()) << poi.status().ToString();
+      const auto poi = FindPoi(bound, q * (selective ? 13 : 97));
       px::Query query = base;
-      query.first_id = fixture.log.at(poi->first).id;
-      query.second_id = fixture.log.at(poi->second).id;
+      query.first_id = fixture.log.at(poi.first).id;
+      query.second_id = fixture.log.at(poi.second).id;
       auto one = engine->Prepare(query);
       PX_CHECK(one.ok());
       prepared.push_back(std::move(one).value());
@@ -429,12 +365,10 @@ struct StreamFixture {
     px::Query bound = fixture.query;
     PX_CHECK(bound.Bind(schema).ok());
     for (std::size_t q = 0; q < count; ++q) {
-      auto poi = px::FindPairOfInterest(fixture.log, schema, bound,
-                                        px::PairFeatureOptions(), q * 97);
-      PX_CHECK(poi.ok());
+      const auto poi = FindPoi(bound, q * 97);
       px::Query query = fixture.query;
-      query.first_id = fixture.log.at(poi->first).id;
-      query.second_id = fixture.log.at(poi->second).id;
+      query.first_id = fixture.log.at(poi.first).id;
+      query.second_id = fixture.log.at(poi.second).id;
       queries.push_back(std::move(query));
     }
   }
@@ -618,11 +552,9 @@ void BM_BudgetSweep(benchmark::State& state) {
   px::PairSchema schema(fixture.log.schema());
   px::Query bound = query;
   PX_CHECK(bound.Bind(schema).ok());
-  auto poi = px::FindPairOfInterest(fixture.log, schema, bound,
-                                    px::PairFeatureOptions());
-  PX_CHECK(poi.ok()) << poi.status().ToString();
-  query.first_id = fixture.log.at(poi->first).id;
-  query.second_id = fixture.log.at(poi->second).id;
+  const auto poi = FindPoi(bound);
+  query.first_id = fixture.log.at(poi.first).id;
+  query.second_id = fixture.log.at(poi.second).id;
 
   const std::size_t plane = px::PairCodeStore::BytesNeeded(
       fixture.log.size(), fixture.log.schema().size());

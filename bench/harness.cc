@@ -83,8 +83,10 @@ void PickPairOfInterest(const ExecutionLog& log, Query& query,
     finder.despite = finder.despite.And(extra.value());
   }
   PX_CHECK(finder.Bind(schema).ok());
-  PairFeatureOptions pair_options;
-  auto poi = FindPairOfInterest(log, schema, finder, pair_options);
+  const ColumnarLog columns(log);
+  auto poi = FindPairOfInterest(
+      columns, CompiledQuery::Compile(finder, schema, columns),
+      PairFeatureOptions().sim_fraction);
   PX_CHECK(poi.ok()) << "no pair of interest: " << poi.status().ToString();
   first_id = log.at(poi->first).id;
   second_id = log.at(poi->second).id;

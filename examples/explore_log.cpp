@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   // RReliefF ranking of job features for duration.
   px::Rng rng(99);
   const auto ranking = px::RankFeaturesByImportance(
-      trace.job_log, f_duration, px::ReliefOptions(), rng);
+      px::ColumnarLog(trace.job_log), f_duration, px::ReliefOptions(), rng);
   std::printf("\ntop-10 features by RReliefF importance for duration:\n");
   for (std::size_t i = 0; i < 10 && i < ranking.size(); ++i) {
     std::printf("  %2zu. %s\n", i + 1, schema.at(ranking[i]).name.c_str());
@@ -89,8 +89,11 @@ int main(int argc, char** argv) {
       "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM");
   if (!query.ok()) return 1;
   if (!query->Bind(engine.pair_schema()).ok()) return 1;
-  auto poi = px::FindPairOfInterest(log, engine.pair_schema(),
-                                    *query, px::PairFeatureOptions(),
+  const px::ColumnarLog& columns = engine.snapshot()->columns();
+  const px::CompiledQuery compiled =
+      px::CompiledQuery::Compile(*query, engine.pair_schema(), columns);
+  auto poi = px::FindPairOfInterest(columns, compiled,
+                                    px::PairFeatureOptions().sim_fraction,
                                     /*skip=*/100);
   if (!poi.ok()) return 1;
   query->first_id = log.at(poi->first).id;

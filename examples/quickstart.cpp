@@ -65,8 +65,11 @@ int main() {
   }
   px::Query query = std::move(query_or).value();
   if (!query.Bind(engine.pair_schema()).ok()) return 1;
-  auto poi = px::FindPairOfInterest(log, engine.pair_schema(),
-                                    query, px::PairFeatureOptions());
+  const px::ColumnarLog& columns = engine.snapshot()->columns();
+  const px::CompiledQuery compiled =
+      px::CompiledQuery::Compile(query, engine.pair_schema(), columns);
+  auto poi = px::FindPairOfInterest(columns, compiled,
+                                    px::PairFeatureOptions().sim_fraction);
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;

@@ -63,8 +63,11 @@ int main() {
                          "pigscript = simple-groupby.pig")
           .value());
   if (!finder.Bind(engine.pair_schema()).ok()) return 1;
-  auto poi = px::FindPairOfInterest(reducers, engine.pair_schema(),
-                                    finder, px::PairFeatureOptions());
+  const px::ColumnarLog& columns = engine.snapshot()->columns();
+  const px::CompiledQuery compiled =
+      px::CompiledQuery::Compile(finder, engine.pair_schema(), columns);
+  auto poi = px::FindPairOfInterest(columns, compiled,
+                                    px::PairFeatureOptions().sim_fraction);
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;

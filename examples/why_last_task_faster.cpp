@@ -58,8 +58,11 @@ int main() {
   finder.despite = finder.despite.And(
       px::ParsePredicate("wave_index_compare = GT").value());
   if (!finder.Bind(engine.pair_schema()).ok()) return 1;
-  auto poi = px::FindPairOfInterest(log, engine.pair_schema(),
-                                    finder, px::PairFeatureOptions());
+  const px::ColumnarLog& columns = engine.snapshot()->columns();
+  const px::CompiledQuery compiled =
+      px::CompiledQuery::Compile(finder, engine.pair_schema(), columns);
+  auto poi = px::FindPairOfInterest(columns, compiled,
+                                    px::PairFeatureOptions().sim_fraction);
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;

@@ -101,6 +101,24 @@ std::vector<std::vector<std::size_t>> GroupByShape(
   return groups;
 }
 
+/// The worker count of a shape group's shared scan: the largest `threads`
+/// override among the group's requests (compared as resolved counts), or
+/// `configured` when none overrides. The count changes no result, so the
+/// group simply runs as wide as its widest request asked.
+int GroupThreads(const std::vector<Engine::BatchItem>& items,
+                 const std::vector<std::size_t>& group, int configured) {
+  std::optional<int> widest;
+  for (std::size_t i : group) {
+    const std::optional<int>& threads = items[i].request.threads;
+    if (threads.has_value() &&
+        (!widest.has_value() ||
+         ResolveThreads(*threads) > ResolveThreads(*widest))) {
+      widest = threads;
+    }
+  }
+  return widest.value_or(configured);
+}
+
 }  // namespace
 
 namespace {
@@ -247,16 +265,17 @@ Result<Explanation> Engine::Generate(const PreparedQuery& prepared,
     case Technique::kPerfXplain: {
       PX_RETURN_IF_ERROR(Definition1(prepared));
       const ExplainerOptions options = ExplainerOptionsFor(request);
+      const EnumerationOptions enumeration{options.threads};
       if (request.auto_despite) {
         return explainer_->ExplainWithAutoDespitePrepared(
             prepared.bound(), prepared.compiled(), prepared.poi_first(),
-            prepared.poi_second(), options);
+            prepared.poi_second(), options, enumeration);
       }
       std::vector<Result<Explanation>> results = explainer_->ExplainPrepared(
           prepared.bound(), prepared.compiled(),
           {{prepared.poi_first(), prepared.poi_second(), options.width,
             options.seed}},
-          options, EnumerationOptions{options.threads});
+          options, enumeration);
       return std::move(results.front());
     }
     case Technique::kRuleOfThumb:
@@ -494,7 +513,8 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
     const Clock::time_point start = Clock::now();
     std::vector<Result<Explanation>> results = sim_but_diff_->ExplainPrepared(
         representative.bound(), representative.compiled(), pois,
-        EnumerationOptions{options_.sim_but_diff.threads});
+        EnumerationOptions{
+            GroupThreads(items, group, options_.sim_but_diff.threads)});
     ExplainResponse shared;
     traffic.Stamp(&shared);
     finish_group(group, start, std::move(results), std::move(shared));
@@ -518,7 +538,9 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
     const Clock::time_point start = Clock::now();
     std::vector<Result<Explanation>> results = explainer_->ExplainPrepared(
         representative.bound(), representative.compiled(), pois,
-        options_.explainer, EnumerationOptions{options_.explainer.threads});
+        options_.explainer,
+        EnumerationOptions{
+            GroupThreads(items, group, options_.explainer.threads)});
     finish_group(group, start, std::move(results), ExplainResponse());
   }
 
@@ -538,7 +560,7 @@ Result<Predicate> Engine::GenerateDespite(const PreparedQuery& prepared,
       prepared.bound(), prepared.compiled(), prepared.poi_first(),
       prepared.poi_second(),
       width > 0 ? width : options_.explainer.despite_width,
-      options_.explainer);
+      options_.explainer, EnumerationOptions{options_.explainer.threads});
 }
 
 Result<ExplanationMetrics> Engine::Evaluate(

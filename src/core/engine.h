@@ -354,9 +354,9 @@ class Engine {
   /// All other requests, and those carrying a deadline or CancelToken,
   /// run the per-call path. Every request is looked up in the result
   /// cache once. Results are bitwise identical to issuing the requests
-  /// one-by-one; responses line up with `items`. The shared scans use the
-  /// engine's configured thread counts (per-request `threads` overrides
-  /// apply only to per-call requests).
+  /// one-by-one; responses line up with `items`. A shared scan runs on the
+  /// largest `threads` override among its group's requests, else on the
+  /// engine's configured count.
   std::vector<Result<ExplainResponse>> ExplainBatch(
       const std::vector<BatchItem>& items) const;
 
@@ -407,7 +407,9 @@ class Engine {
   /// The engine's ExplainerOptions with the request's width/seed/threads
   /// overrides applied — the one definition the per-call path and the
   /// batch's shared scans use, so the two can never diverge on how a
-  /// request maps to its width and seed.
+  /// request maps to its width and seed. The one place a PerfXplain
+  /// request's thread count is read; the Explainer itself takes
+  /// EnumerationOptions.
   ExplainerOptions ExplainerOptionsFor(const ExplainRequest& request) const;
 
   /// Consults the result cache for (prepared, request): fills *cache_key

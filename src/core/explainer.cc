@@ -27,113 +27,133 @@ double PercentileRank(double value, const std::vector<double>& all) {
          static_cast<double>(all.size());
 }
 
-/// The greedy clause loop of Algorithm 1 is generic over how the training
-/// examples are stored. Both backends expose the same contract:
-///  - size(): current working-set size;
-///  - BestPredicate(f, options): per-feature max-info-gain candidate over
-///    the working set, constrained to the pair of interest, carrying its
-///    (satisfy, satisfy_target) counts over the working set;
-///  - Filter(candidate): shrink the working set to satisfying examples,
-///    returning (kept, kept_target).
-///
-/// ValueClauseDataset scans materialized Value vectors (the reference
-/// oracle); EncodedClauseDataset keeps the working set and labels as row
-/// bitmaps over the integer-coded training matrix and produces
-/// bit-identical candidates, gains and scores.
-class ValueClauseDataset {
- public:
-  ValueClauseDataset(const PairSchema& schema,
-                     std::vector<TrainingExample> examples,
-                     bool target_expected)
-      : schema_(&schema), working_(std::move(examples)) {
-    if (!working_.empty()) poi_features_ = working_[0].features;
-    // When generating a des' clause the "positive" label whose conditional
-    // probability we maximize is `expected`; flip labels so the shared
-    // machinery (which treats observed as positive) measures relevance
-    // instead of precision (line 6 of Algorithm 1 and its §4.2 variant).
-    if (target_expected) {
-      for (TrainingExample& example : working_) {
-        example.observed = !example.observed;
-      }
-    }
+/// The working set of a clause: every row of `data`, with the target
+/// label positive — observed rows for bec, expected ones for des'
+/// (relevance, the §4.2 variant of line 6 of Algorithm 1).
+EncodedWorkingSet AllRows(const EncodedDataset& data, bool target_expected) {
+  RowBitmap rows((data.rows() + 63) / 64, 0);
+  RowBitmap positive(rows.size(), 0);
+  const std::vector<std::uint8_t>& labels = data.labels();
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+    rows[r >> 6] |= bit;
+    if ((labels[r] != 0) != target_expected) positive[r >> 6] |= bit;
   }
+  return EncodedWorkingSet(std::move(rows), std::move(positive));
+}
 
-  std::size_t size() const { return working_.size(); }
+}  // namespace
 
-  std::optional<SplitCandidate> BestPredicate(
-      std::size_t f, const SplitOptions& options) const {
-    return BestPredicateForFeature(*schema_, working_, f, poi_features_[f],
-                                   options);
+Status CheckDefinition1(const CompiledQuery& compiled, std::size_t first,
+                        std::size_t second, double sim_fraction) {
+  if (!compiled.despite.Eval(first, second, sim_fraction)) {
+    return Status::FailedPrecondition(
+        "the pair of interest does not satisfy the DESPITE clause");
   }
-
-  std::pair<std::size_t, std::size_t> Filter(const SplitCandidate& chosen) {
-    std::vector<TrainingExample> next;
-    next.reserve(working_.size());
-    std::size_t target_count = 0;
-    for (TrainingExample& example : working_) {
-      if (chosen.atom.Eval(example.features)) {
-        if (example.observed) ++target_count;
-        next.push_back(std::move(example));
-      }
-    }
-    working_ = std::move(next);
-    return {working_.size(), target_count};
+  if (!compiled.observed.Eval(first, second, sim_fraction)) {
+    return Status::FailedPrecondition(
+        "the pair of interest does not satisfy the OBSERVED clause");
   }
-
- private:
-  const PairSchema* schema_;
-  std::vector<TrainingExample> working_;
-  std::vector<Value> poi_features_;
-};
-
-class EncodedClauseDataset {
- public:
-  EncodedClauseDataset(const EncodedDataset& data, bool target_expected)
-      : index_(data), working_(AllRows(data, target_expected)) {}
-
-  std::size_t size() const { return working_.total(); }
-
-  std::optional<SplitCandidate> BestPredicate(std::size_t f,
-                                              const SplitOptions& options) {
-    return BestPredicateForFeatureEncoded(index_, working_, f, options);
+  if (compiled.expected.Eval(first, second, sim_fraction)) {
+    return Status::FailedPrecondition(
+        "the pair of interest satisfies the EXPECTED clause; there is "
+        "nothing to explain");
   }
+  return Status::OK();
+}
 
-  std::pair<std::size_t, std::size_t> Filter(const SplitCandidate& chosen) {
-    const EncodedDataset& data = index_.data();
-    working_.Intersect(EncodedAtomTest(data, chosen.atom).MatchingRows(data));
-    return {working_.total(), working_.positives()};
+Explainer::Explainer(ExplainerOptions options, const ColumnarLog* columns)
+    : options_(options),
+      schema_(CheckedColumns(columns).schema()),
+      columnar_(columns) {}
+
+std::vector<std::size_t> Explainer::ExcludedRawFeatures(
+    const Query& bound_query) const {
+  const std::vector<bool> mask = OutcomeRawFeatureMask(bound_query, schema_);
+  std::vector<std::size_t> raw;
+  for (std::size_t f = 0; f < mask.size(); ++f) {
+    if (mask[f]) raw.push_back(f);
   }
+  return raw;
+}
 
- private:
-  /// Every row of `data`. Relevance (target_expected) counts the expected
-  /// pairs as positive.
-  static EncodedWorkingSet AllRows(const EncodedDataset& data,
-                                   bool target_expected) {
-    RowBitmap rows((data.rows() + 63) / 64, 0);
-    RowBitmap positive(rows.size(), 0);
-    const std::vector<std::uint8_t>& labels = data.labels();
-    for (std::size_t r = 0; r < data.rows(); ++r) {
-      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-      rows[r >> 6] |= bit;
-      if ((labels[r] != 0) != target_expected) positive[r >> 6] |= bit;
-    }
-    return EncodedWorkingSet(std::move(rows), std::move(positive));
+Result<EncodedDataset> Explainer::Encode(Result<std::vector<PairRef>> sampled,
+                                        const ExplainerOptions& options) const {
+  if (!sampled.ok()) return sampled.status();
+  std::vector<PairRef> pairs = std::move(sampled).value();
+  if (options.max_pairs_per_record > 0) {
+    pairs = EnforceRecordDiversity(std::move(pairs),
+                                   options.max_pairs_per_record,
+                                   /*keep_first=*/true);
   }
+  return EncodedDataset(*columnar_, schema_, pairs,
+                        options.pair.sim_fraction);
+}
 
-  EncodedSplitIndex index_;
-  EncodedWorkingSet working_;
-};
+Result<EncodedDataset> Explainer::BuildEncodedExamplesFromScan(
+    const Query& bound_query, const RelatedPairScan& scan,
+    std::size_t poi_first, std::size_t poi_second,
+    const ExplainerOptions& options) const {
+  (void)bound_query;  // the scan already encodes the query's shape
+  Rng rng(options.seed);
+  return Encode(
+      ReplaySampleDraws(scan, columnar_->rows(), poi_first, poi_second,
+                        options.sampler, rng, options.balanced_sampling),
+      options);
+}
 
-/// Shared greedy loop (lines 3-17 of Algorithm 1). See Explainer's class
-/// comment for the per-step structure.
-template <typename Dataset>
-std::vector<ExplanationAtom> GenerateClauseWith(
-    Dataset& working, const PairSchema& schema,
-    const ExplainerOptions& options, std::size_t width,
+Result<EncodedDataset> Explainer::EncodeFromScan(
+    const CompiledQuery& compiled, const RelatedPairScan& scan,
+    std::size_t poi_first, std::size_t poi_second,
+    const ExplainerOptions& options,
+    const EnumerationOptions& enumeration) const {
+  Rng rng(options.seed);
+  return Encode(SampleFromScan(scan, *columnar_, compiled, poi_first,
+                               poi_second, options.pair.sim_fraction,
+                               options.sampler, rng,
+                               options.balanced_sampling, enumeration),
+                options);
+}
+
+Result<EncodedDataset> Explainer::ScanAndEncode(
+    const CompiledQuery& compiled, std::size_t poi_first,
+    std::size_t poi_second, const ExplainerOptions& options,
+    const EnumerationOptions& enumeration) const {
+  return EncodeFromScan(compiled,
+                        ScanRelatedPairs(*columnar_, compiled,
+                                         options.pair.sim_fraction,
+                                         enumeration),
+                        poi_first, poi_second, options, enumeration);
+}
+
+Result<Explanation> Explainer::ExplainPreparedWithExamples(
+    const Query& bound, const EncodedDataset& examples,
+    const ExplainerOptions& options) const {
+  Explanation explanation;
+  explanation.because_trace = GenerateClauseEncoded(
+      examples, options.width, /*target_expected=*/false,
+      ExcludedRawFeatures(bound), bound.despite.atoms(), options);
+  explanation.because = ClauseToPredicate(explanation.because_trace);
+  if (explanation.because.is_true()) {
+    return Status::Internal("no applicable because clause could be built");
+  }
+  return explanation;
+}
+
+// Lines 3-17 of Algorithm 1; see Explainer's class comment for the
+// per-step structure. The working set and its labels are row bitmaps over
+// the training matrix, and each feature's search carries the counts the
+// scores need, so nothing is recounted.
+std::vector<ExplanationAtom> Explainer::GenerateClauseEncoded(
+    const EncodedDataset& examples, std::size_t width, bool target_expected,
     const std::vector<std::size_t>& excluded_raw,
-    const std::vector<Atom>& redundant_atoms) {
+    const std::vector<Atom>& redundant_atoms,
+    const ExplainerOptions& options) const {
+  const PairSchema& schema = schema_;
+  EncodedSplitIndex index(examples);
+  EncodedWorkingSet working = AllRows(examples, target_expected);
   std::vector<ExplanationAtom> trace;
-  if (working.size() == 0) return trace;
+  if (working.total() == 0) return trace;
   std::vector<bool> excluded(schema.raw_size(), false);
   for (std::size_t raw : excluded_raw) {
     if (raw < excluded.size()) excluded[raw] = true;
@@ -147,7 +167,7 @@ std::vector<ExplanationAtom> GenerateClauseWith(
     // perfectly precise on the sample yet do not generalize; require a
     // sliver of support.
     split_options.min_support =
-        std::max<std::size_t>(3, working.size() / 100);
+        std::max<std::size_t>(3, working.total() / 100);
     // Line 5: best (max info gain) predicate per feature.
     struct Candidate {
       SplitCandidate split;
@@ -161,7 +181,8 @@ std::vector<ExplanationAtom> GenerateClauseWith(
       if (!schema.IsDefined(f)) continue;
       const std::size_t raw_index = schema.RawIndexOf(f);
       if (excluded[raw_index] || used_features[f]) continue;
-      auto split = working.BestPredicate(f, split_options);
+      auto split =
+          BestPredicateForFeatureEncoded(index, working, f, split_options);
       if (!split.has_value()) continue;
       // Atoms every related pair satisfies by construction (they restate
       // the query's despite clause) carry no information.
@@ -185,10 +206,8 @@ std::vector<ExplanationAtom> GenerateClauseWith(
     for (Candidate& candidate : candidates) {
       const std::size_t satisfy = candidate.split.in_total;
       const std::size_t satisfy_target = candidate.split.in_positive;
-      candidate.generality =
-          working.size() == 0 ? 0.0
-                              : static_cast<double>(satisfy) /
-                                    static_cast<double>(working.size());
+      candidate.generality = static_cast<double>(satisfy) /
+                             static_cast<double>(working.total());
       candidate.metric = satisfy == 0
                              ? 0.0
                              : static_cast<double>(satisfy_target) /
@@ -236,8 +255,11 @@ std::vector<ExplanationAtom> GenerateClauseWith(
     chosen.score = best_score;
     used_features[candidates[best].pair_index] = true;
 
-    const std::size_t before = working.size();
-    const auto [kept, target_count] = working.Filter(candidates[best].split);
+    const std::size_t before = working.total();
+    working.Intersect(EncodedAtomTest(examples, chosen.atom)
+                          .MatchingRows(examples));
+    const std::size_t kept = working.total();
+    const std::size_t target_count = working.positives();
     chosen.generality_after =
         before == 0 ? 0.0
                     : static_cast<double>(kept) /
@@ -247,139 +269,9 @@ std::vector<ExplanationAtom> GenerateClauseWith(
                               : static_cast<double>(target_count) /
                                     static_cast<double>(kept);
     trace.push_back(std::move(chosen));
-    PX_CHECK(working.size() > 0);  // the pair of interest always satisfies X
+    PX_CHECK(kept > 0);  // the pair of interest always satisfies X
   }
   return trace;
-}
-
-}  // namespace
-
-Status CheckDefinition1(const CompiledQuery& compiled, std::size_t first,
-                        std::size_t second, double sim_fraction) {
-  if (!compiled.despite.Eval(first, second, sim_fraction)) {
-    return Status::FailedPrecondition(
-        "the pair of interest does not satisfy the DESPITE clause");
-  }
-  if (!compiled.observed.Eval(first, second, sim_fraction)) {
-    return Status::FailedPrecondition(
-        "the pair of interest does not satisfy the OBSERVED clause");
-  }
-  if (compiled.expected.Eval(first, second, sim_fraction)) {
-    return Status::FailedPrecondition(
-        "the pair of interest satisfies the EXPECTED clause; there is "
-        "nothing to explain");
-  }
-  return Status::OK();
-}
-
-Explainer::Explainer(ExplainerOptions options, const ColumnarLog* columns)
-    : options_(options),
-      schema_(CheckedColumns(columns).schema()),
-      columnar_(columns) {}
-
-std::vector<std::size_t> Explainer::ExcludedRawFeatures(
-    const Query& bound_query) const {
-  const std::vector<bool> mask = OutcomeRawFeatureMask(bound_query, schema_);
-  std::vector<std::size_t> raw;
-  for (std::size_t f = 0; f < mask.size(); ++f) {
-    if (mask[f]) raw.push_back(f);
-  }
-  return raw;
-}
-
-Result<std::vector<TrainingExample>> Explainer::BuildExamples(
-    const ExecutionLog& log, const Query& bound_query, std::size_t poi_first,
-    std::size_t poi_second) const {
-  Rng rng(options_.seed);
-  auto examples = BuildTrainingExamples(
-      log, schema_, bound_query, poi_first, poi_second, options_.pair,
-      options_.sampler, rng, options_.balanced_sampling);
-  if (!examples.ok() || options_.max_pairs_per_record == 0) return examples;
-  return EnforceRecordDiversity(std::move(examples).value(),
-                                options_.max_pairs_per_record,
-                                /*keep_first=*/true);
-}
-
-Result<EncodedDataset> Explainer::Encode(Result<std::vector<PairRef>> sampled,
-                                        const ExplainerOptions& options) const {
-  if (!sampled.ok()) return sampled.status();
-  std::vector<PairRef> pairs = std::move(sampled).value();
-  if (options.max_pairs_per_record > 0) {
-    pairs = EnforceRecordDiversity(std::move(pairs),
-                                   options.max_pairs_per_record,
-                                   /*keep_first=*/true);
-  }
-  return EncodedDataset(*columnar_, schema_, pairs,
-                        options.pair.sim_fraction);
-}
-
-Result<EncodedDataset> Explainer::BuildEncodedExamplesFromScan(
-    const Query& bound_query, const RelatedPairScan& scan,
-    std::size_t poi_first, std::size_t poi_second,
-    const ExplainerOptions& options) const {
-  (void)bound_query;  // the scan already encodes the query's shape
-  Rng rng(options.seed);
-  return Encode(
-      ReplaySampleDraws(scan, columnar_->rows(), poi_first, poi_second,
-                        options.sampler, rng, options.balanced_sampling),
-      options);
-}
-
-Result<EncodedDataset> Explainer::EncodeFromScan(
-    const CompiledQuery& compiled, const RelatedPairScan& scan,
-    std::size_t poi_first, std::size_t poi_second,
-    const ExplainerOptions& options,
-    const EnumerationOptions& enumeration) const {
-  Rng rng(options.seed);
-  return Encode(SampleFromScan(scan, *columnar_, compiled, poi_first,
-                               poi_second, options.pair.sim_fraction,
-                               options.sampler, rng,
-                               options.balanced_sampling, enumeration),
-                options);
-}
-
-Result<EncodedDataset> Explainer::ScanAndEncode(
-    const CompiledQuery& compiled, std::size_t poi_first,
-    std::size_t poi_second, const ExplainerOptions& options) const {
-  const EnumerationOptions enumeration{options.threads};
-  return EncodeFromScan(compiled,
-                        ScanRelatedPairs(*columnar_, compiled,
-                                         options.pair.sim_fraction,
-                                         enumeration),
-                        poi_first, poi_second, options, enumeration);
-}
-
-Result<Explanation> Explainer::ExplainPreparedWithExamples(
-    const Query& bound, const EncodedDataset& examples,
-    const ExplainerOptions& options) const {
-  Explanation explanation;
-  explanation.because_trace = GenerateClauseEncoded(
-      examples, options.width, /*target_expected=*/false,
-      ExcludedRawFeatures(bound), bound.despite.atoms(), options);
-  explanation.because = ClauseToPredicate(explanation.because_trace);
-  if (explanation.because.is_true()) {
-    return Status::Internal("no applicable because clause could be built");
-  }
-  return explanation;
-}
-
-std::vector<ExplanationAtom> Explainer::GenerateClause(
-    std::vector<TrainingExample> examples, std::size_t width,
-    bool target_expected, const std::vector<std::size_t>& excluded_raw,
-    const std::vector<Atom>& redundant_atoms) const {
-  ValueClauseDataset working(schema_, std::move(examples), target_expected);
-  return GenerateClauseWith(working, schema_, options_, width, excluded_raw,
-                            redundant_atoms);
-}
-
-std::vector<ExplanationAtom> Explainer::GenerateClauseEncoded(
-    const EncodedDataset& examples, std::size_t width, bool target_expected,
-    const std::vector<std::size_t>& excluded_raw,
-    const std::vector<Atom>& redundant_atoms,
-    const ExplainerOptions& options) const {
-  EncodedClauseDataset working(examples, target_expected);
-  return GenerateClauseWith(working, schema_, options, width, excluded_raw,
-                            redundant_atoms);
 }
 
 Predicate Explainer::ClauseToPredicate(
@@ -431,8 +323,10 @@ std::vector<Result<Explanation>> Explainer::ExplainPrepared(
 Result<Predicate> Explainer::GenerateDespitePrepared(
     const Query& bound, const CompiledQuery& compiled, std::size_t poi_first,
     std::size_t poi_second, std::size_t width,
-    const ExplainerOptions& options) const {
-  auto examples = ScanAndEncode(compiled, poi_first, poi_second, options);
+    const ExplainerOptions& options,
+    const EnumerationOptions& enumeration) const {
+  auto examples =
+      ScanAndEncode(compiled, poi_first, poi_second, options, enumeration);
   if (!examples.ok()) return examples.status();
   return ClauseToPredicate(GenerateClauseEncoded(
       examples.value(), width, /*target_expected=*/true,
@@ -441,8 +335,10 @@ Result<Predicate> Explainer::GenerateDespitePrepared(
 
 Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
     const Query& bound, const CompiledQuery& compiled, std::size_t poi_first,
-    std::size_t poi_second, const ExplainerOptions& options) const {
-  auto examples = ScanAndEncode(compiled, poi_first, poi_second, options);
+    std::size_t poi_second, const ExplainerOptions& options,
+    const EnumerationOptions& enumeration) const {
+  auto examples =
+      ScanAndEncode(compiled, poi_first, poi_second, options, enumeration);
   if (!examples.ok()) return examples.status();
 
   // des' clause first, truncated at the relevance threshold.
@@ -469,7 +365,7 @@ Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
   extended.despite = extended.despite.And(explanation.despite);
   auto extended_examples = ScanAndEncode(
       CompiledQuery::Compile(extended, schema_, *columnar_), poi_first,
-      poi_second, options);
+      poi_second, options, enumeration);
   if (!extended_examples.ok()) return extended_examples.status();
   explanation.because_trace = GenerateClauseEncoded(
       extended_examples.value(), options.width, /*target_expected=*/false,

@@ -7,10 +7,9 @@
 #include "common/status.h"
 #include "core/explanation.h"
 #include "core/pair_enumeration.h"
-#include "features/pair_features.h"
+#include "features/pair_feature_kernel.h"
 #include "features/pair_schema.h"
 #include "log/columnar.h"
-#include "log/execution_log.h"
 #include "ml/encoded_dataset.h"
 #include "ml/sampler.h"
 #include "pxql/compiled_predicate.h"
@@ -66,7 +65,9 @@ struct ExplainerOptions {
 
   /// Worker threads for the columnar pair enumeration (0 = process
   /// default). Thread count never changes any result — per-thread partial
-  /// results merge in row order and sampling draws replay serially.
+  /// results merge in row order and sampling draws replay serially. The
+  /// Engine reads it once per request (a request's `threads` overrides
+  /// it) and hands the Explainer EnumerationOptions.
   int threads = 0;
 };
 
@@ -118,7 +119,7 @@ class Explainer {
   /// and pruning switch of `enumeration` change no result.
   ///
   /// Here and below, `options` may differ from the constructor options
-  /// only in width / despite_width / seed / threads: anything that changes
+  /// only in width / despite_width / seed: anything that changes
   /// pair semantics (sim_fraction, level, sampling sizes) would
   /// desynchronize the Definition 1 check the Engine already performed.
   /// Thread-safe: only immutable state and call-local Rngs are touched.
@@ -147,32 +148,27 @@ class Explainer {
 
   /// The des'-only mode behind Engine::GenerateDespite (§6.4) and the
   /// des' + bec mode of an auto-despite request, over the same scan and
-  /// training matrix as ExplainPrepared.
+  /// training matrix as ExplainPrepared. `enumeration` supplies the
+  /// scans' threads, cap and pruning switch, none of which changes a
+  /// result.
   Result<Predicate> GenerateDespitePrepared(
       const Query& bound, const CompiledQuery& compiled,
       std::size_t poi_first, std::size_t poi_second, std::size_t width,
-      const ExplainerOptions& options) const;
+      const ExplainerOptions& options,
+      const EnumerationOptions& enumeration) const;
   Result<Explanation> ExplainWithAutoDespitePrepared(
       const Query& bound, const CompiledQuery& compiled,
       std::size_t poi_first, std::size_t poi_second,
-      const ExplainerOptions& options) const;
+      const ExplainerOptions& options,
+      const EnumerationOptions& enumeration) const;
 
-  /// The Value-path oracle of the clause search: generates one clause from
-  /// already-materialized training examples (the equivalence suites pin
-  /// the encoded pipeline against it). The first example must be the pair
-  /// of interest. `target_expected` selects des' mode (optimize relevance)
-  /// versus bec mode (optimize precision). Atoms appearing verbatim in
+  /// The clause search behind the entry points above (lines 3-17 of
+  /// Algorithm 1): generates one clause from an encoded training matrix
+  /// whose row 0 is the pair of interest, under per-request `options`.
+  /// `target_expected` selects des' mode (optimize relevance) versus bec
+  /// mode (optimize precision). Atoms appearing verbatim in
   /// `redundant_atoms` (the query's despite clause, which every related
   /// pair satisfies) are never proposed.
-  std::vector<ExplanationAtom> GenerateClause(
-      std::vector<TrainingExample> examples, std::size_t width,
-      bool target_expected, const std::vector<std::size_t>& excluded_raw,
-      const std::vector<Atom>& redundant_atoms = {}) const;
-
-  /// The encoded clause search behind the entry points above: generates
-  /// one clause from an encoded training matrix whose row 0 is the pair of
-  /// interest, under per-request `options`. The other arguments are as for
-  /// GenerateClause, whose trace it reproduces bitwise.
   std::vector<ExplanationAtom> GenerateClauseEncoded(
       const EncodedDataset& examples, std::size_t width, bool target_expected,
       const std::vector<std::size_t>& excluded_raw,
@@ -183,14 +179,6 @@ class Explainer {
   /// (excluded from candidate explanation features).
   std::vector<std::size_t> ExcludedRawFeatures(const Query& bound_query)
       const;
-
-  /// The Value-path oracle of the sampler: builds (and balanced-samples)
-  /// the training examples for a query Engine::Prepare bound, with the
-  /// pair of interest first, over `log` — the rows of this explainer's
-  /// columns as an ExecutionLog.
-  Result<std::vector<TrainingExample>> BuildExamples(
-      const ExecutionLog& log, const Query& bound_query,
-      std::size_t poi_first, std::size_t poi_second) const;
 
  private:
   static Predicate ClauseToPredicate(
@@ -204,12 +192,12 @@ class Explainer {
       const ExplainerOptions& options,
       const EnumerationOptions& enumeration) const;
 
-  /// The training matrix of one request: ScanRelatedPairs of `compiled`
-  /// on `options.threads`, then EncodeFromScan.
-  Result<EncodedDataset> ScanAndEncode(const CompiledQuery& compiled,
-                                       std::size_t poi_first,
-                                       std::size_t poi_second,
-                                       const ExplainerOptions& options) const;
+  /// The training matrix of one request: ScanRelatedPairs of `compiled`,
+  /// then EncodeFromScan.
+  Result<EncodedDataset> ScanAndEncode(
+      const CompiledQuery& compiled, std::size_t poi_first,
+      std::size_t poi_second, const ExplainerOptions& options,
+      const EnumerationOptions& enumeration) const;
 
   /// The diversity cap and encoding of a drawn sample.
   Result<EncodedDataset> Encode(Result<std::vector<PairRef>> sampled,

@@ -88,12 +88,9 @@ bool IsApplicable(const Explanation& explanation, const PairSchema& schema,
                   const ExecutionRecord& first, const ExecutionRecord& second,
                   const PairFeatureOptions& options) {
   // Build a two-row columnar log of just this (possibly ad-hoc) pair and
-  // compile both clauses against it: a program's Eval over rows (0, 1) is
-  // exactly Predicate::Eval over the lazy view of (first, second) —
-  // including missing values and NaN — and compile-time always-false
-  // resolution (constants absent from the two records' dictionary, kind
-  // mismatches) is correct here because the evaluated pair IS the whole
-  // log. This was the last production consumer of PairFeatureView.
+  // compile both clauses against it: compile-time always-false resolution
+  // (constants absent from the two records' dictionary, kind mismatches)
+  // is correct here because the evaluated pair IS the whole log.
   const ColumnarLog columns(schema.raw(), {first, second});
   const CompiledPredicate despite =
       CompiledPredicate::Compile(explanation.despite, schema, columns);

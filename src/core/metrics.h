@@ -3,7 +3,7 @@
 
 #include "core/explanation.h"
 #include "core/pair_enumeration.h"
-#include "features/pair_features.h"
+#include "features/pair_feature_kernel.h"
 #include "log/columnar.h"
 #include "log/execution_log.h"
 #include "pxql/query.h"
@@ -54,9 +54,8 @@ ExplanationMetrics EvaluateExplanation(
 /// True when the explanation is applicable to the pair (Definition 3):
 /// both clauses hold for (first, second). The records may be ad-hoc (from
 /// different logs, or from none); evaluation compiles the clauses against a
-/// two-row columnar log of just this pair, so no lazy PairFeatureView is
-/// constructed — equivalence with the lazy path (missing values, NaN
-/// included) is pinned by tests/core/metrics_test.cc.
+/// two-row columnar log of just this pair — agreement with the reference
+/// (missing values, NaN included) is pinned by tests/core/metrics_test.cc.
 bool IsApplicable(const Explanation& explanation, const PairSchema& schema,
                   const ExecutionRecord& first, const ExecutionRecord& second,
                   const PairFeatureOptions& options);

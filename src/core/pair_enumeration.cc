@@ -6,23 +6,6 @@
 
 namespace perfxplain {
 
-void ForEachOrderedPair(
-    const ExecutionLog& log, const PairSchema& schema,
-    const PairFeatureOptions& options,
-    const std::function<bool(std::size_t, std::size_t,
-                             const PairFeatureView&)>& fn) {
-  ForEachOrderedPair<const std::function<bool(
-      std::size_t, std::size_t, const PairFeatureView&)>&>(log, schema,
-                                                           options, fn);
-}
-
-PairLabel ClassifyPair(const Query& bound_query, const PairFeatureView& view) {
-  if (!bound_query.despite.Eval(view)) return PairLabel::kUnrelated;
-  if (bound_query.observed.Eval(view)) return PairLabel::kObserved;
-  if (bound_query.expected.Eval(view)) return PairLabel::kExpected;
-  return PairLabel::kUnrelated;
-}
-
 PairLabel ClassifyPairCompiled(const CompiledQuery& query, std::size_t i,
                                std::size_t j, double sim_fraction) {
   if (!query.despite.Eval(i, j, sim_fraction)) {
@@ -149,9 +132,9 @@ Result<std::vector<PairRef>> ReplaySampleDraws(
       ComputeAcceptance(counts, sampler_options, balanced);
 
   // The acceptance draws happen serially in row-major related-pair order
-  // (one Bernoulli per related pair except the pair of interest) — exactly
-  // the draw sequence of the legacy two-pass enumeration, for any thread
-  // count, any pruning decision, and either memory strategy.
+  // (one Bernoulli per related pair except the pair of interest) — one
+  // draw sequence for any thread count, any pruning decision, and either
+  // memory strategy.
   std::vector<PairRef> sampled;
   sampled.reserve(std::min<std::size_t>(
       sampler_options.sample_size + 1, counts.total() + 1));
@@ -208,45 +191,6 @@ Result<std::vector<PairRef>> SampleFromScan(
         return true;
       });
   return sampled;
-}
-
-Result<std::vector<TrainingExample>> BuildTrainingExamples(
-    const ExecutionLog& log, const PairSchema& schema,
-    const Query& bound_query, std::size_t poi_first, std::size_t poi_second,
-    const PairFeatureOptions& pair_options,
-    const SamplerOptions& sampler_options, Rng& rng, bool balanced) {
-  const ColumnarLog columns(log);
-  const CompiledQuery compiled =
-      CompiledQuery::Compile(bound_query, schema, columns);
-  auto sampled = SampleFromScan(
-      ScanRelatedPairs(columns, compiled, pair_options.sim_fraction),
-      columns, compiled, poi_first, poi_second, pair_options.sim_fraction,
-      sampler_options, rng, balanced);
-  if (!sampled.ok()) return sampled.status();
-
-  std::vector<TrainingExample> examples;
-  examples.reserve(sampled->size());
-  for (const PairRef& pair : *sampled) {
-    PairFeatureView view(&schema, &log.at(pair.first), &log.at(pair.second),
-                         &pair_options);
-    TrainingExample example;
-    example.first = pair.first;
-    example.second = pair.second;
-    example.observed = pair.observed;
-    example.features = view.Materialize();
-    examples.push_back(std::move(example));
-  }
-  return examples;
-}
-
-Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
-    const ExecutionLog& log, const PairSchema& schema,
-    const Query& bound_query, const PairFeatureOptions& options,
-    std::size_t skip) {
-  const ColumnarLog columns(log);
-  const CompiledQuery compiled =
-      CompiledQuery::Compile(bound_query, schema, columns);
-  return FindPairOfInterest(columns, compiled, options.sim_fraction, skip);
 }
 
 Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(

@@ -2,7 +2,6 @@
 #define PERFXPLAIN_CORE_PAIR_ENUMERATION_H_
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -10,45 +9,13 @@
 #include "common/random.h"
 #include "common/row_stripe.h"
 #include "common/status.h"
-#include "features/pair_features.h"
 #include "features/pair_schema.h"
 #include "log/columnar.h"
-#include "log/execution_log.h"
 #include "ml/sampler.h"
 #include "pxql/compiled_predicate.h"
 #include "pxql/query.h"
 
 namespace perfxplain {
-
-/// Invokes `fn` for every ordered pair (i, j), i != j, of records in `log`
-/// with a lazy feature view. Enumeration is row-major and deterministic.
-/// `fn` returning false stops the enumeration early.
-///
-/// Compat layer: this is the seed enumeration the columnar scans are
-/// pinned against (see docs/ARCHITECTURE.md for the full boundary); no
-/// production path calls it — only equivalence tests, the in-binary
-/// bench_micro baselines, and the legacy technique entry points.
-///
-/// The callable is a template parameter so tight callers inline; the
-/// std::function overload below remains for type-erased call sites.
-template <typename Fn>
-void ForEachOrderedPair(const ExecutionLog& log, const PairSchema& schema,
-                        const PairFeatureOptions& options, Fn&& fn) {
-  const std::size_t n = log.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      PairFeatureView view(&schema, &log.at(i), &log.at(j), &options);
-      if (!fn(i, j, view)) return;
-    }
-  }
-}
-
-void ForEachOrderedPair(
-    const ExecutionLog& log, const PairSchema& schema,
-    const PairFeatureOptions& options,
-    const std::function<bool(std::size_t, std::size_t,
-                             const PairFeatureView&)>& fn);
 
 /// Classification of one pair with respect to a query (Definitions 7-9).
 enum class PairLabel {
@@ -57,12 +24,8 @@ enum class PairLabel {
   kExpected,   ///< des && exp
 };
 
-/// Labels the pair via lazy evaluation (des first, so unrelated pairs cost
-/// only the des atoms).
-PairLabel ClassifyPair(const Query& bound_query, const PairFeatureView& view);
-
-/// Labels the pair of rows (i, j) of the query's compiled-against log —
-/// the columnar equivalent of ClassifyPair, allocation-free.
+/// Labels the pair of rows (i, j) of the query's compiled-against log,
+/// allocation-free (des first, so unrelated pairs cost only the des atoms).
 PairLabel ClassifyPairCompiled(const CompiledQuery& query, std::size_t i,
                                std::size_t j, double sim_fraction);
 
@@ -249,7 +212,7 @@ Result<std::vector<PairRef>> ReplaySampleDraws(
 /// `query`, pair of interest first: replayed from a buffered scan, or
 /// streamed over a serial re-enumeration of the candidate pairs with
 /// O(accepted) memory when the scan overflowed. Both draw the same pairs
-/// as the legacy Value path for the same Rng.
+/// for the same Rng.
 Result<std::vector<PairRef>> SampleFromScan(
     const RelatedPairScan& scan, const ColumnarLog& columns,
     const CompiledQuery& query, std::size_t poi_first,
@@ -257,34 +220,13 @@ Result<std::vector<PairRef>> SampleFromScan(
     const SamplerOptions& sampler_options, Rng& rng, bool balanced = true,
     const EnumerationOptions& enumeration = {});
 
-/// constructTrainingExamples + sample (lines 1-2 of Algorithm 1): labels
-/// every ordered pair, keeps related ones with the balanced-sampling
-/// acceptance probabilities of §4.3, and materializes the kept pairs'
-/// feature vectors. The pair of interest (poi_first, poi_second) — which by
-/// Definition 1 performs as observed — is always included, as the first
-/// example.
-/// When `balanced` is false the §4.3 label-balancing acceptance
-/// probabilities are replaced by a single uniform probability m/|related|
-/// (ablation of the balanced-sampling design decision).
-Result<std::vector<TrainingExample>> BuildTrainingExamples(
-    const ExecutionLog& log, const PairSchema& schema,
-    const Query& bound_query, std::size_t poi_first, std::size_t poi_second,
-    const PairFeatureOptions& pair_options,
-    const SamplerOptions& sampler_options, Rng& rng, bool balanced = true);
-
 /// Finds a pair of interest for the query: an ordered pair satisfying
 /// des AND obs (and therefore, by Definition 1, not exp). `skip` ordered
 /// pairs matching the condition are passed over first, so callers can pick
-/// different exemplars. Returns (first, second) record indexes.
-Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
-    const ExecutionLog& log, const PairSchema& schema,
-    const Query& bound_query, const PairFeatureOptions& options,
-    std::size_t skip = 0);
-
-/// Columnar fast path of FindPairOfInterest. The scan is serial (the
-/// expected exit is early) but each pair test runs the compiled program,
-/// and only the despite clause's candidate pairs are visited (unless
-/// `enumeration.prune` is off; its thread count is unused).
+/// different exemplars. Returns (first, second) row indexes. The scan is
+/// serial (the expected exit is early) but each pair test runs the
+/// compiled program, and only the despite clause's candidate pairs are
+/// visited (unless `enumeration.prune` is off; its thread count is unused).
 Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
     const ColumnarLog& columns, const CompiledQuery& query,
     double sim_fraction, std::size_t skip = 0,

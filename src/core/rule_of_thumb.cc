@@ -1,7 +1,6 @@
 #include "core/rule_of_thumb.h"
 
 #include "features/pair_feature_kernel.h"
-#include "features/pair_features.h"
 #include "log/catalog.h"
 
 namespace perfxplain {
@@ -54,34 +53,6 @@ Result<Explanation> RuleOfThumb::ExplainPrepared(const Query& bound,
                             pair_values::FalseValue());
     explanation.because.Append(atom.atom);
     explanation.because_trace.push_back(std::move(atom));
-  }
-  return FinishExplanation(std::move(explanation));
-}
-
-Result<Explanation> RuleOfThumb::ExplainLegacy(const ExecutionLog& log,
-                                               const Query& bound,
-                                               std::size_t poi_first,
-                                               std::size_t poi_second,
-                                               std::size_t width) const {
-  PairFeatureView view(&schema_, &log.at(poi_first), &log.at(poi_second),
-                       &options_.pair);
-
-  const std::vector<bool> excluded = OutcomeRawFeatureMask(bound, schema_);
-
-  Explanation explanation;
-  for (std::size_t raw : ranking_) {
-    if (explanation.because.width() >= width) break;
-    if (excluded[raw]) continue;
-    const std::size_t is_same =
-        schema_.IndexOf(PairFeatureKind::kIsSame, raw);
-    const Value value = view.Get(is_same);
-    if (value == Value::Nominal(pair_values::kFalse)) {
-      ExplanationAtom atom;
-      atom.atom = Atom::Bound(schema_, is_same, CompareOp::kEq,
-                              Value::Nominal(pair_values::kFalse));
-      explanation.because.Append(atom.atom);
-      explanation.because_trace.push_back(std::move(atom));
-    }
   }
   return FinishExplanation(std::move(explanation));
 }

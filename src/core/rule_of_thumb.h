@@ -8,7 +8,7 @@
 #include "core/explanation.h"
 #include "features/pair_schema.h"
 #include "log/columnar.h"
-#include "log/execution_log.h"
+#include "features/pair_feature_kernel.h"
 #include "ml/relief.h"
 #include "pxql/query.h"
 
@@ -30,7 +30,7 @@ struct RuleOfThumbOptions {
 ///
 /// Both the RReliefF ranking pass and the per-query disagreement test run
 /// on the columnar engine (double arrays and interner codes instead of
-/// Values), bitwise identical to the legacy path.
+/// Values).
 class RuleOfThumb {
  public:
   /// Ranks features once over `columns`, which must outlive this object
@@ -48,17 +48,6 @@ class RuleOfThumb {
                                       std::size_t poi_first,
                                       std::size_t poi_second,
                                       std::size_t width) const;
-
-  /// The seed implementation (Value-path disagreement test), kept as the
-  /// reference oracle for the equivalence tests and the in-binary
-  /// bench_micro baseline. Reads the pair of interest from `log`, the
-  /// rows of this baseline's columns as an ExecutionLog, and takes the
-  /// same prepared inputs as ExplainPrepared. Bitwise-identical
-  /// explanations.
-  Result<Explanation> ExplainLegacy(const ExecutionLog& log,
-                                    const Query& bound, std::size_t poi_first,
-                                    std::size_t poi_second,
-                                    std::size_t width) const;
 
  private:
   RuleOfThumbOptions options_;

@@ -25,10 +25,8 @@ std::size_t AgreeThreshold(double similarity_threshold, std::size_t k) {
   return agree_threshold;
 }
 
-/// Lines 12-17 of Algorithm 2, shared by the columnar and legacy paths:
-/// rank features by the what-if score o/d and conjoin the top-w at the
-/// pair's own isSame values. Identical tallies produce identical
-/// explanations, bit for bit.
+/// Lines 12-17 of Algorithm 2: rank features by the what-if score o/d and
+/// conjoin the top-w at the pair's own isSame values.
 Result<Explanation> ExplanationFromTallies(
     const PairSchema& schema, const std::vector<Value>& poi_is_same,
     const std::vector<bool>& excluded,
@@ -130,7 +128,7 @@ std::vector<Result<Explanation>> SimButDiff::ExplainPrepared(
   const std::size_t agree_threshold =
       AgreeThreshold(options_.similarity_threshold, k);
   // A threshold above k (similarity_threshold > 1) is unsatisfiable: the
-  // legacy scan rejects every pair, so skip the scan rather than let
+  // similarity test rejects every pair, so skip the scan rather than let
   // k - agree_threshold wrap.
   const bool satisfiable = agree_threshold <= k;
   const std::size_t max_disagree = satisfiable ? k - agree_threshold : 0;
@@ -311,60 +309,6 @@ std::vector<Result<Explanation>> SimButDiff::ExplainPrepared(
         similar_pairs, options_.similarity_threshold, pois[r].width));
   }
   return results;
-}
-
-Result<Explanation> SimButDiff::ExplainLegacy(const ExecutionLog& log,
-                                              const Query& bound,
-                                              std::size_t poi_first,
-                                              std::size_t poi_second,
-                                              std::size_t width) const {
-  const std::size_t k = schema_.raw_size();
-  PairFeatureView poi_view(&schema_, &log.at(poi_first), &log.at(poi_second),
-                           &options_.pair);
-  std::vector<Value> poi_is_same(k);
-  for (std::size_t f = 0; f < k; ++f) {
-    poi_is_same[f] = poi_view.Get(f);
-  }
-
-  const std::vector<bool> excluded = OutcomeRawFeatureMask(bound, schema_);
-
-  const std::size_t agree_threshold =
-      AgreeThreshold(options_.similarity_threshold, k);
-  std::vector<std::size_t> disagree(k, 0);
-  std::vector<std::size_t> disagree_expected(k, 0);
-  std::vector<std::size_t> diff_features;
-  diff_features.reserve(k);
-  std::size_t similar_pairs = 0;
-
-  ForEachOrderedPair(
-      log, schema_, options_.pair,
-      [&](std::size_t i, std::size_t j, const PairFeatureView& view) {
-        if (i == poi_first && j == poi_second) return true;
-        const PairLabel label = ClassifyPair(bound, view);
-        if (label == PairLabel::kUnrelated) return true;
-        diff_features.clear();
-        std::size_t agree = 0;
-        for (std::size_t f = 0; f < k; ++f) {
-          if (view.Get(f) == poi_is_same[f]) {
-            ++agree;
-          } else {
-            diff_features.push_back(f);
-          }
-          if (diff_features.size() > k - agree_threshold) return true;
-        }
-        if (agree < agree_threshold) return true;
-        ++similar_pairs;
-        const bool expected = label == PairLabel::kExpected;
-        for (std::size_t f : diff_features) {
-          ++disagree[f];
-          if (expected) ++disagree_expected[f];
-        }
-        return true;
-      });
-
-  return ExplanationFromTallies(schema_, poi_is_same, excluded, disagree,
-                                disagree_expected, similar_pairs,
-                                options_.similarity_threshold, width);
 }
 
 }  // namespace perfxplain

@@ -10,7 +10,6 @@
 #include "features/pair_code_store.h"
 #include "features/pair_schema.h"
 #include "log/columnar.h"
-#include "log/execution_log.h"
 #include "pxql/compiled_predicate.h"
 #include "pxql/query.h"
 
@@ -101,18 +100,6 @@ class SimButDiff {
       const Query& bound, const CompiledQuery& compiled,
       const std::vector<PairOfInterest>& pois,
       const EnumerationOptions& enumeration) const;
-
-  /// The seed implementation (lazy Value views through
-  /// ForEachOrderedPair), kept as the reference oracle: the randomized
-  /// equivalence tests and the in-binary bench_micro baseline pin the
-  /// columnar path against it. Scans `log`, the rows of this baseline's
-  /// columns as an ExecutionLog, with the bound query and pair of interest
-  /// of a PreparedQuery, like ExplainPrepared. Bitwise-identical
-  /// explanations.
-  Result<Explanation> ExplainLegacy(const ExecutionLog& log,
-                                    const Query& bound, std::size_t poi_first,
-                                    std::size_t poi_second,
-                                    std::size_t width) const;
 
  private:
   /// The one tile source of every scan: the store's plane (filled on

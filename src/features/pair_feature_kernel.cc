@@ -94,50 +94,4 @@ Value DecodeBaseNominal(std::int32_t code, const StringInterner& interner) {
   return Value::Nominal(interner.StringOf(code));
 }
 
-Value ComputePairFeatureColumnar(const ColumnarLog& columns,
-                                 const PairSchema& schema, std::size_t i,
-                                 std::size_t j, std::size_t pair_index,
-                                 double sim_fraction) {
-  const std::size_t col = schema.RawIndexOf(pair_index);
-  const bool numeric = columns.is_numeric(col);
-  switch (schema.KindOf(pair_index)) {
-    case PairFeatureKind::kIsSame: {
-      if (numeric) {
-        const NumericColumn& c = columns.numeric_column(col);
-        return DecodeIsSame(kernel::IsSameNumeric(
-            c.present.Test(i), c.values[i], c.present.Test(j), c.values[j],
-            sim_fraction));
-      }
-      const NominalColumn& c = columns.nominal_column(col);
-      return DecodeIsSame(kernel::IsSameNominal(c.codes[i], c.codes[j]));
-    }
-    case PairFeatureKind::kCompare: {
-      if (!numeric) return Value::Missing();
-      const NumericColumn& c = columns.numeric_column(col);
-      return DecodeCompare(kernel::CompareNumeric(
-          c.present.Test(i), c.values[i], c.present.Test(j), c.values[j],
-          sim_fraction));
-    }
-    case PairFeatureKind::kDiff: {
-      if (numeric) return Value::Missing();
-      const NominalColumn& c = columns.nominal_column(col);
-      return DecodeDiff(kernel::DiffPacked(c.codes[i], c.codes[j]),
-                        columns.interner());
-    }
-    case PairFeatureKind::kBase: {
-      if (numeric) {
-        const NumericColumn& c = columns.numeric_column(col);
-        const kernel::BaseNumericResult base = kernel::BaseNumeric(
-            c.present.Test(i), c.values[i], c.present.Test(j), c.values[j]);
-        if (!base.present) return Value::Missing();
-        return Value::Number(base.value);
-      }
-      const NominalColumn& c = columns.nominal_column(col);
-      return DecodeBaseNominal(kernel::BaseNominal(c.codes[i], c.codes[j]),
-                               columns.interner());
-    }
-  }
-  return Value::Missing();
-}
-
 }  // namespace perfxplain

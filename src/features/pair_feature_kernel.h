@@ -12,10 +12,25 @@
 
 namespace perfxplain {
 
+/// Tunables for pair-feature computation.
+struct PairFeatureOptions {
+  /// Two numeric values are "similar" (compare = SIM, isSame = T) when they
+  /// are within this fraction of one another (footnote 1 of the paper uses
+  /// 10%).
+  double sim_fraction = 0.10;
+};
+
 /// Branchless-ish scalar kernels computing the Table 1 pair features as
-/// small integer codes directly from columnar data. Each kernel is
-/// bit-for-bit equivalent to the corresponding branch of ComputePairFeature
-/// (pair_features.cc) but never materializes a Value and never allocates.
+/// small integer codes directly from columnar data:
+///  - f_isSame: "T"/"F". Nominal raw features compare exactly; numeric raw
+///    features use the similarity tolerance (continuous metrics are never
+///    bitwise equal, so exact equality would make every isSame feature
+///    trivially "F"). Missing raw values yield a missing pair value.
+///  - f_compare: "LT"/"SIM"/"GT" comparing a.f against b.f; missing for
+///    nominal raw features or missing inputs.
+///  - f_diff: "(a.f,b.f)"; missing for numeric raw features.
+///  - f (base): a.f when a.f = b.f exactly, otherwise missing.
+/// The kernels never materialize a Value and never allocate.
 /// Everything in this namespace is a pure function of its arguments (or an
 /// immutable table of column pointers), so kernels are safe to call from
 /// any number of row-stripe workers concurrently; thread-count invariance
@@ -85,7 +100,7 @@ inline std::int32_t DiffRight(std::int64_t packed) {
 
 /// Base feature of a numeric raw feature: present (with value x) only when
 /// both sides are present and exactly equal. NaN never equals itself, so a
-/// NaN input yields a missing base feature, as in the Value path.
+/// NaN input yields a missing base feature.
 struct BaseNumericResult {
   bool present;
   double value;
@@ -402,14 +417,6 @@ Value DecodeIsSame(std::int8_t code);
 Value DecodeCompare(std::int8_t code);
 Value DecodeDiff(std::int64_t packed, const StringInterner& interner);
 Value DecodeBaseNominal(std::int32_t code, const StringInterner& interner);
-
-/// Computes pair feature `pair_index` for rows (i, j) of `columns` and
-/// decodes it to a Value — the kernel-backed equivalent of
-/// ComputePairFeature, used by equivalence tests.
-Value ComputePairFeatureColumnar(const ColumnarLog& columns,
-                                 const PairSchema& schema, std::size_t i,
-                                 std::size_t j, std::size_t pair_index,
-                                 double sim_fraction);
 
 }  // namespace perfxplain
 

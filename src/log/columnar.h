@@ -118,8 +118,8 @@ struct PairRef {
 ///    `present` the missing bitmap. A missing cell stores 0.0 with its
 ///    presence bit clear — consumers must test presence before reading.
 ///    NaN is *data*, not missingness: a NaN cell is present, and the
-///    kernels reproduce the Value path's NaN behavior (NaN is similar to
-///    nothing, never equal to itself) bit for bit.
+///    kernels give it Value's NaN behavior (NaN is similar to nothing,
+///    never equal to itself).
 ///    ValueOrder lists its present, non-NaN rows by ascending value.
 ///  - Nominal feature f -> NominalColumn: `codes[row]` is the dense code
 ///    of the string in the shared StringInterner, or kNoCode when the
@@ -139,9 +139,8 @@ class ColumnarLog {
   /// Columnar form of a handful of ad-hoc records (not necessarily from any
   /// log; duplicate ids are fine, and Find returns the first). Each
   /// record's value count must match `schema`. Row r of the result is
-  /// records[r]. Used by the columnar IsApplicable to evaluate compiled
-  /// predicates over one record pair without constructing a lazy
-  /// PairFeatureView.
+  /// records[r]. Used by IsApplicable to evaluate compiled predicates over
+  /// one record pair.
   ColumnarLog(const Schema& schema,
               const std::vector<ExecutionRecord>& records);
 

@@ -58,8 +58,8 @@ class EncodedDataset {
     return features_[pair_index].present.Test(row);
   }
 
-  /// Decodes a cell (or a code of the column) back to the exact Value the
-  /// legacy path would compute — used to build Atom constants.
+  /// Decodes a cell (or a code of the column) back to the exact Value of
+  /// the Table 1 pair feature — used to build Atom constants.
   Value DecodeValue(std::size_t pair_index, std::size_t row) const;
   Value DecodeCode(std::size_t pair_index, std::int64_t code) const;
 

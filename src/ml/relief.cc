@@ -25,52 +25,10 @@ double NumericDiff(double a, double b, double range) {
   return std::min(1.0, std::abs(a - b) / range);
 }
 
-/// Value-path backend: diffs computed from the records' Values. This is
-/// the original (seed) arithmetic; the columnar backend below must stay
-/// bitwise identical to it.
-class ValueReliefView {
- public:
-  explicit ValueReliefView(const ExecutionLog& log) : log_(&log) {
-    const std::size_t k = log.schema().size();
-    ranges_.min.assign(k, std::numeric_limits<double>::infinity());
-    ranges_.max.assign(k, -std::numeric_limits<double>::infinity());
-    for (const auto& record : log.records()) {
-      for (std::size_t f = 0; f < k; ++f) {
-        const Value& v = record.values[f];
-        if (!v.is_numeric()) continue;
-        ranges_.min[f] = std::min(ranges_.min[f], v.number());
-        ranges_.max[f] = std::max(ranges_.max[f], v.number());
-      }
-    }
-  }
-
-  std::size_t rows() const { return log_->size(); }
-  std::size_t features() const { return log_->schema().size(); }
-  double range(std::size_t f) const { return ranges_.max[f] - ranges_.min[f]; }
-
-  /// diff(f, a, b): |a-b| / (max-min) for numerics (0 when constant), 0/1
-  /// equality for nominals, 0.5 when exactly one side is missing, 0 when
-  /// both are.
-  double Diff(std::size_t f, std::size_t i, std::size_t j) const {
-    const Value& a = log_->at(i).values[f];
-    const Value& b = log_->at(j).values[f];
-    if (a.is_missing() && b.is_missing()) return 0.0;
-    if (a.is_missing() || b.is_missing()) return 0.5;
-    if (a.is_numeric() && b.is_numeric()) {
-      return NumericDiff(a.number(), b.number(), range(f));
-    }
-    return a == b ? 0.0 : 1.0;
-  }
-
- private:
-  const ExecutionLog* log_;
-  FeatureRanges ranges_;
-};
-
-/// Columnar backend: numeric diffs on the raw double arrays, nominal diffs
-/// on interner codes, column pointers resolved once. Range accumulation
-/// visits the rows in the same order with the same std::min/std::max calls
-/// as the Value path, so NaN inputs resolve identically.
+/// diff(f, a, b) over the columns: numeric diffs on the raw double arrays,
+/// nominal diffs on interner codes, column pointers resolved once. Range
+/// accumulation visits the rows in order with std::min/std::max, so a NaN
+/// cell never widens a range.
 class ColumnarReliefView {
  public:
   explicit ColumnarReliefView(const ColumnarLog& columns)
@@ -116,8 +74,7 @@ class ColumnarReliefView {
   FeatureRanges ranges_;
 };
 
-/// Final RReliefF weight formula from the accumulators, shared by the
-/// serial and striped cores.
+/// Final RReliefF weight formula from the accumulators.
 std::vector<double> WeightsFromAccumulators(
     std::size_t k, std::size_t target_index, double n_dc,
     const std::vector<double>& n_da, const std::vector<double>& n_dcda,
@@ -140,84 +97,36 @@ std::vector<double> WeightsFromAccumulators(
   return weights;
 }
 
-/// The seed RReliefF core: one serial pass over the probes, generic over
-/// the diff backend. The compat path (ExecutionLog overload) runs this; the
-/// striped core below is pinned bitwise against it.
-template <typename View>
-std::vector<double> RRelieffImpl(const View& view, std::size_t target_index,
-                                 const ReliefOptions& options, Rng& rng) {
-  const std::size_t k = view.features();
-  std::vector<double> weights(k, 0.0);
-  const std::size_t n = view.rows();
-  if (n < 2) return weights;
-  PX_CHECK_LT(target_index, k);
-
-  // RReliefF accumulators.
-  double n_dc = 0.0;                    // P(different prediction)
-  std::vector<double> n_da(k, 0.0);     // P(different attribute value)
-  std::vector<double> n_dcda(k, 0.0);   // P(diff. prediction & diff. attr.)
-  double total_weight = 0.0;
-
-  const std::size_t m =
-      std::min(options.iterations, n);  // probe each record at most once/pass
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  rng.Shuffle(order);
-
-  std::vector<std::pair<double, std::size_t>> distances;
-  distances.reserve(n - 1);
-  for (std::size_t probe = 0; probe < options.iterations; ++probe) {
-    const std::size_t i = order[probe % m];
-
-    distances.clear();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      double dist = 0.0;
-      for (std::size_t f = 0; f < k; ++f) {
-        if (f == target_index) continue;
-        dist += view.Diff(f, i, j);
-      }
-      distances.emplace_back(dist, j);
-    }
-    const std::size_t kk = std::min(options.neighbors, distances.size());
-    std::partial_sort(distances.begin(), distances.begin() + kk,
-                      distances.end());
-
-    const double w = 1.0 / static_cast<double>(kk);
-    for (std::size_t t = 0; t < kk; ++t) {
-      const std::size_t j = distances[t].second;
-      const double d_target = view.Diff(target_index, i, j);
-      n_dc += d_target * w;
-      for (std::size_t f = 0; f < k; ++f) {
-        if (f == target_index) continue;
-        const double d = view.Diff(f, i, j);
-        n_da[f] += d * w;
-        n_dcda[f] += d_target * d * w;
-      }
-      total_weight += w;
-    }
+std::vector<std::size_t> RankByWeight(const std::vector<double>& weights,
+                                      std::size_t target_index) {
+  std::vector<std::size_t> order;
+  order.reserve(weights.size());
+  for (std::size_t f = 0; f < weights.size(); ++f) {
+    if (f != target_index) order.push_back(f);
   }
-
-  return WeightsFromAccumulators(k, target_index, n_dc, n_da, n_dcda,
-                                 total_weight);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return weights[a] > weights[b];
+                   });
+  return order;
 }
 
-/// Striped RReliefF core: the O(m·n·k) nearest-neighbor searches — the
-/// dominant cost — run on worker threads, one contiguous stripe of probes
-/// each, the way pair enumeration stripes rows. Bitwise identical to
-/// RRelieffImpl for every thread count because
-///  (1) every Rng draw happens in the up-front shuffle, before any probe,
-///      so probes consume no randomness and are order-independent;
-///  (2) probe p's distance array (and hence its partial_sort result)
-///      depends only on (order, view), never on other probes; and
-///  (3) the floating-point accumulation — where summation order matters —
-///      replays serially over the recorded neighbor lists in probe order,
-///      executing the exact operation sequence of the serial core.
-template <typename View>
-std::vector<double> RRelieffStripedImpl(const View& view,
-                                        std::size_t target_index,
-                                        const ReliefOptions& options,
-                                        Rng& rng) {
+}  // namespace
+
+// The O(m·n·k) nearest-neighbor searches — the dominant cost — run on
+// worker threads, one contiguous stripe of probes each, the way pair
+// enumeration stripes rows. The weights are bitwise identical for every
+// thread count because
+//  (1) every Rng draw happens in the up-front shuffle, before any probe,
+//      so probes consume no randomness and are order-independent;
+//  (2) probe p's distance array (and hence its partial_sort result)
+//      depends only on (order, view), never on other probes; and
+//  (3) the floating-point accumulation — where summation order matters —
+//      replays serially over the recorded neighbor lists in probe order.
+std::vector<double> RRelieff(const ColumnarLog& columns,
+                             std::size_t target_index,
+                             const ReliefOptions& options, Rng& rng) {
+  const ColumnarReliefView view(columns);
   const std::size_t k = view.features();
   std::vector<double> weights(k, 0.0);
   const std::size_t n = view.rows();
@@ -267,8 +176,8 @@ std::vector<double> RRelieffStripedImpl(const View& view,
         }
       });
 
-  // Phase 2 (serial): accumulate in probe order — the serial core's exact
-  // floating-point operation sequence.
+  // Phase 2 (serial): accumulate in probe order, so the floating-point
+  // operation sequence never depends on the stripes.
   double n_dc = 0.0;
   std::vector<double> n_da(k, 0.0);
   std::vector<double> n_dcda(k, 0.0);
@@ -292,43 +201,6 @@ std::vector<double> RRelieffStripedImpl(const View& view,
 
   return WeightsFromAccumulators(k, target_index, n_dc, n_da, n_dcda,
                                  total_weight);
-}
-
-std::vector<std::size_t> RankByWeight(const std::vector<double>& weights,
-                                      std::size_t target_index) {
-  std::vector<std::size_t> order;
-  order.reserve(weights.size());
-  for (std::size_t f = 0; f < weights.size(); ++f) {
-    if (f != target_index) order.push_back(f);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return weights[a] > weights[b];
-                   });
-  return order;
-}
-
-}  // namespace
-
-std::vector<double> RRelieff(const ExecutionLog& log,
-                             std::size_t target_index,
-                             const ReliefOptions& options, Rng& rng) {
-  return RRelieffImpl(ValueReliefView(log), target_index, options, rng);
-}
-
-std::vector<double> RRelieff(const ColumnarLog& columns,
-                             std::size_t target_index,
-                             const ReliefOptions& options, Rng& rng) {
-  return RRelieffStripedImpl(ColumnarReliefView(columns), target_index,
-                             options, rng);
-}
-
-std::vector<std::size_t> RankFeaturesByImportance(const ExecutionLog& log,
-                                                  std::size_t target_index,
-                                                  const ReliefOptions& options,
-                                                  Rng& rng) {
-  return RankByWeight(RRelieff(log, target_index, options, rng),
-                      target_index);
 }
 
 std::vector<std::size_t> RankFeaturesByImportance(const ColumnarLog& columns,

@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "log/columnar.h"
-#include "log/execution_log.h"
 
 namespace perfxplain {
 
@@ -17,11 +16,8 @@ namespace perfxplain {
 struct ReliefOptions {
   std::size_t iterations = 250;  ///< m: random probe instances
   std::size_t neighbors = 10;    ///< k: nearest neighbors per probe
-  /// Worker threads for the striped probe loop of the columnar backend
-  /// (0 = process default, see SetDefaultEnumerationThreads). Thread count
-  /// never changes any weight: all Rng draws happen in the up-front probe
-  /// shuffle, the per-probe nearest-neighbor searches are independent, and
-  /// the floating-point accumulation replays serially in probe order.
+  /// Worker threads for the striped probe loop (0 = process default, see
+  /// SetDefaultEnumerationThreads). Thread count never changes any weight.
   int threads = 0;
 };
 
@@ -33,20 +29,12 @@ struct ReliefOptions {
 /// diff(f, a, b) is |a-b| / (max-min) for numeric features (0 when the
 /// feature is constant), 0/1 equality for nominal features, 0.5 when exactly
 /// one side is missing and 0 when both are missing. Numeric NaN values are
-/// "present": NaN != NaN drives the range and diff arithmetic exactly as in
-/// the seed implementation, on both backends.
+/// "present": a NaN never widens a range and differs from everything by 1.
 ///
-/// This overload is the seed (compat) path: Value diffs, one serial probe
-/// pass. The equivalence tests pin the columnar overload below against it.
-std::vector<double> RRelieff(const ExecutionLog& log,
-                             std::size_t target_index,
-                             const ReliefOptions& options, Rng& rng);
-
-/// Columnar fast path: the same estimator over dictionary-encoded columns
-/// (numeric diffs on raw doubles, nominal diffs on interner codes), never
-/// touching a Value, with the O(m·n·k) probe loop striped across
-/// `options.threads` workers. Bitwise identical weights to the ExecutionLog
-/// overload for the same rows and Rng seed at every thread count: the
+/// Runs over dictionary-encoded columns (numeric diffs on raw doubles,
+/// nominal diffs on interner codes), never touching a Value, with the
+/// O(m·n·k) probe loop striped across `options.threads` workers. Bitwise
+/// identical weights at every thread count for the same Rng seed: the
 /// shuffle (the only Rng consumption) runs up front, per-probe neighbor
 /// searches are independent, and the floating-point accumulation replays
 /// serially in probe order.
@@ -56,12 +44,6 @@ std::vector<double> RRelieff(const ColumnarLog& columns,
 
 /// Indices of all features ordered by descending RReliefF weight, excluding
 /// `target_index` itself. Convenience for RuleOfThumb.
-std::vector<std::size_t> RankFeaturesByImportance(const ExecutionLog& log,
-                                                  std::size_t target_index,
-                                                  const ReliefOptions& options,
-                                                  Rng& rng);
-
-/// Columnar fast path of RankFeaturesByImportance.
 std::vector<std::size_t> RankFeaturesByImportance(const ColumnarLog& columns,
                                                   std::size_t target_index,
                                                   const ReliefOptions& options,

@@ -1,86 +1,33 @@
 #include "ml/sampler.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 namespace perfxplain {
 
-std::vector<TrainingExample> BalancedSample(
-    std::vector<TrainingExample> examples, const SamplerOptions& options,
-    Rng& rng) {
-  std::size_t n_observed = 0;
-  for (const auto& example : examples) {
-    if (example.observed) ++n_observed;
-  }
-  const std::size_t n_expected = examples.size() - n_observed;
-  const double m = static_cast<double>(options.sample_size);
-
-  const double p_observed =
-      n_observed == 0 ? 0.0
-                      : std::min(1.0, m / (2.0 * static_cast<double>(
-                                                    n_observed)));
-  const double p_expected =
-      n_expected == 0 ? 0.0
-                      : std::min(1.0, m / (2.0 * static_cast<double>(
-                                                    n_expected)));
-
-  std::vector<TrainingExample> sample;
-  sample.reserve(options.sample_size + options.sample_size / 4);
-  for (auto& example : examples) {
-    const double p = example.observed ? p_observed : p_expected;
-    if (rng.Bernoulli(p)) {
-      sample.push_back(std::move(example));
-    }
-  }
-  return sample;
-}
-
-namespace {
-
-/// One diversity filter for every example representation: `Example` only
-/// needs `first`/`second` record indexes (TrainingExample on the legacy
-/// path, PairRef on the encoded path).
-template <typename Example>
-std::vector<Example> EnforceRecordDiversityImpl(
-    std::vector<Example> examples, std::size_t max_pairs_per_record,
-    bool keep_first) {
-  if (max_pairs_per_record == 0) return examples;
+std::vector<PairRef> EnforceRecordDiversity(std::vector<PairRef> pairs,
+                                            std::size_t max_pairs_per_record,
+                                            bool keep_first) {
+  if (max_pairs_per_record == 0) return pairs;
   std::unordered_map<std::size_t, std::size_t> usage;
-  std::vector<Example> kept;
-  kept.reserve(examples.size());
-  for (std::size_t i = 0; i < examples.size(); ++i) {
-    Example& example = examples[i];
+  std::vector<PairRef> kept;
+  kept.reserve(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const PairRef& pair = pairs[i];
     if (i == 0 && keep_first) {
-      kept.push_back(std::move(example));
+      kept.push_back(pair);
       continue;
     }
-    std::size_t& first_uses = usage[example.first];
-    std::size_t& second_uses = usage[example.second];
+    std::size_t& first_uses = usage[pair.first];
+    std::size_t& second_uses = usage[pair.second];
     if (first_uses >= max_pairs_per_record ||
         second_uses >= max_pairs_per_record) {
       continue;
     }
     ++first_uses;
     ++second_uses;
-    kept.push_back(std::move(example));
+    kept.push_back(pair);
   }
   return kept;
-}
-
-}  // namespace
-
-std::vector<TrainingExample> EnforceRecordDiversity(
-    std::vector<TrainingExample> examples, std::size_t max_pairs_per_record,
-    bool keep_first) {
-  return EnforceRecordDiversityImpl(std::move(examples),
-                                    max_pairs_per_record, keep_first);
-}
-
-std::vector<PairRef> EnforceRecordDiversity(std::vector<PairRef> pairs,
-                                            std::size_t max_pairs_per_record,
-                                            bool keep_first) {
-  return EnforceRecordDiversityImpl(std::move(pairs), max_pairs_per_record,
-                                    keep_first);
 }
 
 }  // namespace perfxplain

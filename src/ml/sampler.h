@@ -3,43 +3,27 @@
 
 #include <vector>
 
-#include "common/random.h"
-#include "features/pair_features.h"
 #include "log/columnar.h"
 
 namespace perfxplain {
 
 /// Balanced-sampling parameters (§4.3). The default sample size matches the
-/// paper's implementation.
+/// paper's implementation. The acceptance draws themselves run over the
+/// related-pair scan (ReplaySampleDraws / SampleFromScan in
+/// core/pair_enumeration.h).
 struct SamplerOptions {
   std::size_t sample_size = 2000;
 };
-
-/// Keeps each training example with the acceptance probability from §4.3:
-///   p = m / (2 * |observed examples|)   for observed-labeled examples,
-///   p = m / (2 * |expected examples|)   for expected-labeled examples,
-/// producing a sample of roughly m examples balanced across the two labels.
-/// Probabilities above 1 are clamped (a class smaller than m/2 is kept
-/// whole). Order is preserved.
-std::vector<TrainingExample> BalancedSample(
-    std::vector<TrainingExample> examples, const SamplerOptions& options,
-    Rng& rng);
 
 /// Diversity post-filter — the sampling bias the paper leaves as future
 /// work (§4.3: "ensuring that priority is given to executions that
 /// correspond to a varied set of jobs"). Limits how many training pairs
 /// any single execution may participate in, so a handful of extreme
-/// executions cannot dominate the sample. Examples are considered in
-/// order; an example is dropped once either of its records has already
-/// been used `max_pairs_per_record` times. When `keep_first` is set, the
-/// first example (the pair of interest) is always retained and does not
-/// count against the caps.
-std::vector<TrainingExample> EnforceRecordDiversity(
-    std::vector<TrainingExample> examples, std::size_t max_pairs_per_record,
-    bool keep_first);
-
-/// Identical filter over bare pair references (the columnar fast path
-/// applies diversity before encoding the training matrix).
+/// executions cannot dominate the sample. Pairs are considered in order; a
+/// pair is dropped once either of its records has already been used
+/// `max_pairs_per_record` times. When `keep_first` is set, the first pair
+/// (the pair of interest) is always retained and does not count against
+/// the caps. 0 disables the filter.
 std::vector<PairRef> EnforceRecordDiversity(std::vector<PairRef> pairs,
                                             std::size_t max_pairs_per_record,
                                             bool keep_first);

@@ -12,23 +12,6 @@ namespace perfxplain {
 
 namespace {
 
-/// Gain of an explicit membership test evaluated over all examples.
-template <typename SatisfiesFn>
-SplitCounts CountSplit(const std::vector<TrainingExample>& examples,
-                       SatisfiesFn satisfies) {
-  SplitCounts counts;
-  for (const TrainingExample& example : examples) {
-    if (satisfies(example)) {
-      ++counts.in_total;
-      if (example.observed) ++counts.in_positive;
-    } else {
-      ++counts.out_total;
-      if (example.observed) ++counts.out_positive;
-    }
-  }
-  return counts;
-}
-
 /// The running best of one numeric feature's search. Candidates arrive in
 /// a fixed order and a later one wins only with a strictly higher gain.
 /// The atom is bound once, when the search ends, not on every improvement.
@@ -59,16 +42,14 @@ struct NumericBest {
   }
 };
 
-/// The C4.5-style threshold scan shared by the Value and encoded searches:
-/// one ascending pass over `points`, which the caller supplies sorted by
-/// value, produces the gains of all `f <= c` and `f >= c` candidates.
+/// The C4.5-style threshold scan: one ascending pass over `points`, which
+/// the caller supplies sorted by value, produces the gains of all `f <= c`
+/// and `f >= c` candidates.
 /// Midpoints between adjacent distinct values are used as thresholds, plus
 /// the extremes and the pair of interest's own value so `f <= poi` /
 /// `f >= poi` are always candidates. The searched set has `n_total`
 /// examples, `n_positive` of them positive; `present_positive` of the
-/// positives have a value (are in `points`). Callers extract `points` and
-/// the counts from their representation; everything downstream is this
-/// single definition, so the two paths cannot drift apart.
+/// positives have a value (are in `points`).
 void ScanSortedThresholds(const std::vector<ThresholdPoint>& points,
                           std::size_t n_total, std::size_t n_positive,
                           std::size_t present_positive, double poi,
@@ -162,30 +143,6 @@ void ScanSortedThresholds(const std::vector<ThresholdPoint>& points,
   }
 }
 
-/// Value-path point extraction and sort for the shared threshold scan.
-void SearchNumericThresholds(const std::vector<TrainingExample>& examples,
-                             std::size_t pair_index, double poi,
-                             const SplitOptions& options, NumericBest& best) {
-  std::vector<ThresholdPoint> points;
-  points.reserve(examples.size());
-  std::size_t positives = 0;
-  std::size_t present_positive = 0;
-  for (const TrainingExample& example : examples) {
-    positives += example.observed;
-    const Value& v = example.features[pair_index];
-    if (v.is_numeric()) {
-      points.push_back({v.number(), example.observed});
-      present_positive += example.observed;
-    }
-  }
-  std::sort(points.begin(), points.end(),
-            [](const ThresholdPoint& a, const ThresholdPoint& b) {
-              return a.value < b.value;
-            });
-  ScanSortedThresholds(points, examples.size(), positives, present_positive,
-                       poi, options, best);
-}
-
 bool TestRow(const RowBitmap& rows, std::size_t r) {
   return (rows[r >> 6] >> (r & 63)) & 1;
 }
@@ -251,8 +208,8 @@ const EncodedSplitIndex::EqualityTest& EncodedSplitIndex::EqualityTestAt(
   // The sole candidate is the pair of interest's own value. EncodedAtomTest
   // lowers it to every code that decodes to that value: one code, except
   // for a diff whose nominal values contain commas, where several packed
-  // codes render to the same "(a,b,c)" string and the Value path counts the
-  // candidate across all of them.
+  // codes render to the same "(a,b,c)" string and the candidate counts
+  // across all of them.
   test.atom = Atom::Bound(data.schema(), pair_index, CompareOp::kEq,
                           data.DecodeCode(pair_index, poi_code));
   test.rows = EncodedAtomTest(data, test.atom).MatchingRows(data);
@@ -357,38 +314,6 @@ std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
   }
   ScanSortedThresholds(cells.points, working.total(), working.positives(),
                        cells.positives, poi, options, best);
-  return best.Bind(schema, pair_index);
-}
-
-std::optional<SplitCandidate> BestPredicateForFeature(
-    const PairSchema& schema, const std::vector<TrainingExample>& examples,
-    std::size_t pair_index, const Value& poi_value,
-    const SplitOptions& options) {
-  if (examples.empty()) return std::nullopt;
-  if (!schema.IsDefined(pair_index)) return std::nullopt;
-  if (poi_value.is_missing()) return std::nullopt;
-
-  // Equality on the pair of interest's own value — the sole candidate of a
-  // nominal feature.
-  const SplitCounts counts =
-      CountSplit(examples, [&](const TrainingExample& e) {
-        return !e.features[pair_index].is_missing() &&
-               e.features[pair_index] == poi_value;
-      });
-  const bool supported =
-      counts.in_total >= std::max<std::size_t>(1, options.min_support);
-  if (schema.ValueKindOf(pair_index) == ValueKind::kNominal ||
-      !poi_value.is_numeric()) {
-    if (!supported) return std::nullopt;
-    return SplitCandidate{
-        Atom::Bound(schema, pair_index, CompareOp::kEq, poi_value),
-        InformationGain(counts), counts.in_total, counts.in_positive};
-  }
-  // Numeric features add the threshold tests.
-  NumericBest best;
-  if (supported) best.Consider(CompareOp::kEq, poi_value.number(), counts);
-  SearchNumericThresholds(examples, pair_index, poi_value.number(), options,
-                          best);
   return best.Bind(schema, pair_index);
 }
 

@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "features/pair_features.h"
 #include "features/pair_schema.h"
 #include "ml/encoded_dataset.h"
 #include "ml/info_gain.h"
@@ -34,28 +33,6 @@ struct SplitOptions {
   /// not generalize.
   std::size_t min_support = 1;
 };
-
-/// Finds the predicate with maximum information gain for pair feature
-/// `pair_index` over `examples` (maxInfoGainPredicate in Algorithm 1).
-///
-/// Every candidate atom is satisfied by the pair of interest, so the final
-/// explanation is applicable (Definition 3). Nominal features admit only
-/// equality tests, and the only candidate constant is the pair's own
-/// value. Numeric features admit equality on the pair's value plus <= / >=
-/// threshold tests at midpoints between adjacent distinct observed values
-/// (C4.5-style), where <= thresholds must be at or above the pair's value
-/// and >= thresholds at or below it. A zero threshold is always +0.0, so
-/// which of -0.0 and +0.0 an atom prints does not depend on the order of
-/// equal values. Examples whose value is missing never satisfy a
-/// candidate.
-///
-/// `poi_value` is the pair of interest's value for this feature. Returns
-/// nullopt when the feature yields no usable candidate (e.g., the pair's
-/// value is missing, or all example values are missing).
-std::optional<SplitCandidate> BestPredicateForFeature(
-    const PairSchema& schema, const std::vector<TrainingExample>& examples,
-    std::size_t pair_index, const Value& poi_value,
-    const SplitOptions& options);
 
 /// One (value, label) observation entering the numeric threshold scan.
 struct ThresholdPoint {
@@ -152,11 +129,26 @@ class EncodedSplitIndex {
   std::vector<ThresholdPoint> points_;
 };
 
-/// Encoded fast path of BestPredicateForFeature: the same search over an
-/// integer-coded training matrix, restricted to `working`; the pair of
-/// interest is dataset row 0. A code feature costs two masked popcounts; a
-/// numeric one walks its presorted cells once. Produces bit-identical
-/// candidates, gains and counts to the Value path.
+/// Finds the predicate with maximum information gain for pair feature
+/// `pair_index` over the rows of `working` (maxInfoGainPredicate in
+/// Algorithm 1); the pair of interest is dataset row 0.
+///
+/// Every candidate atom is satisfied by the pair of interest, so the final
+/// explanation is applicable (Definition 3). Nominal features admit only
+/// equality tests, and the only candidate constant is the pair's own
+/// value. Numeric features admit equality on the pair's value plus <= / >=
+/// threshold tests at midpoints between adjacent distinct observed values
+/// (C4.5-style), where <= thresholds must be at or above the pair's value
+/// and >= thresholds at or below it. A zero threshold is always +0.0, so
+/// which of -0.0 and +0.0 an atom prints does not depend on the order of
+/// equal values. Rows whose value is missing never satisfy a candidate.
+/// Candidates are tried equality first, then thresholds ascending (<=
+/// before >=); a later one wins only with a strictly higher gain.
+///
+/// A code feature costs two masked popcounts; a numeric one walks its
+/// presorted cells once. Returns nullopt when the feature yields no usable
+/// candidate (e.g., the pair's value is missing, or every candidate lacks
+/// support).
 std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
     EncodedSplitIndex& index, const EncodedWorkingSet& working,
     std::size_t pair_index, const SplitOptions& options);

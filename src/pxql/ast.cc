@@ -96,19 +96,6 @@ bool Predicate::bound() const {
                      [](const Atom& a) { return a.bound(); });
 }
 
-bool Predicate::Eval(const PairFeatureView& view) const {
-  for (const Atom& atom : atoms_) {
-    if (!atom.Eval(view)) return false;
-  }
-  return true;
-}
-
-bool Predicate::Eval(const std::vector<Value>& features) const {
-  for (const Atom& atom : atoms_) {
-    if (!atom.Eval(features)) return false;
-  }
-  return true;
-}
 
 std::string Predicate::ToString() const {
   if (atoms_.empty()) return "true";

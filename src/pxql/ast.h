@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "common/value.h"
-#include "features/pair_features.h"
 #include "features/pair_schema.h"
 
 namespace perfxplain {
@@ -80,19 +79,6 @@ class Atom {
   /// that feature is undefined).
   bool Matches(const Value& value) const;
 
-  /// Evaluates against a lazy pair view (atom must be bound).
-  bool Eval(const PairFeatureView& view) const {
-    PX_CHECK(bound()) << "atom not bound: " << feature_;
-    return Matches(view.Get(pair_index_));
-  }
-
-  /// Evaluates against a materialized pair-feature vector.
-  bool Eval(const std::vector<Value>& features) const {
-    PX_CHECK(bound()) << "atom not bound: " << feature_;
-    PX_CHECK_LT(pair_index_, features.size());
-    return Matches(features[pair_index_]);
-  }
-
   /// PXQL text, e.g. "inputsize_compare = GT".
   std::string ToString() const;
 
@@ -127,9 +113,6 @@ class Predicate {
 
   Status Bind(const PairSchema& schema);
   bool bound() const;
-
-  bool Eval(const PairFeatureView& view) const;
-  bool Eval(const std::vector<Value>& features) const;
 
   /// PXQL text, e.g. "a_isSame = T AND b_compare = SIM"; "true" when empty.
   std::string ToString() const;

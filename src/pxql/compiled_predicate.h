@@ -138,10 +138,10 @@ void ScanColumnNumCmp(const NumericColumn& column, std::size_t rows,
 /// columns of one ColumnarLog. Programs are only valid for the log (and the
 /// interner) they were compiled against.
 ///
-/// Semantics are pinned to the lazy path: for every ordered pair (i, j) of
-/// the compiled-against log, Eval(i, j, f) == predicate.Eval(view) for the
-/// PairFeatureView of (row i, row j) — including missing-value atoms
-/// (missing satisfies no atom, not even Ne) and NaN arithmetic. An atom no
+/// Semantics are Atom::Matches over the Table 1 pair features of (row i,
+/// row j), pinned by the reference of tests/reference/ — including
+/// missing-value atoms (missing satisfies no atom, not even Ne) and NaN
+/// arithmetic. An atom no
 /// pair can ever satisfy (kind mismatch, ordering operator on a nominal
 /// value, constant absent from the dictionary) makes the whole program
 /// always_false() at compile time, so scans skip it without visiting any
@@ -167,8 +167,7 @@ class CompiledPredicate {
   const ColumnarLog* source() const { return source_; }
 
   /// Evaluates the program for the ordered pair of rows (i, j) of the
-  /// compiled-against log. Exactly equivalent to Predicate::Eval over a
-  /// lazy PairFeatureView, without materializing any Value.
+  /// compiled-against log, without materializing any Value.
   bool Eval(std::size_t i, std::size_t j, double sim_fraction) const;
 
   /// Derives the candidate pairs of the program in O(rows + dictionary):

@@ -1,11 +1,10 @@
-// Columnar-baseline equivalence: the SimButDiff and RuleOfThumb ports to
-// the columnar engine (compiled predicates, kernel isSame codes, columnar
-// RReliefF) must produce explanations bitwise identical to the seed
-// lazy-Value implementations — same atoms, same scores, same error codes —
-// on randomized logs including missing values, zeros and NaN, and
-// independently of the thread count. Both sides of every comparison
-// answer the same query as bound and resolved by Engine::Prepare. Mirrors
-// tests/core/columnar_equivalence_test.cc.
+// Baseline equivalence: SimButDiff and RuleOfThumb on the columnar engine
+// (compiled predicates, kernel isSame codes, striped RReliefF) must
+// produce the explanations of the naive reference (tests/reference/) —
+// same atoms, same scores, same error codes — on randomized logs including
+// missing values, zeros and NaN, and independently of the thread count.
+// Both sides of every comparison answer the pair of interest
+// Engine::Prepare resolved. Mirrors tests/core/columnar_equivalence_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -26,56 +25,19 @@ namespace {
 using testing::GtVsSimQuery;
 
 /// A log exercising the awkward cases: missing values, exact zeros, NaN,
-/// similar-but-unequal numerics and comma-bearing nominals. The schema
-/// carries a "duration" feature so RuleOfThumb has its RReliefF target.
+/// similar-but-unequal numerics and comma-bearing nominals (the baseline
+/// shape of testing::AdversarialLog).
 ExecutionLog AwkwardRandomLog(std::uint64_t seed, std::size_t n) {
-  Schema schema;
-  PX_CHECK(schema.Add("x", ValueKind::kNumeric).ok());
-  PX_CHECK(schema.Add("color", ValueKind::kNominal).ok());
-  PX_CHECK(schema.Add("y", ValueKind::kNumeric).ok());
-  PX_CHECK(schema.Add("duration", ValueKind::kNumeric).ok());
-  ExecutionLog log(schema);
-  Rng rng(seed);
-  const char* colors[] = {"red", "blue", "re,d"};
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<Value> values;
-    values.push_back(rng.Bernoulli(0.15)
-                         ? Value::Missing()
-                         : Value::Number(rng.UniformInt(0, 3)));
-    values.push_back(rng.Bernoulli(0.15)
-                         ? Value::Missing()
-                         : Value::Nominal(colors[rng.UniformInt(0, 2)]));
-    double y = rng.Uniform(0.0, 10.0);
-    if (rng.Bernoulli(0.1)) y = 0.0;
-    if (rng.Bernoulli(0.05)) y = std::nan("");
-    values.push_back(Value::Number(y));
-    values.push_back(rng.Bernoulli(0.1)
-                         ? Value::Missing()
-                         : Value::Number(rng.Uniform(50.0, 200.0)));
-    PX_CHECK(log.Add(ExecutionRecord(StrFormat("r%03zu", i),
-                                     std::move(values)))
-                 .ok());
-  }
-  return log;
+  testing::AdversarialLogSpec spec;
+  spec.seed = seed;
+  spec.rows = n;
+  return testing::AdversarialLog(spec);
 }
 
-/// Resolves a pair of interest for `query` over `log`, writing the record
-/// ids into the query. Returns false when the log has none.
-bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip = 0) {
-  const PairSchema schema(log.schema());
-  Query bound = query;
-  PX_CHECK(bound.Bind(schema).ok());
-  auto poi = FindPairOfInterest(log, schema, bound, PairFeatureOptions(),
-                                skip);
-  if (!poi.ok()) return false;
-  query.first_id = log.at(poi->first).id;
-  query.second_id = log.at(poi->second).id;
-  return true;
-}
+using testing::PickPair;
 
-/// The columnar SimButDiff path and its lazy-Value oracle over one
-/// prepared query; a query Prepare rejected fails with Prepare's status on
-/// both.
+/// The columnar SimButDiff path over one prepared query; a query Prepare
+/// rejected fails with Prepare's status.
 Result<Explanation> Columnar(const SimButDiff& baseline,
                              const Result<PreparedQuery>& prepared,
                              std::size_t width, int threads = 0) {
@@ -86,15 +48,8 @@ Result<Explanation> Columnar(const SimButDiff& baseline,
                        EnumerationOptions{threads})
       .front();
 }
-Result<Explanation> Legacy(const SimButDiff& baseline, const ExecutionLog& log,
-                           const Result<PreparedQuery>& prepared,
-                           std::size_t width) {
-  if (!prepared.ok()) return prepared.status();
-  return baseline.ExplainLegacy(log, prepared->bound(), prepared->poi_first(),
-                                prepared->poi_second(), width);
-}
 
-/// The same pair of entry points for RuleOfThumb.
+/// The same entry point for RuleOfThumb.
 Result<Explanation> Columnar(const RuleOfThumb& baseline,
                              const Result<PreparedQuery>& prepared,
                              std::size_t width) {
@@ -102,45 +57,35 @@ Result<Explanation> Columnar(const RuleOfThumb& baseline,
   return baseline.ExplainPrepared(prepared->bound(), prepared->poi_first(),
                                   prepared->poi_second(), width);
 }
-Result<Explanation> Legacy(const RuleOfThumb& baseline,
-                           const ExecutionLog& log,
-                           const Result<PreparedQuery>& prepared,
-                           std::size_t width) {
+
+/// The reference's SimButDiff for the same prepared pair of interest.
+Result<reference::Clause> Reference(const ExecutionLog& log,
+                                    const Result<PreparedQuery>& prepared,
+                                    std::size_t width, double threshold) {
   if (!prepared.ok()) return prepared.status();
-  return baseline.ExplainLegacy(log, prepared->bound(), prepared->poi_first(),
-                                prepared->poi_second(), width);
+  return reference::SimButDiff(log, prepared->bound(), prepared->poi_first(),
+                               prepared->poi_second(), width, threshold);
 }
 
-/// Asserts bitwise-identical outcomes: same ok-ness and status code, or
-/// same atoms (feature, op, constant) with exactly equal scores.
-void ExpectSameExplanation(const Result<Explanation>& actual,
-                           const Result<Explanation>& expected,
-                           const std::string& context) {
-  ASSERT_EQ(actual.ok(), expected.ok())
-      << context << ": "
-      << (actual.ok() ? expected.status().ToString()
-                      : actual.status().ToString());
-  if (!expected.ok()) {
-    EXPECT_EQ(actual.status().code(), expected.status().code()) << context;
-    return;
-  }
-  ASSERT_EQ(actual->because.atoms().size(), expected->because.atoms().size())
-      << context << ": " << actual->because.ToString() << " vs "
-      << expected->because.ToString();
-  for (std::size_t a = 0; a < expected->because.atoms().size(); ++a) {
-    EXPECT_EQ(actual->because.atoms()[a], expected->because.atoms()[a])
-        << context << " atom " << a << ": "
-        << actual->because.atoms()[a].ToString() << " vs "
-        << expected->because.atoms()[a].ToString();
-  }
-  ASSERT_EQ(actual->because_trace.size(), expected->because_trace.size());
-  for (std::size_t a = 0; a < expected->because_trace.size(); ++a) {
-    EXPECT_EQ(actual->because_trace[a].atom, expected->because_trace[a].atom);
-    // Exact double equality: identical tallies must yield identical scores.
-    EXPECT_EQ(actual->because_trace[a].score,
-              expected->because_trace[a].score)
-        << context << " atom " << a;
-  }
+/// The reference's RuleOfThumb over its own RReliefF ranking.
+Result<reference::Clause> Reference(const ExecutionLog& log,
+                                    const Result<PreparedQuery>& prepared,
+                                    std::size_t width,
+                                    const std::vector<std::size_t>& ranking) {
+  if (!prepared.ok()) return prepared.status();
+  return reference::RuleOfThumb(log, prepared->bound(), prepared->poi_first(),
+                                prepared->poi_second(), width, ranking);
+}
+
+/// The reference's RReliefF ranking with the RuleOfThumb defaults.
+std::vector<std::size_t> ReferenceRanking(const ExecutionLog& log) {
+  const std::size_t target = log.schema().IndexOf("duration");
+  const ReliefOptions options;
+  Rng rng(RuleOfThumbOptions().seed);
+  return reference::RankByWeight(
+      reference::RRelieff(log, target, options.iterations, options.neighbors,
+                          rng),
+      target);
 }
 
 TEST(BaselineEquivalenceTest, SimButDiffMatchesLegacyOnAwkwardLogs) {
@@ -158,8 +103,8 @@ TEST(BaselineEquivalenceTest, SimButDiffMatchesLegacyOnAwkwardLogs) {
       for (std::size_t width : {1u, 2u, 4u}) {
         auto explanation = Columnar(baseline, prepared, width);
         if (explanation.ok()) ++produced;
-        ExpectSameExplanation(
-            explanation, Legacy(baseline, log, prepared, width),
+        testing::ExpectMatchesReference(
+            explanation, Reference(log, prepared, width, threshold),
             StrFormat("seed %llu threshold %.1f width %zu",
                       static_cast<unsigned long long>(seed), threshold,
                       width));
@@ -187,7 +132,7 @@ TEST(BaselineEquivalenceTest, SimButDiffThreadCountIsObservationFree) {
       single = std::move(explanation);
       continue;
     }
-    ExpectSameExplanation(explanation, single,
+    testing::ExpectSameExplanation(explanation, single,
                           StrFormat("%d threads", threads));
   }
 }
@@ -198,32 +143,33 @@ TEST(BaselineEquivalenceTest, SimButDiffEmptyResultQueries) {
   const SimButDiff baseline(SimButDiffOptions(), &engine.snapshot()->columns());
 
   // A despite level no pair feature can produce compiles to always-false;
-  // the legacy path scans and relates nothing. Same FailedPrecondition.
+  // the reference scans and relates nothing. Same FailedPrecondition.
   Query impossible = GtVsSimQuery("color_isSame = X");
   impossible.first_id = log.at(0).id;
   impossible.second_id = log.at(1).id;
   const auto impossible_prepared = engine.Prepare(impossible);
-  ExpectSameExplanation(Columnar(baseline, impossible_prepared, 2),
-                        Legacy(baseline, log, impossible_prepared, 2),
-                        "always-false despite");
+  testing::ExpectMatchesReference(
+      Columnar(baseline, impossible_prepared, 2),
+      Reference(log, impossible_prepared, 2, 0.9), "always-false despite");
 
   // A diff constant outside the dictionary behaves the same way.
   Query unseen = GtVsSimQuery("color_diff = (zz,qq)");
   unseen.first_id = log.at(0).id;
   unseen.second_id = log.at(1).id;
   const auto unseen_prepared = engine.Prepare(unseen);
-  ExpectSameExplanation(Columnar(baseline, unseen_prepared, 2),
-                        Legacy(baseline, log, unseen_prepared, 2),
-                        "out-of-dictionary diff constant");
+  testing::ExpectMatchesReference(
+      Columnar(baseline, unseen_prepared, 2),
+      Reference(log, unseen_prepared, 2, 0.9),
+      "out-of-dictionary diff constant");
 
   // Unknown record ids fail identically, in Prepare, before any scan.
   Query unknown = GtVsSimQuery();
   unknown.first_id = "missing";
   unknown.second_id = "gone";
   const auto unknown_prepared = engine.Prepare(unknown);
-  ExpectSameExplanation(Columnar(baseline, unknown_prepared, 2),
-                        Legacy(baseline, log, unknown_prepared, 2),
-                        "unknown ids");
+  testing::ExpectMatchesReference(Columnar(baseline, unknown_prepared, 2),
+                                  Reference(log, unknown_prepared, 2, 0.9),
+                                  "unknown ids");
 }
 
 TEST(BaselineEquivalenceTest, ReliefRankingMatchesLegacy) {
@@ -235,24 +181,23 @@ TEST(BaselineEquivalenceTest, ReliefRankingMatchesLegacy) {
     const ReliefOptions options;
 
     Rng value_rng(29);
-    const std::vector<double> value_weights =
-        RRelieff(log, target, options, value_rng);
+    const std::vector<double> value_weights = reference::RRelieff(
+        log, target, options.iterations, options.neighbors, value_rng);
     Rng columnar_rng(29);
     const std::vector<double> columnar_weights =
         RRelieff(columns, target, options, columnar_rng);
     ASSERT_EQ(columnar_weights.size(), value_weights.size());
     for (std::size_t f = 0; f < value_weights.size(); ++f) {
-      // Exact equality: the columnar backend must replay the Value-path
+      // Exact equality: the columnar backend must replay the reference's
       // arithmetic bit for bit (including NaN-laden range accumulation).
       EXPECT_EQ(columnar_weights[f], value_weights[f])
           << "seed " << seed << " feature " << f;
     }
 
-    Rng rank_value_rng(29);
     Rng rank_columnar_rng(29);
     EXPECT_EQ(RankFeaturesByImportance(columns, target, options,
                                        rank_columnar_rng),
-              RankFeaturesByImportance(log, target, options, rank_value_rng))
+              reference::RankByWeight(value_weights, target))
         << "seed " << seed;
   }
 }
@@ -265,14 +210,10 @@ TEST(BaselineEquivalenceTest, RuleOfThumbMatchesLegacyOnAwkwardLogs) {
     const RuleOfThumb baseline(RuleOfThumbOptions(),
                                &engine.snapshot()->columns());
 
-    // The constructor's ranking already runs columnar; pin it against an
-    // independently computed legacy ranking.
-    const std::size_t target = log.schema().IndexOf("duration");
-    Rng legacy_rng(RuleOfThumbOptions().seed);
-    EXPECT_EQ(baseline.ranking(),
-              RankFeaturesByImportance(log, target, ReliefOptions(),
-                                       legacy_rng))
-        << "seed " << seed;
+    // The constructor's ranking already runs columnar; pin it against the
+    // reference's independently computed ranking.
+    const std::vector<std::size_t> ranking = ReferenceRanking(log);
+    EXPECT_EQ(baseline.ranking(), ranking) << "seed " << seed;
 
     Query query = GtVsSimQuery("color_isSame = T AND x_isSame = T");
     for (std::size_t skip : {0u, 3u, 9u}) {
@@ -281,21 +222,22 @@ TEST(BaselineEquivalenceTest, RuleOfThumbMatchesLegacyOnAwkwardLogs) {
       for (std::size_t width : {1u, 3u, 8u}) {
         auto explanation = Columnar(baseline, prepared, width);
         if (explanation.ok()) ++produced;
-        ExpectSameExplanation(
-            explanation, Legacy(baseline, log, prepared, width),
+        testing::ExpectMatchesReference(
+            explanation, Reference(log, prepared, width, ranking),
             StrFormat("seed %llu skip %zu width %zu",
                       static_cast<unsigned long long>(seed), skip, width));
       }
     }
 
     // A pair that agrees everywhere (a record against itself) fails with
-    // the same status on both paths.
+    // the same status on both sides.
     Query agree = query;
     agree.second_id = agree.first_id;
     const auto agree_prepared = engine.Prepare(agree);
-    ExpectSameExplanation(Columnar(baseline, agree_prepared, 3),
-                          Legacy(baseline, log, agree_prepared, 3),
-                          "self-pair agrees everywhere");
+    testing::ExpectMatchesReference(
+        Columnar(baseline, agree_prepared, 3),
+        Reference(log, agree_prepared, 3, ranking),
+        "self-pair agrees everywhere");
   }
   EXPECT_GT(produced, 0u);
 }

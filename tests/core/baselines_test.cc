@@ -32,10 +32,7 @@ class BaselinesTest : public ::testing::Test {
 
   Query MakeQuery() {
     Query query = GtVsSimQuery();
-    PairSchema schema(log_.schema());
-    PX_CHECK(query.Bind(schema).ok());
-    auto poi =
-        FindPairOfInterest(log_, schema, query, PairFeatureOptions());
+    auto poi = reference::FindPairOfInterest(log_, query);
     PX_CHECK(poi.ok());
     query.first_id = log_.at(poi->first).id;
     query.second_id = log_.at(poi->second).id;
@@ -95,14 +92,14 @@ TEST_F(BaselinesTest, SimButDiffProducesApplicableExplanation) {
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
   EXPECT_EQ(explanation->because.width(), 2u);
   // Every atom asserts the pair's own isSame value (applicability).
-  PairSchema schema(log_.schema());
-  PairFeatureOptions options;
-  const std::size_t first = log_.Find(query.first_id).value();
-  const std::size_t second = log_.Find(query.second_id).value();
-  PairFeatureView view(&schema, &log_.at(first), &log_.at(second), &options);
+  const ExecutionRecord& first = log_.at(log_.Find(query.first_id).value());
+  const ExecutionRecord& second =
+      log_.at(log_.Find(query.second_id).value());
   for (const Atom& atom : explanation->because.atoms()) {
     EXPECT_NE(atom.feature().find("_isSame"), std::string::npos);
-    EXPECT_TRUE(atom.Eval(view)) << atom.ToString();
+    EXPECT_TRUE(
+        reference::Holds(Predicate({atom}), log_.schema(), first, second))
+        << atom.ToString();
   }
 }
 

@@ -1,7 +1,7 @@
-// Randomized equivalence of clause growth: the Value oracle
-// (Explainer::GenerateClause over materialized examples) against the
-// encoded search (row bitmaps, presorted numeric walks, carried counts) on
-// small logs built to hit every corner of the encodings.
+// Randomized equivalence of clause growth: the naive reference
+// (tests/reference/, brute force over Value cells) against the encoded
+// search (row bitmaps, presorted numeric walks, carried counts) on small
+// logs built to hit every corner of the encodings.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/explainer.h"
-#include "features/pair_features.h"
+#include "reference/reference.h"
 #include "ml/split.h"
 
 namespace perfxplain {
@@ -80,21 +80,14 @@ std::vector<PairRef> RandomPairs(Rng& rng, std::size_t rows, std::size_t m) {
   return pairs;
 }
 
-std::vector<TrainingExample> Materialize(const ExecutionLog& log,
-                                         const PairSchema& schema,
-                                         const std::vector<PairRef>& pairs) {
-  PairFeatureOptions options;
-  options.sim_fraction = kSimFraction;
-  std::vector<TrainingExample> examples;
+std::vector<reference::Example> Materialize(const ExecutionLog& log,
+                                            const std::vector<PairRef>& pairs) {
+  std::vector<reference::Example> examples;
   for (const PairRef& pair : pairs) {
-    PairFeatureView view(&schema, &log.at(pair.first), &log.at(pair.second),
-                         &options);
-    TrainingExample example;
-    example.first = pair.first;
-    example.second = pair.second;
-    example.observed = pair.observed;
-    example.features = view.Materialize();
-    examples.push_back(std::move(example));
+    examples.push_back(
+        {pair.first, pair.second, pair.observed,
+         reference::PairVector(log.schema(), log.at(pair.first),
+                               log.at(pair.second), kSimFraction)});
   }
   return examples;
 }
@@ -120,8 +113,7 @@ TEST(ClauseGrowthEquivalenceTest, EncodedTraceMatchesValueOracleBitwise) {
     const std::vector<PairRef> pairs = RandomPairs(
         rng, log.size(), static_cast<std::size_t>(rng.UniformInt(8, 120)));
     const EncodedDataset dataset(columns, schema, pairs, kSimFraction);
-    const std::vector<TrainingExample> examples =
-        Materialize(log, schema, pairs);
+    const std::vector<reference::Example> examples = Materialize(log, pairs);
 
     const std::size_t width = 1 + static_cast<std::size_t>(round % 4);
     const bool target_expected = (round / 4) % 2 == 1;
@@ -139,8 +131,14 @@ TEST(ClauseGrowthEquivalenceTest, EncodedTraceMatchesValueOracleBitwise) {
     const std::string context =
         StrFormat("round %d (width %zu, target_expected %d)", round, width,
                   target_expected ? 1 : 0);
-    const std::vector<ExplanationAtom> expected = explainer.GenerateClause(
-        examples, width, target_expected, excluded, redundant);
+    reference::ClauseOptions clause;
+    clause.width = width;
+    clause.target_expected = target_expected;
+    clause.normalize_scores = options.normalize_scores;
+    clause.excluded_raw = excluded;
+    clause.redundant = redundant;
+    const reference::Clause expected =
+        reference::GrowClause(log.schema(), examples, clause);
     const std::vector<ExplanationAtom> actual =
         explainer.GenerateClauseEncoded(dataset, width, target_expected,
                                         excluded, redundant, options);
@@ -174,8 +172,7 @@ TEST(ClauseGrowthEquivalenceTest, CarriedCountsEqualAnAtomEvalRecount) {
     const std::vector<PairRef> pairs = RandomPairs(
         rng, log.size(), static_cast<std::size_t>(rng.UniformInt(8, 120)));
     const EncodedDataset dataset(columns, schema, pairs, kSimFraction);
-    const std::vector<TrainingExample> examples =
-        Materialize(log, schema, pairs);
+    const std::vector<reference::Example> examples = Materialize(log, pairs);
     // One index serves every working set of the dataset, as it does every
     // step of a clause.
     EncodedSplitIndex index(dataset);
@@ -183,18 +180,11 @@ TEST(ClauseGrowthEquivalenceTest, CarriedCountsEqualAnAtomEvalRecount) {
       const bool flip = rng.Bernoulli(0.5);
       std::vector<std::size_t> members = {0};
       std::vector<std::size_t> positives;
-      std::vector<TrainingExample> working = {examples[0]};
       for (std::size_t r = 1; r < examples.size(); ++r) {
-        if (subset == 0 || rng.Bernoulli(0.5)) {
-          members.push_back(r);
-          working.push_back(examples[r]);
-        }
+        if (subset == 0 || rng.Bernoulli(0.5)) members.push_back(r);
       }
       for (std::size_t r = 0; r < examples.size(); ++r) {
         if (examples[r].observed != flip) positives.push_back(r);
-      }
-      for (TrainingExample& example : working) {
-        example.observed = example.observed != flip;
       }
       SplitOptions split_options;
       split_options.min_support = 1 + static_cast<std::size_t>(subset);
@@ -202,8 +192,15 @@ TEST(ClauseGrowthEquivalenceTest, CarriedCountsEqualAnAtomEvalRecount) {
         const std::string context = StrFormat(
             "round %d subset %d feature %s", round, subset,
             schema.NameOf(f).c_str());
-        const auto expected = BestPredicateForFeature(
-            schema, working, f, examples[0].features[f], split_options);
+        std::vector<Value> cells;
+        std::vector<bool> positive;
+        for (std::size_t r : members) {
+          cells.push_back(examples[r].features[f]);
+          positive.push_back(examples[r].observed != flip);
+        }
+        const auto expected = reference::BestPredicate(
+            schema.NameOf(f), cells, positive, examples[0].features[f],
+            split_options.min_support);
         const auto actual = BestPredicateForFeatureEncoded(
             index,
             EncodedWorkingSet(Bitmap(dataset.rows(), members),
@@ -218,10 +215,10 @@ TEST(ClauseGrowthEquivalenceTest, CarriedCountsEqualAnAtomEvalRecount) {
         EXPECT_EQ(actual->in_positive, expected->in_positive) << context;
         std::size_t in_total = 0;
         std::size_t in_positive = 0;
-        for (const TrainingExample& example : working) {
-          if (!actual->atom.Eval(example.features)) continue;
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+          if (!actual->atom.Matches(cells[c])) continue;
           ++in_total;
-          if (example.observed) ++in_positive;
+          if (positive[c]) ++in_positive;
         }
         EXPECT_EQ(actual->in_total, in_total) << context;
         EXPECT_EQ(actual->in_positive, in_positive) << context;

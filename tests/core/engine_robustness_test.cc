@@ -29,10 +29,7 @@ using perfxplain::testing::GtVsSimQuery;
 /// Resolves a pair of interest for `query` over `log`, writing the record
 /// ids into the query.
 void PickPair(const ExecutionLog& log, Query& query) {
-  const PairSchema schema(log.schema());
-  Query bound = query;
-  PX_CHECK(bound.Bind(schema).ok());
-  auto poi = FindPairOfInterest(log, schema, bound, PairFeatureOptions());
+  auto poi = reference::FindPairOfInterest(log, query);
   PX_CHECK(poi.ok());
   query.first_id = log.at(poi->first).id;
   query.second_id = log.at(poi->second).id;

@@ -23,20 +23,7 @@ namespace {
 
 using perfxplain::testing::CausalLog;
 using perfxplain::testing::GtVsSimQuery;
-
-/// Resolves a pair of interest for `query` over `log`, writing the record
-/// ids into the query. Returns false when the log has none.
-bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip = 0) {
-  const PairSchema schema(log.schema());
-  Query bound = query;
-  PX_CHECK(bound.Bind(schema).ok());
-  auto poi = FindPairOfInterest(log, schema, bound, PairFeatureOptions(),
-                                skip);
-  if (!poi.ok()) return false;
-  query.first_id = log.at(poi->first).id;
-  query.second_id = log.at(poi->second).id;
-  return true;
-}
+using perfxplain::testing::PickPair;
 
 /// Bitwise explanation equality: same atoms in both clauses and exactly
 /// equal per-atom scores.

@@ -31,10 +31,7 @@ class ExplainerTest : public ::testing::Test {
   /// Query 2-shaped question with a pair of interest found in the log.
   Query MakeQuery() {
     Query query = GtVsSimQuery();
-    PairSchema schema(log_.schema());
-    PX_CHECK(query.Bind(schema).ok());
-    auto poi =
-        FindPairOfInterest(log_, schema, query, PairFeatureOptions());
+    auto poi = reference::FindPairOfInterest(log_, query);
     PX_CHECK(poi.ok());
     query.first_id = log_.at(poi->first).id;
     query.second_id = log_.at(poi->second).id;
@@ -270,8 +267,7 @@ TEST_P(ExplainerSweepTest, InvariantsHold) {
 
   Query query = GtVsSimQuery();
   ASSERT_TRUE(query.Bind(engine.pair_schema()).ok());
-  auto poi = FindPairOfInterest(log, engine.pair_schema(), query,
-                                PairFeatureOptions());
+  auto poi = reference::FindPairOfInterest(log, query);
   ASSERT_TRUE(poi.ok());
   query.first_id = log.at(poi->first).id;
   query.second_id = log.at(poi->second).id;
@@ -313,13 +309,18 @@ TEST_F(ExplainerTest, BuildExamplesIncludesPoiFirst) {
   ASSERT_TRUE(prepared.ok());
   const std::size_t first = log_.Find(query.first_id).value();
   const std::size_t second = log_.Find(query.second_id).value();
-  auto examples = engine.explainer().BuildExamples(
-      log_, prepared->bound(), prepared->poi_first(), prepared->poi_second());
+  const Explainer& explainer = engine.explainer();
+  const RelatedPairScan scan =
+      ScanRelatedPairs(engine.snapshot()->columns(), prepared->compiled(),
+                       explainer.options().pair.sim_fraction);
+  auto examples = explainer.BuildEncodedExamplesFromScan(
+      prepared->bound(), scan, prepared->poi_first(), prepared->poi_second(),
+      explainer.options());
   ASSERT_TRUE(examples.ok());
-  ASSERT_FALSE(examples->empty());
-  EXPECT_EQ(examples->front().first, first);
-  EXPECT_EQ(examples->front().second, second);
-  EXPECT_TRUE(examples->front().observed);
+  ASSERT_GT(examples->rows(), 0u);
+  EXPECT_EQ(examples->pairs().front().first, first);
+  EXPECT_EQ(examples->pairs().front().second, second);
+  EXPECT_TRUE(examples->pairs().front().observed);
 }
 
 }  // namespace

@@ -146,14 +146,15 @@ TEST_F(MetricsTest, IsApplicableChecksBothClauses) {
                             options_));  // a vs b: same color
 }
 
-/// The retired lazy path of Definition 3, reconstructed through a
-/// PairFeatureView: the reference the columnar IsApplicable is pinned to.
+/// Definition 3 in the reference: the columnar IsApplicable is pinned to
+/// it.
 bool IsApplicableLazy(const Explanation& explanation, const PairSchema& schema,
                       const ExecutionRecord& first,
                       const ExecutionRecord& second,
                       const PairFeatureOptions& options) {
-  PairFeatureView view(&schema, &first, &second, &options);
-  return explanation.despite.Eval(view) && explanation.because.Eval(view);
+  EXPECT_EQ(options.sim_fraction, PairFeatureOptions().sim_fraction);
+  return reference::Holds(explanation.despite, schema.raw(), first, second) &&
+         reference::Holds(explanation.because, schema.raw(), first, second);
 }
 
 TEST_F(MetricsTest, IsApplicableMatchesLazyViewOnAdHocPairs) {
@@ -161,7 +162,7 @@ TEST_F(MetricsTest, IsApplicableMatchesLazyViewOnAdHocPairs) {
   // NaN and signed-zero numerics, similar-but-unequal values, and a nominal
   // level ("green") no other record carries. The columnar IsApplicable
   // builds a two-row log per call, so the dictionary differs per pair; the
-  // verdicts must still match the lazy view everywhere.
+  // verdicts must still match the reference everywhere.
   const double nan = std::nan("");
   std::vector<ExecutionRecord> records;
   records.push_back(TinyRecord("p", 1, "red", 100));

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "ml/encoded_dataset.h"
 #include "testing/test_util.h"
 
 namespace perfxplain {
@@ -35,6 +36,28 @@ class PairEnumerationTest : public ::testing::Test {
         .counts;
   }
 
+  /// The engine's sample (lines 1-2 of Algorithm 1) of `query` for the
+  /// pair of interest (first, second).
+  Result<std::vector<PairRef>> Sample(const Query& query, std::size_t first,
+                                      std::size_t second, Rng& rng) const {
+    const ColumnarLog columns(log_);
+    const CompiledQuery compiled =
+        CompiledQuery::Compile(query, schema_, columns);
+    return SampleFromScan(
+        ScanRelatedPairs(columns, compiled, options_.sim_fraction), columns,
+        compiled, first, second, options_.sim_fraction, SamplerOptions(),
+        rng);
+  }
+
+  /// The engine's FindPairOfInterest of `query`.
+  Result<std::pair<std::size_t, std::size_t>> Find(const Query& query,
+                                                   std::size_t skip) const {
+    const ColumnarLog columns(log_);
+    return FindPairOfInterest(columns,
+                              CompiledQuery::Compile(query, schema_, columns),
+                              options_.sim_fraction, skip);
+  }
+
   ExecutionLog log_;
   PairSchema schema_;
   Query query_;
@@ -43,33 +66,39 @@ class PairEnumerationTest : public ::testing::Test {
 
 TEST_F(PairEnumerationTest, VisitsAllOrderedPairsOnce) {
   std::set<std::pair<std::size_t, std::size_t>> seen;
-  ForEachOrderedPair(log_, schema_, options_,
-                     [&](std::size_t i, std::size_t j,
-                         const PairFeatureView&) {
-                       EXPECT_NE(i, j);
-                       EXPECT_TRUE(seen.emplace(i, j).second);
-                       return true;
-                     });
+  ForEachCandidatePair(PairSelection::AllPairs(log_.size()),
+                       [&](std::size_t i, std::size_t j) {
+                         EXPECT_NE(i, j);
+                         EXPECT_TRUE(seen.emplace(i, j).second);
+                         return true;
+                       });
   EXPECT_EQ(seen.size(), 12u);  // 4 * 3 ordered pairs
 }
 
 TEST_F(PairEnumerationTest, EarlyExitStopsEnumeration) {
   int visits = 0;
-  ForEachOrderedPair(log_, schema_, options_,
-                     [&](std::size_t, std::size_t, const PairFeatureView&) {
-                       ++visits;
-                       return visits < 5;
-                     });
+  ForEachCandidatePair(PairSelection::AllPairs(log_.size()),
+                       [&](std::size_t, std::size_t) {
+                         ++visits;
+                         return visits < 5;
+                       });
   EXPECT_EQ(visits, 5);
 }
 
 TEST_F(PairEnumerationTest, ClassifyPairLabels) {
-  PairFeatureView gt(&schema_, &log_.at(2), &log_.at(0), &options_);  // c,a
-  EXPECT_EQ(ClassifyPair(query_, gt), PairLabel::kObserved);
-  PairFeatureView sim(&schema_, &log_.at(0), &log_.at(1), &options_);
-  EXPECT_EQ(ClassifyPair(query_, sim), PairLabel::kExpected);
-  PairFeatureView lt(&schema_, &log_.at(0), &log_.at(2), &options_);
-  EXPECT_EQ(ClassifyPair(query_, lt), PairLabel::kUnrelated);
+  const ColumnarLog columns(log_);
+  const CompiledQuery compiled =
+      CompiledQuery::Compile(query_, schema_, columns);
+  const auto classify = [&](std::size_t i, std::size_t j) {
+    const PairLabel label = ClassifyPairCompiled(compiled, i, j, 0.10);
+    const reference::Label want =
+        reference::Classify(query_, log_.schema(), log_.at(i), log_.at(j));
+    EXPECT_EQ(static_cast<int>(label), static_cast<int>(want));
+    return label;
+  };
+  EXPECT_EQ(classify(2, 0), PairLabel::kObserved);  // c,a
+  EXPECT_EQ(classify(0, 1), PairLabel::kExpected);
+  EXPECT_EQ(classify(0, 2), PairLabel::kUnrelated);
 }
 
 TEST_F(PairEnumerationTest, CountRelatedPairs) {
@@ -89,8 +118,7 @@ TEST_F(PairEnumerationTest, DespiteRestrictsRelatedness) {
 
 TEST_F(PairEnumerationTest, BuildTrainingExamplesPutsPoiFirst) {
   Rng rng(1);
-  auto examples = BuildTrainingExamples(log_, schema_, query_, 2, 0,
-                                        options_, SamplerOptions(), rng);
+  auto examples = Sample(query_, 2, 0, rng);
   ASSERT_TRUE(examples.ok()) << examples.status().ToString();
   ASSERT_FALSE(examples->empty());
   EXPECT_EQ(examples->front().first, 2u);
@@ -104,48 +132,63 @@ TEST_F(PairEnumerationTest, BuildTrainingExamplesPutsPoiFirst) {
     if (example.first == 2 && example.second == 0) ++poi_count;
   }
   EXPECT_EQ(poi_count, 1u);
-  // Every example has a fully materialized feature vector.
-  for (const auto& example : *examples) {
-    EXPECT_EQ(example.features.size(), schema_.size());
+  // Every example encodes a full feature vector.
+  const ColumnarLog columns(log_);
+  const EncodedDataset dataset(columns, schema_, examples.value(),
+                               options_.sim_fraction);
+  EXPECT_EQ(dataset.rows(), examples->size());
+  EXPECT_EQ(dataset.schema().size(), schema_.size());
+  // And the draws are the reference's.
+  Rng reference_rng(1);
+  auto expected = reference::Sample(log_, query_, 2, 0, 2000, reference_rng);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->size(), examples->size());
+  for (std::size_t e = 0; e < expected->size(); ++e) {
+    EXPECT_EQ((*expected)[e].first, (*examples)[e].first);
+    EXPECT_EQ((*expected)[e].second, (*examples)[e].second);
+    EXPECT_EQ((*expected)[e].observed, (*examples)[e].observed);
   }
 }
 
 TEST_F(PairEnumerationTest, BuildTrainingExamplesValidatesPoi) {
   Rng rng(2);
-  EXPECT_FALSE(BuildTrainingExamples(log_, schema_, query_, 1, 1, options_,
-                                     SamplerOptions(), rng)
-                   .ok());
-  EXPECT_FALSE(BuildTrainingExamples(log_, schema_, query_, 99, 0, options_,
-                                     SamplerOptions(), rng)
-                   .ok());
+  EXPECT_FALSE(Sample(query_, 1, 1, rng).ok());
+  EXPECT_FALSE(Sample(query_, 99, 0, rng).ok());
+  EXPECT_FALSE(reference::Sample(log_, query_, 1, 1, 2000, rng).ok());
+  EXPECT_FALSE(reference::Sample(log_, query_, 99, 0, 2000, rng).ok());
 }
 
 TEST_F(PairEnumerationTest, BuildTrainingExamplesFailsWithNoRelatedPairs) {
   Query query = GtVsSimQuery("color_diff = (purple,purple)");
   ASSERT_TRUE(query.Bind(schema_).ok());
   Rng rng(3);
-  const auto examples = BuildTrainingExamples(
-      log_, schema_, query, 2, 0, options_, SamplerOptions(), rng);
+  const auto examples = Sample(query, 2, 0, rng);
   EXPECT_FALSE(examples.ok());
   EXPECT_EQ(examples.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(reference::Sample(log_, query, 2, 0, 2000, rng).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(PairEnumerationTest, FindPairOfInterestReturnsFirstObserved) {
-  auto poi = FindPairOfInterest(log_, schema_, query_, options_);
+  auto poi = Find(query_, 0);
   ASSERT_TRUE(poi.ok());
   // Row-major: first observed pair is (c, a) = (2, 0).
   EXPECT_EQ(poi->first, 2u);
   EXPECT_EQ(poi->second, 0u);
+  EXPECT_EQ(*poi, reference::FindPairOfInterest(log_, query_).value());
 }
 
 TEST_F(PairEnumerationTest, FindPairOfInterestSkips) {
-  auto poi = FindPairOfInterest(log_, schema_, query_, options_, 1);
+  auto poi = Find(query_, 1);
   ASSERT_TRUE(poi.ok());
   EXPECT_EQ(poi->first, 2u);
   EXPECT_EQ(poi->second, 1u);  // (c, b) is the second observed pair
-  auto exhausted = FindPairOfInterest(log_, schema_, query_, options_, 100);
+  EXPECT_EQ(*poi, reference::FindPairOfInterest(log_, query_, 1).value());
+  auto exhausted = Find(query_, 100);
   EXPECT_FALSE(exhausted.ok());
   EXPECT_EQ(exhausted.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(reference::FindPairOfInterest(log_, query_, 100).status().code(),
+            StatusCode::kNotFound);
 }
 
 /// Selection-vector pruning must be invisible in every result: the same
@@ -263,14 +306,11 @@ TEST_F(PruningEquivalenceTest, CountCollectSampleAndFindMatchUnpruned) {
         if (found.ok()) {
           EXPECT_EQ(*found, *full_scan) << despite;
         }
-        Query legacy_query = query;
-        auto reference =
-            FindPairOfInterest(log_, schema_, legacy_query,
-                               PairFeatureOptions(), skip);
-        ASSERT_EQ(found.ok(), reference.ok()) << despite;
+        auto expected = reference::FindPairOfInterest(log_, query, skip);
+        ASSERT_EQ(found.ok(), expected.ok()) << despite;
         if (found.ok()) {
-          EXPECT_EQ(found->first, reference->first) << despite;
-          EXPECT_EQ(found->second, reference->second) << despite;
+          EXPECT_EQ(found->first, expected->first) << despite;
+          EXPECT_EQ(found->second, expected->second) << despite;
         }
       }
     }

@@ -1,7 +1,7 @@
 // Equivalence and concurrency tests of the snapshot-resident PairCodeStore
 // path: SimButDiff over the plane's packed codes must be bitwise identical to
-// the streaming fused pack-and-compare (and to the seed lazy-Value
-// implementation) on awkward logs — missing values, NaN, comma-bearing
+// the streaming fused pack-and-compare (and to the naive reference of
+// tests/reference/) on awkward logs — missing values, NaN, comma-bearing
 // nominals — at every thread count, under the memory-cap fallback, and
 // when eight threads race the store's first touch. The concurrency tests
 // run under ThreadSanitizer in CI (see .github/workflows/ci.yml).
@@ -35,45 +35,7 @@ ExecutionLog AwkwardRandomLog(std::uint64_t seed, std::size_t n) {
   return testing::AdversarialLog(spec);
 }
 
-/// Fills the query's pair-of-interest ids (passing over `skip` matches
-/// first), or returns false.
-bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip = 0) {
-  const PairSchema schema(log.schema());
-  Query bound = query;
-  PX_CHECK(bound.Bind(schema).ok());
-  auto poi =
-      FindPairOfInterest(log, schema, bound, PairFeatureOptions(), skip);
-  if (!poi.ok()) return false;
-  query.first_id = log.at(poi->first).id;
-  query.second_id = log.at(poi->second).id;
-  return true;
-}
-
-void ExpectSameExplanation(const Result<Explanation>& actual,
-                           const Result<Explanation>& expected,
-                           const std::string& context) {
-  ASSERT_EQ(actual.ok(), expected.ok())
-      << context << ": "
-      << (actual.ok() ? expected.status().ToString()
-                      : actual.status().ToString());
-  if (!expected.ok()) {
-    EXPECT_EQ(actual.status().code(), expected.status().code()) << context;
-    return;
-  }
-  ASSERT_EQ(actual->because.atoms().size(), expected->because.atoms().size())
-      << context;
-  for (std::size_t a = 0; a < expected->because.atoms().size(); ++a) {
-    EXPECT_EQ(actual->because.atoms()[a], expected->because.atoms()[a])
-        << context << " atom " << a;
-  }
-  ASSERT_EQ(actual->because_trace.size(), expected->because_trace.size());
-  for (std::size_t a = 0; a < expected->because_trace.size(); ++a) {
-    EXPECT_EQ(actual->because_trace[a].atom, expected->because_trace[a].atom);
-    EXPECT_EQ(actual->because_trace[a].score,
-              expected->because_trace[a].score)
-        << context << " atom " << a;
-  }
-}
+using testing::PickPair;
 
 EngineOptions WithBudget(std::size_t budget, int threads = 0) {
   EngineOptions options;
@@ -87,14 +49,12 @@ TEST(PairCodeStoreEquivalenceTest, ResidentMatchesStreamingAndLegacy) {
     const ExecutionLog log = AwkwardRandomLog(seed, 40);
     Query query = GtVsSimQuery("color_isSame = T AND x_isSame = T");
     if (!PickPair(log, query)) continue;
-    // The legacy lazy-Value reference.
+    // The naive reference, for the pair of interest Prepare resolves.
     const Engine reference_engine(log);
     const auto reference_prepared = reference_engine.Prepare(query);
     ASSERT_TRUE(reference_prepared.ok())
         << reference_prepared.status().ToString();
-    const SimButDiff legacy(SimButDiffOptions(),
-                            &reference_engine.snapshot()->columns());
-    const auto reference = legacy.ExplainLegacy(
+    const auto expected = reference::SimButDiff(
         log, reference_prepared->bound(), reference_prepared->poi_first(),
         reference_prepared->poi_second(), 3);
 
@@ -119,15 +79,15 @@ TEST(PairCodeStoreEquivalenceTest, ResidentMatchesStreamingAndLegacy) {
       if (from_resident.ok()) {
         EXPECT_TRUE(from_resident->pair_store_hit) << context;
         EXPECT_FALSE(from_streaming->pair_store_hit) << context;
-        ExpectSameExplanation(from_resident->explanation,
+        testing::ExpectSameExplanation(from_resident->explanation,
                               from_streaming->explanation, context);
       }
-      // And both must match the seed implementation.
-      ExpectSameExplanation(
+      // And both must match the reference.
+      testing::ExpectMatchesReference(
           from_resident.ok() ? Result<Explanation>(
                                    from_resident->explanation)
                              : Result<Explanation>(from_resident.status()),
-          reference, context + " vs legacy");
+          expected, context + " vs reference");
     }
   }
 }
@@ -217,7 +177,7 @@ TEST(PairCodeStoreEquivalenceTest, EquiJoinPruningIsBitwiseAtEveryBudget) {
               "seed %llu despite '%s' budget %zu threads %d",
               static_cast<unsigned long long>(seed), despite, budget,
               threads);
-          ExpectSameExplanation(answers[1], answers[0], context);
+          testing::ExpectSameExplanation(answers[1], answers[0], context);
           if (answers[0].ok() && answers[0]->because.width() == 3) {
             ++answered;
           }
@@ -253,7 +213,7 @@ TEST(PairCodeStoreEquivalenceTest, MemoryCapFallbackIsBitwise) {
   EXPECT_TRUE(from_exact->pair_store_built);  // this call paid the build
   EXPECT_FALSE(from_under->pair_store_hit);
   EXPECT_FALSE(from_under->pair_store_built);
-  ExpectSameExplanation(from_exact->explanation, from_under->explanation,
+  testing::ExpectSameExplanation(from_exact->explanation, from_under->explanation,
                         "cap fallback");
 
   // Second call on the warm engine: hit without building.
@@ -261,7 +221,7 @@ TEST(PairCodeStoreEquivalenceTest, MemoryCapFallbackIsBitwise) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->pair_store_hit);
   EXPECT_FALSE(warm->pair_store_built);
-  ExpectSameExplanation(warm->explanation, from_exact->explanation, "warm");
+  testing::ExpectSameExplanation(warm->explanation, from_exact->explanation, "warm");
 }
 
 // The store contract the end-to-end benchmark's guards rely on, at the
@@ -368,7 +328,7 @@ TEST(PairCodeStoreEquivalenceTest, ConcurrentFirstTouchUnderEightThreads) {
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(results[t].ok()) << results[t].status().ToString();
     EXPECT_TRUE(results[t]->pair_store_hit);
-    ExpectSameExplanation(results[t]->explanation, reference->explanation,
+    testing::ExpectSameExplanation(results[t]->explanation, reference->explanation,
                           StrFormat("thread %d", t));
   }
 }
@@ -381,13 +341,9 @@ TEST(PairCodeStoreEquivalenceTest, BatchRunsOnResidentStore) {
   const Engine streaming(log, WithBudget(0, 1));
 
   // Two queries with distinct pairs of interest.
-  const PairSchema schema(log.schema());
-  Query bound = base;
-  ASSERT_TRUE(bound.Bind(schema).ok());
   std::vector<Query> variants;
   for (std::size_t skip : {0u, 3u}) {
-    auto poi =
-        FindPairOfInterest(log, schema, bound, PairFeatureOptions(), skip);
+    auto poi = reference::FindPairOfInterest(log, base, skip);
     if (!poi.ok()) break;
     Query query = base;
     query.first_id = log.at(poi->first).id;
@@ -424,13 +380,13 @@ TEST(PairCodeStoreEquivalenceTest, BatchRunsOnResidentStore) {
     EXPECT_TRUE(batch[q]->batched);
     EXPECT_TRUE(batch[q]->pair_store_hit);
     EXPECT_FALSE(batch_streaming[q]->pair_store_hit);
-    ExpectSameExplanation(batch[q]->explanation,
+    testing::ExpectSameExplanation(batch[q]->explanation,
                           batch_streaming[q]->explanation,
                           StrFormat("batch query %zu", q));
     // And identical to the per-call resident path.
     auto per_call = engine.Explain(prepared[q], request);
     ASSERT_TRUE(per_call.ok());
-    ExpectSameExplanation(batch[q]->explanation, per_call->explanation,
+    testing::ExpectSameExplanation(batch[q]->explanation, per_call->explanation,
                           StrFormat("batch vs per-call %zu", q));
   }
 }
@@ -448,7 +404,7 @@ TEST(PairCodeStoreEquivalenceTest, RandomizedBatchMatchesPerCallAndLegacy) {
   // of the first pair of interest; the rest draw from those shapes.
   // Widths run 1-4. At every budget from streaming to a full plane, at 1
   // and 3 threads, on a cold and then a warm store, each response must be
-  // bitwise the per-call Explain and the lazy-Value oracle.
+  // bitwise the per-call Explain and the reference.
   const char* const kDespites[] = {"color = red AND x_isSame = T",
                                    "color_isSame = T", "color_isSame = X"};
   std::size_t produced = 0;
@@ -482,16 +438,15 @@ TEST(PairCodeStoreEquivalenceTest, RandomizedBatchMatchesPerCallAndLegacy) {
       widths.push_back(static_cast<std::size_t>(rng.UniformInt(1, 4)));
     }
 
-    const Engine reference(log);
-    const SimButDiff legacy(sim_but_diff, &reference.snapshot()->columns());
-    std::vector<Result<Explanation>> expected;
+    const Engine reference_engine(log);
+    std::vector<Result<reference::Clause>> expected;
     for (std::size_t q = 0; q < batch_size; ++q) {
-      auto prepared = reference.Prepare(queries[q]);
+      auto prepared = reference_engine.Prepare(queries[q]);
       ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-      expected.push_back(legacy.ExplainLegacy(log, prepared->bound(),
-                                              prepared->poi_first(),
-                                              prepared->poi_second(),
-                                              widths[q]));
+      expected.push_back(reference::SimButDiff(
+          log, prepared->bound(), prepared->poi_first(),
+          prepared->poi_second(), widths[q],
+          sim_but_diff.similarity_threshold));
     }
 
     const std::size_t plane =
@@ -527,11 +482,12 @@ TEST(PairCodeStoreEquivalenceTest, RandomizedBatchMatchesPerCallAndLegacy) {
                 store, q);
             const Result<Explanation> answer = AsExplanation(batch[q]);
             if (answer.ok()) ++produced;
-            ExpectSameExplanation(
+            testing::ExpectSameExplanation(
                 answer,
                 AsExplanation(engine.Explain(prepared[q], items[q].request)),
                 context + " vs per-call");
-            ExpectSameExplanation(answer, expected[q], context + " vs legacy");
+            testing::ExpectMatchesReference(answer, expected[q],
+                                            context + " vs reference");
           }
         }
       }

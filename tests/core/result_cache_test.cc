@@ -32,17 +32,7 @@ ExecutionLog CacheLog(std::size_t rows = 24, std::uint64_t seed = 7) {
   return testing::AdversarialLog(spec);
 }
 
-bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip = 0) {
-  const PairSchema schema(log.schema());
-  Query bound = query;
-  PX_CHECK(bound.Bind(schema).ok());
-  auto poi =
-      FindPairOfInterest(log, schema, bound, PairFeatureOptions(), skip);
-  if (!poi.ok()) return false;
-  query.first_id = log.at(poi->first).id;
-  query.second_id = log.at(poi->second).id;
-  return true;
-}
+using testing::PickPair;
 
 // --------------------------------------------------- direct cache contract
 

@@ -8,13 +8,14 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "features/pair_features.h"
 #include "features/tile_pool.h"
+#include "ml/encoded_dataset.h"
+#include "reference/reference.h"
 
 namespace perfxplain {
 namespace {
 
-/// Exhaustive kernel-vs-Value-path check: a log with one numeric and one
+/// Exhaustive kernel-vs-reference check: a log with one numeric and one
 /// nominal feature whose records sweep edge-case payloads (missing, +-0,
 /// similar-but-unequal, NaN, infinities, denormal-scale values, nominal
 /// strings containing commas), compared over every ordered pair and every
@@ -67,23 +68,28 @@ TEST_F(PairFeatureKernelTest, MatchesValuePathOnEveryPairAndFeature) {
   const ColumnarLog columns(log_);
   const PairFeatureOptions options;
   const std::size_t n = log_.size();
+  std::vector<PairRef> pairs;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      for (std::size_t f = 0; f < pair_schema.size(); ++f) {
-        const Value expected = ComputePairFeature(
-            pair_schema, log_.at(i), log_.at(j), f, options);
-        const Value actual = ComputePairFeatureColumnar(
-            columns, pair_schema, i, j, f, options.sim_fraction);
-        if (expected.is_numeric() && std::isnan(expected.number())) {
-          ASSERT_TRUE(actual.is_numeric());
-          EXPECT_TRUE(std::isnan(actual.number()));
-          continue;
-        }
-        EXPECT_EQ(actual, expected)
-            << "pair (" << i << "," << j << ") feature "
-            << pair_schema.NameOf(f);
+      if (i != j) pairs.push_back({i, j, true});
+    }
+  }
+  const EncodedDataset data(columns, pair_schema, pairs, options.sim_fraction);
+  for (std::size_t r = 0; r < pairs.size(); ++r) {
+    const std::size_t i = pairs[r].first;
+    const std::size_t j = pairs[r].second;
+    const std::vector<Value> expected = reference::PairVector(
+        schema_, log_.at(i), log_.at(j), options.sim_fraction);
+    for (std::size_t f = 0; f < pair_schema.size(); ++f) {
+      const Value actual = data.DecodeValue(f, r);
+      if (expected[f].is_numeric() && std::isnan(expected[f].number())) {
+        ASSERT_TRUE(actual.is_numeric());
+        EXPECT_TRUE(std::isnan(actual.number()));
+        continue;
       }
+      EXPECT_EQ(actual, expected[f])
+          << "pair (" << i << "," << j << ") feature "
+          << pair_schema.NameOf(f);
     }
   }
 }

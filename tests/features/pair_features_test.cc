@@ -1,8 +1,8 @@
-#include "features/pair_features.h"
+#include "features/pair_schema.h"
 
 #include <gtest/gtest.h>
 
-#include "features/pair_schema.h"
+#include "ml/encoded_dataset.h"
 #include "testing/test_util.h"
 
 namespace perfxplain {
@@ -10,6 +10,21 @@ namespace {
 
 using perfxplain::testing::TinyRecord;
 using perfxplain::testing::TinySchema;
+
+/// Pair feature `pair_index` (Table 1) of the ordered pair (a, b) as the
+/// engine encodes it, checked against the reference.
+Value EngineFeature(const PairSchema& schema, const ExecutionRecord& a,
+                    const ExecutionRecord& b, std::size_t pair_index,
+                    const PairFeatureOptions& options) {
+  const ColumnarLog columns(schema.raw(), {a, b});
+  const EncodedDataset data(columns, schema, {{0, 1, true}},
+                            options.sim_fraction);
+  const Value value = data.DecodeValue(pair_index, 0);
+  EXPECT_EQ(value, reference::PairVector(schema.raw(), a, b,
+                                         options.sim_fraction)[pair_index])
+      << schema.NameOf(pair_index);
+  return value;
+}
 
 class PairFeaturesTest : public ::testing::Test {
  protected:
@@ -19,8 +34,7 @@ class PairFeaturesTest : public ::testing::Test {
                 PairFeatureKind kind, const std::string& raw_name) {
     const std::size_t raw = schema_.raw().IndexOf(raw_name);
     PX_CHECK_NE(raw, Schema::kNotFound);
-    return ComputePairFeature(schema_, a, b, schema_.IndexOf(kind, raw),
-                              options_);
+    return EngineFeature(schema_, a, b, schema_.IndexOf(kind, raw), options_);
   }
 
   PairSchema schema_;
@@ -167,17 +181,6 @@ TEST_F(PairFeaturesTest, SimilarityFractionIsConfigurable) {
             Value::Nominal("LT"));
 }
 
-TEST_F(PairFeaturesTest, MaterializeMatchesPointwise) {
-  const auto a = TinyRecord("a", 100, "red", 42);
-  const auto b = TinyRecord("b", 200, "blue", 42);
-  PairFeatureView view(&schema_, &a, &b, &options_);
-  const std::vector<Value> vector = view.Materialize();
-  ASSERT_EQ(vector.size(), schema_.size());
-  for (std::size_t i = 0; i < vector.size(); ++i) {
-    EXPECT_EQ(vector[i], view.Get(i)) << schema_.NameOf(i);
-  }
-}
-
 /// Property sweep: isSame is symmetric, compare is antisymmetric
 /// (LT <-> GT, SIM fixed), for a grid of value pairs.
 class PairSymmetryTest
@@ -191,10 +194,10 @@ TEST_P(PairSymmetryTest, IsSameSymmetricCompareAntisymmetric) {
   const auto b = TinyRecord("b", y, "red", 1);
   const std::size_t is_same = schema.IndexOf(PairFeatureKind::kIsSame, 0);
   const std::size_t compare = schema.IndexOf(PairFeatureKind::kCompare, 0);
-  EXPECT_EQ(ComputePairFeature(schema, a, b, is_same, options),
-            ComputePairFeature(schema, b, a, is_same, options));
-  const Value ab = ComputePairFeature(schema, a, b, compare, options);
-  const Value ba = ComputePairFeature(schema, b, a, compare, options);
+  EXPECT_EQ(EngineFeature(schema, a, b, is_same, options),
+            EngineFeature(schema, b, a, is_same, options));
+  const Value ab = EngineFeature(schema, a, b, compare, options);
+  const Value ba = EngineFeature(schema, b, a, compare, options);
   if (ab == Value::Nominal("SIM")) {
     EXPECT_EQ(ba, Value::Nominal("SIM"));
   } else if (ab == Value::Nominal("LT")) {

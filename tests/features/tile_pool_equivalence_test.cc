@@ -375,38 +375,7 @@ TEST(TilePoolTest, ConcurrentFillsAndFetchesMatchPerPairOracle) {
 
 // ---------------------------------------------- randomized budget suites
 
-/// Fills the query's pair-of-interest ids with the `skip`-th admissible
-/// pair, or returns false.
-bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip = 0) {
-  const PairSchema schema(log.schema());
-  Query bound = query;
-  PX_CHECK(bound.Bind(schema).ok());
-  auto poi =
-      FindPairOfInterest(log, schema, bound, PairFeatureOptions(), skip);
-  if (!poi.ok()) return false;
-  query.first_id = log.at(poi->first).id;
-  query.second_id = log.at(poi->second).id;
-  return true;
-}
-
-void ExpectSameExplanation(const Explanation& actual,
-                           const Explanation& expected,
-                           const std::string& context) {
-  ASSERT_EQ(actual.because.atoms().size(), expected.because.atoms().size())
-      << context;
-  for (std::size_t a = 0; a < expected.because.atoms().size(); ++a) {
-    EXPECT_EQ(actual.because.atoms()[a], expected.because.atoms()[a])
-        << context << " atom " << a;
-  }
-  ASSERT_EQ(actual.because_trace.size(), expected.because_trace.size())
-      << context;
-  for (std::size_t a = 0; a < expected.because_trace.size(); ++a) {
-    EXPECT_EQ(actual.because_trace[a].atom, expected.because_trace[a].atom)
-        << context << " atom " << a;
-    EXPECT_EQ(actual.because_trace[a].score, expected.because_trace[a].score)
-        << context << " atom " << a;
-  }
-}
+using testing::PickPair;
 
 EngineOptions WithBudget(std::size_t budget, int threads) {
   EngineOptions options;
@@ -489,7 +458,7 @@ TEST(TilePoolEquivalenceTest, RandomInterleavingsMatchUnboundedBitwise) {
             continue;
           }
           EXPECT_FALSE(response->result_cache_hit) << context;
-          ExpectSameExplanation(response->explanation,
+          testing::ExpectSameExplanation(response->explanation,
                                 reference[q]->explanation, context);
         }
       }
@@ -573,7 +542,7 @@ TEST(TilePoolEquivalenceTest, ConcurrentFirstTouchUnderEightThreads) {
   }
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(results[t].ok()) << results[t].status().ToString();
-    ExpectSameExplanation(results[t]->explanation, reference->explanation,
+    testing::ExpectSameExplanation(results[t]->explanation, reference->explanation,
                           StrFormat("thread %d", t));
   }
 }

@@ -62,7 +62,7 @@ class EndToEndTest : public ::testing::Test {
       finder.despite = finder.despite.And(extra.value());
       PX_CHECK(finder.Bind(schema).ok());
     }
-    auto poi = FindPairOfInterest(log, schema, finder, PairFeatureOptions());
+    auto poi = reference::FindPairOfInterest(log, finder);
     PX_CHECK(poi.ok()) << poi.status().ToString();
     bound.first_id = log.at(poi->first).id;
     bound.second_id = log.at(poi->second).id;
@@ -263,14 +263,14 @@ TEST_F(EndToEndTest, ExplanationTextRoundTripsThroughPxql) {
   ASSERT_TRUE(reparsed.ok()) << explanation->because.ToString();
   Predicate bound = std::move(reparsed).value();
   ASSERT_TRUE(bound.Bind(system.pair_schema()).ok());
-  PairFeatureOptions options;
   const ExecutionLog& log = trace_->job_log;
   for (std::size_t i = 0; i < 20 && i + 1 < log.size(); ++i) {
-    PairFeatureView view(&system.pair_schema(), &log.at(i), &log.at(i + 1),
-                         &options);
     Predicate original = explanation->because;
     ASSERT_TRUE(original.Bind(system.pair_schema()).ok());
-    EXPECT_EQ(original.Eval(view), bound.Eval(view)) << i;
+    EXPECT_EQ(
+        reference::Holds(original, log.schema(), log.at(i), log.at(i + 1)),
+        reference::Holds(bound, log.schema(), log.at(i), log.at(i + 1)))
+        << i;
   }
 }
 

@@ -22,7 +22,7 @@ class EncodedFixture {
         columns(log),
         pairs(MakePairs(log, seed)),
         dataset(columns, schema, pairs, 0.10),
-        examples(MakeExamples(log, schema, pairs)) {}
+        examples(MakeExamples(log, pairs)) {}
 
   EncodedFixture(const EncodedFixture&) = delete;
   EncodedFixture& operator=(const EncodedFixture&) = delete;
@@ -32,23 +32,17 @@ class EncodedFixture {
   ColumnarLog columns;
   std::vector<PairRef> pairs;
   EncodedDataset dataset;
-  std::vector<TrainingExample> examples;
+  /// The reference's pair-feature vector of every pair.
+  std::vector<std::vector<Value>> examples;
 
  private:
-  static std::vector<TrainingExample> MakeExamples(
-      const ExecutionLog& log, const PairSchema& schema,
-      const std::vector<PairRef>& pairs) {
-    std::vector<TrainingExample> examples;
-    PairFeatureOptions options;
+  static std::vector<std::vector<Value>> MakeExamples(
+      const ExecutionLog& log, const std::vector<PairRef>& pairs) {
+    std::vector<std::vector<Value>> examples;
     for (const PairRef& pair : pairs) {
-      PairFeatureView view(&schema, &log.at(pair.first),
-                           &log.at(pair.second), &options);
-      TrainingExample example;
-      example.first = pair.first;
-      example.second = pair.second;
-      example.observed = pair.observed;
-      example.features = view.Materialize();
-      examples.push_back(std::move(example));
+      examples.push_back(reference::PairVector(log.schema(),
+                                               log.at(pair.first),
+                                               log.at(pair.second)));
     }
     return examples;
   }
@@ -94,10 +88,18 @@ class EncodedFixture {
 };
 
 TEST(EncodedDatasetTest, DecodesEveryCellToTheValuePath) {
+  // The reference's names line up with the engine's layout.
+  const EncodedFixture names(3, 2);
+  const std::vector<std::string> features =
+      reference::PairFeatureNames(names.log.schema());
+  ASSERT_EQ(features.size(), names.schema.size());
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    EXPECT_EQ(features[f], names.schema.NameOf(f));
+  }
   const EncodedFixture fx(3, 10);
   for (std::size_t r = 0; r < fx.dataset.rows(); ++r) {
     for (std::size_t f = 0; f < fx.schema.size(); ++f) {
-      const Value& expected = fx.examples[r].features[f];
+      const Value& expected = fx.examples[r][f];
       const Value actual = fx.dataset.DecodeValue(f, r);
       if (expected.is_numeric() && std::isnan(expected.number())) {
         ASSERT_TRUE(actual.is_numeric());
@@ -132,15 +134,28 @@ TEST(EncodedDatasetTest, AtomTestMatchesAtomEval) {
     ASSERT_EQ(rows.size(), (fx.dataset.rows() + 63) / 64);
     for (std::size_t r = 0; r < fx.dataset.rows(); ++r) {
       EXPECT_EQ(((rows[r >> 6] >> (r & 63)) & 1) != 0,
-                atom.Eval(fx.examples[r].features))
+                atom.Matches(fx.examples[r][atom.pair_index()]))
           << atom.ToString() << " row " << r;
     }
   }
 }
 
+/// The encoded search's candidate against the reference's over the same
+/// working rows.
 void ExpectSameCandidate(const std::optional<SplitCandidate>& actual,
-                         const std::optional<SplitCandidate>& expected,
+                         const EncodedFixture& fx,
+                         const std::vector<std::uint32_t>& rows,
+                         std::size_t f, std::size_t min_support,
                          const std::string& context) {
+  std::vector<Value> values;
+  std::vector<bool> positive;
+  for (std::uint32_t r : rows) {
+    values.push_back(fx.examples[r][f]);
+    positive.push_back(fx.dataset.labels()[r] != 0);
+  }
+  const auto expected =
+      reference::BestPredicate(fx.schema.NameOf(f), values, positive,
+                               fx.examples[0][f], min_support);
   ASSERT_EQ(actual.has_value(), expected.has_value()) << context;
   if (!expected.has_value()) return;
   EXPECT_EQ(actual->atom, expected->atom)
@@ -179,15 +194,13 @@ TEST(EncodedSplitTest, BestPredicateMatchesValuePathEveryFeature) {
     SplitOptions options;
     options.min_support = 2;
     for (std::size_t f = 0; f < fx.schema.size(); ++f) {
-      const auto expected = BestPredicateForFeature(
-          fx.schema, fx.examples, f, fx.examples[0].features[f], options);
       const auto actual = BestPredicateForFeatureEncoded(
           index,
           EncodedWorkingSet(RowsBitmap(fx.dataset, rows),
                             LabelsBitmap(fx.dataset)),
           f, options);
       ExpectSameCandidate(
-          actual, expected,
+          actual, fx, rows, f, options.min_support,
           StrFormat("seed %d feature %s", static_cast<int>(seed),
                     fx.schema.NameOf(f).c_str()));
     }
@@ -198,25 +211,20 @@ TEST(EncodedSplitTest, RespectsWorkingSubsets) {
   const EncodedFixture fx(13, 10);
   // Odd-indexed subset: the encoded search must score only those rows.
   std::vector<std::uint32_t> rows;
-  std::vector<TrainingExample> subset;
-  subset.push_back(fx.examples[0]);
   rows.push_back(0);
   for (std::size_t r = 1; r < fx.dataset.rows(); r += 2) {
     rows.push_back(static_cast<std::uint32_t>(r));
-    subset.push_back(fx.examples[r]);
   }
   EncodedSplitIndex index(fx.dataset);
   SplitOptions options;
   options.min_support = 2;
   for (std::size_t f = 0; f < fx.schema.size(); ++f) {
-    const auto expected = BestPredicateForFeature(
-        fx.schema, subset, f, fx.examples[0].features[f], options);
     const auto actual = BestPredicateForFeatureEncoded(
         index,
         EncodedWorkingSet(RowsBitmap(fx.dataset, rows),
                           LabelsBitmap(fx.dataset)),
         f, options);
-    ExpectSameCandidate(actual, expected,
+    ExpectSameCandidate(actual, fx, rows, f, options.min_support,
                         "subset feature " + fx.schema.NameOf(f));
   }
 }

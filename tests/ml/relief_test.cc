@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
+#include "reference/reference.h"
 
 namespace perfxplain {
 namespace {
@@ -37,7 +38,7 @@ ExecutionLog MakeRegressionLog(std::size_t n, std::uint64_t seed,
 TEST(ReliefTest, SignalOutranksDecoy) {
   const ExecutionLog log = MakeRegressionLog(300, 11);
   Rng rng(1);
-  const auto weights = RRelieff(log, 3, ReliefOptions(), rng);
+  const auto weights = RRelieff(ColumnarLog(log), 3, ReliefOptions(), rng);
   ASSERT_EQ(weights.size(), 4u);
   EXPECT_GT(weights[0], weights[1]) << "signal should beat decoy";
   EXPECT_GT(weights[2], weights[1]) << "mode should beat decoy";
@@ -47,7 +48,8 @@ TEST(ReliefTest, SignalOutranksDecoy) {
 TEST(ReliefTest, RankingPutsSignalFirst) {
   const ExecutionLog log = MakeRegressionLog(300, 12);
   Rng rng(2);
-  const auto ranking = RankFeaturesByImportance(log, 3, ReliefOptions(), rng);
+  const auto ranking =
+      RankFeaturesByImportance(ColumnarLog(log), 3, ReliefOptions(), rng);
   ASSERT_EQ(ranking.size(), 3u);  // target excluded
   EXPECT_EQ(ranking[0], 0u) << "signal should rank first";
   EXPECT_EQ(ranking.back(), 1u) << "decoy should rank last";
@@ -68,7 +70,8 @@ TEST(ReliefTest, HandlesMissingValues) {
                                              Value::Number(50)}))
                .ok());
   Rng rng(3);
-  const auto ranking = RankFeaturesByImportance(log, 3, ReliefOptions(), rng);
+  const auto ranking =
+      RankFeaturesByImportance(ColumnarLog(log), 3, ReliefOptions(), rng);
   EXPECT_EQ(ranking[0], 0u);
 }
 
@@ -86,7 +89,7 @@ TEST(ReliefTest, ConstantTargetGivesNoSpuriousImportance) {
                  .ok());
   }
   Rng rng(5);
-  const auto weights = RRelieff(log, 1, ReliefOptions(), rng);
+  const auto weights = RRelieff(ColumnarLog(log), 1, ReliefOptions(), rng);
   EXPECT_DOUBLE_EQ(weights[0], 0.0);
 }
 
@@ -96,33 +99,33 @@ TEST(ReliefTest, TinyLogsAreSafe) {
   PX_CHECK(schema.Add("target", ValueKind::kNumeric).ok());
   ExecutionLog log(schema);
   Rng rng(6);
-  EXPECT_EQ(RRelieff(log, 1, ReliefOptions(), rng).size(), 2u);
+  EXPECT_EQ(RRelieff(ColumnarLog(log), 1, ReliefOptions(), rng).size(), 2u);
   PX_CHECK(log.Add(ExecutionRecord("only", {Value::Number(1),
                                             Value::Number(2)}))
                .ok());
-  EXPECT_EQ(RRelieff(log, 1, ReliefOptions(), rng)[0], 0.0);
+  EXPECT_EQ(RRelieff(ColumnarLog(log), 1, ReliefOptions(), rng)[0], 0.0);
 }
 
 TEST(ReliefTest, DeterministicGivenSeed) {
   const ExecutionLog log = MakeRegressionLog(150, 14);
   Rng rng1(7);
   Rng rng2(7);
-  EXPECT_EQ(RRelieff(log, 3, ReliefOptions(), rng1),
-            RRelieff(log, 3, ReliefOptions(), rng2));
+  EXPECT_EQ(RRelieff(ColumnarLog(log), 3, ReliefOptions(), rng1),
+            RRelieff(ColumnarLog(log), 3, ReliefOptions(), rng2));
 }
 
 TEST(ReliefTest, WeightsWithinUnitInterval) {
   const ExecutionLog log = MakeRegressionLog(200, 15);
   Rng rng(8);
-  for (double w : RRelieff(log, 3, ReliefOptions(), rng)) {
+  for (double w : RRelieff(ColumnarLog(log), 3, ReliefOptions(), rng)) {
     EXPECT_GE(w, -1.0);
     EXPECT_LE(w, 1.0);
   }
 }
 
 TEST(ReliefTest, StripedProbeLoopIsThreadCountInvariant) {
-  // The columnar backend stripes the probe loop across workers; every
-  // thread count must reproduce the serial Value-path weights bitwise —
+  // The probe loop is striped across workers; every thread count must
+  // reproduce the serial reference's weights bitwise —
   // including with missing values in the log and more requested threads
   // than probes.
   ExecutionLog log = MakeRegressionLog(120, 16);
@@ -132,9 +135,10 @@ TEST(ReliefTest, StripedProbeLoopIsThreadCountInvariant) {
                                             Value::Number(70)}))
                .ok());
   const ColumnarLog columns(log);
+  const ReliefOptions defaults;
   Rng serial_rng(9);
-  const std::vector<double> serial =
-      RRelieff(log, 3, ReliefOptions(), serial_rng);
+  const std::vector<double> serial = reference::RRelieff(
+      log, 3, defaults.iterations, defaults.neighbors, serial_rng);
   for (int threads : {1, 2, 3, 5, 8, 1000}) {
     ReliefOptions options;
     options.threads = threads;
@@ -159,8 +163,10 @@ TEST(ReliefTest, StripedRankingMatchesSerialWithFewProbes) {
     ReliefOptions serial_options;
     serial_options.iterations = iterations;
     Rng serial_rng(10);
-    const auto serial =
-        RankFeaturesByImportance(log, 3, serial_options, serial_rng);
+    const auto serial = reference::RankByWeight(
+        reference::RRelieff(log, 3, iterations, serial_options.neighbors,
+                            serial_rng),
+        3);
     ReliefOptions striped_options = serial_options;
     striped_options.threads = 7;
     Rng striped_rng(10);

@@ -2,29 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pair_enumeration.h"
+
 namespace perfxplain {
 namespace {
 
-std::vector<TrainingExample> MakeExamples(std::size_t observed,
-                                          std::size_t expected) {
-  std::vector<TrainingExample> examples;
-  for (std::size_t i = 0; i < observed; ++i) {
-    TrainingExample example;
-    example.first = i;
-    example.observed = true;
-    examples.push_back(example);
+/// A related-pair scan of `observed` observed then `expected` expected
+/// pairs, record indexes ascending.
+RelatedPairScan MakeScan(std::size_t observed, std::size_t expected) {
+  RelatedPairScan scan;
+  scan.counts = {observed, expected};
+  for (std::size_t i = 0; i < observed + expected; ++i) {
+    scan.related.push_back({i, i + 1, i < observed});
   }
-  for (std::size_t i = 0; i < expected; ++i) {
-    TrainingExample example;
-    example.first = observed + i;
-    example.observed = false;
-    examples.push_back(example);
+  return scan;
+}
+
+/// The §4.3 balanced draws over MakeScan(observed, expected), without the
+/// pair of interest the draws always put first (it is related to no scan
+/// pair here). Empty when no pair is related, which the sampler reports
+/// as FailedPrecondition.
+std::vector<PairRef> BalancedSample(const RelatedPairScan& scan,
+                                    const SamplerOptions& options, Rng& rng) {
+  const std::size_t rows = scan.related.size() + 3;
+  auto sampled =
+      ReplaySampleDraws(scan, rows, rows - 2, rows - 1, options, rng);
+  if (!sampled.ok()) {
+    EXPECT_EQ(sampled.status().code(), StatusCode::kFailedPrecondition);
+    return {};
   }
-  return examples;
+  EXPECT_EQ(sampled->front().first, rows - 2);
+  return std::vector<PairRef>(sampled->begin() + 1, sampled->end());
 }
 
 std::pair<std::size_t, std::size_t> CountLabels(
-    const std::vector<TrainingExample>& examples) {
+    const std::vector<PairRef>& examples) {
   std::size_t observed = 0;
   for (const auto& example : examples) {
     if (example.observed) ++observed;
@@ -36,7 +48,7 @@ TEST(SamplerTest, KeepsSmallBalancedSetWhole) {
   SamplerOptions options;
   options.sample_size = 2000;
   Rng rng(1);
-  const auto sample = BalancedSample(MakeExamples(100, 100), options, rng);
+  const auto sample = BalancedSample(MakeScan(100, 100), options, rng);
   EXPECT_EQ(sample.size(), 200u);
 }
 
@@ -45,7 +57,7 @@ TEST(SamplerTest, TargetsSampleSizeOnLargeSets) {
   options.sample_size = 2000;
   Rng rng(2);
   const auto sample =
-      BalancedSample(MakeExamples(50000, 50000), options, rng);
+      BalancedSample(MakeScan(50000, 50000), options, rng);
   // Expect roughly 2000 (binomial, sd ~ 44).
   EXPECT_GT(sample.size(), 1700u);
   EXPECT_LT(sample.size(), 2300u);
@@ -57,7 +69,7 @@ TEST(SamplerTest, BalancesSkewedClasses) {
   options.sample_size = 2000;
   Rng rng(3);
   const auto sample =
-      BalancedSample(MakeExamples(99000, 1000), options, rng);
+      BalancedSample(MakeScan(99000, 1000), options, rng);
   const auto [observed, expected] = CountLabels(sample);
   EXPECT_NEAR(static_cast<double>(observed), 1000.0, 150.0);
   EXPECT_EQ(expected, 1000u);  // p = 2000/(2*1000) = 1 -> all kept
@@ -67,7 +79,7 @@ TEST(SamplerTest, MinorityClassKeptWholeWhenTiny) {
   SamplerOptions options;
   options.sample_size = 2000;
   Rng rng(4);
-  const auto sample = BalancedSample(MakeExamples(50000, 20), options, rng);
+  const auto sample = BalancedSample(MakeScan(50000, 20), options, rng);
   const auto [observed, expected] = CountLabels(sample);
   EXPECT_EQ(expected, 20u);
   EXPECT_NEAR(static_cast<double>(observed), 1000.0, 150.0);
@@ -77,7 +89,7 @@ TEST(SamplerTest, SingleClassStillSampled) {
   SamplerOptions options;
   options.sample_size = 100;
   Rng rng(5);
-  const auto sample = BalancedSample(MakeExamples(10000, 0), options, rng);
+  const auto sample = BalancedSample(MakeScan(10000, 0), options, rng);
   const auto [observed, expected] = CountLabels(sample);
   EXPECT_EQ(expected, 0u);
   EXPECT_NEAR(static_cast<double>(observed), 50.0, 35.0);
@@ -86,14 +98,14 @@ TEST(SamplerTest, SingleClassStillSampled) {
 TEST(SamplerTest, EmptyInputYieldsEmptySample) {
   SamplerOptions options;
   Rng rng(6);
-  EXPECT_TRUE(BalancedSample({}, options, rng).empty());
+  EXPECT_TRUE(BalancedSample(MakeScan(0, 0), options, rng).empty());
 }
 
 TEST(SamplerTest, PreservesOrder) {
   SamplerOptions options;
   options.sample_size = 1000000;  // keep everything
   Rng rng(7);
-  const auto sample = BalancedSample(MakeExamples(50, 50), options, rng);
+  const auto sample = BalancedSample(MakeScan(50, 50), options, rng);
   ASSERT_EQ(sample.size(), 100u);
   for (std::size_t i = 1; i < sample.size(); ++i) {
     EXPECT_LT(sample[i - 1].first, sample[i].first);
@@ -105,8 +117,8 @@ TEST(SamplerTest, DeterministicGivenSeed) {
   options.sample_size = 500;
   Rng rng1(8);
   Rng rng2(8);
-  const auto s1 = BalancedSample(MakeExamples(5000, 5000), options, rng1);
-  const auto s2 = BalancedSample(MakeExamples(5000, 5000), options, rng2);
+  const auto s1 = BalancedSample(MakeScan(5000, 5000), options, rng1);
+  const auto s2 = BalancedSample(MakeScan(5000, 5000), options, rng2);
   ASSERT_EQ(s1.size(), s2.size());
   for (std::size_t i = 0; i < s1.size(); ++i) {
     EXPECT_EQ(s1[i].first, s2[i].first);
@@ -124,7 +136,7 @@ TEST_P(SamplerBalanceTest, SampleIsRoughlyBalanced) {
   options.sample_size = 2000;
   Rng rng(observed * 31 + expected);
   const auto sample =
-      BalancedSample(MakeExamples(observed, expected), options, rng);
+      BalancedSample(MakeScan(observed, expected), options, rng);
   const auto [got_observed, got_expected] = CountLabels(sample);
   const double share = static_cast<double>(got_observed) /
                        static_cast<double>(got_observed + got_expected);
@@ -140,15 +152,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{100000, 5000},
                       std::pair<std::size_t, std::size_t>{5000, 100000}));
 
-std::vector<TrainingExample> PairExamples(
+std::vector<PairRef> PairExamples(
     std::initializer_list<std::pair<std::size_t, std::size_t>> pairs) {
-  std::vector<TrainingExample> examples;
+  std::vector<PairRef> examples;
   for (const auto& [first, second] : pairs) {
-    TrainingExample example;
-    example.first = first;
-    example.second = second;
-    example.observed = true;
-    examples.push_back(example);
+    examples.push_back({first, second, true});
   }
   return examples;
 }
@@ -188,32 +196,6 @@ TEST(DiversityTest, CapOneKeepsDisjointPairsOnly) {
       EnforceRecordDiversity(std::move(examples), 1, /*keep_first=*/false);
   ASSERT_EQ(kept.size(), 3u);  // (1,2) dropped: both records already used
   EXPECT_EQ(kept[2].first, 4u);
-}
-
-TEST(DiversityTest, TrainingExampleAndPairRefOverloadsAgree) {
-  // Both overloads run the same filter, so the same (first, second)
-  // sequence must survive at the same positions.
-  const std::initializer_list<std::pair<std::size_t, std::size_t>> pairs = {
-      {0, 1}, {0, 2}, {2, 1}, {3, 4}, {4, 0}, {3, 1}, {5, 6}};
-  for (const std::size_t cap : {std::size_t{0}, std::size_t{1},
-                                std::size_t{2}}) {
-    for (const bool keep_first : {false, true}) {
-      const auto examples =
-          EnforceRecordDiversity(PairExamples(pairs), cap, keep_first);
-      std::vector<PairRef> refs;
-      for (const auto& [first, second] : pairs) {
-        refs.push_back({first, second, true});
-      }
-      const auto kept = EnforceRecordDiversity(std::move(refs), cap,
-                                               keep_first);
-      ASSERT_EQ(kept.size(), examples.size())
-          << "cap " << cap << " keep_first " << keep_first;
-      for (std::size_t i = 0; i < kept.size(); ++i) {
-        EXPECT_EQ(kept[i].first, examples[i].first);
-        EXPECT_EQ(kept[i].second, examples[i].second);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pxql/compiled_predicate.h"
 #include "testing/test_util.h"
 
 namespace perfxplain {
@@ -81,7 +82,13 @@ TEST(PredicateTest, EmptyPredicateIsTrue) {
   Predicate predicate;
   EXPECT_TRUE(predicate.is_true());
   EXPECT_EQ(predicate.ToString(), "true");
-  EXPECT_TRUE(predicate.Eval(std::vector<Value>{}));
+  const auto a = TinyRecord("a", 100, "red", 1);
+  const auto b = TinyRecord("b", 200, "blue", 1);
+  EXPECT_TRUE(reference::Holds(predicate, TinySchema(), a, b));
+  const PairSchema schema(TinySchema());
+  const ColumnarLog columns(TinySchema(), {a, b});
+  EXPECT_TRUE(
+      CompiledPredicate::Compile(predicate, schema, columns).Eval(0, 1, 0.1));
 }
 
 TEST(PredicateTest, ConjunctionEvaluation) {
@@ -90,12 +97,14 @@ TEST(PredicateTest, ConjunctionEvaluation) {
   ASSERT_TRUE(predicate.Bind(schema).ok());
   const auto a = TinyRecord("a", 100, "red", 1);
   const auto b = TinyRecord("b", 101, "blue", 1);
-  PairFeatureOptions options;
-  PairFeatureView view(&schema, &a, &b, &options);
-  EXPECT_TRUE(predicate.Eval(view));
   const auto c = TinyRecord("c", 101, "red", 1);
-  PairFeatureView view_ac(&schema, &a, &c, &options);
-  EXPECT_FALSE(predicate.Eval(view_ac));
+  const ColumnarLog columns(TinySchema(), {a, b, c});
+  const CompiledPredicate compiled =
+      CompiledPredicate::Compile(predicate, schema, columns);
+  EXPECT_TRUE(reference::Holds(predicate, TinySchema(), a, b));
+  EXPECT_TRUE(compiled.Eval(0, 1, 0.1));
+  EXPECT_FALSE(reference::Holds(predicate, TinySchema(), a, c));
+  EXPECT_FALSE(compiled.Eval(0, 2, 0.1));
 }
 
 TEST(PredicateTest, AndConcatenates) {

@@ -16,7 +16,7 @@ namespace {
 
 using testing::MustPredicate;
 
-/// Asserts that the compiled program agrees with the legacy lazy-view
+/// Asserts that the compiled program agrees with the reference's
 /// evaluation on every ordered pair of the log.
 void ExpectCompiledMatchesLegacy(const ExecutionLog& log,
                                  const Predicate& predicate) {
@@ -31,8 +31,8 @@ void ExpectCompiledMatchesLegacy(const ExecutionLog& log,
   for (std::size_t i = 0; i < log.size(); ++i) {
     for (std::size_t j = 0; j < log.size(); ++j) {
       if (i == j) continue;
-      PairFeatureView view(&schema, &log.at(i), &log.at(j), &options);
-      EXPECT_EQ(compiled.Eval(i, j, options.sim_fraction), bound.Eval(view))
+      EXPECT_EQ(compiled.Eval(i, j, options.sim_fraction),
+                reference::Holds(bound, log.schema(), log.at(i), log.at(j)))
           << bound.ToString() << " on pair (" << i << "," << j << ")";
     }
   }
@@ -164,9 +164,10 @@ TEST_F(CompiledPredicateTest, CompiledQueryClassifiesLikeLegacy) {
   for (std::size_t i = 0; i < log_.size(); ++i) {
     for (std::size_t j = 0; j < log_.size(); ++j) {
       if (i == j) continue;
-      PairFeatureView view(&schema, &log_.at(i), &log_.at(j), &options);
-      EXPECT_EQ(ClassifyPairCompiled(compiled, i, j, options.sim_fraction),
-                ClassifyPair(query, view));
+      EXPECT_EQ(static_cast<int>(ClassifyPairCompiled(
+                    compiled, i, j, options.sim_fraction)),
+                static_cast<int>(reference::Classify(
+                    query, log_.schema(), log_.at(i), log_.at(j))));
     }
   }
 }

@@ -28,19 +28,7 @@ namespace {
 
 using perfxplain::testing::CausalLog;
 using perfxplain::testing::GtVsSimQuery;
-
-/// Resolves a pair of interest for `query` over `log` (see engine_test).
-bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip = 0) {
-  const PairSchema schema(log.schema());
-  Query bound = query;
-  PX_CHECK(bound.Bind(schema).ok());
-  auto poi =
-      FindPairOfInterest(log, schema, bound, PairFeatureOptions(), skip);
-  if (!poi.ok()) return false;
-  query.first_id = log.at(poi->first).id;
-  query.second_id = log.at(poi->second).id;
-  return true;
-}
+using perfxplain::testing::PickPair;
 
 ::testing::AssertionResult SameExplanation(const Explanation& actual,
                                            const Explanation& expected) {

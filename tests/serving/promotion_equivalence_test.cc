@@ -164,11 +164,7 @@ void ExpectPromotedMatchesCold(const ExecutionLog& full,
   for (std::size_t skip = 0; skip < 3; ++skip) {
     Query query = GtVsSimQuery();
     {
-      const PairSchema schema(full.schema());
-      Query bound = query;
-      ASSERT_TRUE(bound.Bind(schema).ok());
-      auto poi = FindPairOfInterest(full, schema, bound,
-                                    PairFeatureOptions(), skip);
+      auto poi = reference::FindPairOfInterest(full, query, skip);
       if (!poi.ok()) break;
       query.first_id = full.at(poi->first).id;
       query.second_id = full.at(poi->second).id;

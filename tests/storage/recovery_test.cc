@@ -42,7 +42,7 @@ bool PickPair(const ExecutionLog& log, Query& query) {
   const PairSchema schema(log.schema());
   Query bound = query;
   if (!bound.Bind(schema).ok()) return false;
-  auto poi = FindPairOfInterest(log, schema, bound, PairFeatureOptions(), 0);
+  auto poi = reference::FindPairOfInterest(log, query);
   if (!poi.ok()) return false;
   query.first_id = log.at(poi->first).id;
   query.second_id = log.at(poi->second).id;

@@ -1,12 +1,25 @@
 #include "testing/test_util.h"
 
 #include <cmath>
+#include <cstring>
+
+#include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "pxql/parser.h"
 
 namespace perfxplain::testing {
+
+namespace {
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+}  // namespace
 
 Schema TinySchema() {
   Schema schema;
@@ -128,6 +141,14 @@ Query GtVsSimQuery(const std::string& despite_text) {
   return std::move(query).value();
 }
 
+bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip) {
+  auto poi = reference::FindPairOfInterest(log, query, skip);
+  if (!poi.ok()) return false;
+  query.first_id = log.at(poi->first).id;
+  query.second_id = log.at(poi->second).id;
+  return true;
+}
+
 Result<Explanation> PrepareAndExplain(const Engine& engine,
                                       const Query& query,
                                       const ExplainRequest& request) {
@@ -144,11 +165,52 @@ Predicate MustPredicate(const std::string& text) {
   return std::move(predicate).value();
 }
 
-std::vector<Value> PairVector(const Schema& schema, const ExecutionRecord& a,
-                              const ExecutionRecord& b) {
-  PairSchema pair_schema(schema);
-  PairFeatureOptions options;
-  return PairFeatureView(&pair_schema, &a, &b, &options).Materialize();
+void ExpectSameExplanation(const Result<Explanation>& actual,
+                           const Result<Explanation>& expected,
+                           const std::string& context) {
+  ASSERT_EQ(actual.ok(), expected.ok()) << context;
+  if (!expected.ok()) {
+    EXPECT_EQ(actual.status().code(), expected.status().code()) << context;
+    return;
+  }
+  ASSERT_EQ(actual->because, expected->because) << context;
+  ASSERT_EQ(actual->because_trace.size(), expected->because_trace.size());
+  for (std::size_t a = 0; a < expected->because_trace.size(); ++a) {
+    EXPECT_EQ(actual->because_trace[a].atom, expected->because_trace[a].atom)
+        << context << " atom " << a;
+    EXPECT_EQ(Bits(actual->because_trace[a].score),
+              Bits(expected->because_trace[a].score))
+        << context << " atom " << a;
+  }
+}
+
+void ExpectMatchesReference(const Result<Explanation>& actual,
+                            const Result<reference::Clause>& expected,
+                            const std::string& context) {
+  ASSERT_EQ(actual.ok(), expected.ok())
+      << context << ": "
+      << (actual.ok() ? expected.status().ToString()
+                      : actual.status().ToString());
+  if (!expected.ok()) {
+    EXPECT_EQ(actual.status().code(), expected.status().code()) << context;
+    return;
+  }
+  const std::vector<ExplanationAtom>& trace = actual->because_trace;
+  ASSERT_EQ(trace.size(), expected->size())
+      << context << ": " << actual->because.ToString();
+  ASSERT_EQ(actual->because.atoms().size(), trace.size()) << context;
+  for (std::size_t a = 0; a < trace.size(); ++a) {
+    const reference::Step& want = (*expected)[a];
+    const std::string where = context + " atom " + std::to_string(a);
+    EXPECT_EQ(actual->because.atoms()[a], trace[a].atom) << where;
+    EXPECT_EQ(trace[a].atom, want.atom) << where;
+    EXPECT_EQ(trace[a].atom.ToString(), want.atom.ToString()) << where;
+    EXPECT_EQ(Bits(trace[a].info_gain), Bits(want.info_gain)) << where;
+    EXPECT_EQ(Bits(trace[a].score), Bits(want.score)) << where;
+    EXPECT_EQ(Bits(trace[a].metric_after), Bits(want.metric_after)) << where;
+    EXPECT_EQ(Bits(trace[a].generality_after), Bits(want.generality_after))
+        << where;
+  }
 }
 
 }  // namespace perfxplain::testing

@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "features/pair_features.h"
 #include "log/execution_log.h"
 #include "pxql/query.h"
+#include "reference/reference.h"
 
 namespace perfxplain::testing {
 
@@ -65,6 +65,10 @@ ExecutionLog AdversarialLog(const AdversarialLogSpec& spec);
 /// "giant-dictionary".
 std::vector<AdversarialLogSpec> AdversarialLogSpecs();
 
+/// Writes the ids of the `skip`-th pair of interest of `query` over `log`
+/// (the reference's FindPairOfInterest) into the query; false when none.
+bool PickPair(const ExecutionLog& log, Query& query, std::size_t skip = 0);
+
 /// Engine::Prepare then Engine::Explain under `request`: the response's
 /// explanation, or the status of whichever step failed.
 Result<Explanation> PrepareAndExplain(const Engine& engine,
@@ -74,10 +78,18 @@ Result<Explanation> PrepareAndExplain(const Engine& engine,
 /// Parses predicate text or dies.
 Predicate MustPredicate(const std::string& text);
 
-/// Materialized pair-feature vector for two records under `schema`.
-std::vector<Value> PairVector(const Schema& schema,
-                              const ExecutionRecord& a,
-                              const ExecutionRecord& b);
+/// Asserts that two answers are bitwise identical: the same status code,
+/// or the same because atoms with exactly equal scores.
+void ExpectSameExplanation(const Result<Explanation>& actual,
+                           const Result<Explanation>& expected,
+                           const std::string& context);
+
+/// Asserts that an engine answer is the reference's: the same status
+/// code, or the same atoms (compared printed too, which tells -0 from 0)
+/// with bitwise-equal gains, scores and after-metrics.
+void ExpectMatchesReference(const Result<Explanation>& actual,
+                            const Result<reference::Clause>& expected,
+                            const std::string& context);
 
 }  // namespace perfxplain::testing
 

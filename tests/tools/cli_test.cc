@@ -40,9 +40,7 @@ class CliTest : public ::testing::Test {
     const std::string path = (dir_ / "log.csv").string();
     PX_CHECK(log.SaveCsv(path).ok());
     Query q = testing::GtVsSimQuery();
-    PairSchema schema(log.schema());
-    PX_CHECK(q.Bind(schema).ok());
-    auto poi = FindPairOfInterest(log, schema, q, PairFeatureOptions());
+    auto poi = reference::FindPairOfInterest(log, q);
     PX_CHECK(poi.ok());
     q.first_id = log.at(poi->first).id;
     q.second_id = log.at(poi->second).id;
@@ -310,9 +308,7 @@ TEST_F(CliTest, DurableExplainJournalsAndRecoverReplays) {
     PX_CHECK((i < 70 ? base : delta).Add(full.at(i)).ok());
   }
   Query query = testing::GtVsSimQuery();
-  PairSchema schema(base.schema());
-  PX_CHECK(query.Bind(schema).ok());
-  auto poi = FindPairOfInterest(base, schema, query, PairFeatureOptions());
+  auto poi = reference::FindPairOfInterest(base, query);
   PX_CHECK(poi.ok());
   query.first_id = base.at(poi->first).id;
   query.second_id = base.at(poi->second).id;

@@ -47,7 +47,8 @@ class PxlintCliTest(unittest.TestCase):
         rules = proc.stdout.split()
         self.assertEqual(
             rules,
-            ["boundary", "checkpoint", "determinism", "self-containment"])
+            ["boundary", "checkpoint", "determinism", "reference",
+             "self-containment"])
 
     def test_unknown_rule_is_rejected(self):
         proc = run_pxlint("--rule", "no-such-rule")
@@ -111,6 +112,32 @@ class DeterminismRuleTest(unittest.TestCase):
     def test_good_fixture_passes_and_honors_allow_marker(self):
         proc = run_pxlint("--root", fixture("determinism", "good"),
                           "--rule", "determinism")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+
+class ReferenceRuleTest(unittest.TestCase):
+    def test_bad_fixture_fails_on_twins_and_engine_includes(self):
+        proc = run_pxlint("--root", fixture("reference", "bad"),
+                          "--rule", "reference")
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertEqual(proc.stdout.count("[reference]"), 4, proc.stdout)
+        self.assertIn("twin.h:2: [reference] names the retired lazy-Value "
+                      "twin PairFeatureView", proc.stdout)
+        self.assertIn("twin.h:3:", proc.stdout)
+        # The reference may include itself and the allowlisted headers,
+        # nothing else of src/.
+        self.assertIn("oracle.cc:4: [reference] includes "
+                      "features/pair_feature_kernel.h", proc.stdout)
+        self.assertIn("oracle.cc:5: [reference] includes core/engine.h",
+                      proc.stdout)
+
+    def test_good_fixture_passes_and_honors_allow_marker(self):
+        proc = run_pxlint("--root", fixture("reference", "good"),
+                          "--rule", "reference")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_real_repo_has_one_implementation_and_an_independent_oracle(self):
+        proc = run_pxlint("--root", REPO_ROOT, "--rule", "reference")
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
 

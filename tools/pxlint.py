@@ -26,6 +26,15 @@ validates such citations against this file):
       that feed from it are not reproducible) are all banned. All
       randomness flows through common/random.h's seeded Rng.
 
+  pxlint:reference
+      Each technique has one implementation in src/: no file there names
+      a retired lazy-Value twin (PairFeatureView, ExplainLegacy,
+      ValueReliefView, ComputePairFeature*). The equivalence suites check
+      the engine against the naive reference in tests/reference/, which
+      stays independent of it: its files include no src/ header but the
+      Value and Rng types, the raw log and schema, and the PXQL AST and
+      parser.
+
   pxlint:self-containment
       Every header under src/ compiles on its own (a generated
       one-include TU per header, -fsyntax-only), so include order never
@@ -98,7 +107,7 @@ CHECKPOINT_REGISTRY = [
     ("src/core/pair_enumeration.h", "ForEachCandidateRow"),
     ("src/features/tile_pool.cc", "TilePool::Fill"),
     ("src/features/tile_pool.cc", "TilePool::BuildTile"),
-    ("src/ml/relief.cc", "RRelieffStripedImpl"),
+    ("src/ml/relief.cc", "RRelieff"),
     ("src/serving/live_engine.cc", "LiveEngine::Rotate"),
     ("src/serving/live_engine.cc", "LiveEngine::Recover"),
     ("src/storage/checkpoint.cc", "SnapshotCheckpoint::LoadLatest"),
@@ -123,6 +132,18 @@ DETERMINISM_BANNED = [
 DETERMINISM_UNORDERED_DECL = re.compile(
     r"\b(?:std::)?unordered_(?:multi)?(?:map|set)\s*<[^;(]*?>\s+(\w+)\s*[;{=(]")
 DETERMINISM_RANGE_FOR = re.compile(r"\bfor\s*\([^;()]*:\s*(\w+)\s*\)")
+
+# The lazy-Value twins the engine once shipped beside its encoded paths,
+# and the only src/ headers the independent reference may include.
+RETIRED_TWINS = re.compile(
+    r"\b(?:PairFeatureView|ExplainLegacy|ValueReliefView|"
+    r"ComputePairFeature\w*)\b")
+REFERENCE_DIR = "tests/reference"
+REFERENCE_INCLUDES = {
+    "common/value.h", "common/random.h", "log/schema.h",
+    "log/execution_log.h", "pxql/ast.h", "pxql/parser.h", "pxql/query.h",
+}
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
 ALLOW_RE = re.compile(r"pxlint:\s*allow\(([a-z-]+)\)")
 
@@ -326,6 +347,49 @@ def rule_determinism(root, args):
     return findings
 
 
+def rule_reference(root, args):
+    del args
+    findings = []
+    for path in sorted(
+            glob.glob(os.path.join(root, "src", "**", "*.h"), recursive=True) +
+            glob.glob(os.path.join(root, "src", "**", "*.cc"),
+                      recursive=True)):
+        rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            match = RETIRED_TWINS.search(line)
+            if match and not allowed(lines, lineno, "reference"):
+                findings.append(Finding(
+                    rel, lineno, "reference",
+                    f"names the retired lazy-Value twin {match.group(0)} — "
+                    "the engine has one implementation; the oracle lives "
+                    f"in {REFERENCE_DIR}/"))
+    for path in sorted(
+            glob.glob(os.path.join(root, REFERENCE_DIR, "**", "*.h"),
+                      recursive=True) +
+            glob.glob(os.path.join(root, REFERENCE_DIR, "**", "*.cc"),
+                      recursive=True)):
+        rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            match = INCLUDE_RE.match(line)
+            if not match:
+                continue
+            header = match.group(1)
+            if header.startswith("reference/") or \
+                    header in REFERENCE_INCLUDES:
+                continue
+            if not allowed(lines, lineno, "reference"):
+                findings.append(Finding(
+                    rel, lineno, "reference",
+                    f"includes {header}: the reference shares no helper "
+                    "with the engine and may include only "
+                    + ", ".join(sorted(REFERENCE_INCLUDES))))
+    return findings
+
+
 def find_compiler():
     for candidate in (os.environ.get("PXLINT_CXX"), os.environ.get("CXX"),
                       "g++", "c++", "clang++"):
@@ -381,6 +445,7 @@ RULES = {
     "boundary": rule_boundary,
     "checkpoint": rule_checkpoint,
     "determinism": rule_determinism,
+    "reference": rule_reference,
     "self-containment": rule_self_containment,
 }
 
