@@ -54,12 +54,8 @@ struct MicroFixture {
 /// despite and observed clauses.
 std::pair<std::size_t, std::size_t> FindPoi(const px::Query& bound,
                                             std::size_t skip = 0) {
-  const MicroFixture& fixture = MicroFixture::Get();
-  const px::PairSchema schema(fixture.log.schema());
-  const px::ColumnarLog columns(fixture.log);
-  auto poi = px::FindPairOfInterest(
-      columns, px::CompiledQuery::Compile(bound, schema, columns), 0.10,
-      skip);
+  auto poi =
+      px::Engine(MicroFixture::Get().log).FindPairOfInterest(bound, skip);
   PX_CHECK(poi.ok()) << poi.status().ToString();
   return *poi;
 }
@@ -135,7 +131,7 @@ BENCHMARK(BM_CountRelatedPairsColumnar)->Arg(1)->Arg(0);
 /// Lines 1-2 of Algorithm 1 as the explainer runs them: the related-pair
 /// scan, the §4.3 draws and the encoded training matrix, over prebuilt
 /// columns and predicate programs.
-void BM_BuildTrainingExamples(benchmark::State& state) {
+void BM_SampleAndEncode(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();
   px::PairSchema schema(fixture.log.schema());
   px::Query bound = fixture.query;
@@ -154,7 +150,7 @@ void BM_BuildTrainingExamples(benchmark::State& state) {
         px::EncodedDataset(columns, schema, sampled.value(), 0.10));
   }
 }
-BENCHMARK(BM_BuildTrainingExamples);
+BENCHMARK(BM_SampleAndEncode);
 
 void BM_ExplainWidth3(benchmark::State& state) {
   const MicroFixture& fixture = MicroFixture::Get();

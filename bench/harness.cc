@@ -6,7 +6,7 @@
 
 #include "common/stats.h"
 #include "common/string_util.h"
-#include "core/pair_enumeration.h"
+#include "core/engine.h"
 #include "log/catalog.h"
 #include "pxql/parser.h"
 
@@ -75,18 +75,13 @@ namespace {
 void PickPairOfInterest(const ExecutionLog& log, Query& query,
                         const std::string& finder_extra,
                         std::string& first_id, std::string& second_id) {
-  PairSchema schema(log.schema());
   Query finder = query;
   if (!finder_extra.empty()) {
     auto extra = ParsePredicate(finder_extra);
     PX_CHECK(extra.ok()) << extra.status().ToString();
     finder.despite = finder.despite.And(extra.value());
   }
-  PX_CHECK(finder.Bind(schema).ok());
-  const ColumnarLog columns(log);
-  auto poi = FindPairOfInterest(
-      columns, CompiledQuery::Compile(finder, schema, columns),
-      PairFeatureOptions().sim_fraction);
+  auto poi = Engine(log).FindPairOfInterest(finder);
   PX_CHECK(poi.ok()) << "no pair of interest: " << poi.status().ToString();
   first_id = log.at(poi->first).id;
   second_id = log.at(poi->second).id;

@@ -12,7 +12,6 @@
 
 #include "common/stats.h"
 #include "core/engine.h"
-#include "core/pair_enumeration.h"
 #include "log/catalog.h"
 #include "ml/relief.h"
 #include "simulator/trace_generator.h"
@@ -89,12 +88,7 @@ int main(int argc, char** argv) {
       "OBSERVED duration_compare = GT EXPECTED duration_compare = SIM");
   if (!query.ok()) return 1;
   if (!query->Bind(engine.pair_schema()).ok()) return 1;
-  const px::ColumnarLog& columns = engine.snapshot()->columns();
-  const px::CompiledQuery compiled =
-      px::CompiledQuery::Compile(*query, engine.pair_schema(), columns);
-  auto poi = px::FindPairOfInterest(columns, compiled,
-                                    px::PairFeatureOptions().sim_fraction,
-                                    /*skip=*/100);
+  auto poi = engine.FindPairOfInterest(*query, /*skip=*/100);
   if (!poi.ok()) return 1;
   query->first_id = log.at(poi->first).id;
   query->second_id = log.at(poi->second).id;

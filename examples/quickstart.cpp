@@ -11,7 +11,6 @@
 
 #include "common/string_util.h"
 #include "core/engine.h"
-#include "core/pair_enumeration.h"
 #include "log/catalog.h"
 #include "simulator/trace_generator.h"
 
@@ -65,11 +64,7 @@ int main() {
   }
   px::Query query = std::move(query_or).value();
   if (!query.Bind(engine.pair_schema()).ok()) return 1;
-  const px::ColumnarLog& columns = engine.snapshot()->columns();
-  const px::CompiledQuery compiled =
-      px::CompiledQuery::Compile(query, engine.pair_schema(), columns);
-  auto poi = px::FindPairOfInterest(columns, compiled,
-                                    px::PairFeatureOptions().sim_fraction);
+  auto poi = engine.FindPairOfInterest(query);
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;

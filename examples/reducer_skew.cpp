@@ -12,7 +12,6 @@
 #include "common/string_util.h"
 #include "core/engine.h"
 #include "core/formatter.h"
-#include "core/pair_enumeration.h"
 #include "log/catalog.h"
 #include "simulator/trace_generator.h"
 
@@ -62,12 +61,7 @@ int main() {
       px::ParsePredicate("reduce_input_bytes_compare = GT AND "
                          "pigscript = simple-groupby.pig")
           .value());
-  if (!finder.Bind(engine.pair_schema()).ok()) return 1;
-  const px::ColumnarLog& columns = engine.snapshot()->columns();
-  const px::CompiledQuery compiled =
-      px::CompiledQuery::Compile(finder, engine.pair_schema(), columns);
-  auto poi = px::FindPairOfInterest(columns, compiled,
-                                    px::PairFeatureOptions().sim_fraction);
+  auto poi = engine.FindPairOfInterest(finder);
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;

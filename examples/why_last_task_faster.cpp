@@ -12,7 +12,6 @@
 
 #include "common/string_util.h"
 #include "core/engine.h"
-#include "core/pair_enumeration.h"
 #include "log/catalog.h"
 #include "simulator/trace_generator.h"
 
@@ -57,12 +56,7 @@ int main() {
   px::Query finder = query;
   finder.despite = finder.despite.And(
       px::ParsePredicate("wave_index_compare = GT").value());
-  if (!finder.Bind(engine.pair_schema()).ok()) return 1;
-  const px::ColumnarLog& columns = engine.snapshot()->columns();
-  const px::CompiledQuery compiled =
-      px::CompiledQuery::Compile(finder, engine.pair_schema(), columns);
-  auto poi = px::FindPairOfInterest(columns, compiled,
-                                    px::PairFeatureOptions().sim_fraction);
+  auto poi = engine.FindPairOfInterest(finder);
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;

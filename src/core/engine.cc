@@ -213,6 +213,17 @@ Result<PreparedQuery> Engine::PrepareText(const std::string& pxql) const {
   return Prepare(query.value());
 }
 
+Result<std::pair<std::size_t, std::size_t>> Engine::FindPairOfInterest(
+    const Query& query, std::size_t skip) const {
+  Query bound = query;
+  PX_RETURN_IF_ERROR(bound.Bind(snapshot_->pair_schema()));
+  return perfxplain::FindPairOfInterest(
+      snapshot_->columns(),
+      CompiledQuery::Compile(bound, snapshot_->pair_schema(),
+                             snapshot_->columns()),
+      options_.explainer.pair.sim_fraction, skip);
+}
+
 Status Engine::Definition1(const PreparedQuery& prepared) const {
   // Re-derived under THIS engine's similarity fraction rather than read
   // from the recorded status: engines sharing a snapshot may run different

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -283,8 +284,8 @@ struct ExplainResponse {
 /// execution. `Explain` is safe to call from any number of threads
 /// concurrently — all technique state is immutable after construction
 /// except the lazily built RuleOfThumb ranking, which is initialized
-/// behind std::call_once. Prepare is the only place a query is bound,
-/// validated and resolved to its pair of interest.
+/// behind std::call_once. Prepare is the only place a request's query is
+/// bound, validated and resolved (FindPairOfInterest only looks one up).
 ///
 /// Typical use:
 ///   Engine engine(job_log);
@@ -328,6 +329,14 @@ class Engine {
   /// PreparedQuery::definition1).
   Result<PreparedQuery> Prepare(const Query& query) const;
   Result<PreparedQuery> PrepareText(const std::string& pxql) const;
+
+  /// Finds a pair for a query that names none: binds and compiles a copy
+  /// of `query` against the snapshot and returns the `skip`-th ordered
+  /// pair satisfying des AND obs under the engine's similarity fraction
+  /// (FindPairOfInterest). Row indexes; columns().Record(row).id names a
+  /// row in a FOR clause.
+  Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
+      const Query& query, std::size_t skip = 0) const;
 
   /// Runs one request against a prepared query. Thread-safe and const:
   /// concurrent calls with the same arguments produce bitwise-identical

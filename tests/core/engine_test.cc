@@ -16,6 +16,7 @@
 
 #include "core/metrics.h"
 #include "core/pair_enumeration.h"
+#include "reference/reference.h"
 #include "testing/test_util.h"
 
 namespace perfxplain {
@@ -179,6 +180,22 @@ TEST_F(EngineTest, PrepareRejectsBadQueries) {
 
   // A pair-less query fails at Prepare.
   EXPECT_FALSE(engine_.Prepare(GtVsSimQuery()).ok());
+}
+
+TEST_F(EngineTest, FindPairOfInterestMatchesReference) {
+  // The query names no pair and is not bound: the engine binds a copy.
+  for (const std::size_t skip : {0, 1, 7, 1000000}) {
+    auto found = engine_.FindPairOfInterest(GtVsSimQuery(), skip);
+    auto expected = reference::FindPairOfInterest(log_, GtVsSimQuery(), skip);
+    ASSERT_EQ(found.ok(), expected.ok()) << "skip " << skip;
+    if (expected.ok()) {
+      EXPECT_EQ(*found, *expected) << "skip " << skip;
+    } else {
+      EXPECT_EQ(found.status().code(), expected.status().code());
+    }
+  }
+  Query unbindable = GtVsSimQuery("no_such_feature_isSame = T");
+  EXPECT_FALSE(engine_.FindPairOfInterest(unbindable).ok());
 }
 
 TEST_F(EngineTest, RejectsForeignPreparedQueries) {
