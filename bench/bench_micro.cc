@@ -494,6 +494,67 @@ void BM_EquiJoinPruning(benchmark::State& state) {
 }
 BENCHMARK(BM_EquiJoinPruning)->Args({1, 1})->Args({0, 1});
 
+/// The job-level log of five sweeps of the Table 2 grid (2,700 jobs, one
+/// simulator random stream, seed 1). Built once.
+const px::ExecutionLog& FiveSweepJobLog() {
+  static const px::ExecutionLog& log = *[] {
+    px::TraceOptions options;
+    px::Rng rng(1);
+    const px::ExciteStats stats =
+        px::MeasureExciteStats(px::GenerateExciteLog(options.excite, rng));
+    auto* built = new px::ExecutionLog(px::MakeJobSchema());
+    double clock = 0.0;
+    for (int sweep = 0; sweep < 5; ++sweep) {
+      for (px::JobConfig& config : px::MakeTable2Grid(sweep * 540)) {
+        config.submit_time = clock;
+        auto job = px::SimulateJob(config, options.cluster, stats,
+                                   options.costs, rng);
+        PX_CHECK(job.ok()) << job.status().ToString();
+        PX_CHECK(built
+                     ->Add(px::JobToRecord(built->schema(), *job,
+                                           options.epoch_offset))
+                     .ok());
+        clock = job->finish_time +
+                rng.Exponential(options.inter_job_gap_seconds);
+      }
+    }
+    return built;
+  }();
+  return log;
+}
+
+/// Band-join pruning on the "same instances, same script" question: the
+/// 2-valued pigscript_isSame = T is an equi-join, and numinstances_isSame
+/// = T cuts the value order of numinstances into band components, so each
+/// row pairs only with the rows of its (component, script) bucket and
+/// both atoms leave the per-pair program. Arg 0 toggles pruning (0 = full
+/// n² scan with the full program), arg 1 is the worker-thread count;
+/// counts are bitwise identical either way.
+void BM_BandJoinPruning(benchmark::State& state) {
+  const px::ExecutionLog& log = FiveSweepJobLog();
+  px::PairSchema schema(log.schema());
+  auto parsed = px::ParseQuery(
+      "DESPITE numinstances_isSame = T AND pigscript_isSame = T "
+      "OBSERVED duration_compare = GT "
+      "EXPECTED duration_compare = SIM");
+  PX_CHECK(parsed.ok()) << parsed.status().ToString();
+  px::Query bound = std::move(parsed).value();
+  PX_CHECK(bound.Bind(schema).ok());
+  const px::ColumnarLog columns(log);
+  const px::CompiledQuery compiled =
+      px::CompiledQuery::Compile(bound, schema, columns);
+  px::EnumerationOptions enumeration;
+  enumeration.prune = state.range(0) != 0;
+  enumeration.threads = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CountRelated(columns, compiled, enumeration));
+  }
+  state.SetLabel(std::string("prune=") + (enumeration.prune ? "on" : "off") +
+                 " rows=" + std::to_string(log.size()) +
+                 " threads=" + std::to_string(state.range(1)));
+}
+BENCHMARK(BM_BandJoinPruning)->Args({1, 1})->Args({0, 1});
+
 /// Clause growth alone (lines 3-17 of Algorithm 1, width 3): one
 /// ExplainPreparedWithExamples over a fixed encoded training matrix of the
 /// task-level "why was the last task faster" question (~2,000 sampled

@@ -45,24 +45,26 @@ ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
   std::vector<Counts> partials;
   // Selection-pruned: pairs failing the query's despite program are
   // unrelated and touch no counter, so the metrics are identical.
-  ScanDespitePairs(query.despite, columns.rows(), enumeration,
-                   partials,
-                   [&](Counts& local, std::size_t i, std::size_t j) {
-                     const PairLabel label =
-                         ClassifyPairCompiled(query, i, j, f);
-                     if (label == PairLabel::kUnrelated) return;
-                     if (!despite.Eval(i, j, f)) return;
-                     ++local.pairs_despite;
-                     if (label == PairLabel::kExpected) {
-                       ++local.pairs_despite_exp;
-                     }
-                     if (because.Eval(i, j, f)) {
-                       ++local.pairs_because;
-                       if (label == PairLabel::kObserved) {
-                         ++local.pairs_because_obs;
-                       }
-                     }
-                   });
+  const CandidatePairs candidates =
+      SelectCandidatePairs(query, columns.rows(), f, enumeration);
+  ScanCandidatePairs(
+      candidates.selection, enumeration, partials,
+      [&](Counts& local, std::size_t i, std::size_t j) {
+        const PairLabel label =
+            ClassifyPairCompiled(candidates.query, i, j, f);
+        if (label == PairLabel::kUnrelated) return;
+        if (!despite.Eval(i, j, f)) return;
+        ++local.pairs_despite;
+        if (label == PairLabel::kExpected) {
+          ++local.pairs_despite_exp;
+        }
+        if (because.Eval(i, j, f)) {
+          ++local.pairs_because;
+          if (label == PairLabel::kObserved) {
+            ++local.pairs_because_obs;
+          }
+        }
+      });
 
   ExplanationMetrics metrics;
   for (const Counts& local : partials) {

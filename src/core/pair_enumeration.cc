@@ -20,6 +20,36 @@ PairLabel ClassifyPairCompiled(const CompiledQuery& query, std::size_t i,
   return PairLabel::kUnrelated;
 }
 
+CandidatePairs SelectCandidatePairs(const CompiledQuery& query,
+                                    std::size_t rows, double sim_fraction,
+                                    const EnumerationOptions& enumeration) {
+  CandidatePairs candidates{PairSelection::AllPairs(rows), query};
+  if (enumeration.prune) {
+    candidates.selection = query.despite.DeriveSelection(
+        rows, sim_fraction, &candidates.query.despite);
+  }
+  return candidates;
+}
+
+const PairRef& RelatedPairs::operator[](std::size_t k) const {
+  PX_CHECK_LT(k, size_);
+  std::size_t s = 0;
+  while (k >= segments_[s].size()) k -= segments_[s++].size();
+  return segments_[s][k];
+}
+
+void RelatedPairs::push_back(const PairRef& pair) {
+  if (segments_.empty()) segments_.emplace_back();
+  segments_.back().push_back(pair);
+  ++size_;
+}
+
+void RelatedPairs::Append(std::vector<PairRef> segment) {
+  if (segment.empty()) return;
+  size_ += segment.size();
+  segments_.push_back(std::move(segment));
+}
+
 RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
                                  const CompiledQuery& query,
                                  double sim_fraction,
@@ -36,27 +66,40 @@ RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
     std::vector<PairRef> pairs;
   };
   std::vector<StripeState> partial;
+  // Pairs buffered by all stripes, added once per first row; past the cap
+  // every stripe stops buffering and frees what it holds.
   std::atomic<std::size_t> buffered{0};
   std::atomic<bool> overflow{cap == 0};
   if (!query.despite.always_false()) {
-    ScanDespitePairs(
-        query.despite, n, enumeration, partial,
-        [&](StripeState& local, std::size_t i, std::size_t j) {
-          const PairLabel label =
-              ClassifyPairCompiled(query, i, j, sim_fraction);
-          if (label == PairLabel::kUnrelated) return;
-          const bool observed = label == PairLabel::kObserved;
-          if (observed) {
-            ++local.counts.observed;
-          } else {
-            ++local.counts.expected;
+    const CandidatePairs candidates =
+        SelectCandidatePairs(query, n, sim_fraction, enumeration);
+    ScanCandidateRows(
+        candidates.selection, enumeration, partial,
+        [&](StripeState& local, std::size_t i,
+            const CandidateRows& partners) {
+          const bool buffering = !overflow.load(std::memory_order_relaxed);
+          if (!buffering && local.pairs.capacity() != 0) {
+            std::vector<PairRef>().swap(local.pairs);
           }
-          if (!overflow.load(std::memory_order_relaxed)) {
-            if (buffered.fetch_add(1, std::memory_order_relaxed) < cap) {
-              local.pairs.push_back({i, j, observed});
+          const std::size_t before = local.pairs.size();
+          ForEachPartner(i, partners, [&](std::size_t, std::size_t j) {
+            const PairLabel label =
+                ClassifyPairCompiled(candidates.query, i, j, sim_fraction);
+            if (label == PairLabel::kUnrelated) return true;
+            const bool observed = label == PairLabel::kObserved;
+            if (observed) {
+              ++local.counts.observed;
             } else {
-              overflow.store(true, std::memory_order_relaxed);
+              ++local.counts.expected;
             }
+            if (buffering) local.pairs.emplace_back(i, j, observed);
+            return true;
+          });
+          const std::size_t added = local.pairs.size() - before;
+          if (added != 0 &&
+              buffered.fetch_add(added, std::memory_order_relaxed) + added >
+                  cap) {
+            overflow.store(true, std::memory_order_relaxed);
           }
         });
   }
@@ -65,14 +108,12 @@ RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
     scan.counts.observed += local.counts.observed;
     scan.counts.expected += local.counts.expected;
   }
-  scan.overflowed = overflow.load();
+  scan.overflowed = cap == 0 || scan.counts.total() > cap;
   if (!scan.overflowed) {
-    // Stripes ascend, so concatenating the buffers in stripe order is the
-    // row-major order the draw replay needs.
-    scan.related.reserve(scan.counts.total());
+    // Stripes ascend, so their buffers in stripe order are the row-major
+    // order the draw replay needs.
     for (StripeState& local : partial) {
-      scan.related.insert(scan.related.end(), local.pairs.begin(),
-                          local.pairs.end());
+      scan.related.Append(std::move(local.pairs));
     }
   }
   return scan;
@@ -139,13 +180,12 @@ Result<std::vector<PairRef>> ReplaySampleDraws(
   sampled.reserve(std::min<std::size_t>(
       sampler_options.sample_size + 1, counts.total() + 1));
   sampled.push_back({poi_first, poi_second, true});
-  for (const PairRef& pair : scan.related) {
-    if (pair.first == poi_first && pair.second == poi_second) continue;
-    if (!rng.Bernoulli(pair.observed ? p.observed : p.expected)) {
-      continue;
+  scan.related.ForEach([&](const PairRef& pair) {
+    if (pair.first == poi_first && pair.second == poi_second) return;
+    if (rng.Bernoulli(pair.observed ? p.observed : p.expected)) {
+      sampled.push_back(pair);
     }
-    sampled.push_back(pair);
-  }
+  });
   return sampled;
 }
 
@@ -177,16 +217,17 @@ Result<std::vector<PairRef>> SampleFromScan(
   std::vector<PairRef> sampled;
   sampled.reserve(sampler_options.sample_size + 1);
   sampled.push_back({poi_first, poi_second, true});
+  const CandidatePairs candidates =
+      SelectCandidatePairs(query, n, sim_fraction, enumeration);
   ForEachCandidatePair(
-      SelectCandidatePairs(query.despite, n, enumeration),
-      [&](std::size_t i, std::size_t j) {
+      candidates.selection, [&](std::size_t i, std::size_t j) {
         if (i == poi_first && j == poi_second) return true;
         const PairLabel label =
-            ClassifyPairCompiled(query, i, j, sim_fraction);
+            ClassifyPairCompiled(candidates.query, i, j, sim_fraction);
         if (label == PairLabel::kUnrelated) return true;
         const bool observed = label == PairLabel::kObserved;
         if (rng.Bernoulli(observed ? p.observed : p.expected)) {
-          sampled.push_back({i, j, observed});
+          sampled.emplace_back(i, j, observed);
         }
         return true;
       });
@@ -202,10 +243,11 @@ Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
   if (!query.despite.always_false()) {
     // Pruning preserves the row-major order of matching pairs (pruned
     // pairs fail des), so `skip` counts the same sequence.
+    const CandidatePairs candidates = SelectCandidatePairs(
+        query, columns.rows(), sim_fraction, enumeration);
     ForEachCandidatePair(
-        SelectCandidatePairs(query.despite, columns.rows(), enumeration),
-        [&](std::size_t i, std::size_t j) {
-          if (ClassifyPairCompiled(query, i, j, sim_fraction) !=
+        candidates.selection, [&](std::size_t i, std::size_t j) {
+          if (ClassifyPairCompiled(candidates.query, i, j, sim_fraction) !=
               PairLabel::kObserved) {
             return true;
           }

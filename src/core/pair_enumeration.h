@@ -38,33 +38,45 @@ struct EnumerationOptions {
   /// defaulting to the hardware concurrency).
   int threads = 0;
 
-  /// Max related pairs ScanRelatedPairs may buffer (~24 bytes each).
-  /// Under the cap, sampling replays the draws from the buffer (one scan
-  /// total); above it, the buffer is discarded and SampleFromScan runs a
-  /// second, streaming scan for the draws with O(accepted) memory. Both
-  /// paths produce identical results. 0 forces the streaming path.
+  /// Max related pairs ScanRelatedPairs may buffer (12 bytes each, plus
+  /// at most one first row's pairs per stripe before the overflow is
+  /// seen). Under the cap, sampling replays the draws from the buffer (one
+  /// scan total); above it, the buffer is discarded and SampleFromScan
+  /// runs a second, streaming scan for the draws with O(accepted) memory.
+  /// Both paths produce identical results. 0 forces the streaming path.
   std::size_t sample_buffer_cap = std::size_t{1} << 21;
 
   /// Candidate-pair pruning: derive the query's despite selection
-  /// (CompiledPredicate::DeriveSelection — row filters plus equi-join
-  /// partner lists) and enumerate only its candidate pairs instead of n².
-  /// Pruned pairs all fail des (they are unrelated and touch no tally),
-  /// so results are bitwise identical either way; the flag exists for the
-  /// equivalence tests and the BM_SelectiveQueryPruning /
-  /// BM_EquiJoinPruning baselines.
+  /// (CompiledPredicate::DeriveSelection — row filters plus equi-join and
+  /// band-join partner lists), enumerate only its candidate pairs instead
+  /// of n² and classify them with the residual despite program. Pruned
+  /// pairs all fail des (they are unrelated and touch no tally), and the
+  /// residual agrees with the full program on every candidate pair, so
+  /// results are bitwise identical either way; `false` scans every pair
+  /// with the full program, for the equivalence tests and the
+  /// BM_SelectiveQueryPruning / BM_EquiJoinPruning / BM_BandJoinPruning
+  /// baselines.
   bool prune = true;
 };
 
-/// The candidate pairs a despite-first scan visits: the despite
-/// program's selection (CompiledPredicate::DeriveSelection) when pruning
-/// is on, every ordered pair otherwise. Pruned pairs fail des, so scans
-/// over either selection produce bitwise-identical results.
-inline PairSelection SelectCandidatePairs(
-    const CompiledPredicate& despite, std::size_t rows,
-    const EnumerationOptions& enumeration) {
-  return enumeration.prune ? despite.DeriveSelection(rows)
-                           : PairSelection::AllPairs(rows);
-}
+/// The candidate pairs a despite-first scan visits and the query it
+/// classifies them with.
+struct CandidatePairs {
+  PairSelection selection;
+  /// The scanned query, its despite program reduced to the residual that
+  /// the selection does not already guarantee.
+  CompiledQuery query;
+};
+
+/// The one place a despite-first scan gets its pairs: the despite
+/// program's selection and residual (CompiledPredicate::DeriveSelection
+/// at `sim_fraction`) when pruning is on, every ordered pair and the full
+/// query otherwise. Pruned pairs fail des and the residual agrees with
+/// des on every candidate, so scans over either produce bitwise-identical
+/// results. `sim_fraction` must be the one the scan classifies with.
+CandidatePairs SelectCandidatePairs(const CompiledQuery& query,
+                                    std::size_t rows, double sim_fraction,
+                                    const EnumerationOptions& enumeration);
 
 /// The one candidate walker every pair scan runs on: for the first-row
 /// slots [begin, end) of `selection`, in ascending order, checks for
@@ -156,22 +168,38 @@ void ScanCandidatePairs(const PairSelection& selection,
                     });
 }
 
-/// ScanCandidatePairs over SelectCandidatePairs(despite, ...): the
-/// despite-first scans enumerate only the pairs that can satisfy des.
-template <typename Partial, typename PerPair>
-void ScanDespitePairs(const CompiledPredicate& despite, std::size_t rows,
-                      const EnumerationOptions& enumeration,
-                      std::vector<Partial>& partials, PerPair&& per_pair) {
-  ScanCandidatePairs(SelectCandidatePairs(despite, rows, enumeration),
-                     enumeration, partials,
-                     std::forward<PerPair>(per_pair));
-}
-
 /// Counts of related pairs by label.
 struct RelatedCounts {
   std::size_t observed = 0;
   std::size_t expected = 0;
   std::size_t total() const { return observed + expected; }
+};
+
+/// The related pairs of one scan in row-major order, held as the scan
+/// stripes' own buffers in stripe order (stripes ascend), so a scan hands
+/// them over without copying.
+class RelatedPairs {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// The k-th pair in row-major order (walks the segments).
+  const PairRef& operator[](std::size_t k) const;
+  const PairRef& front() const { return (*this)[0]; }
+  void push_back(const PairRef& pair);
+  /// Appends `segment`'s pairs after those held, taking its buffer.
+  void Append(std::vector<PairRef> segment);
+
+  /// Calls fn(pair) for every pair in row-major order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const std::vector<PairRef>& segment : segments_) {
+      for (const PairRef& pair : segment) fn(pair);
+    }
+  }
+
+ private:
+  std::vector<std::vector<PairRef>> segments_;
+  std::size_t size_ = 0;
 };
 
 /// The pair-of-interest-independent half of lines 1-2 of Algorithm 1: the
@@ -182,7 +210,7 @@ struct RelatedCounts {
 struct RelatedPairScan {
   RelatedCounts counts;
   /// Row-major related pairs; empty and meaningless when `overflowed`.
-  std::vector<PairRef> related;
+  RelatedPairs related;
   /// True when more than EnumerationOptions::sample_buffer_cap pairs were
   /// related: the buffer was discarded and SampleFromScan streams the
   /// draws instead.
@@ -191,7 +219,9 @@ struct RelatedPairScan {
 
 /// The counting pass of constructTrainingExamples, shared across the
 /// queries of one shape. Selection-pruned like every despite-first scan.
-/// With sample_buffer_cap = 0 it only counts.
+/// Overflows when more than sample_buffer_cap pairs are related; stripes
+/// account for the cap once per first row. With sample_buffer_cap = 0 it
+/// only counts.
 RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
                                  const CompiledQuery& query,
                                  double sim_fraction,

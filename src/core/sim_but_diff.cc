@@ -181,6 +181,9 @@ std::vector<Result<Explanation>> SimButDiff::ExplainPrepared(
     // stripe order keep every thread count bitwise identical.
     TilePool* pool = AcquireTiles(ResolveThreads(enumeration.threads));
     const std::size_t n = columns.rows();
+    const CandidatePairs scanned =
+        SelectCandidatePairs(compiled, n, sim, enumeration);
+    const CompiledQuery& residual = scanned.query;
     const auto scan_tile_row = [&](Tally& local, std::size_t r, std::size_t i,
                                    const CandidateRows& partners,
                                    const std::uint64_t* tile) {
@@ -218,7 +221,7 @@ std::vector<Result<Explanation>> SimButDiff::ExplainPrepared(
       for (std::size_t c = 0; c < count; ++c) {
         const std::size_t j = candidates[c];
         if (j == i || (i == poi_first && j == poi_second)) continue;
-        const PairLabel label = ClassifyPairCompiled(compiled, i, j, sim);
+        const PairLabel label = ClassifyPairCompiled(residual, i, j, sim);
         if (label == PairLabel::kUnrelated) continue;
         const std::uint64_t* pair = tile + j * words;
         for (std::size_t w = 0; w < words; ++w) {
@@ -229,8 +232,7 @@ std::vector<Result<Explanation>> SimButDiff::ExplainPrepared(
       }
     };
     ScanCandidateRows(
-        SelectCandidatePairs(compiled.despite, n, enumeration), enumeration,
-        partial,
+        scanned.selection, enumeration, partial,
         [&](Tally& local, std::size_t i, const CandidateRows& partners) {
           ensure_scratch(local);
           const std::uint64_t* tile =
@@ -255,7 +257,7 @@ std::vector<Result<Explanation>> SimButDiff::ExplainPrepared(
             ForEachPartner(i, partners, [&](std::size_t, std::size_t j) {
               if (i == poi_first && j == poi_second) return true;
               const PairLabel label =
-                  ClassifyPairCompiled(compiled, i, j, sim);
+                  ClassifyPairCompiled(residual, i, j, sim);
               if (label == PairLabel::kUnrelated) return true;
               if (kernel::ScanPairAgainstPoi(table, i, j, sim, poi,
                                              max_disagree,
@@ -268,7 +270,7 @@ std::vector<Result<Explanation>> SimButDiff::ExplainPrepared(
             return;
           }
           ForEachPartner(i, partners, [&](std::size_t, std::size_t j) {
-            const PairLabel label = ClassifyPairCompiled(compiled, i, j, sim);
+            const PairLabel label = ClassifyPairCompiled(residual, i, j, sim);
             if (label == PairLabel::kUnrelated) return true;
             kernel::PackIsSameCodesInto(table, i, j, sim, &local.pair_codes);
             for (std::size_t r = 0; r < requests; ++r) {

@@ -100,10 +100,17 @@ struct NominalColumn {
 
 /// An ordered pair of rows plus its Definition 8/9 label, as produced by
 /// the columnar pair-enumeration fast path and consumed by the encoded
-/// training-matrix builder.
+/// training-matrix builder. Rows are 32-bit (a ColumnarLog holds at most
+/// UINT32_MAX rows), so a pair takes 12 bytes.
 struct PairRef {
-  std::size_t first = 0;
-  std::size_t second = 0;
+  PairRef() = default;
+  PairRef(std::size_t first_row, std::size_t second_row, bool observed_pair)
+      : first(static_cast<std::uint32_t>(first_row)),
+        second(static_cast<std::uint32_t>(second_row)),
+        observed(observed_pair) {}
+
+  std::uint32_t first = 0;
+  std::uint32_t second = 0;
   bool observed = false;
 };
 

@@ -1,6 +1,8 @@
 #include "pxql/compiled_predicate.h"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <string_view>
 
 #include "features/pair_feature_kernel.h"
@@ -94,8 +96,9 @@ void ScanColumnNumCmp(const NumericColumn& column, std::size_t rows,
                       CompareOp cmp, double constant,
                       std::vector<std::uint32_t>& out) {
   ScanColumnWith(rows, out, [&](std::size_t r) {
-    return column.present.Test(r) &&
-           CompareDoubles(cmp, column.values[r], constant);
+    const double value = column.values[r];
+    return column.present.Test(r) && !std::isnan(value) &&
+           CompareDoubles(cmp, value, constant);
   });
 }
 
@@ -131,9 +134,9 @@ bool DeriveRowFilter(const PredInstr& instr, std::size_t rows,
       return true;
     case PredOp::kBaseNumCmp:
       // base numeric <cmp> c requires both rows present with the same
-      // value v and cmp(v, c); each row must itself be present with
-      // cmp(value, c). NaN passes no CompareDoubles, matching the pair
-      // test (NaN != NaN makes the base feature missing).
+      // value v and cmp(v, c); each row must itself be present, not NaN
+      // (NaN != NaN makes the base feature missing, yet NaN != c holds)
+      // and pass cmp(value, c).
       ScanColumnNumCmp(*instr.num_col, rows, instr.cmp, instr.num_const,
                        selection.first_rows);
       selection.second_rows = selection.first_rows;
@@ -171,14 +174,94 @@ bool IsEquiJoin(const PredInstr& instr) {
           instr.code_target == kernel::kFalseCode);
 }
 
+/// True for an atom that holds exactly when both rows of a numeric column
+/// are present and kernel::WithinFraction: isSame = T, isSame != F and
+/// compare = SIM.
+bool IsBandJoin(const PredInstr& instr) {
+  if (!instr.numeric_raw) return false;
+  return (instr.op == PredOp::kIsSameEq &&
+          instr.code_target == kernel::kTrueCode) ||
+         (instr.op == PredOp::kIsSameNe &&
+          instr.code_target == kernel::kFalseCode) ||
+         (instr.op == PredOp::kCompareEq &&
+          instr.code_target == kernel::kSimCode);
+}
+
+/// One partition key of a joined column: a per-row code in
+/// [0, dictionary), or negative for a row that can have no partner.
+/// `implied`: the column's join atoms hold for every pair of rows that
+/// share a code.
+struct PartitionKey {
+  const void* column;
+  const std::int32_t* codes;
+  std::size_t dictionary;
+  bool implied;
+};
+
+/// The band components of one numeric column at one fraction.
+struct Bands {
+  std::vector<std::int32_t> codes;  ///< per row; kNoCode outside the order
+  std::size_t count = 0;
+  bool tight = true;  ///< every component's extremes are within f
+};
+
+/// Cuts `order` (a column's ascending present, non-NaN rows) into band
+/// components at fraction f; false when the cut would not be sound.
+///
+/// Over the reals the similar values of any x form an interval around it
+/// for 0 <= f < 1: for 0 < a <= u < v <= c, a ~ c means a >= (1 - f)c,
+/// so u >= (1 - f)v and u ~ v (negatives mirror this), while values of
+/// opposite sign, or zero against non-zero, are never similar. So a pair
+/// across a cut between consecutive, dissimilar u < v is dissimilar, and
+/// every pair inside a component whose extremes are similar is similar.
+/// WithinFraction rounds, so cuts are tested at a fraction 2^-30 wider and
+/// tightness at one 2^-30 narrower: with both products normal (checked
+/// per value) and f < 1 - 2^-20, that margin absorbs every rounding
+/// error of the subtraction and the product.
+bool CutBands(const NumericColumn& column,
+              const std::vector<std::uint32_t>& order, double f,
+              std::size_t rows, Bands& bands) {
+  constexpr double kMaxFraction = 1.0 - 0x1p-20;
+  constexpr double kMargin = 0x1p-30;
+  if (!(f >= 0.0 && f < kMaxFraction)) return false;
+  const double* values = column.values.data();
+  if (!order.empty() && (std::isinf(values[order.front()]) ||
+                         std::isinf(values[order.back()]))) {
+    return false;
+  }
+  const double cut = f * (1.0 + kMargin);
+  const double tight = f * (1.0 - kMargin);
+  bands.codes.assign(rows, StringInterner::kNoCode);
+  bands.count = 0;
+  bands.tight = true;
+  if (order.empty()) return true;
+  double low = values[order.front()];
+  double previous = low;
+  for (std::uint32_t r : order) {
+    const double value = values[r];
+    if (f > 0.0 && value != 0.0 && f * std::abs(value) < 2.0 * DBL_MIN) {
+      return false;
+    }
+    if (!kernel::WithinFraction(previous, value, cut)) {
+      bands.tight &= kernel::WithinFraction(low, previous, tight);
+      ++bands.count;
+      low = value;
+    }
+    bands.codes[r] = static_cast<std::int32_t>(bands.count);
+    previous = value;
+  }
+  bands.tight &= kernel::WithinFraction(low, previous, tight);
+  ++bands.count;
+  return true;
+}
+
 /// Buckets the rows of `selection` (all rows when `filtered` is false) by
-/// the tuple of their codes in `columns` and rewrites the selection into
-/// per-bucket partner lists. Each column refines the previous buckets:
-/// rows are kept grouped by bucket (ascending within one), and a group's
-/// rows get a fresh sub-bucket per distinct code via a per-code stamp —
-/// O(rows + dictionary) per column, no hashing, no ordered map.
-void PartitionByCodes(const std::vector<const NominalColumn*>& columns,
-                      std::size_t dictionary, bool filtered,
+/// the tuple of their codes under `keys` and rewrites the selection into
+/// per-bucket partner lists. Each key refines the previous buckets: rows
+/// are kept grouped by bucket (ascending within one), and a group's rows
+/// get a fresh sub-bucket per distinct code via a per-code stamp —
+/// O(rows + dictionary) per key, no hashing, no ordered map.
+void PartitionByCodes(const std::vector<PartitionKey>& keys, bool filtered,
                       PairSelection& selection) {
   constexpr std::uint32_t kNone = ~std::uint32_t{0};
   constexpr std::uint8_t kFirst = 1;
@@ -199,19 +282,20 @@ void PartitionByCodes(const std::vector<const NominalColumn*>& columns,
   std::vector<std::uint32_t> bounds = {
       0, static_cast<std::uint32_t>(order.size())};
   std::vector<std::uint32_t> bucket(rows, kNone);
-  std::vector<std::uint32_t> stamp(dictionary);
-  std::vector<std::uint32_t> code_bucket(dictionary);
+  std::vector<std::uint32_t> stamp;
+  std::vector<std::uint32_t> code_bucket;
   std::vector<std::uint32_t> sizes;
   std::vector<std::uint32_t> next;
-  for (const NominalColumn* column : columns) {
-    std::fill(stamp.begin(), stamp.end(), kNone);
+  for (const PartitionKey& key : keys) {
+    stamp.assign(key.dictionary, kNone);
+    code_bucket.resize(key.dictionary);
     sizes.clear();
-    const std::int32_t* codes = column->codes.data();
+    const std::int32_t* codes = key.codes;
     for (std::uint32_t g = 0; g + 1 < bounds.size(); ++g) {
       for (std::uint32_t k = bounds[g]; k < bounds[g + 1]; ++k) {
         const std::uint32_t r = order[k];
         const std::int32_t code = codes[r];
-        if (code < 0) {  // missing: isSame is missing, never T
+        if (code < 0) {  // missing (or NaN): the atom can never hold
           bucket[r] = kNone;
           continue;
         }
@@ -282,23 +366,56 @@ void PartitionByCodes(const std::vector<const NominalColumn*>& columns,
 
 }  // namespace
 
-PairSelection CompiledPredicate::DeriveSelection(std::size_t rows) const {
+PairSelection CompiledPredicate::DeriveSelection(
+    std::size_t rows, double sim_fraction,
+    CompiledPredicate* residual) const {
   PairSelection selection = PairSelection::AllPairs(rows);
+  if (residual != nullptr) *residual = *this;
   if (always_false_) return selection;
-  std::vector<const NominalColumn*> join_columns;
-  for (const PredInstr& instr : instrs_) {
+  // One key per distinct joined column; a column's band components serve
+  // every band atom on it (they all test the same WithinFraction).
+  std::vector<PartitionKey> keys;
+  std::vector<Bands> bands;
+  bands.reserve(instrs_.size());  // keys point into its elements
+  std::vector<bool> implied(instrs_.size(), false);
+  for (std::size_t a = 0; a < instrs_.size(); ++a) {
+    const PredInstr& instr = instrs_[a];
     if (!selection.constrained) {
       selection.constrained = DeriveRowFilter(instr, rows, selection);
     }
-    if (IsEquiJoin(instr) &&
-        std::find(join_columns.begin(), join_columns.end(),
-                  instr.nom_col) == join_columns.end()) {
-      join_columns.push_back(instr.nom_col);
+    const bool equi = IsEquiJoin(instr);
+    if (!equi && !IsBandJoin(instr)) continue;
+    const void* column = equi ? static_cast<const void*>(instr.nom_col)
+                              : static_cast<const void*>(instr.num_col);
+    auto key = std::find_if(keys.begin(), keys.end(),
+                            [column](const PartitionKey& k) {
+                              return k.column == column;
+                            });
+    if (key == keys.end()) {
+      if (equi) {
+        keys.push_back({column, instr.nom_col->codes.data(),
+                        source_->interner().size(), true});
+      } else {
+        Bands cut;
+        if (!CutBands(*instr.num_col, *instr.value_order, sim_fraction,
+                      rows, cut)) {
+          continue;  // no sound partition: the atom stays per pair
+        }
+        bands.push_back(std::move(cut));
+        keys.push_back({column, bands.back().codes.data(),
+                        bands.back().count, bands.back().tight});
+      }
+      key = keys.end() - 1;
     }
+    implied[a] = key->implied;
   }
-  if (!join_columns.empty()) {
-    PartitionByCodes(join_columns, source_->interner().size(),
-                     selection.constrained, selection);
+  if (keys.empty()) return selection;
+  PartitionByCodes(keys, selection.constrained, selection);
+  if (residual != nullptr) {
+    residual->instrs_.clear();
+    for (std::size_t a = 0; a < instrs_.size(); ++a) {
+      if (!implied[a]) residual->instrs_.push_back(instrs_[a]);
+    }
   }
   return selection;
 }
@@ -318,6 +435,7 @@ PredInstr CompileAtom(const Atom& atom, const PairSchema& schema,
   instr.numeric_raw = columns.is_numeric(col);
   if (instr.numeric_raw) {
     instr.num_col = &columns.numeric_column(col);
+    instr.value_order = &columns.ValueOrder(col);
   } else {
     instr.nom_col = &columns.nominal_column(col);
   }

@@ -38,6 +38,8 @@ struct PredInstr {
   CompareOp cmp = CompareOp::kEq;  ///< for kBaseNumCmp
   bool numeric_raw = false;        ///< isSame kernel selector
   const NumericColumn* num_col = nullptr;
+  /// The numeric column's ColumnarLog::ValueOrder (band components).
+  const std::vector<std::uint32_t>* value_order = nullptr;
   const NominalColumn* nom_col = nullptr;
   std::int8_t code_target = -1;    ///< isSame/compare constant code
   std::int32_t nom_target = StringInterner::kNoCode;
@@ -74,8 +76,9 @@ class CandidateRows {
 /// Three shapes, one walk (core/pair_enumeration.h's ForEachCandidateRow):
 ///  - unconstrained: every row is a first row and every row its partner;
 ///  - a cross product: every first row's partners are `second_rows`;
-///  - partitioned (equi-join): rows are bucketed by the codes the
-///    predicate's nominal isSame = T atoms require equal, and a first
+///  - partitioned (equi-join and band join): rows are bucketed by the
+///    codes the predicate's nominal isSame = T atoms require equal and by
+///    the band components of its numeric similarity atoms, and a first
 ///    row's partners are the second rows of its own bucket.
 /// Partner lists ascend, so walking first rows in order and each one's
 /// partners in order visits the survivors in row-major order.
@@ -89,7 +92,7 @@ struct PairSelection {
   /// Ascending rows that may appear second in an accepted pair (the union
   /// of the partner lists).
   std::vector<std::uint32_t> second_rows;
-  /// Equi-join partner buckets, empty unless partitioned(): first_rows[s]
+  /// Partner buckets, empty unless partitioned(): first_rows[s]
   /// pairs with partners[bucket_begin[b] .. bucket_begin[b + 1]) for
   /// b = first_bucket[s]; each bucket's rows ascend.
   std::vector<std::uint32_t> first_bucket;
@@ -170,7 +173,8 @@ class CompiledPredicate {
   /// compiled-against log, without materializing any Value.
   bool Eval(std::size_t i, std::size_t j, double sim_fraction) const;
 
-  /// Derives the candidate pairs of the program in O(rows + dictionary):
+  /// Derives the candidate pairs of the program at similarity fraction
+  /// `sim_fraction` in O(rows + dictionary):
   ///  - the first deterministic atom — the first instruction whose pair
   ///    test implies a per-row, single-column necessary condition — is
   ///    compiled into row filters via the ScanColumn fast path: base atoms
@@ -180,16 +184,34 @@ class CompiledPredicate {
   ///    target pairs' left codes and the second row to their right codes;
   ///  - every nominal isSame = T atom (and isSame != F, the same test on
   ///    a nominal column) is an equi-join: it holds only when both rows
-  ///    carry the same present dictionary code. The filtered rows are
-  ///    bucketed by the tuple of those codes (a counting sort on the dense
-  ///    interner codes, refined once per further atom), and each first
-  ///    row's partners shrink to its own bucket. Rows with a missing code
-  ///    or alone in their bucket get no partners.
-  /// Numeric isSame (tolerance-based, not transitive), compare and
-  /// diff-inequality atoms admit no sound equi-join or row test; a program
-  /// made only of those (or an always-false one) returns an unconstrained
+  ///    carry the same present dictionary code;
+  ///  - every numeric isSame = T, isSame != F and compare = SIM atom holds
+  ///    only when both values are within the fraction (footnote 1). The
+  ///    column's value order is cut wherever two consecutive values are
+  ///    not, and for 0 <= f < 1 and finite values no pair across a cut is
+  ///    similar, so the components between cuts are a band join. Missing
+  ///    and NaN rows (NaN is similar to nothing) lie in no component.
+  ///    A fraction >= 1 (or within 2^-20 of it), a column holding ±inf
+  ///    (inf is within any positive fraction of every finite value) or a
+  ///    value whose product with the fraction is subnormal gives the atom
+  ///    no partition.
+  /// The filtered rows are bucketed by the tuple of those codes and
+  /// components (a counting sort on dense codes, refined once per
+  /// further atom), and each first row's partners shrink to its own
+  /// bucket. Rows with a missing code or alone in their bucket get no
+  /// partners. Compare atoms other than SIM, isSame = F and
+  /// diff-inequality atoms admit no sound join or row test; a program made
+  /// only of those (or an always-false one) returns an unconstrained
   /// selection. `rows` must be the compiled-against log's row count.
-  PairSelection DeriveSelection(std::size_t rows) const;
+  ///
+  /// When `residual` is non-null it is set to this program minus the atoms
+  /// that hold for every pair of every bucket: each equi-join atom, and a
+  /// band atom whose every component is tight (its lowest and highest
+  /// values are within the fraction). On the selection's candidate pairs
+  /// the residual evaluates exactly as this program does at
+  /// `sim_fraction`, and nowhere else is it meaningful.
+  PairSelection DeriveSelection(std::size_t rows, double sim_fraction,
+                                CompiledPredicate* residual = nullptr) const;
 
  private:
   std::vector<PredInstr> instrs_;

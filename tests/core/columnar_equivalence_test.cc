@@ -78,11 +78,11 @@ TEST(ColumnarEquivalenceTest, ThreadCountIsObservationFree) {
                                                         columns);
   const PairFeatureOptions options;
   RelatedCounts first;
-  std::vector<PairRef> first_pairs;
+  RelatedPairs first_pairs;
   for (int threads : {1, 2, 3, 7}) {
     EnumerationOptions enumeration;
     enumeration.threads = threads;
-    const std::vector<PairRef> pairs =
+    const RelatedPairs pairs =
         ScanRelatedPairs(columns, compiled, options.sim_fraction, enumeration)
             .related;
     enumeration.sample_buffer_cap = 0;  // count only

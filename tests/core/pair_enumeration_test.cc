@@ -235,7 +235,11 @@ TEST_F(PruningEquivalenceTest, CountCollectSampleAndFindMatchUnpruned) {
         "x_isSame = T AND color = red", "color_isSame = T",
         "color_isSame != F", "color_isSame = T AND x_isSame = T",
         "color_isSame = T AND color = red",
-        "color_isSame = T AND color_diff = (red,blue)"}) {
+        "color_isSame = T AND color_diff = (red,blue)", "x_isSame != F",
+        "x_compare = SIM", "duration_isSame = T", "duration_compare = SIM",
+        "duration_isSame != F AND color_isSame = T",
+        "color_isSame = T AND x_compare = SIM",
+        "x_isSame = T AND duration_compare = SIM AND color != blue"}) {
     const Query query = BoundQuery(despite);
     const CompiledQuery compiled =
         CompiledQuery::Compile(query, schema_, columns);
@@ -257,9 +261,9 @@ TEST_F(PruningEquivalenceTest, CountCollectSampleAndFindMatchUnpruned) {
       EXPECT_EQ(a.observed, b.observed) << despite;
       EXPECT_EQ(a.expected, b.expected) << despite;
 
-      const std::vector<PairRef> pruned_pairs =
+      const RelatedPairs pruned_pairs =
           ScanRelatedPairs(columns, compiled, 0.10, pruned).related;
-      const std::vector<PairRef> unpruned_pairs =
+      const RelatedPairs unpruned_pairs =
           ScanRelatedPairs(columns, compiled, 0.10, unpruned).related;
       ASSERT_EQ(pruned_pairs.size(), unpruned_pairs.size()) << despite;
       for (std::size_t p = 0; p < pruned_pairs.size(); ++p) {

@@ -162,8 +162,10 @@ TEST(PairCodeStoreEquivalenceTest, EquiJoinPruningIsBitwiseAtEveryBudget) {
             const SimButDiff baseline(options, &columns, &store);
             const CompiledQuery compiled =
                 CompiledQuery::Compile(bound, schema, columns);
-            ASSERT_TRUE(
-                compiled.despite.DeriveSelection(log.size()).partitioned());
+            ASSERT_TRUE(compiled.despite
+                            .DeriveSelection(log.size(),
+                                             options.pair.sim_fraction)
+                            .partitioned());
             EnumerationOptions enumeration;
             enumeration.threads = threads;
             enumeration.prune = prune;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/random.h"
@@ -227,21 +228,34 @@ std::vector<std::size_t> PartnersOf(const PairSelection& selection,
   return partners;
 }
 
-/// Compiles `predicate` against `log` and asserts DeriveSelection is
-/// sound: every ordered pair the program accepts has its first row in
-/// first_rows, its second row in second_rows, and its second row in the
-/// first row's partner list — and the walk order is row-major (first rows
-/// and every partner list ascend).
-void ExpectSelectionSound(const ExecutionLog& log,
-                          const Predicate& predicate) {
+/// Compiles `predicate` against `log` and asserts DeriveSelection at
+/// fraction `f` is sound: every ordered pair the program accepts at `f`
+/// has its first row in first_rows, its second row in second_rows, and
+/// its second row in the first row's partner list — the walk order is
+/// row-major (first rows and every partner list ascend) — and the
+/// residual program agrees with the full one on every candidate pair.
+void ExpectSelectionSound(const ExecutionLog& log, const Predicate& predicate,
+                          double f = 0.10) {
   const PairSchema schema(log.schema());
   Predicate bound = predicate;
   ASSERT_TRUE(bound.Bind(schema).ok()) << bound.ToString();
   const ColumnarLog columns(log);
   const CompiledPredicate compiled =
       CompiledPredicate::Compile(bound, schema, columns);
-  const PairSelection selection = compiled.DeriveSelection(log.size());
-  if (!selection.constrained) return;
+  CompiledPredicate residual;
+  const PairSelection selection =
+      compiled.DeriveSelection(log.size(), f, &residual);
+  EXPECT_LE(residual.width(), compiled.width()) << bound.ToString();
+  ForEachCandidatePair(selection, [&](std::size_t i, std::size_t j) {
+    EXPECT_EQ(residual.Eval(i, j, f), compiled.Eval(i, j, f))
+        << bound.ToString() << " at f = " << f << ": residual differs on ("
+        << i << "," << j << ")";
+    return true;
+  });
+  if (!selection.constrained) {
+    EXPECT_EQ(residual.width(), compiled.width()) << bound.ToString();
+    return;
+  }
   EXPECT_TRUE(std::is_sorted(selection.first_rows.begin(),
                              selection.first_rows.end()))
       << bound.ToString();
@@ -260,9 +274,10 @@ void ExpectSelectionSound(const ExecutionLog& log,
   for (std::size_t i = 0; i < log.size(); ++i) {
     for (std::size_t j = 0; j < log.size(); ++j) {
       if (i == j) continue;
-      if (!compiled.Eval(i, j, 0.10)) continue;
+      if (!compiled.Eval(i, j, f)) continue;
       EXPECT_TRUE(first.count(static_cast<std::uint32_t>(i)) > 0)
-          << bound.ToString() << ": accepted pair (" << i << "," << j
+          << bound.ToString() << " at f = " << f << ": accepted pair (" << i
+          << "," << j
           << ") pruned on the first side";
       EXPECT_TRUE(second.count(static_cast<std::uint32_t>(j)) > 0)
           << bound.ToString() << ": accepted pair (" << i << "," << j
@@ -283,7 +298,7 @@ TEST_F(CompiledPredicateTest, SelectionFromBaseNominalAtom) {
   const ColumnarLog columns(log_);
   const CompiledPredicate compiled =
       CompiledPredicate::Compile(bound, schema, columns);
-  const PairSelection selection = compiled.DeriveSelection(log_.size());
+  const PairSelection selection = compiled.DeriveSelection(log_.size(), 0.10);
   ASSERT_TRUE(selection.constrained);
   // Exactly one record holds "b"; both sides select only it.
   EXPECT_EQ(selection.first_rows, std::vector<std::uint32_t>{1});
@@ -303,16 +318,24 @@ TEST_F(CompiledPredicateTest, SelectionFromBaseNumericAtom) {
     ExpectSelectionSound(log_, MustPredicate(text));
   }
   const PairSchema schema(log_.schema());
-  Predicate bound = MustPredicate("num > 0");
-  ASSERT_TRUE(bound.Bind(schema).ok());
   const ColumnarLog columns(log_);
-  const CompiledPredicate compiled =
-      CompiledPredicate::Compile(bound, schema, columns);
-  const PairSelection selection = compiled.DeriveSelection(log_.size());
-  ASSERT_TRUE(selection.constrained);
-  for (std::uint32_t r : selection.first_rows) {
-    EXPECT_NE(r, 5u) << "NaN row passed the num > 0 column scan";
-    EXPECT_NE(r, 6u) << "missing row passed the num > 0 column scan";
+  // NaN != 2 holds, yet a NaN row never carries a base feature.
+  for (const char* text : {"num > 0", "num != 2"}) {
+    Predicate bound = MustPredicate(text);
+    ASSERT_TRUE(bound.Bind(schema).ok());
+    const CompiledPredicate compiled =
+        CompiledPredicate::Compile(bound, schema, columns);
+    const PairSelection selection =
+        compiled.DeriveSelection(log_.size(), 0.10);
+    ASSERT_TRUE(selection.constrained) << text;
+    for (const std::vector<std::uint32_t>* side :
+         {&selection.first_rows, &selection.second_rows}) {
+      for (std::uint32_t r : *side) {
+        EXPECT_NE(r, 5u) << "NaN row passed the " << text << " column scan";
+        EXPECT_NE(r, 6u) << "missing row passed the " << text
+                         << " column scan";
+      }
+    }
   }
 }
 
@@ -323,7 +346,7 @@ TEST_F(CompiledPredicateTest, SelectionFromDiffAtomIsAsymmetric) {
   const ColumnarLog columns(log_);
   const CompiledPredicate compiled =
       CompiledPredicate::Compile(bound, schema, columns);
-  const PairSelection selection = compiled.DeriveSelection(log_.size());
+  const PairSelection selection = compiled.DeriveSelection(log_.size(), 0.10);
   ASSERT_TRUE(selection.constrained);
   // Rows 0 and 5 hold "a" (the left code); row 1 holds "b" (the right).
   EXPECT_EQ(selection.first_rows, (std::vector<std::uint32_t>{0, 5}));
@@ -335,24 +358,119 @@ TEST_F(CompiledPredicateTest, SelectionFromDiffAtomIsAsymmetric) {
 TEST_F(CompiledPredicateTest, NoSelectionFromPairRelatingAtoms) {
   const PairSchema schema(log_.schema());
   const ColumnarLog columns(log_);
-  // isSame/compare/diff-inequality atoms admit no single-row test; the
-  // first deterministic atom of a conjunction is what prunes.
+  // compare atoms other than SIM and diff-inequality atoms admit no
+  // single-row test and no join; the first deterministic atom of a
+  // conjunction is what prunes.
   for (const char* text :
-       {"num_isSame = T", "num_compare = GT", "color_diff != (a,b)",
+       {"num_compare = GT", "num_compare != SIM", "color_diff != (a,b)",
+        "num_isSame = F"}) {
+    Predicate bound = MustPredicate(text);
+    ASSERT_TRUE(bound.Bind(schema).ok());
+    const CompiledPredicate compiled =
+        CompiledPredicate::Compile(bound, schema, columns);
+    EXPECT_FALSE(compiled.DeriveSelection(log_.size(), 0.10).constrained)
+        << text;
+  }
+  // Numeric similarity atoms are band joins: at f = 0.1 the value order
+  // -0.0 0.0 | 1.0 1.05 | 2.0 2.0 has three tight components, NaN (row 5)
+  // and missing (row 6) lie in none, so the atoms leave the residual.
+  for (const char* text :
+       {"num_isSame = T", "num_isSame != F", "num_compare = SIM",
         "num_isSame = T AND num_compare = SIM"}) {
     Predicate bound = MustPredicate(text);
     ASSERT_TRUE(bound.Bind(schema).ok());
     const CompiledPredicate compiled =
         CompiledPredicate::Compile(bound, schema, columns);
-    EXPECT_FALSE(compiled.DeriveSelection(log_.size()).constrained) << text;
+    CompiledPredicate residual;
+    const PairSelection selection =
+        compiled.DeriveSelection(log_.size(), 0.10, &residual);
+    ASSERT_TRUE(selection.partitioned()) << text;
+    EXPECT_EQ(selection.first_rows,
+              (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 7}))
+        << text;
+    EXPECT_EQ(PartnersOf(selection, 0), (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(PartnersOf(selection, 2), (std::vector<std::size_t>{2, 7}));
+    EXPECT_EQ(PartnersOf(selection, 3), (std::vector<std::size_t>{3, 4}));
+    EXPECT_TRUE(PartnersOf(selection, 5).empty());
+    EXPECT_EQ(residual.width(), 0u) << text;
+    ExpectSelectionSound(log_, MustPredicate(text));
   }
-  // A later base atom still yields the selection.
-  Predicate bound = MustPredicate("num_isSame = T AND color = a");
+  // A later base atom still yields the row filter.
+  Predicate bound = MustPredicate("num_compare = GT AND color = a");
   ASSERT_TRUE(bound.Bind(schema).ok());
   const CompiledPredicate compiled =
       CompiledPredicate::Compile(bound, schema, columns);
-  EXPECT_TRUE(compiled.DeriveSelection(log_.size()).constrained);
-  ExpectSelectionSound(log_, MustPredicate("num_isSame = T AND color = a"));
+  EXPECT_TRUE(compiled.DeriveSelection(log_.size(), 0.10).constrained);
+  ExpectSelectionSound(log_, MustPredicate("num_compare = GT AND color = a"));
+}
+
+TEST_F(CompiledPredicateTest, BandJoinKeepsNonTightComponentsInTheResidual) {
+  // 1.0 ~ 1.09 and 1.09 ~ 1.18 at f = 0.1 chain into one component, but
+  // 1.0 and 1.18 are not similar: the atom must stay per pair.
+  Schema schema;
+  PX_CHECK(schema.Add("num", ValueKind::kNumeric).ok());
+  ExecutionLog log(schema);
+  for (double value : {1.18, 5.0, 1.0, 1.09}) {
+    PX_CHECK(log.Add(ExecutionRecord(StrFormat("r%zu", log.size()),
+                                     {Value::Number(value)}))
+                 .ok());
+  }
+  const PairSchema pair_schema(log.schema());
+  Predicate bound = MustPredicate("num_isSame = T");
+  ASSERT_TRUE(bound.Bind(pair_schema).ok());
+  const ColumnarLog columns(log);
+  const CompiledPredicate compiled =
+      CompiledPredicate::Compile(bound, pair_schema, columns);
+  CompiledPredicate residual;
+  const PairSelection selection =
+      compiled.DeriveSelection(log.size(), 0.10, &residual);
+  ASSERT_TRUE(selection.partitioned());
+  EXPECT_EQ(selection.first_rows, (std::vector<std::uint32_t>{0, 2, 3}));
+  EXPECT_EQ(PartnersOf(selection, 0), (std::vector<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(residual.width(), 1u);
+  EXPECT_FALSE(residual.Eval(0, 2, 0.10));
+  ExpectSelectionSound(log, MustPredicate("num_isSame = T"));
+  // At f = 0.2 the component is tight and the atom leaves the residual.
+  compiled.DeriveSelection(log.size(), 0.20, &residual);
+  EXPECT_EQ(residual.width(), 0u);
+  ExpectSelectionSound(log, MustPredicate("num_isSame = T"), 0.20);
+  // f >= 1 gives up on the band join (every pair of positive values is
+  // then similar) and keeps the full program.
+  for (double f : {1.0, 1.5}) {
+    EXPECT_FALSE(compiled.DeriveSelection(log.size(), f, &residual)
+                     .constrained);
+    EXPECT_EQ(residual.width(), 1u);
+  }
+}
+
+TEST_F(CompiledPredicateTest, BandJoinGivesUpOutsideTheNormalRange) {
+  // inf is within any positive fraction of every finite value, so a
+  // column holding ±inf admits no band cut; nor does one whose product
+  // with the fraction is subnormal, where rounding is not relative.
+  Schema schema;
+  PX_CHECK(schema.Add("num", ValueKind::kNumeric).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double extreme : {inf, -inf, 1e-310}) {
+    ExecutionLog log(schema);
+    for (double value : {1.0, 50.0, extreme, -3.0}) {
+      PX_CHECK(log.Add(ExecutionRecord(StrFormat("r%zu", log.size()),
+                                       {Value::Number(value)}))
+                   .ok());
+    }
+    const PairSchema pair_schema(log.schema());
+    Predicate bound = MustPredicate("num_compare = SIM");
+    ASSERT_TRUE(bound.Bind(pair_schema).ok());
+    const ColumnarLog columns(log);
+    const CompiledPredicate compiled =
+        CompiledPredicate::Compile(bound, pair_schema, columns);
+    CompiledPredicate residual;
+    EXPECT_FALSE(compiled.DeriveSelection(log.size(), 0.10, &residual)
+                     .constrained);
+    EXPECT_EQ(residual.width(), 1u);
+    for (double f : {0.0, 0.1, 0.5}) {
+      ExpectSelectionSound(log, MustPredicate("num_compare = SIM"), f);
+    }
+  }
 }
 
 TEST_F(CompiledPredicateTest, SelectionPartitionsOnNominalIsSame) {
@@ -365,7 +483,7 @@ TEST_F(CompiledPredicateTest, SelectionPartitionsOnNominalIsSame) {
     ASSERT_TRUE(bound.Bind(schema).ok());
     const CompiledPredicate compiled =
         CompiledPredicate::Compile(bound, schema, columns);
-    const PairSelection selection = compiled.DeriveSelection(log_.size());
+    const PairSelection selection = compiled.DeriveSelection(log_.size(), 0.10);
     ASSERT_TRUE(selection.constrained) << text;
     ASSERT_TRUE(selection.partitioned()) << text;
     EXPECT_EQ(selection.first_rows, (std::vector<std::uint32_t>{0, 5}));
@@ -385,7 +503,7 @@ TEST_F(CompiledPredicateTest, SelectionPartitionsOnNominalIsSame) {
   ASSERT_TRUE(bound.Bind(schema).ok());
   const CompiledPredicate compiled =
       CompiledPredicate::Compile(bound, schema, columns);
-  const PairSelection selection = compiled.DeriveSelection(log_.size());
+  const PairSelection selection = compiled.DeriveSelection(log_.size(), 0.10);
   EXPECT_TRUE(selection.constrained);
   EXPECT_EQ(selection.first_count(), 0u);
   // isSame = F and numeric isSame are no equi-joins.
@@ -393,7 +511,7 @@ TEST_F(CompiledPredicateTest, SelectionPartitionsOnNominalIsSame) {
     Predicate other = MustPredicate(text);
     ASSERT_TRUE(other.Bind(schema).ok());
     EXPECT_FALSE(CompiledPredicate::Compile(other, schema, columns)
-                     .DeriveSelection(log_.size())
+                     .DeriveSelection(log_.size(), 0.10)
                      .constrained)
         << text;
     ExpectSelectionSound(log_, MustPredicate(text));
@@ -410,6 +528,14 @@ TEST_F(CompiledPredicateTest, SelectionSoundOnRandomizedConjunctions) {
     PX_CHECK(schema.Add("s1", ValueKind::kNominal).ok());
     ExecutionLog log(schema);
     const char* nominal_pool[] = {"a", "b", "a,b", "c", ""};
+    // Values that chain at f = 0.1 (and 0.5) without being tight, drawn
+    // most often; ±0, negatives, and ±inf last.
+    const double numeric_pool[] = {
+        1.0,  1.09, 1.18, 1.0, 1.09, 1.18, -1.0, -1.09, -1.18, 0.5,
+        -0.0, 0.0,  2.0,  -2.0, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()};
+    // Columns without infinities keep their band joins more often.
+    const bool infinite = rng.UniformInt(0, 3) == 0;
     const int rows = static_cast<int>(rng.UniformInt(2, 10));
     for (int r = 0; r < rows; ++r) {
       std::vector<Value> values;
@@ -423,7 +549,8 @@ TEST_F(CompiledPredicateTest, SelectionSoundOnRandomizedConjunctions) {
         } else if (kind == 1) {
           values.push_back(Value::Number(std::nan("")));
         } else {
-          values.push_back(Value::Number(rng.UniformInt(-2, 2)));
+          values.push_back(Value::Number(
+              numeric_pool[rng.UniformInt(0, infinite ? 15 : 13)]));
         }
       }
       PX_CHECK(log.Add(ExecutionRecord(StrFormat("t%02d", r),
@@ -435,14 +562,17 @@ TEST_F(CompiledPredicateTest, SelectionSoundOnRandomizedConjunctions) {
         "s0_diff = (a,b)",  "s0_diff != (a,b)",  "n0 = 1",
         "n0 != 0",          "n1 <= 0",           "n1 >= 1",
         "s0 = a",           "s0 != b",           "s0_isSame = T",
-        "s0_isSame != F",   "s1_isSame = T"};
+        "s0_isSame != F",   "s1_isSame = T",     "n0_isSame != F",
+        "n1_compare = SIM", "n1_isSame = T",     "n0_compare = SIM"};
     const int width = static_cast<int>(rng.UniformInt(1, 3));
     std::string text;
     for (int a = 0; a < width; ++a) {
       if (a > 0) text += " AND ";
-      text += atoms[rng.UniformInt(0, 13)];
+      text += atoms[rng.UniformInt(0, 17)];
     }
-    ExpectSelectionSound(log, MustPredicate(text));
+    for (double f : {0.0, 0.1, 0.5, 1.0, 1.5}) {
+      ExpectSelectionSound(log, MustPredicate(text), f);
+    }
   }
 }
 
